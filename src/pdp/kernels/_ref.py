@@ -2,7 +2,7 @@
 
 Selected automatically when the compiled extension is unavailable; also
 serves as the correctness oracle for the compiled version in the test
-suite and in ``benchmarks/bench_kernels.py``.
+suite.
 """
 import numpy as np
 from scipy.linalg import solve_banded

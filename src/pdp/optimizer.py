@@ -272,12 +272,15 @@ def optimize(
 
     trace = OptTrace()
     it = 0
-    tau = opts.tau_start
+    tau = cur_tau = opts.tau_start
     stage_status = "converged"
     budget_hit = False
     while True:
         problem = stage_problem(tau)
-        cur = barrier_objective(V, problem)
+        # Gamma does not depend on tau, so a stage that ends on the
+        # Gamma-negligible rule needs no evaluation at its own tau
+        if cur_tau != tau and cur.gamma >= opts.tau_advance_factor * tau:
+            cur, cur_tau = barrier_objective(V, problem), tau
         history: list[tuple[np.ndarray, np.ndarray]] = []
         stage_status = "gradient tolerance reached"
         stage_tol = max(opts.grad_tol, opts.stage_grad_factor * tau)

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
 
 from . import kernels
@@ -60,8 +58,6 @@ class ScatteringState:
     e_minus: np.ndarray
     t: complex
     r: complex
-    phi_plus: np.ndarray
-    phi_minus: np.ndarray
 
     @property
     def unitarity_defect(self) -> float:
@@ -194,10 +190,21 @@ def reduced_resolvent_at_eigenvalue(
 ) -> np.ndarray:
     """Solve (H_V - lambda) u = P_c f with <psi, u> = 0.
 
-    P_c f = f - <psi,f> psi.  The orthogonality constraint is enforced by a
-    bordered linear system; at the domain ends the solution obeys the
+    P_c f = f - <psi,f> psi.  At the domain ends the solution obeys the
     decaying condition u' = -+ kappa u with kappa = sqrt(-lambda), again via
-    ghost-node elimination.
+    ghost-node elimination, which makes A = H_V - lambda tridiagonal.  The
+    bordered system [[A, psi], [(w psi)^T, 0]] [u; c] = [P_c f; 0] is solved
+    by Keller's (1977) bordering algorithm: two O(n) tridiagonal solves give
+    z1 = A^-1 P_c f and z2 = A^-1 psi, and u = z1 - s z2 with
+    s = <psi, z1> / <psi, z2>.
+
+    A is nearly singular (lambda is its eigenvalue up to the exponentially
+    small difference between the decay and Dirichlet rows, and to machine
+    precision on wide domains), so z1 and z2 are huge and dominated by
+    their psi components.  Both are solved with the same factors of A, so
+    their errors lie along the same near-null direction and cancel in
+    z1 - s z2 (T. F. Chan, SIAM J. Numer. Anal. 21 (1984) 738); only an
+    exactly zero pivot fails, and it raises SolverFailure.
     """
     grid = V.grid
     f = np.asarray(f, dtype=float)
@@ -211,22 +218,20 @@ def reduced_resolvent_at_eigenvalue(
     # discrete decay rate: 2(cosh(kq h) - 1)/h^2 = -lam, exact for the
     # free lattice mode e^{-kq |x|}; ghost elimination as in _outgoing_system
     kq = np.arccosh(1.0 - lam * h * h / 2.0) / h
-    d = (2.0 / h**2 + V.values - lam).copy()
+    d = 2.0 / h**2 + V.values - lam
     d[0] = (2.0 - np.exp(-kq * h)) / h**2 + V.values[0] - lam
     d[-1] = (2.0 - np.exp(-kq * h)) / h**2 + V.values[-1] - lam
     dl = np.full(n - 1, -1.0 / h**2)
 
     fc = f - (w @ (psi * f)) * psi
-    A = sp.diags([dl, d, dl], offsets=[-1, 0, 1], format="lil")
-    M = sp.bmat(
-        [[A, psi[:, None]], [(w * psi)[None, :], None]], format="csc"
-    )
-    rhs = np.concatenate([fc, [0.0]])
+    # two calls, as the compiled trisolve takes only 1-D right-hand sides
     try:
-        sol = spla.spsolve(M, rhs)
-    except Exception as exc:
+        z1 = kernels.trisolve(dl, d, dl, fc)
+        z2 = kernels.trisolve(dl, d, dl, psi)
+    except (np.linalg.LinAlgError, ValueError) as exc:  # singular A, non-finite input
         raise SolverFailure(f"bordered eigenvalue solve failed: {exc}") from exc
-    u = sol[:-1]
+    wpsi = w * psi
+    u = z1 - ((wpsi @ z1) / (wpsi @ z2)) * z2
     if not np.all(np.isfinite(u)):
         raise SolverFailure("bordered eigenvalue solve produced non-finite values")
     return u
@@ -251,9 +256,7 @@ def distorted_plane_waves(V: PotentialField, k: float) -> ScatteringState:
     e_m = wave_m - phi_m
     t = complex(np.mean(e_p[-N_MATCH:] * wave_m[-N_MATCH:]))
     r = complex(np.mean((e_p[:N_MATCH] - wave_p[:N_MATCH]) * wave_p[:N_MATCH]))
-    return ScatteringState(
-        k=float(k), e_plus=e_p, e_minus=e_m, t=t, r=r, phi_plus=phi_p, phi_minus=phi_m
-    )
+    return ScatteringState(k=float(k), e_plus=e_p, e_minus=e_m, t=t, r=r)
 
 
 def scattering_k_derivative(
@@ -284,7 +287,9 @@ def scattering_k_derivative(
     dd[-1] += ghost
     vk = np.asarray(V.values)
     out = []
-    for phi, dwave in ((st.phi_plus, dwave_p), (st.phi_minus, dwave_m)):
+    # phi_+- = e^{+-iqx} - e_+-, the scattered parts solved for by
+    # distorted_plane_waves
+    for phi, dwave in ((wave_p - st.e_plus, dwave_p), (wave_m - st.e_minus, dwave_m)):
         rhs = vk * dwave - dd * phi
         try:
             dphi = kernels.trisolve(dl, d, du, rhs)

@@ -174,6 +174,28 @@ class TestOptimize:
         assert out.converged
         assert out.status == "gamma negligible against tau"
 
+    def test_negligible_gamma_skips_stage_evaluations(self, V, params, monkeypatch):
+        # Gamma does not depend on tau: once it is negligible against
+        # tau_min, no stage re-evaluates the barrier at its own tau, and the
+        # start's evaluation is the only gradient computed
+        from pdp import fgr
+
+        calls = []
+        gamma_gradient = fgr.gamma_gradient
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return gamma_gradient(*args, **kwargs)
+
+        monkeypatch.setattr(fgr, "gamma_gradient", counted)
+        factor = OptOptions().tau_advance_factor
+        tau_min = 2.0 * fgr.gamma(V, params).gamma / factor
+        opts = OptOptions(tau_start=1e3 * tau_min, tau_min=tau_min, max_iters=20)
+        out = optimize(V, params, opts)
+        assert out.iterations == 0
+        assert out.status == "gamma negligible against tau"
+        assert len(calls) == 1
+
     def test_infeasible_start_raises(self, grid):
         V = sech_well(1.5, 1.5, 12.0, grid)
         tight = DesignParams(

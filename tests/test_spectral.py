@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 from pdp.errors import NoBoundState
-from pdp.grid import PotentialField, make_grid, square_well, trapz
+from pdp.grid import PotentialField, make_grid, sech_well, square_well, trapz
 from pdp.spectral import (
     count_negative_eigenvalues,
     distorted_plane_waves,
@@ -199,7 +199,55 @@ class TestDistortedPlaneWaves:
         assert np.max(np.abs(st.e_minus - st.e_plus[::-1])) < 1e-9
 
 
+def dense_bordered_solve(V, bs, f):
+    """u from a dense solve of [[A, psi], [(w psi)^T, 0]] [u; c] = [P_c f; 0].
+
+    A = H_V - lambda with the discrete decay rows at both ends.  The
+    bordered matrix stays well conditioned even where A is singular.
+    """
+    grid = V.grid
+    h, n, lam, psi, w = grid.h, grid.n, bs.lam, bs.psi, grid.weights
+    kq = np.arccosh(1.0 - lam * h * h / 2.0) / h
+    off = -np.ones(n - 1) / h**2
+    A = np.diag(2.0 / h**2 + V.values - lam) + np.diag(off, 1) + np.diag(off, -1)
+    A[0, 0] -= np.exp(-kq * h) / h**2
+    A[-1, -1] -= np.exp(-kq * h) / h**2
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = A
+    M[:n, n] = psi
+    M[n, :n] = w * psi
+    fc = f - (w @ (psi * f)) * psi
+    return np.linalg.solve(M, np.append(fc, 0.0))[:n]
+
+
+def walled_sech(grid):
+    """a=12 sech well with a height-40 wall on 6 < x < 7 (psi not even)."""
+    wall = np.where((grid.x > 6.0) & (grid.x < 7.0), 40.0, 0.0)
+    return PotentialField(grid, sech_well(1.5, 1.5, 12.0, grid).values + wall, 12.0)
+
+
 class TestReducedResolvent:
+    @pytest.mark.parametrize(
+        "half, a, build",
+        [
+            (20.0, 12.0, lambda g: sech_well(0.5, 1.0, 12.0, g)),  # shallow, lam ~ -0.2
+            (20.0, 12.0, lambda g: sech_well(1.5, 1.5, 12.0, g)),
+            (20.0, 12.0, walled_sech),
+            # psi ~ 1e-28 at the ends: A is singular to machine precision
+            (80.0, 64.0, lambda g: sech_well(1.5, 1.5, 64.0, g)),
+        ],
+        ids=["shallow", "sech", "tall-wall", "wide-domain"],
+    )
+    def test_matches_dense_bordered_solve(self, half, a, build):
+        grid = make_grid(-half, half, 401)
+        V = build(grid)
+        bs = solve_ground_state(V)
+        rng = np.random.default_rng(7)
+        f = np.where(np.abs(grid.x) <= a, rng.standard_normal(grid.n), 0.0)
+        u = reduced_resolvent_at_eigenvalue(V, bs, f)
+        ref = dense_bordered_solve(V, bs, f)
+        assert np.max(np.abs(u - ref)) <= 1e-10 * np.max(np.abs(ref))
+
     def test_projection_annihilates_psi(self, pt):
         bs = solve_ground_state(pt)
         u = reduced_resolvent_at_eigenvalue(pt, bs, bs.psi.copy())
