@@ -6,8 +6,9 @@ individual fields.  Outputs are CSV for arrays and JSON for manifests,
 formatted deterministically so identical configs reproduce files
 byte-identically.
 
-Exit codes: 0 success, 2 domain error (no bound state, infeasible point),
-3 solver failure, 4 configuration error.
+Exit codes: 0 success, 1 gradcheck found a gradient off by more than its
+tolerance, 2 domain error (no bound state, infeasible point), 3 solver
+failure, 4 configuration error.
 """
 from __future__ import annotations
 
@@ -23,10 +24,11 @@ import numpy as np
 from . import __version__, fgr, optimizer, timedomain
 from .config import builders, load_config
 from .errors import ConfigError, PdpError, SolverFailure
-from .grid import Grid, PotentialField, h1_norm_sq, trapz
+from .grid import Grid, PotentialField, h1_norm_sq, interpolate_potential, trapz
 from .spectral import distorted_plane_waves, solve_ground_state, wronskian_at_zero
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_DOMAIN = 2
 EXIT_SOLVER = 3
 EXIT_CONFIG = 4
@@ -91,9 +93,7 @@ def _load_potential_csv(path: str, grid: Grid, a: float) -> PotentialField:
         raise ConfigError(f"potential file {path} is not (x,V) CSV: {exc}") from exc
     if data.shape[1] < 2:
         raise ConfigError(f"potential file {path} needs x and V columns")
-    vals = np.interp(grid.x, data[:, 0], data[:, 1], left=0.0, right=0.0)
-    vals = np.where(np.abs(grid.x) <= a, vals, 0.0)
-    return PotentialField(grid, vals, a)
+    return interpolate_potential(data[:, 0], data[:, 1], a, grid)
 
 
 def _resolve_potential(cfg: dict, grid: Grid, path: str | None) -> PotentialField:
@@ -102,7 +102,7 @@ def _resolve_potential(cfg: dict, grid: Grid, path: str | None) -> PotentialFiel
     return _load_potential_csv(path, grid, float(cfg["design"]["a"]))
 
 
-def _emit_potential_artifacts(em: Emitter, V: PotentialField, params, res) -> None:
+def _emit_potential_artifacts(em: Emitter, V: PotentialField, res) -> None:
     x = V.grid.x
     em.csv("V_opt.csv", ["x", "V"], zip(x, V.values))
     em.csv("psi.csv", ["x", "psi"], zip(x, res.bound_state.psi))
@@ -136,7 +136,7 @@ def cmd_evaluate(args) -> int:
         print(f"{key} = {_fmt(diag[key])}")
     em = Emitter(args.out)
     if args.out:
-        _emit_potential_artifacts(em, V, params, res)
+        _emit_potential_artifacts(em, V, res)
         em.manifest("evaluate", cfg, diag)
     return EXIT_OK
 
@@ -184,7 +184,7 @@ def cmd_optimize(args) -> int:
             trace_cols,
             ([rec[c] for c in trace_cols] for rec in out.trace.iterates),
         )
-        _emit_potential_artifacts(em, out.V_opt, params, out.result)
+        _emit_potential_artifacts(em, out.V_opt, out.result)
         em.manifest("optimize", cfg, headline)
     return EXIT_OK
 
@@ -261,16 +261,12 @@ def cmd_sweep(args) -> int:
 def _sim_inputs(cfg, args):
     sim = builders.sim_config(cfg)
     grid = builders.grid(cfg)
-    a = float(cfg["design"]["a"])
     V_design = _resolve_potential(cfg, grid, args.potential)
     V = timedomain.resample_potential(V_design, sim.domain)
-    hw = float(cfg["design"]["beta_halfwidth"])
     if cfg["design"]["beta_mode"] == "equals_v":
         beta = V
     else:
-        beta = PotentialField(
-            sim.domain, np.where(np.abs(sim.domain.x) <= hw, 1.0, 0.0), a
-        )
+        beta = builders.beta(cfg, sim.domain)
     return sim, V, beta
 
 
@@ -373,7 +369,7 @@ def cmd_gradcheck(args) -> int:
     if args.out:
         em = Emitter(args.out)
         em.manifest("gradcheck", cfg, {"max_relative_errors": worst, "passed": not failed})
-    return 1 if failed else EXIT_OK
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,6 +15,7 @@ __all__ = [
     "make_grid",
     "sech_well",
     "square_well",
+    "interpolate_potential",
     "h1_norm_sq",
     "h1_gradient",
     "trapz",
@@ -157,6 +158,17 @@ def square_well(depth: float, halfwidth: float, a: float, grid: Grid) -> Potenti
     v[np.isclose(np.abs(x), halfwidth, rtol=0.0, atol=1e-12 * max(1.0, halfwidth))] = -0.5 * depth
     v[np.abs(x) > a] = 0.0
     return PotentialField(grid, v, a)
+
+
+def interpolate_potential(
+    x: np.ndarray, values: np.ndarray, a: float, grid: Grid
+) -> PotentialField:
+    """Linear interpolation of samples (x, values) onto grid, zero outside [-a, a].
+
+    Nodes beyond the sampled range also get zero.
+    """
+    v = np.interp(grid.x, x, values, left=0.0, right=0.0)
+    return PotentialField(grid, np.where(np.abs(grid.x) <= a, v, 0.0), a)
 
 
 def _derivative(grid: Grid, values: np.ndarray) -> np.ndarray:

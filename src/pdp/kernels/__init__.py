@@ -1,32 +1,7 @@
-"""Hot numerical kernels with optional compiled backend.
+"""Hot numerical kernels, implemented with numpy/scipy in ``_ref``.
 
-At import time we try the Cython extension (``pdp.kernels._fast``) and
-fall back to the pure numpy/scipy implementation.  ``BACKEND`` records
-which one is active; set PDP_PURE_PYTHON=1 to force the fallback.
+``BACKEND`` names the implementation and is recorded with benchmark runs.
 """
-import os
-
-from . import _ref
+from ._ref import cn_step_loop, march_half_bound, sturm_count_below, trisolve
 
 BACKEND = "python"
-
-if not os.environ.get("PDP_PURE_PYTHON"):
-    try:
-        from . import _fast  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        _fast = None
-else:
-    _fast = None
-
-if BACKEND == "compiled":
-    trisolve = _fast.trisolve
-    sturm_count_below = _fast.sturm_count_below
-    march_half_bound = _fast.march_half_bound
-    cn_step_loop = _fast.cn_step_loop
-else:
-    trisolve = _ref.trisolve
-    sturm_count_below = _ref.sturm_count_below
-    march_half_bound = _ref.march_half_bound
-    cn_step_loop = _ref.cn_step_loop

@@ -1,8 +1,8 @@
-"""Pure numpy/scipy reference implementations of the hot kernels.
+"""numpy/scipy implementations of the hot kernels, re-exported by pdp.kernels.
 
-Selected automatically when the compiled extension is unavailable; also
-serves as the correctness oracle for the compiled version in the test
-suite.
+cn_step_loop calls this module's trisolve, not the pdp.kernels binding, so
+wrapping the package attributes (as a tracer does) leaves its inner
+per-step solves out of the kernels.trisolve count.
 """
 import numpy as np
 from scipy.linalg import solve_banded

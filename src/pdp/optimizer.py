@@ -45,7 +45,6 @@ class BarrierProblem:
 
     params: DesignParams
     tau: float
-    design_dim: int
 
 
 @dataclass(frozen=True)
@@ -249,18 +248,13 @@ def optimize(
     further steps only chase the -tau log terms towards ever taller walls.
     The shared iteration budget opts.max_iters spans all stages.
     """
-    nfree = int(np.count_nonzero(V_init.support_mask))
-    design_dim = (nfree + 1) // 2 if opts.symmetric else nfree
     v = np.asarray(V_init.values).copy()
     if opts.symmetric:
         v = _symmetrize(v)
     V = V_init.with_values(v)
 
-    def stage_problem(tau):
-        return BarrierProblem(params=params, tau=tau, design_dim=design_dim)
-
     try:
-        cur = barrier_objective(V, stage_problem(opts.tau_start))
+        cur = barrier_objective(V, BarrierProblem(params=params, tau=opts.tau_start))
     except PdpError as exc:
         raise InfeasibleStart(f"initial potential is not strictly feasible: {exc}") from exc
 
@@ -276,7 +270,7 @@ def optimize(
     stage_status = "converged"
     budget_hit = False
     while True:
-        problem = stage_problem(tau)
+        problem = BarrierProblem(params=params, tau=tau)
         # Gamma does not depend on tau, so a stage that ends on the
         # Gamma-negligible rule needs no evaluation at its own tau
         if cur_tau != tau and cur.gamma >= opts.tau_advance_factor * tau:

@@ -24,14 +24,11 @@ __all__ = [
     "BoundState",
     "ScatteringState",
     "WronskianResult",
-    "hamiltonian_apply",
     "solve_ground_state",
-    "count_negative_eigenvalues",
     "outgoing_resolvent_solve",
     "reduced_resolvent_at_eigenvalue",
     "distorted_plane_waves",
     "scattering_k_derivative",
-    "transmission_sweep",
     "wronskian_at_zero",
 ]
 
@@ -88,29 +85,6 @@ def _tridiag(V: PotentialField, shift: float = 0.0):
     d = 2.0 / h**2 + V.values - shift
     e = np.full(V.grid.n - 1, -1.0 / h**2)
     return d, e
-
-
-def hamiltonian_apply(V: PotentialField, u: np.ndarray) -> np.ndarray:
-    """Apply the 3-point discretization of H_V to u.
-
-    Interior rows only are meaningful; the endpoint rows use a zero ghost
-    value, matching Dirichlet callers.  Raises on length mismatch.
-    """
-    u = np.asarray(u)
-    if u.shape[0] != V.grid.n:
-        raise ValueError("vector length does not match grid")
-    h2 = V.grid.h**2
-    out = np.empty_like(u, dtype=np.result_type(u, float))
-    out[1:-1] = (-u[:-2] + 2.0 * u[1:-1] - u[2:]) / h2
-    out[0] = (2.0 * u[0] - u[1]) / h2
-    out[-1] = (2.0 * u[-1] - u[-2]) / h2
-    return out + V.values * u
-
-
-def count_negative_eigenvalues(V: PotentialField) -> int:
-    """Inertia count of H_V (Dirichlet rows) below zero via Sturm sequences."""
-    d, e = _tridiag(V)
-    return int(kernels.sturm_count_below(d[1:-1], e[1:-1], 0.0))
 
 
 def solve_ground_state(V: PotentialField) -> BoundState:
@@ -224,7 +198,6 @@ def reduced_resolvent_at_eigenvalue(
     dl = np.full(n - 1, -1.0 / h**2)
 
     fc = f - (w @ (psi * f)) * psi
-    # two calls, as the compiled trisolve takes only 1-D right-hand sides
     try:
         z1 = kernels.trisolve(dl, d, dl, fc)
         z2 = kernels.trisolve(dl, d, dl, psi)
@@ -297,13 +270,6 @@ def scattering_k_derivative(
             raise SolverFailure(f"k-derivative solve failed at k={k}: {exc}") from exc
         out.append(dwave - dphi)
     return out[0], out[1]
-
-
-def transmission_sweep(V: PotentialField, k_list) -> np.ndarray:
-    """|t_V(k)|^2 for each wavenumber in k_list."""
-    return np.array(
-        [abs(distorted_plane_waves(V, float(k)).t) ** 2 for k in k_list]
-    )
 
 
 def wronskian_at_zero(V: PotentialField, tol: float = 1e-8) -> WronskianResult:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .errors import SolverFailure
-from .grid import Grid, PotentialField, make_grid, trapz
+from .grid import Grid, PotentialField, interpolate_potential, make_grid, trapz
 from .spectral import solve_ground_state
 
 __all__ = [
@@ -80,9 +80,7 @@ def absorber_profile(cfg: SimConfig) -> np.ndarray:
 
 def resample_potential(V: PotentialField, grid: Grid) -> PotentialField:
     """Linear interpolation of a potential onto another (usually larger) grid."""
-    vals = np.interp(grid.x, V.grid.x, V.values, left=0.0, right=0.0)
-    vals = np.where(np.abs(grid.x) <= V.support_halfwidth, vals, 0.0)
-    return PotentialField(grid, vals, V.support_halfwidth)
+    return interpolate_potential(V.grid.x, V.values, V.support_halfwidth, grid)
 
 
 def propagate(

@@ -1,9 +1,12 @@
 """Independent numerical oracles used by the test suite.
 
-Everything here deliberately avoids the package's own discretization:
-scattering amplitudes come from adaptive ODE integration of the continuum
-equation, bound-state energies from bisection on analytic matching
-conditions, and the zero-energy Wronskian from high-order shooting.
+Everything here but hamiltonian_apply deliberately avoids the package's
+own discretization: scattering amplitudes come from adaptive ODE
+integration of the continuum equation, bound-state energies from bisection
+on analytic matching conditions, and the zero-energy Wronskian from
+high-order shooting.  hamiltonian_apply forms the residuals of the
+package's discrete solves by applying the 3-point stencil of H_V directly,
+not through any solver.
 """
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -85,3 +88,20 @@ def wronskian_shooting(v_func, a, breakpoints=(), rtol=1e-12):
 def pt_ground_state(x):
     """Normalized ground state of -2 sech^2: psi = sech(x)/sqrt(2), lam = -1."""
     return -1.0, (1.0 / np.sqrt(2.0)) / np.cosh(x)
+
+
+def hamiltonian_apply(V, u):
+    """Apply the 3-point discretization of H_V to u.
+
+    Interior rows only are meaningful; the endpoint rows use a zero ghost
+    value, matching Dirichlet callers.  Raises on length mismatch.
+    """
+    u = np.asarray(u)
+    if u.shape[0] != V.grid.n:
+        raise ValueError("vector length does not match grid")
+    h2 = V.grid.h**2
+    out = np.empty_like(u, dtype=np.result_type(u, float))
+    out[1:-1] = (-u[:-2] + 2.0 * u[1:-1] - u[2:]) / h2
+    out[0] = (2.0 * u[0] - u[1]) / h2
+    out[-1] = (2.0 * u[-1] - u[-2]) / h2
+    return out + V.values * u

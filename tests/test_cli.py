@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pdp import config
-from pdp.cli import main
+from pdp.cli import EXIT_CHECK_FAILED, main
 from pdp.errors import ConfigError
 from pdp.grid import DesignParams, Grid
 
@@ -161,3 +161,15 @@ class TestGradcheck:
         assert main(["gradcheck", "--config", cfgp]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 4 and "FAIL" not in out
+
+    def test_coarse_step_fails_with_exit_1(self, tmp_path, capsys):
+        # central differences with a step of 0.2 carry O(step^2) truncation
+        # errors far above the 1e-3 tolerance
+        cfgp = write_config(
+            tmp_path, "gc.json", {"gradcheck": {"n_directions": 2, "fd_step": 0.2}}
+        )
+        out = str(tmp_path / "gc")
+        assert main(["gradcheck", "--config", cfgp, "--out", out]) == EXIT_CHECK_FAILED == 1
+        assert "FAIL" in capsys.readouterr().out
+        man = json.loads(open(os.path.join(out, "manifest.json")).read())
+        assert man["headline"]["passed"] is False

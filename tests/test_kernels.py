@@ -1,12 +1,9 @@
-"""Compiled-vs-reference kernel parity and correctness against library oracles."""
+"""Kernel correctness against library oracles and conservation laws."""
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from pdp import kernels
-from pdp.kernels import _ref
-
-fast = pytest.importorskip("pdp.kernels._fast")
 
 
 def _random_tridiag(rng, n, complex_=True):
@@ -33,18 +30,10 @@ class TestTrisolve:
         ab[2, :-1] = dl
         np.testing.assert_allclose(x, solve_banded((1, 1), ab, b), rtol=1e-10)
 
-    def test_backends_agree(self):
-        rng = np.random.default_rng(1)
-        dl, d, du, b = _random_tridiag(rng, 257)
-        np.testing.assert_allclose(
-            fast.trisolve(dl, d, du, b), _ref.trisolve(dl, d, du, b), rtol=1e-12
-        )
-
     def test_real_input_gives_real_output(self):
         rng = np.random.default_rng(2)
         dl, d, du, b = _random_tridiag(rng, 64, complex_=False)
-        for mod in (fast, _ref):
-            assert not np.iscomplexobj(mod.trisolve(dl, d, du, b))
+        assert not np.iscomplexobj(kernels.trisolve(dl, d, du, b))
 
 
 class TestSturmCount:
@@ -57,20 +46,9 @@ class TestSturmCount:
         for sigma in (-2.0, -0.5, 0.0, 0.7, 3.0):
             expected = int(np.count_nonzero(w < sigma))
             assert kernels.sturm_count_below(d, e, sigma) == expected
-            assert fast.sturm_count_below(d, e, sigma) == _ref.sturm_count_below(d, e, sigma)
 
 
 class TestMarchHalfBound:
-    @pytest.mark.parametrize("from_right", [True, False])
-    def test_backends_agree(self, from_right):
-        rng = np.random.default_rng(4)
-        v = rng.standard_normal(513) * 0.3
-        h = 0.02
-        ef, df = fast.march_half_bound(v, h, from_right)
-        er, dr = _ref.march_half_bound(v, h, from_right)
-        np.testing.assert_allclose(ef, er, rtol=1e-12)
-        np.testing.assert_allclose(df, dr, rtol=1e-12)
-
     def test_zero_potential_stays_constant(self):
         eta, deta = kernels.march_half_bound(np.zeros(301), 0.05, True)
         np.testing.assert_allclose(eta, 1.0)
@@ -78,20 +56,6 @@ class TestMarchHalfBound:
 
 
 class TestCnStepLoop:
-    def test_backends_agree(self):
-        rng = np.random.default_rng(5)
-        n = 301
-        h = 0.1
-        diag_h = 2 / h**2 + rng.standard_normal(n) * 0.2
-        sigma = np.abs(rng.standard_normal(n)) * 0.1
-        beta = np.where(np.abs(np.arange(n) - n // 2) < 20, 1.0, 0.0)
-        phi_f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        phi_r = phi_f.copy()
-        tf = fast.cn_step_loop(-1 / h**2, diag_h, sigma, beta, 0.5, 2.0, 0.01, 0.0, 40, phi_f)
-        tr = _ref.cn_step_loop(-1 / h**2, diag_h, sigma, beta, 0.5, 2.0, 0.01, 0.0, 40, phi_r)
-        assert tf == pytest.approx(tr)
-        np.testing.assert_allclose(phi_f, phi_r, rtol=1e-10, atol=1e-12)
-
     def test_norm_conserved_without_absorber(self):
         # CN with real forcing and sigma = 0 is exactly unitary per step
         rng = np.random.default_rng(6)
@@ -104,7 +68,3 @@ class TestCnStepLoop:
             -1 / h**2, diag_h, np.zeros(n), np.ones(n), 0.7, 2.0, 0.02, 0.0, 100, phi
         )
         assert np.linalg.norm(phi) == pytest.approx(n0, rel=1e-12)
-
-
-def test_backend_reports_compiled():
-    assert kernels.BACKEND in ("compiled", "python")

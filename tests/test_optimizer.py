@@ -33,7 +33,7 @@ def params():
 
 
 def problem(params, tau):
-    return BarrierProblem(params=params, tau=tau, design_dim=1201)
+    return BarrierProblem(params=params, tau=tau)
 
 
 class TestLbfgsDirection:
@@ -119,13 +119,13 @@ class TestBarrierObjective:
             a=12.0, b=0.5, mu=2.0, delta=1e-4, beta_mode=BetaMode.EQUALS_V
         )
         with pytest.raises(InfeasiblePoint):
-            barrier_objective(V, BarrierProblem(params=tight, tau=1e-2, design_dim=1))
+            barrier_objective(V, BarrierProblem(params=tight, tau=1e-2))
 
     def test_two_bound_states_is_infeasible(self, grid):
         V = sech_well(4.0, 0.8, 12.0, grid)  # deep well: several bound states
         p = DesignParams(a=12.0, b=1e3, mu=5.0, delta=1e-4, beta_mode=BetaMode.EQUALS_V)
         with pytest.raises(InfeasiblePoint):
-            barrier_objective(V, BarrierProblem(params=p, tau=1e-2, design_dim=1))
+            barrier_objective(V, BarrierProblem(params=p, tau=1e-2))
 
 
 class TestClassifyMechanism:
