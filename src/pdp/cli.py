@@ -25,7 +25,7 @@ from . import __version__, fgr, optimizer, timedomain
 from .config import builders, load_config
 from .errors import ConfigError, PdpError, SolverFailure
 from .grid import Grid, PotentialField, h1_norm_sq, interpolate_potential, trapz
-from .spectral import distorted_plane_waves, solve_ground_state, wronskian_at_zero
+from .spectral import solve_ground_state, transmission, wronskian_at_zero
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -109,8 +109,8 @@ def _emit_potential_artifacts(em: Emitter, V: PotentialField, res) -> None:
     ks = np.linspace(0.1, 4.0, 40)
     rows = []
     for k in ks:
-        st = distorted_plane_waves(V, float(k))
-        rows.append((k, abs(st.t) ** 2, st.t.real, st.t.imag))
+        t = transmission(V, float(k))
+        rows.append((k, abs(t) ** 2, t.real, t.imag))
     em.csv("transmission.csv", ["k", "t_sq", "re_t", "im_t"], rows)
 
 

@@ -4,8 +4,10 @@ cn_step_loop calls this module's trisolve, not the pdp.kernels binding, so
 wrapping the package attributes (as a tracer does) leaves its inner
 per-step solves out of the kernels.trisolve count.
 """
+from functools import lru_cache
+
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 __all__ = [
     "trisolve",
@@ -15,19 +17,32 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
+def _gtsv(dtype):
+    """LAPACK ?gtsv for one dtype (dgtsv or zgtsv)."""
+    return get_lapack_funcs(("gtsv",), dtype=dtype)[0]
+
+
 def trisolve(dl, d, du, b):
     """Solve the tridiagonal system with sub/main/super diagonals dl, d, du.
 
-    dl and du have length n-1.  Complex or real input; returns the solution
-    as a new array.
+    dl and du have length n-1; b is (n,) or (n, nrhs).  Complex or real
+    input; real input gives a real solution, returned as a new array.  The
+    arguments are copied and passed to LAPACK ?gtsv (Gaussian elimination
+    with partial pivoting).  A NaN or inf in any argument raises ValueError,
+    an exactly singular matrix numpy.linalg.LinAlgError.
     """
-    n = d.shape[0]
-    dtype = np.result_type(dl, d, du, b, np.float64)
-    ab = np.zeros((3, n), dtype=dtype)
-    ab[0, 1:] = du
-    ab[1, :] = d
-    ab[2, :-1] = dl
-    return solve_banded((1, 1), ab, b)
+    args = (dl, d, du, b)
+    for a in args:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+    gtsv = _gtsv(np.result_type(*args, np.float64))
+    _, _, _, x, info = gtsv(*args)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of ?gtsv")
+    return x
 
 
 def sturm_count_below(d, e, sigma):

@@ -28,6 +28,7 @@ __all__ = [
     "outgoing_resolvent_solve",
     "reduced_resolvent_at_eigenvalue",
     "distorted_plane_waves",
+    "transmission",
     "scattering_k_derivative",
     "wronskian_at_zero",
 ]
@@ -152,7 +153,7 @@ def outgoing_resolvent_solve(V: PotentialField, k: float, f: np.ndarray) -> np.n
     dl, d, du = _outgoing_system(V, k)
     try:
         u = kernels.trisolve(dl, d, du, f)
-    except Exception as exc:  # LinAlgError from a singular system
+    except (np.linalg.LinAlgError, ValueError) as exc:  # singular A, non-finite input
         raise SolverFailure(f"outgoing solve failed at k={k}: {exc}") from exc
     if not np.all(np.isfinite(u)):
         raise SolverFailure(f"outgoing solve produced non-finite values at k={k}")
@@ -168,14 +169,14 @@ def reduced_resolvent_at_eigenvalue(
     decaying condition u' = -+ kappa u with kappa = sqrt(-lambda), again via
     ghost-node elimination, which makes A = H_V - lambda tridiagonal.  The
     bordered system [[A, psi], [(w psi)^T, 0]] [u; c] = [P_c f; 0] is solved
-    by Keller's (1977) bordering algorithm: two O(n) tridiagonal solves give
-    z1 = A^-1 P_c f and z2 = A^-1 psi, and u = z1 - s z2 with
-    s = <psi, z1> / <psi, z2>.
+    by Keller's (1977) bordering algorithm: one O(n) tridiagonal solve with
+    two right-hand sides gives [z1, z2] = A^-1 [P_c f, psi], and
+    u = z1 - s z2 with s = <psi, z1> / <psi, z2>.
 
     A is nearly singular (lambda is its eigenvalue up to the exponentially
     small difference between the decay and Dirichlet rows, and to machine
     precision on wide domains), so z1 and z2 are huge and dominated by
-    their psi components.  Both are solved with the same factors of A, so
+    their psi components.  Both come from the same factors of A, so
     their errors lie along the same near-null direction and cancel in
     z1 - s z2 (T. F. Chan, SIAM J. Numer. Anal. 21 (1984) 738); only an
     exactly zero pivot fails, and it raises SolverFailure.
@@ -199,15 +200,38 @@ def reduced_resolvent_at_eigenvalue(
 
     fc = f - (w @ (psi * f)) * psi
     try:
-        z1 = kernels.trisolve(dl, d, dl, fc)
-        z2 = kernels.trisolve(dl, d, dl, psi)
+        z = kernels.trisolve(dl, d, dl, np.column_stack((fc, psi)))
     except (np.linalg.LinAlgError, ValueError) as exc:  # singular A, non-finite input
         raise SolverFailure(f"bordered eigenvalue solve failed: {exc}") from exc
+    z1, z2 = z[:, 0], z[:, 1]
     wpsi = w * psi
     u = z1 - ((wpsi @ z1) / (wpsi @ z2)) * z2
     if not np.all(np.isfinite(u)):
         raise SolverFailure("bordered eigenvalue solve produced non-finite values")
     return u
+
+
+def _plus_wave(V: PotentialField, k: float):
+    """Lattice wavenumber q, e^{iqx} and e_+ = e^{iqx} - phi_+ (one solve)."""
+    q = lattice_wavenumber(k, V.grid.h)
+    wave_p = np.exp(1j * q * V.grid.x)
+    e_p = wave_p - outgoing_resolvent_solve(V, k, np.asarray(V.values) * wave_p)
+    return q, wave_p, e_p
+
+
+def _transmission_from(V: PotentialField, q: float, e_p: np.ndarray) -> complex:
+    """t read off e_+ = t e^{iqx} over the outermost N_MATCH right-hand nodes."""
+    x_out = V.grid.x[-N_MATCH:]
+    return complex(np.mean(e_p[-N_MATCH:] * np.exp(-1j * q * x_out)))
+
+
+def transmission(V: PotentialField, k: float) -> complex:
+    """Transmission coefficient t(k), as in distorted_plane_waves(V, k).t.
+
+    Needs only e_+, so it makes one outgoing solve instead of two.
+    """
+    q, _, e_p = _plus_wave(V, k)
+    return _transmission_from(V, q, e_p)
 
 
 def distorted_plane_waves(V: PotentialField, k: float) -> ScatteringState:
@@ -218,16 +242,10 @@ def distorted_plane_waves(V: PotentialField, k: float) -> ScatteringState:
     exponential on each side, so t and r are extracted by averaging over
     the outermost exterior nodes.
     """
-    x = V.grid.x
-    vk = np.asarray(V.values)
-    q = lattice_wavenumber(k, V.grid.h)
-    wave_p = np.exp(1j * q * x)
-    wave_m = np.exp(-1j * q * x)
-    phi_p = outgoing_resolvent_solve(V, k, vk * wave_p)
-    phi_m = outgoing_resolvent_solve(V, k, vk * wave_m)
-    e_p = wave_p - phi_p
-    e_m = wave_m - phi_m
-    t = complex(np.mean(e_p[-N_MATCH:] * wave_m[-N_MATCH:]))
+    q, wave_p, e_p = _plus_wave(V, k)
+    wave_m = np.exp(-1j * q * V.grid.x)
+    e_m = wave_m - outgoing_resolvent_solve(V, k, np.asarray(V.values) * wave_m)
+    t = _transmission_from(V, q, e_p)
     r = complex(np.mean((e_p[:N_MATCH] - wave_p[:N_MATCH]) * wave_p[:N_MATCH]))
     return ScatteringState(k=float(k), e_plus=e_p, e_minus=e_m, t=t, r=r)
 
@@ -266,7 +284,7 @@ def scattering_k_derivative(
         rhs = vk * dwave - dd * phi
         try:
             dphi = kernels.trisolve(dl, d, du, rhs)
-        except Exception as exc:
+        except (np.linalg.LinAlgError, ValueError) as exc:
             raise SolverFailure(f"k-derivative solve failed at k={k}: {exc}") from exc
         out.append(dwave - dphi)
     return out[0], out[1]

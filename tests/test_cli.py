@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from pdp import config
-from pdp.cli import EXIT_CHECK_FAILED, main
+from pdp.cli import EXIT_CHECK_FAILED, _fmt, main
 from pdp.errors import ConfigError
 from pdp.grid import DesignParams, Grid
+from pdp.spectral import distorted_plane_waves
 
 
 def write_config(tmp_path, name, overrides):
@@ -92,6 +93,19 @@ class TestEvaluate:
             b0 = open(os.path.join(outs[0], name), "rb").read()
             b1 = open(os.path.join(outs[1], name), "rb").read()
             assert b0 == b1
+
+    def test_transmission_table_rows(self, tmp_path):
+        out = str(tmp_path / "ev")
+        assert main(["evaluate", "--out", out]) == 0
+        cfg = config.load_config(None)
+        V = config.builders.initial_potential(cfg, config.builders.grid(cfg))
+        rows = open(os.path.join(out, "transmission.csv")).read().splitlines()
+        assert rows[0] == "k,t_sq,re_t,im_t"
+        ks = np.linspace(0.1, 4.0, 40)
+        assert len(rows) == 1 + len(ks)
+        for row, k in zip(rows[1:], ks):
+            t = distorted_plane_waves(V, float(k)).t
+            assert row == ",".join(_fmt(v) for v in (k, abs(t) ** 2, t.real, t.imag))
 
     def test_no_bound_state_exit_code(self, tmp_path):
         # potential identically zero: no bound state -> domain-error exit 2

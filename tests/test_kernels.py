@@ -18,22 +18,72 @@ def _random_tridiag(rng, n, complex_=True):
     return e.copy(), d, e.copy(), b
 
 
+def _banded_oracle(dl, d, du, b):
+    ab = np.zeros((3, len(d)), dtype=np.result_type(dl, d, du))
+    ab[0, 1:] = du
+    ab[1] = d
+    ab[2, :-1] = dl
+    return solve_banded((1, 1), ab, b)
+
+
 class TestTrisolve:
     @pytest.mark.parametrize("complex_", [True, False])
     def test_matches_scipy(self, complex_):
         rng = np.random.default_rng(0)
         dl, d, du, b = _random_tridiag(rng, 400, complex_)
         x = kernels.trisolve(dl, d, du, b)
-        ab = np.zeros((3, len(d)), dtype=d.dtype)
-        ab[0, 1:] = du
-        ab[1] = d
-        ab[2, :-1] = dl
-        np.testing.assert_allclose(x, solve_banded((1, 1), ab, b), rtol=1e-10)
+        np.testing.assert_allclose(x, _banded_oracle(dl, d, du, b), rtol=1e-10)
 
     def test_real_input_gives_real_output(self):
         rng = np.random.default_rng(2)
         dl, d, du, b = _random_tridiag(rng, 64, complex_=False)
         assert not np.iscomplexobj(kernels.trisolve(dl, d, du, b))
+
+    def test_complex_rhs_with_real_diagonals_promotes(self):
+        rng = np.random.default_rng(4)
+        dl, d, du, _ = _random_tridiag(rng, 64, complex_=False)
+        b = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        x = kernels.trisolve(dl, d, du, b)
+        assert np.iscomplexobj(x)
+        np.testing.assert_allclose(x, _banded_oracle(dl, d, du, b), rtol=1e-10)
+
+    def test_two_dimensional_rhs_equals_column_solves(self):
+        rng = np.random.default_rng(5)
+        dl, d, du, b = _random_tridiag(rng, 200)
+        B = np.column_stack((b, rng.standard_normal(200), 1j * b))
+        x = kernels.trisolve(dl, d, du, B)
+        assert x.shape == B.shape
+        for j in range(B.shape[1]):
+            np.testing.assert_array_equal(x[:, j], kernels.trisolve(dl, d, du, B[:, j]))
+
+    def test_returns_new_array_and_leaves_inputs(self):
+        rng = np.random.default_rng(8)
+        args = _random_tridiag(rng, 50)
+        saved = [a.copy() for a in args]
+        x = kernels.trisolve(*args)
+        for a, a0 in zip(args, saved):
+            np.testing.assert_array_equal(a, a0)
+            assert not np.shares_memory(x, a)
+
+    def test_exactly_singular_raises(self):
+        # the first row is zero, so elimination meets an exactly zero pivot
+        n = 10
+        d = np.full(n, 4.0)
+        d[0] = 0.0
+        dl = np.ones(n - 1)
+        du = np.ones(n - 1)
+        du[0] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            kernels.trisolve(dl, d, du, np.ones(n))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("arg", range(4), ids=["dl", "d", "du", "b"])
+    def test_non_finite_argument_raises_value_error(self, arg, bad):
+        rng = np.random.default_rng(9)
+        args = list(_random_tridiag(rng, 30))
+        args[arg][3] = bad
+        with pytest.raises(ValueError):
+            kernels.trisolve(*args)
 
 
 class TestSturmCount:

@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 from oracles import hamiltonian_apply
-from pdp.errors import NoBoundState
+from pdp.errors import NoBoundState, SolverFailure
 from pdp.grid import PotentialField, make_grid, sech_well, square_well, trapz
 from pdp.spectral import (
     distorted_plane_waves,
@@ -13,6 +13,7 @@ from pdp.spectral import (
     reduced_resolvent_at_eigenvalue,
     scattering_k_derivative,
     solve_ground_state,
+    transmission,
     wronskian_at_zero,
 )
 
@@ -136,6 +137,13 @@ class TestOutgoingResolvent:
         u = outgoing_resolvent_solve(pt, k, f)
         r = hamiltonian_apply(pt, u) - k * k * u - f
         assert np.max(np.abs(r[1:-1])) < 1e-7 * np.max(np.abs(u)) * (2 / grid.h**2)
+
+    def test_nan_in_support_is_solver_failure(self, grid):
+        vals = sech_well(1.5, 1.5, 12.0, grid).values.copy()
+        vals[grid.n // 2] = np.nan
+        V = PotentialField(grid, vals, 12.0)
+        with pytest.raises(SolverFailure):
+            outgoing_resolvent_solve(V, 1.0, np.ones(grid.n))
 
     def test_k_must_be_positive(self, pt):
         with pytest.raises(ValueError):
@@ -288,6 +296,17 @@ class TestScatteringKDerivative:
 
 
 class TestTransmissionSweep:
+    @pytest.mark.parametrize(
+        "build",
+        [lambda g: sech_well(1.5, 1.5, 12.0, g), walled_sech],
+        ids=["sech", "tall-wall"],
+    )
+    def test_transmission_is_distorted_plane_wave_t(self, grid, build):
+        # the k values of the transmission.csv table
+        V = build(grid)
+        for k in np.linspace(0.1, 4.0, 40):
+            assert transmission(V, float(k)) == distorted_plane_waves(V, float(k)).t
+
     def test_free_all_ones(self, grid):
         V = PotentialField(grid, np.zeros(grid.n), 15.0)
         tsq = [abs(distorted_plane_waves(V, k).t) ** 2 for k in (0.5, 1.0, 2.0)]
