@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import datetime
+import itertools
 import json
 import os
 import sys
@@ -41,11 +42,37 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _csv_column(name: str, values) -> tuple[str, list]:
+    """printf conversion and cell values of one column, formatted as _fmt does.
+
+    A column of floats takes %.17g (format(v, ".17g")); a column of ints or
+    strings takes %s (str(v)).  A float array is classified by its dtype,
+    without a pass over its cells.
+    """
+    if isinstance(values, np.ndarray):
+        return ("%.17g" if values.dtype.kind == "f" else "%s"), values.tolist()
+    values = list(values)
+    floats = sum(isinstance(v, (float, np.floating)) for v in values)
+    if 0 < floats < len(values):
+        raise TypeError(f"CSV column {name!r} mixes floats with other values")
+    return ("%.17g" if floats else "%s"), values
+
+
+def _write_csv(path: str, columns: dict) -> None:
+    """Write equal-length columns, keyed by header name, as one CSV file.
+
+    All cells are formatted in one %-operation over a row template repeated
+    once per row, byte-identical to joining _fmt(v) cell by cell.
+    """
+    convs, cols = zip(*(_csv_column(name, v) for name, v in columns.items()))
+    nrows = len(cols[0])
+    if any(len(c) != nrows for c in cols):
+        raise ValueError("CSV columns differ in length")
+    template = ",".join(convs) + "\n"
+    cells = tuple(itertools.chain.from_iterable(zip(*cols)))
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        fh.write(template * nrows % cells)
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -63,10 +90,11 @@ class Emitter:
         if out_dir:
             os.makedirs(out_dir, exist_ok=True)
 
-    def csv(self, name: str, header: list[str], rows) -> None:
+    def csv(self, name: str, columns: dict) -> None:
+        """Write columns ({header: values}) to out_dir/name."""
         if self.out_dir is None:
             return
-        _write_csv(os.path.join(self.out_dir, name), header, rows)
+        _write_csv(os.path.join(self.out_dir, name), columns)
         self.outputs.append(name)
 
     def manifest(self, command: str, cfg: dict, headline: dict) -> None:
@@ -93,6 +121,8 @@ def _load_potential_csv(path: str, grid: Grid, a: float) -> PotentialField:
         raise ConfigError(f"potential file {path} is not (x,V) CSV: {exc}") from exc
     if data.shape[1] < 2:
         raise ConfigError(f"potential file {path} needs x and V columns")
+    if not np.isfinite(data[:, :2]).all():
+        raise ConfigError(f"potential file {path} has a non-finite x or V value")
     return interpolate_potential(data[:, 0], data[:, 1], a, grid)
 
 
@@ -104,14 +134,19 @@ def _resolve_potential(cfg: dict, grid: Grid, path: str | None) -> PotentialFiel
 
 def _emit_potential_artifacts(em: Emitter, V: PotentialField, res) -> None:
     x = V.grid.x
-    em.csv("V_opt.csv", ["x", "V"], zip(x, V.values))
-    em.csv("psi.csv", ["x", "psi"], zip(x, res.bound_state.psi))
+    em.csv("V_opt.csv", {"x": x, "V": V.values})
+    em.csv("psi.csv", {"x": x, "psi": res.bound_state.psi})
     ks = np.linspace(0.1, 4.0, 40)
-    rows = []
-    for k in ks:
-        t = transmission(V, float(k))
-        rows.append((k, abs(t) ** 2, t.real, t.imag))
-    em.csv("transmission.csv", ["k", "t_sq", "re_t", "im_t"], rows)
+    ts = [transmission(V, float(k)) for k in ks]
+    em.csv(
+        "transmission.csv",
+        {
+            "k": ks,
+            "t_sq": [abs(t) ** 2 for t in ts],
+            "re_t": [t.real for t in ts],
+            "im_t": [t.imag for t in ts],
+        },
+    )
 
 
 def cmd_evaluate(args) -> int:
@@ -181,8 +216,7 @@ def cmd_optimize(args) -> int:
         ]
         em.csv(
             "trace.csv",
-            trace_cols,
-            ([rec[c] for c in trace_cols] for rec in out.trace.iterates),
+            {c: [rec[c] for rec in out.trace.iterates] for c in trace_cols},
         )
         _emit_potential_artifacts(em, out.V_opt, out.result)
         em.manifest("optimize", cfg, headline)
@@ -218,19 +252,7 @@ def cmd_sweep(args) -> int:
     else:
         runs = [_sweep_entry(j) for j in jobs]
     em = Emitter(args.out)
-    rows = []
-    for value, run in zip(values, runs):
-        rows.append(
-            (
-                run.label,
-                value,
-                "" if run.gamma_init is None else _fmt(run.gamma_init),
-                "" if run.gamma_opt is None else _fmt(run.gamma_opt),
-                run.iterations,
-                run.mechanism or "",
-                run.error or "",
-            )
-        )
+    for run in runs:
         print(
             f"{run.label}: gamma_opt="
             + ("failed: " + run.error if run.error else _fmt(run.gamma_opt))
@@ -238,13 +260,20 @@ def cmd_sweep(args) -> int:
     if args.out:
         em.csv(
             "summary.csv",
-            ["label", vary, "gamma_init", "gamma_opt", "iterations", "mechanism", "error"],
-            rows,
+            {
+                "label": [r.label for r in runs],
+                vary: values,
+                "gamma_init": ["" if r.gamma_init is None else _fmt(r.gamma_init) for r in runs],
+                "gamma_opt": ["" if r.gamma_opt is None else _fmt(r.gamma_opt) for r in runs],
+                "iterations": [r.iterations for r in runs],
+                "mechanism": [r.mechanism or "" for r in runs],
+                "error": [r.error or "" for r in runs],
+            },
         )
         for run in runs:
             if run.potential is not None:
                 name = f"V_opt_{run.label.replace('=', '_')}.csv"
-                em.csv(name, ["x", "V"], zip(run.potential.grid.x, run.potential.values))
+                em.csv(name, {"x": run.potential.grid.x, "V": run.potential.values})
         em.manifest(
             "sweep",
             cfg,
@@ -273,8 +302,7 @@ def _sim_inputs(cfg, args):
 def _emit_sim(em: Emitter, cfg: dict, command: str, result) -> None:
     em.csv(
         "projection.csv",
-        ["t", "projection_sq", "norm"],
-        zip(result.times, result.projection_sq, result.norm),
+        {"t": result.times, "projection_sq": result.projection_sq, "norm": result.norm},
     )
     em.manifest(
         command,

@@ -1,8 +1,14 @@
 """numpy/scipy implementations of the hot kernels, re-exported by pdp.kernels.
 
-cn_step_loop calls this module's trisolve, not the pdp.kernels binding, so
-wrapping the package attributes (as a tracer does) leaves its inner
-per-step solves out of the kernels.trisolve count.
+Every tridiagonal solve ends in _gtsv_solve, a thin LAPACK ?gtsv call
+that assumes finite input; trisolve is the public entry point that checks
+it.  The solvers in pdp.spectral check the potential and their forcing
+once per solve with _require_finite and then call _gtsv_solve, and
+cn_step_loop checks its operands once per call and takes every step
+through _gtsv_solve.  None of these solves goes through the
+pdp.kernels.trisolve binding, so wrapping the package attributes (as a
+tracer does) counts only outside calls as kernels.trisolve, and one
+kernels.cn_step_loop span covers a whole run of steps.
 """
 from functools import lru_cache
 
@@ -23,26 +29,39 @@ def _gtsv(dtype):
     return get_lapack_funcs(("gtsv",), dtype=dtype)[0]
 
 
-def trisolve(dl, d, du, b):
-    """Solve the tridiagonal system with sub/main/super diagonals dl, d, du.
+def _gtsv_solve(dl, d, du, b):
+    """trisolve without the finiteness check; the caller guarantees it.
 
-    dl and du have length n-1; b is (n,) or (n, nrhs).  Complex or real
-    input; real input gives a real solution, returned as a new array.  The
-    arguments are copied and passed to LAPACK ?gtsv (Gaussian elimination
-    with partial pivoting).  A NaN or inf in any argument raises ValueError,
-    an exactly singular matrix numpy.linalg.LinAlgError.
+    The arguments are copied and passed to LAPACK ?gtsv (Gaussian
+    elimination with partial pivoting).  An exactly singular matrix raises
+    numpy.linalg.LinAlgError.
     """
-    args = (dl, d, du, b)
-    for a in args:
-        if not np.isfinite(a).all():
-            raise ValueError("array must not contain infs or NaNs")
-    gtsv = _gtsv(np.result_type(*args, np.float64))
-    _, _, _, x, info = gtsv(*args)
+    gtsv = _gtsv(np.result_type(dl, d, du, b, np.float64))
+    _, _, _, x, info = gtsv(dl, d, du, b)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of ?gtsv")
     return x
+
+
+def _require_finite(*arrays) -> None:
+    """ValueError unless every argument is finite."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+
+
+def trisolve(dl, d, du, b):
+    """Solve the tridiagonal system with sub/main/super diagonals dl, d, du.
+
+    dl and du have length n-1; b is (n,) or (n, nrhs).  Complex or real
+    input; real input gives a real solution, returned as a new array; the
+    arguments are left unchanged.  A NaN or inf in any argument raises
+    ValueError, an exactly singular matrix numpy.linalg.LinAlgError.
+    """
+    _require_finite(dl, d, du, b)
+    return _gtsv_solve(dl, d, du, b)
 
 
 def sturm_count_below(d, e, sigma):
@@ -101,25 +120,49 @@ def march_half_bound(v, h, from_right):
     return eta, deta
 
 
-def cn_step_loop(off, diag_h, sigma, beta, eps, mu, dt, t0, nsteps, phi):
+def cn_step_loop(off, diag_h, sigma, beta, eps, mu, dt, t0, nsteps, phi, *, record=None):
     """Advance the forced Schrodinger equation by nsteps Crank-Nicolson steps.
 
     i phi_t = (H - i sigma) phi + eps cos(mu t) beta phi, with H the
     tridiagonal operator (off-diagonal value ``off``, diagonal ``diag_h``).
     The time-dependent factor is frozen at the step midpoint, keeping the
     scheme second order.  phi is updated in place; returns the final time.
+
+    The operands are checked once per call (a NaN or inf raises
+    ValueError); the steps then reuse one set of buffers and solve through
+    _gtsv_solve.  If given, record(i, t) is called after step i
+    (i = 0 .. nsteps-1) with the time t it reached and phi holding the new
+    field; it may read phi, and an exception it raises ends the run.
     """
+    _require_finite(diag_h, sigma, beta, phi, (off, eps, mu, dt, t0))
     n = diag_h.shape[0]
     half = 0.5j * dt
     base = diag_h - 1j * sigma
-    dl = np.full(n - 1, off, dtype=np.complex128)
+    hdl = half * np.full(n - 1, off, dtype=np.complex128)
+    # off * phi shifted down one node (lower[0] stays 0) and up one node
+    # (upper[-1] stays 0): the off-diagonal part of H phi
+    lower = np.zeros(n, dtype=np.complex128)
+    upper = np.zeros(n, dtype=np.complex128)
+    forcing = np.empty(n)
+    diag = np.empty(n, dtype=np.complex128)
+    rhs = np.empty(n, dtype=np.complex128)
     t = t0
-    for _ in range(nsteps):
+    for i in range(nsteps):
         c = np.cos(mu * (t + 0.5 * dt))
-        diag = base + (eps * c) * beta
-        rhs = phi - half * (np.concatenate(([0.0], off * phi[:-1]))
-                            + diag * phi
-                            + np.concatenate((off * phi[1:], [0.0])))
-        phi[:] = trisolve(half * dl, 1.0 + half * diag, half * dl, rhs)
+        np.multiply(eps * c, beta, out=forcing)
+        np.add(base, forcing, out=diag)
+        # rhs = phi - half * (H - i sigma + forcing) phi, with the
+        # operations and operand order of that expression written out
+        # with temporaries, so the buffers change no rounding
+        np.multiply(off, phi[:-1], out=lower[1:])
+        np.multiply(off, phi[1:], out=upper[:-1])
+        np.multiply(diag, phi, out=rhs)
+        np.add(lower, rhs, out=rhs)
+        np.add(rhs, upper, out=rhs)
+        np.multiply(half, rhs, out=rhs)
+        np.subtract(phi, rhs, out=rhs)
+        phi[:] = _gtsv_solve(hdl, 1.0 + half * diag, hdl, rhs)
         t += dt
+        if record is not None:
+            record(i, t)
     return t

@@ -19,6 +19,7 @@ from scipy.linalg import eigh_tridiagonal
 from . import kernels
 from .errors import NoBoundState, SolverFailure
 from .grid import Grid, PotentialField, trapz
+from .kernels._ref import _gtsv_solve, _require_finite
 
 __all__ = [
     "BoundState",
@@ -152,7 +153,8 @@ def outgoing_resolvent_solve(V: PotentialField, k: float, f: np.ndarray) -> np.n
         raise ValueError("forcing length does not match grid")
     dl, d, du = _outgoing_system(V, k)
     try:
-        u = kernels.trisolve(dl, d, du, f)
+        _require_finite(V.values, f)  # k > 0 is resolvable, so d is finite too
+        u = _gtsv_solve(dl, d, du, f)
     except (np.linalg.LinAlgError, ValueError) as exc:  # singular A, non-finite input
         raise SolverFailure(f"outgoing solve failed at k={k}: {exc}") from exc
     if not np.all(np.isfinite(u)):
@@ -200,7 +202,8 @@ def reduced_resolvent_at_eigenvalue(
 
     fc = f - (w @ (psi * f)) * psi
     try:
-        z = kernels.trisolve(dl, d, dl, np.column_stack((fc, psi)))
+        _require_finite(d, fc, psi)
+        z = _gtsv_solve(dl, d, dl, np.column_stack((fc, psi)))
     except (np.linalg.LinAlgError, ValueError) as exc:  # singular A, non-finite input
         raise SolverFailure(f"bordered eigenvalue solve failed: {exc}") from exc
     z1, z2 = z[:, 0], z[:, 1]
@@ -283,7 +286,8 @@ def scattering_k_derivative(
     for phi, dwave in ((wave_p - st.e_plus, dwave_p), (wave_m - st.e_minus, dwave_m)):
         rhs = vk * dwave - dd * phi
         try:
-            dphi = kernels.trisolve(dl, d, du, rhs)
+            _require_finite(d, rhs)
+            dphi = _gtsv_solve(dl, d, du, rhs)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise SolverFailure(f"k-derivative solve failed at k={k}: {exc}") from exc
         out.append(dwave - dphi)

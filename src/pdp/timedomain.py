@@ -93,8 +93,10 @@ def propagate(
 
     V, beta and phi0 live on cfg.domain; the bound state used for the
     projection is re-solved on that grid.  The reported norm is restricted
-    to the interior (non-absorbing) region.  Raises SolverFailure on
-    non-finite field values.
+    to the interior (non-absorbing) region.  All steps run in one
+    kernels.cn_step_loop call, whose record hook checks the field and
+    stores the series after every step.  Raises SolverFailure on
+    non-finite field values, phi0 included.
     """
     grid = cfg.domain
     if V.grid != grid or beta.grid != grid:
@@ -109,6 +111,7 @@ def propagate(
     off = -1.0 / h**2
     w = grid.weights
     interior = np.abs(grid.x) <= grid.x_max - cfg.absorber.width
+    w_interior = w[interior]
 
     nsteps = int(np.ceil(cfg.t_final / cfg.dt_max))
     dt = cfg.t_final / nsteps
@@ -117,19 +120,17 @@ def propagate(
     norm = np.empty(nsteps + 1)
 
     def record(i, t):
+        if not np.isfinite(phi).all():
+            raise SolverFailure(f"non-finite field at t={t:.4g}")
         times[i] = t
         proj[i] = abs(w @ (psi * phi)) ** 2
-        norm[i] = float(np.sqrt(np.real(w[interior] @ (np.abs(phi[interior]) ** 2))))
+        norm[i] = float(np.sqrt(np.real(w_interior @ (np.abs(phi[interior]) ** 2))))
 
     record(0, 0.0)
-    t = 0.0
-    for i in range(nsteps):
-        t = kernels.cn_step_loop(
-            off, diag_h, sigma, beta.values, cfg.epsilon, cfg.mu, dt, t, 1, phi
-        )
-        if not np.all(np.isfinite(phi)):
-            raise SolverFailure(f"non-finite field at t={t:.4g}")
-        record(i + 1, t)
+    kernels.cn_step_loop(
+        off, diag_h, sigma, beta.values, cfg.epsilon, cfg.mu, dt, 0.0, nsteps, phi,
+        record=lambda i, t: record(i + 1, t),
+    )
     return SimResult(times=times, projection_sq=proj, norm=norm)
 
 

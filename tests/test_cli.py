@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pdp import config
-from pdp.cli import EXIT_CHECK_FAILED, _fmt, main
+from pdp.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, _fmt, _write_csv, main
 from pdp.errors import ConfigError
 from pdp.grid import DesignParams, Grid
 from pdp.spectral import distorted_plane_waves
@@ -118,6 +118,73 @@ class TestEvaluate:
         assert main(["evaluate", "--config", path]) == 4
         path2 = write_config(tmp_path, "bad2.json", {"design": {"beta_mode": "wat"}})
         assert main(["evaluate", "--config", path2]) == 4
+
+
+class TestPotentialFile:
+    @pytest.mark.parametrize("command", ["evaluate", "simulate"])
+    @pytest.mark.parametrize(
+        "rows", ["-20,0\n0,nan\n20,0\n", "-20,0\n0,-inf\n20,0\n", "-20,0\nnan,-1\n20,0\n"],
+        ids=["V_nan", "V_inf", "x_nan"],
+    )
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, command, rows):
+        # a NaN compares as non-negative in the Sturm count, so a file that
+        # got past loading would read as a domain error (no bound state)
+        vpath = tmp_path / "bad.csv"
+        vpath.write_text("x,V\n" + rows)
+        assert main([command, "--potential", str(vpath)]) == EXIT_CONFIG == 4
+        assert "non-finite" in capsys.readouterr().err
+
+
+class TestCsvWriter:
+    FLOATS = [
+        -0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 1.0,
+        float("nan"), float("inf"), float("-inf"),
+    ]
+
+    @staticmethod
+    def per_cell(header, rows):
+        """The per-cell writer the column-wise one replaced, as the oracle."""
+        def cell(v):
+            if isinstance(v, (float, np.floating)):
+                return format(float(v), ".17g")
+            return str(v)
+        return ",".join(header) + "\n" + "".join(
+            ",".join(cell(v) for v in row) + "\n" for row in rows
+        )
+
+    def test_matches_per_cell_formatting(self, tmp_path):
+        m = len(self.FLOATS)
+        columns = {
+            "array": np.array(self.FLOATS),
+            "floats": list(reversed(self.FLOATS)),
+            "numpy_floats": [np.float64(v) for v in self.FLOATS],
+            "ints": [0, -1, 7, 2**53 + 1, 10**20, np.int64(-3), 12, 1, 2][:m],
+            "int_array": np.arange(m) - 4,
+            "strings": ["", "a=4", "A", "failed: x", "1e-3", "nan", "-0", " ", "ok"][:m],
+        }
+        path = tmp_path / "t.csv"
+        _write_csv(str(path), columns)
+        expected = self.per_cell(list(columns), zip(*columns.values()))
+        assert path.read_bytes() == expected.encode()
+
+    def test_random_floats_match(self, tmp_path):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)
+        path = tmp_path / "r.csv"
+        _write_csv(str(path), {"x": x, "y": x[::-1]})
+        assert path.read_bytes() == self.per_cell(["x", "y"], zip(x, x[::-1])).encode()
+
+    def test_no_rows_writes_header(self, tmp_path):
+        path = tmp_path / "e.csv"
+        _write_csv(str(path), {"a": [], "b": np.array([])})
+        assert path.read_bytes() == b"a,b\n"
+
+    def test_mixed_or_ragged_columns_rejected(self, tmp_path):
+        with pytest.raises(TypeError):
+            _write_csv(str(tmp_path / "m.csv"), {"a": [1.0, 2]})
+        for columns in ({"a": [1.0, 2.0], "b": [3.0]}, {"a": [1.0], "b": [2.0, 3.0]}):
+            with pytest.raises(ValueError):
+                _write_csv(str(tmp_path / "r.csv"), columns)
 
 
 class TestOptimize:

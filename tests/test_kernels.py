@@ -118,3 +118,63 @@ class TestCnStepLoop:
             -1 / h**2, diag_h, np.zeros(n), np.ones(n), 0.7, 2.0, 0.02, 0.0, 100, phi
         )
         assert np.linalg.norm(phi) == pytest.approx(n0, rel=1e-12)
+
+    @staticmethod
+    def _operands(n=201, h=0.1):
+        rng = np.random.default_rng(12)
+        x = h * (np.arange(n) - n // 2)
+        diag_h = 2 / h**2 - 1.5 / np.cosh(1.5 * x)
+        sigma = np.clip((np.abs(x) - 6.0) / 4.0, 0.0, 1.0) ** 4
+        beta = (np.abs(x) <= 2.0).astype(float)
+        phi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return -1 / h**2, diag_h, sigma, beta, phi
+
+    def test_one_call_equals_single_steps_and_plain_expression(self):
+        off, diag_h, sigma, beta, phi0 = self._operands()
+        eps, mu, dt, t0, nsteps = 0.8, 2.0, 0.05, 0.3, 40
+
+        # the kernel's scheme written out as one plain expression per step
+        plain = [phi0.copy()]
+        t = t0
+        dl = np.full(len(phi0) - 1, off, dtype=np.complex128)
+        for _ in range(nsteps):
+            p = plain[-1]
+            diag = (diag_h - 1j * sigma) + (eps * np.cos(mu * (t + 0.5 * dt))) * beta
+            half = 0.5j * dt
+            rhs = p - half * (np.concatenate(([0.0], off * p[:-1]))
+                              + diag * p
+                              + np.concatenate((off * p[1:], [0.0])))
+            plain.append(kernels.trisolve(half * dl, 1.0 + half * diag, half * dl, rhs))
+            t += dt
+
+        single = phi0.copy()
+        t_single = t0
+        for k in range(nsteps):
+            t_single = kernels.cn_step_loop(
+                off, diag_h, sigma, beta, eps, mu, dt, t_single, 1, single
+            )
+            assert single.tobytes() == plain[k + 1].tobytes()
+
+        phi = phi0.copy()
+        seen = []
+
+        def record(i, t):
+            seen.append((i, t))
+            assert phi.tobytes() == plain[i + 1].tobytes()
+
+        t_end = kernels.cn_step_loop(
+            off, diag_h, sigma, beta, eps, mu, dt, t0, nsteps, phi, record=record
+        )
+        assert [i for i, _ in seen] == list(range(nsteps))
+        assert t_end == t_single == seen[-1][1] == t
+        assert phi.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("arg", [1, 2, 3, 9], ids=["diag_h", "sigma", "beta", "phi"])
+    def test_non_finite_operand_raises_value_error(self, arg, bad):
+        off, diag_h, sigma, beta, phi = self._operands()
+        args = [off, diag_h, sigma, beta, 0.5, 2.0, 0.05, 0.0, 3, phi]
+        args[arg] = args[arg].copy()
+        args[arg][5] = bad
+        with pytest.raises(ValueError):
+            kernels.cn_step_loop(*args)

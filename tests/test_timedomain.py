@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from pdp.errors import SolverFailure
 from pdp.grid import PotentialField, make_grid, sech_well
 from pdp.spectral import solve_ground_state
 from pdp.timedomain import (
@@ -91,6 +92,13 @@ class TestPropagate:
         out = propagate(V, V, psi, cfg)
         assert out.norm[-1] < out.norm[0]
         assert out.projection_sq[-1] < 1.0
+
+    def test_non_finite_start_is_solver_failure(self, sim_grid, V):
+        cfg = cfg_for(sim_grid, t_final=0.1)
+        phi0 = solve_ground_state(V).psi.astype(complex)
+        phi0[sim_grid.n // 2] = np.nan
+        with pytest.raises(SolverFailure):
+            propagate(V, V, phi0, cfg)
 
     def test_grid_mismatch_rejected(self, sim_grid, V):
         other = make_grid(-20, 20, 1001)
