@@ -13,7 +13,6 @@ failure, 4 configuration error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import datetime
 import itertools
 import json
@@ -23,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__, fgr, optimizer, timedomain
-from .config import builders, load_config
+from .config import builders, load_config, merge
 from .errors import ConfigError, PdpError, SolverFailure
 from .grid import Grid, PotentialField, h1_norm_sq, interpolate_potential, trapz
 from .spectral import solve_ground_state, transmission, wronskian_at_zero
@@ -123,6 +122,8 @@ def _load_potential_csv(path: str, grid: Grid, a: float) -> PotentialField:
         raise ConfigError(f"potential file {path} needs x and V columns")
     if not np.isfinite(data[:, :2]).all():
         raise ConfigError(f"potential file {path} has a non-finite x or V value")
+    if not (np.diff(data[:, 0]) > 0).all():
+        raise ConfigError(f"potential file {path} needs strictly increasing x")
     return interpolate_potential(data[:, 0], data[:, 1], a, grid)
 
 
@@ -223,65 +224,67 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def _sweep_entry(job):
-    label, cfg = job
-    grid = builders.grid(cfg)
-    params = builders.design(cfg, grid)
-    opts = builders.opt_options(cfg)
-    V0 = builders.initial_potential(cfg, grid)
-    return optimizer.sweep([(label, V0, params, opts)])[0]
-
-
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     vary = args.vary or cfg["sweep"]["vary"]
-    if args.values:
-        values = [float(v) for v in args.values.split(",")]
-    else:
-        values = [float(v) for v in cfg["sweep"]["values"]]
+    try:
+        raw = args.values.split(",") if args.values else cfg["sweep"]["values"]
+        values = [float(v) for v in raw]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"sweep values must be numbers: {exc}") from exc
     if vary not in ("a", "mu", "b", "delta"):
         raise ConfigError(f"cannot sweep over {vary!r} (one of a, mu, b, delta)")
-    jobs = []
+    grid = builders.grid(cfg)
+    opts = builders.opt_options(cfg)
+    labels, gamma_init, outs, errors = [], [], [], []
     for v in values:
-        sub = json.loads(json.dumps(cfg))
-        sub["design"][vary] = v
-        jobs.append((f"{vary}={_fmt(v)}", sub))
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            runs = list(pool.map(_sweep_entry, jobs))
-    else:
-        runs = [_sweep_entry(j) for j in jobs]
-    em = Emitter(args.out)
-    for run in runs:
+        sub = merge(cfg, {"design": {vary: v}})
+        # a bad config ends the whole sweep; a value whose optimization
+        # fails is recorded in its row
+        params = builders.design(sub, grid)
+        V0 = builders.initial_potential(sub, grid)
+        g0 = out = error = None
+        try:
+            g0 = fgr.gamma(V0, params).gamma
+            out = optimizer.optimize(V0, params, opts)
+        except PdpError as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        labels.append(f"{vary}={_fmt(v)}")
+        gamma_init.append(g0)
+        outs.append(out)
+        errors.append(error)
         print(
-            f"{run.label}: gamma_opt="
-            + ("failed: " + run.error if run.error else _fmt(run.gamma_opt))
+            f"{labels[-1]}: gamma_opt="
+            + ("failed: " + error if error else _fmt(out.result.gamma))
         )
     if args.out:
+        em = Emitter(args.out)
         em.csv(
             "summary.csv",
             {
-                "label": [r.label for r in runs],
+                "label": labels,
                 vary: values,
-                "gamma_init": ["" if r.gamma_init is None else _fmt(r.gamma_init) for r in runs],
-                "gamma_opt": ["" if r.gamma_opt is None else _fmt(r.gamma_opt) for r in runs],
-                "iterations": [r.iterations for r in runs],
-                "mechanism": [r.mechanism or "" for r in runs],
-                "error": [r.error or "" for r in runs],
+                "gamma_init": ["" if g is None else _fmt(g) for g in gamma_init],
+                "gamma_opt": ["" if o is None else _fmt(o.result.gamma) for o in outs],
+                "iterations": [0 if o is None else o.iterations for o in outs],
+                "mechanism": [
+                    "" if o is None else optimizer.classify_mechanism(o.result) for o in outs
+                ],
+                "error": [e or "" for e in errors],
             },
         )
-        for run in runs:
-            if run.potential is not None:
-                name = f"V_opt_{run.label.replace('=', '_')}.csv"
-                em.csv(name, {"x": run.potential.grid.x, "V": run.potential.values})
+        for label, out in zip(labels, outs):
+            if out is not None:
+                name = f"V_opt_{label.replace('=', '_')}.csv"
+                em.csv(name, {"x": grid.x, "V": out.V_opt.values})
         em.manifest(
             "sweep",
             cfg,
             {
                 "vary": vary,
                 "values": values,
-                "gamma_opt": [r.gamma_opt for r in runs],
-                "errors": [r.error for r in runs],
+                "gamma_opt": [None if o is None else o.result.gamma for o in outs],
+                "errors": errors,
             },
         )
     return EXIT_OK
@@ -427,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--vary", help="design field to vary (a, mu, b, delta)")
     p.add_argument("--values", help="comma-separated values")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="time-domain propagation from the bound state")

@@ -1,7 +1,8 @@
 """JSON run configuration: schema defaults, loading, and object builders.
 
 A config file is a JSON object with optional sections; anything omitted
-falls back to the defaults below.
+falls back to the defaults below, and a section or key that the defaults
+do not have is a ConfigError.
 
     {
       "grid":      {"x_min": -20.0, "x_max": 20.0, "n": 2001},
@@ -17,7 +18,7 @@ falls back to the defaults below.
                     "absorber": {"width": 15.0, "strength": 1.0},
                     "noise_amplitude": 0.5, "seed": 0,
                     "fit_window": [5.0, 40.0]},
-      "gradcheck": {"seed": 0, "n_directions": 10, "fd_step": 1e-5},
+      "gradcheck": {"seed": 0, "n_directions": 10, "fd_step": 1e-3},
       "sweep":     {"vary": "a", "values": [4.0, 8.0, 16.0]}
     }
 
@@ -88,6 +89,16 @@ def merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _reject_unknown_keys(user: dict, defaults: dict, where: str) -> None:
+    """ConfigError on any key of user missing from defaults, at every dict level."""
+    unknown = set(user) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    for key, val in user.items():
+        if isinstance(val, dict) and isinstance(defaults[key], dict):
+            _reject_unknown_keys(val, defaults[key], f"{where}.{key}")
+
+
 def load_config(path: str | None) -> dict:
     """Defaults merged with the JSON file at path (path may be None)."""
     if path is None:
@@ -101,9 +112,7 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    unknown = set(user) - set(DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    _reject_unknown_keys(user, DEFAULTS, "config")
     return merge(DEFAULTS, user)
 
 
@@ -121,9 +130,12 @@ class builders:
     @staticmethod
     def beta(cfg: dict, grid: Grid) -> PotentialField:
         d = cfg["design"]
-        hw = float(d["beta_halfwidth"])
-        vals = np.where(np.abs(grid.x) <= hw, 1.0, 0.0)
-        return PotentialField(grid, vals, float(d["a"]))
+        try:
+            hw = float(d["beta_halfwidth"])
+            vals = np.where(np.abs(grid.x) <= hw, 1.0, 0.0)
+            return PotentialField(grid, vals, float(d["a"]))
+        except (KeyError, ValueError, TypeError) as exc:
+            raise ConfigError(f"bad design section: {exc}") from exc
 
     @staticmethod
     def design(cfg: dict, grid: Grid) -> DesignParams:

@@ -1,14 +1,16 @@
-"""numpy/scipy implementations of the hot kernels, re-exported by pdp.kernels.
+"""Hot numerical kernels, implemented with numpy/scipy.
+
+``BACKEND`` names the implementation and is recorded with benchmark runs.
 
 Every tridiagonal solve ends in _gtsv_solve, a thin LAPACK ?gtsv call
 that assumes finite input; trisolve is the public entry point that checks
 it.  The solvers in pdp.spectral check the potential and their forcing
 once per solve with _require_finite and then call _gtsv_solve, and
 cn_step_loop checks its operands once per call and takes every step
-through _gtsv_solve.  None of these solves goes through the
-pdp.kernels.trisolve binding, so wrapping the package attributes (as a
-tracer does) counts only outside calls as kernels.trisolve, and one
-kernels.cn_step_loop span covers a whole run of steps.
+through _gtsv_solve.  No kernel calls another public kernel, so wrapping
+the module attributes (as a tracer does) counts only outside calls as
+kernels.trisolve, and one kernels.cn_step_loop span covers a whole run of
+steps.
 """
 from functools import lru_cache
 
@@ -21,6 +23,8 @@ __all__ = [
     "march_half_bound",
     "cn_step_loop",
 ]
+
+BACKEND = "python"
 
 
 @lru_cache(maxsize=None)

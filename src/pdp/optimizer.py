@@ -25,26 +25,31 @@ from .grid import DesignParams, PotentialField, h1_gradient, h1_norm_sq
 from .spectral import wronskian_at_zero
 
 __all__ = [
-    "BarrierProblem",
     "BarrierEval",
     "OptTrace",
     "OptOptions",
     "OptResult",
-    "DesignRun",
     "barrier_objective",
     "lbfgs_direction",
     "optimize",
-    "sweep",
     "classify_mechanism",
 ]
 
-
-@dataclass(frozen=True)
-class BarrierProblem:
-    """Barrier subproblem: constraint parameters plus the current weight."""
-
-    params: DesignParams
-    tau: float
+# each tau subproblem is solved loosely: at most its split of max_iters
+# steps and to gradient tolerance max(grad_tol, STAGE_GRAD_FACTOR * tau).
+# Without this the -tau log(m) terms, unbounded below as a margin grows,
+# can hijack the whole budget at the first tau driving the iterate deep
+# into the interior.
+STAGE_GRAD_FACTOR = 1e-3
+# end a stage once gamma < TAU_ADVANCE_FACTOR * tau: the subproblem is then
+# pure barrier and polishing it only drifts the iterate.  At tau_min this
+# ends the run: no smaller tau follows, and the Gamma of a tau-subproblem
+# minimizer is within m * tau (m = 3 constraints) of the constrained
+# minimum anyway
+TAU_ADVANCE_FACTOR = 1e-2
+# trial steps per line search, each opts.backtrack times the last; if none
+# is accepted the stage ends on a line-search failure
+MAX_BACKTRACKS = 40
 
 
 @dataclass(frozen=True)
@@ -86,21 +91,7 @@ class OptOptions:
     armijo: float = 1e-4
     backtrack: float = 0.5
     grad_tol: float = 1e-10
-    max_backtracks: int = 40
     symmetric: bool = False
-    # each tau subproblem is solved loosely: at most stage_iters steps (the
-    # schedule split of max_iters when None) and to gradient tolerance
-    # max(grad_tol, stage_grad_factor * tau).  Without this the -tau log(m)
-    # terms, unbounded below as a margin grows, can hijack the whole budget
-    # at the first tau driving the iterate deep into the interior.
-    stage_iters: int | None = None
-    stage_grad_factor: float = 1e-3
-    # end a stage once gamma < tau_advance_factor * tau: the subproblem is
-    # then pure barrier and polishing it only drifts the iterate.  At
-    # tau_min this ends the run: no smaller tau follows, and the Gamma of a
-    # tau-subproblem minimizer is within m * tau (m = 3 constraints) of the
-    # constrained minimum anyway
-    tau_advance_factor: float = 1e-2
 
 
 @dataclass(frozen=True)
@@ -112,22 +103,6 @@ class OptResult:
     iterations: int
     converged: bool
     status: str
-
-
-@dataclass
-class DesignRun:
-    """Outcome of one entry of a parameter sweep."""
-
-    label: str
-    params: DesignParams
-    gamma_init: float | None = None
-    gamma_opt: float | None = None
-    iterations: int = 0
-    margins: tuple[float, float, float] | None = None
-    mechanism: str | None = None
-    potential: PotentialField | None = None
-    trace: OptTrace | None = None
-    error: str | None = None
 
 
 def classify_mechanism(res: fgr.FgrResult) -> str:
@@ -145,14 +120,15 @@ def classify_mechanism(res: fgr.FgrResult) -> str:
     return "mixed"
 
 
-def barrier_objective(V: PotentialField, problem: BarrierProblem) -> BarrierEval:
+def barrier_objective(V: PotentialField, params: DesignParams, tau: float) -> BarrierEval:
     """Barrier value and nodal gradient; raises InfeasiblePoint off-interior.
+
+    tau is the weight of the log-barrier terms, params the constraints.
 
     The Gamma and constraint gradients are continuous Riesz fields, so the
     nodal gradient applies the trapezoid weights; the H1 term is an exact
     discrete quadratic form and contributes its own nodal gradient.
     """
-    params = problem.params
     res = fgr.gamma(V, params)  # raises NoBoundState / ResonanceBelowCutoff
     if res.bound_state.count_negative_eigenvalues != 1:
         raise InfeasiblePoint(
@@ -180,7 +156,6 @@ def barrier_objective(V: PotentialField, problem: BarrierProblem) -> BarrierEval
         m2 = aw * aw - params.delta
         log_m2 = np.log(m2)
         w_coef = 2.0 * wr.w0 / m2
-    tau = problem.tau
     value = res.gamma - tau * (np.log(m1) + log_m2 + np.log(m3))
 
     w = V.grid.weights
@@ -241,7 +216,7 @@ def optimize(
     and runs Armijo-backtracked L-BFGS steps with feasibility-preserving
     clipping (infeasible or invalid trial points just shrink the step).  A
     stage ends on its gradient tolerance, its step budget (not at tau_min),
-    a line-search failure, or once gamma < opts.tau_advance_factor * tau.
+    a line-search failure, or once gamma < TAU_ADVANCE_FACTOR * tau.
     That last rule also ends the run at tau_min: the subproblem is then pure
     barrier, and the barrier bound already puts the Gamma of its minimizer
     within m * tau_min (m = 3 constraints) of the constrained minimum, so
@@ -254,7 +229,7 @@ def optimize(
     V = V_init.with_values(v)
 
     try:
-        cur = barrier_objective(V, BarrierProblem(params=params, tau=opts.tau_start))
+        cur = barrier_objective(V, params, opts.tau_start)
     except PdpError as exc:
         raise InfeasibleStart(f"initial potential is not strictly feasible: {exc}") from exc
 
@@ -262,7 +237,7 @@ def optimize(
         0,
         int(np.ceil(np.log(opts.tau_start / opts.tau_min) / np.log(1.0 / opts.tau_factor) - 1e-9)),
     )
-    stage_cap = opts.stage_iters or max(1, int(np.ceil(opts.max_iters / n_stages)))
+    stage_cap = max(1, int(np.ceil(opts.max_iters / n_stages)))
 
     trace = OptTrace()
     it = 0
@@ -270,20 +245,19 @@ def optimize(
     stage_status = "converged"
     budget_hit = False
     while True:
-        problem = BarrierProblem(params=params, tau=tau)
         # Gamma does not depend on tau, so a stage that ends on the
         # Gamma-negligible rule needs no evaluation at its own tau
-        if cur_tau != tau and cur.gamma >= opts.tau_advance_factor * tau:
-            cur, cur_tau = barrier_objective(V, problem), tau
+        if cur_tau != tau and cur.gamma >= TAU_ADVANCE_FACTOR * tau:
+            cur, cur_tau = barrier_objective(V, params, tau), tau
         history: list[tuple[np.ndarray, np.ndarray]] = []
         stage_status = "gradient tolerance reached"
-        stage_tol = max(opts.grad_tol, opts.stage_grad_factor * tau)
+        stage_tol = max(opts.grad_tol, STAGE_GRAD_FACTOR * tau)
         final_stage = tau <= opts.tau_min * (1.0 + 1e-12)
         if final_stage:
             stage_tol = opts.grad_tol
         stage_it = 0
         while True:
-            if cur.gamma < opts.tau_advance_factor * tau:
+            if cur.gamma < TAU_ADVANCE_FACTOR * tau:
                 stage_status = "gamma negligible against tau"
                 break
             gnorm = float(np.max(np.abs(cur.gradient)))
@@ -304,13 +278,13 @@ def optimize(
                 slope = -float(cur.gradient @ cur.gradient)
             step = 1.0
             accepted = None
-            for _ in range(opts.max_backtracks):
+            for _ in range(MAX_BACKTRACKS):
                 trial_v = V.values + step * d
                 if opts.symmetric:
                     trial_v = _symmetrize(trial_v)
                 try:
                     trial = V.with_values(trial_v)
-                    ev = barrier_objective(trial, problem)
+                    ev = barrier_objective(trial, params, tau)
                 except PdpError:
                     step *= opts.backtrack  # clip back into the interior
                     continue
@@ -360,25 +334,3 @@ def optimize(
         status=status,
     )
 
-
-def sweep(entries) -> list[DesignRun]:
-    """Run independent optimizations; per-entry failures are recorded.
-
-    entries: iterable of (label, V_init, params, opts) tuples.
-    """
-    runs = []
-    for label, V_init, params, opts in entries:
-        run = DesignRun(label=str(label), params=params)
-        try:
-            run.gamma_init = fgr.gamma(V_init, params).gamma
-            out = optimize(V_init, params, opts)
-            run.gamma_opt = out.result.gamma
-            run.iterations = out.iterations
-            run.margins = out.margins
-            run.mechanism = classify_mechanism(out.result)
-            run.potential = out.V_opt
-            run.trace = out.trace
-        except PdpError as exc:
-            run.error = f"{type(exc).__name__}: {exc}"
-        runs.append(run)
-    return runs

@@ -19,7 +19,7 @@ from scipy.linalg import eigh_tridiagonal
 from . import kernels
 from .errors import NoBoundState, SolverFailure
 from .grid import Grid, PotentialField, trapz
-from .kernels._ref import _gtsv_solve, _require_finite
+from .kernels import _gtsv_solve, _require_finite
 
 __all__ = [
     "BoundState",

@@ -52,6 +52,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config.load_config(path)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"optimizer": {"max_iter": 2}},
+            {"simulator": {"domain": {"n": 1501, "nodes": 1501}}},
+            {"simulator": {"absorber": {"widht": 30.0}}},
+        ],
+        ids=["optimizer", "simulator.domain", "simulator.absorber"],
+    )
+    def test_unknown_key_rejected(self, tmp_path, overrides):
+        # a misspelt key would otherwise leave its default silently in force
+        path = write_config(tmp_path, "bad.json", overrides)
+        with pytest.raises(ConfigError, match="unknown keys"):
+            config.load_config(path)
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -118,6 +133,9 @@ class TestEvaluate:
         assert main(["evaluate", "--config", path]) == 4
         path2 = write_config(tmp_path, "bad2.json", {"design": {"beta_mode": "wat"}})
         assert main(["evaluate", "--config", path2]) == 4
+        # the support [-a, a] of the beta indicator must lie inside the grid
+        path3 = write_config(tmp_path, "bad3.json", {"design": {"a": 25.0}})
+        assert main(["evaluate", "--config", path3]) == 4
 
 
 class TestPotentialFile:
@@ -133,6 +151,19 @@ class TestPotentialFile:
         vpath.write_text("x,V\n" + rows)
         assert main([command, "--potential", str(vpath)]) == EXIT_CONFIG == 4
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "simulate"])
+    def test_decreasing_x_is_config_error(self, tmp_path, capsys, command):
+        # np.interp needs increasing sample points and does not check them:
+        # the default well read back to front looks like no well at all
+        out = tmp_path / "ev"
+        assert main(["evaluate", "--out", str(out)]) == 0
+        header, *rows = (out / "V_opt.csv").read_text().splitlines()
+        vpath = tmp_path / "reversed.csv"
+        vpath.write_text("\n".join([header] + rows[::-1]) + "\n")
+        capsys.readouterr()
+        assert main([command, "--potential", str(vpath)]) == EXIT_CONFIG
+        assert "increasing" in capsys.readouterr().err
 
 
 class TestCsvWriter:
@@ -216,6 +247,50 @@ class TestSweep:
         assert rows[0].split(",")[:2] == ["label", "mu"]
         assert len(rows) == 3
         assert rows[1].startswith("mu=2,")
+
+    def test_failed_value_is_recorded_in_its_row(self, tmp_path, capsys):
+        # b = 0.5 puts the start outside the H1 ball: that value fails with
+        # InfeasibleStart, and the sweep goes on to the next one
+        cfgp = write_config(
+            tmp_path, "sweep.json",
+            {"optimizer": {"max_iters": 2, "tau_start": 1e-2, "tau_min": 1e-2}},
+        )
+        out = tmp_path / "sweep"
+        rc = main([
+            "sweep", "--config", cfgp, "--vary", "b",
+            "--values", "0.5,1000", "--out", str(out),
+        ])
+        assert rc == 0
+        header, *rows = (out / "summary.csv").read_text().splitlines()
+        names = header.split(",")
+        # error is the last column, and its message may hold commas
+        bad, good = [dict(zip(names, r.split(",", len(names) - 1))) for r in rows]
+        assert bad["label"] == "b=0.5"
+        assert bad["error"].startswith("InfeasibleStart: ")
+        assert bad["gamma_opt"] == "" and bad["iterations"] == "0"
+        assert bad["gamma_init"] != ""
+        assert not (out / "V_opt_b_0.5.csv").exists()
+        assert good["label"] == "b=1000" and good["error"] == ""
+        assert good["mechanism"] in ("A", "B", "mixed")
+        assert float(good["gamma_opt"]) > 0.0 and int(good["iterations"]) > 0
+        assert (out / "V_opt_b_1000.csv").exists()
+        stdout = capsys.readouterr().out.splitlines()
+        assert stdout[0].startswith("b=0.5: gamma_opt=failed: InfeasibleStart")
+        assert stdout[1].startswith("b=1000: gamma_opt=")
+
+    @pytest.mark.parametrize(
+        "argv, overrides",
+        [
+            (["--values", "2,x"], {}),
+            ([], {"sweep": {"vary": "mu", "values": [2.0, "x"]}}),
+            ([], {"sweep": {"vary": "mu", "values": 2.0}}),
+        ],
+        ids=["flag", "config_entry", "config_not_a_list"],
+    )
+    def test_non_numeric_values_exit_code(self, tmp_path, capsys, argv, overrides):
+        cfgp = write_config(tmp_path, "sweep.json", overrides)
+        assert main(["sweep", "--config", cfgp, "--vary", "mu"] + argv) == EXIT_CONFIG
+        assert "sweep values" in capsys.readouterr().err
 
 
 class TestSimulateAndFilter:

@@ -6,14 +6,13 @@ import pytest
 
 from pdp.errors import InfeasiblePoint, InfeasibleStart
 from pdp.grid import BetaMode, DesignParams, make_grid, sech_well
+from pdp import optimizer
 from pdp.optimizer import (
-    BarrierProblem,
     OptOptions,
     barrier_objective,
     classify_mechanism,
     lbfgs_direction,
     optimize,
-    sweep,
 )
 
 
@@ -30,10 +29,6 @@ def V(grid):
 @pytest.fixture(scope="module")
 def params():
     return DesignParams(a=12.0, b=1e3, mu=2.0, delta=1e-4, beta_mode=BetaMode.EQUALS_V)
-
-
-def problem(params, tau):
-    return BarrierProblem(params=params, tau=tau)
 
 
 class TestLbfgsDirection:
@@ -85,7 +80,7 @@ class TestLbfgsDirection:
 class TestBarrierObjective:
     def test_value_decomposition(self, V, params):
         tau = 1e-2
-        ev = barrier_objective(V, problem(params, tau))
+        ev = barrier_objective(V, params, tau)
         m1, m2, m3 = ev.margins
         assert ev.value == pytest.approx(
             ev.gamma - tau * (np.log(m1) + np.log(m2) + np.log(m3))
@@ -93,24 +88,24 @@ class TestBarrierObjective:
         assert all(m > 0 for m in ev.margins)
 
     def test_value_approaches_gamma_as_tau_vanishes(self, V, params):
-        ev = barrier_objective(V, problem(params, 1e-14))
+        ev = barrier_objective(V, params, 1e-14)
         assert ev.value == pytest.approx(ev.gamma, rel=1e-6)
 
     def test_nodal_gradient_finite_difference(self, grid, V, params):
-        prob = problem(params, 1e-2)
-        ev = barrier_objective(V, prob)
+        tau = 1e-2
+        ev = barrier_objective(V, params, tau)
         rng = np.random.default_rng(2)
         for _ in range(3):
             c = rng.uniform(-7, 7)
             w = np.where(np.abs(grid.x) <= 12, np.exp(-((grid.x - c) ** 2)), 0.0)
             eps = 1e-3
-            fp = barrier_objective(V.with_values(V.values + eps * w), prob).value
-            fm = barrier_objective(V.with_values(V.values - eps * w), prob).value
+            fp = barrier_objective(V.with_values(V.values + eps * w), params, tau).value
+            fm = barrier_objective(V.with_values(V.values - eps * w), params, tau).value
             fd = (fp - fm) / (2 * eps)
             assert fd == pytest.approx(float(ev.gradient @ w), rel=1e-3)
 
     def test_gradient_vanishes_off_support(self, V, params):
-        ev = barrier_objective(V, problem(params, 1e-2))
+        ev = barrier_objective(V, params, 1e-2)
         assert np.all(ev.gradient[~V.support_mask] == 0.0)
 
     def test_h1_bound_violation_is_infeasible(self, grid):
@@ -119,13 +114,13 @@ class TestBarrierObjective:
             a=12.0, b=0.5, mu=2.0, delta=1e-4, beta_mode=BetaMode.EQUALS_V
         )
         with pytest.raises(InfeasiblePoint):
-            barrier_objective(V, BarrierProblem(params=tight, tau=1e-2))
+            barrier_objective(V, tight, 1e-2)
 
     def test_two_bound_states_is_infeasible(self, grid):
         V = sech_well(4.0, 0.8, 12.0, grid)  # deep well: several bound states
         p = DesignParams(a=12.0, b=1e3, mu=5.0, delta=1e-4, beta_mode=BetaMode.EQUALS_V)
         with pytest.raises(InfeasiblePoint):
-            barrier_objective(V, BarrierProblem(params=p, tau=1e-2))
+            barrier_objective(V, p, 1e-2)
 
 
 class TestClassifyMechanism:
@@ -161,10 +156,10 @@ class TestOptimize:
 
     def test_negligible_gamma_at_tau_min_ends_run(self, V, params):
         # a single stage at tau_min whose gamma is already below
-        # tau_advance_factor * tau is pure barrier: the run takes no step
+        # TAU_ADVANCE_FACTOR * tau is pure barrier: the run takes no step
         from pdp import fgr
 
-        factor = OptOptions().tau_advance_factor
+        factor = optimizer.TAU_ADVANCE_FACTOR
         tau = 2.0 * fgr.gamma(V, params).gamma / factor
         opts = OptOptions(tau_start=tau, tau_min=tau, max_iters=20)
         out = optimize(V, params, opts)
@@ -188,7 +183,7 @@ class TestOptimize:
             return gamma_gradient(*args, **kwargs)
 
         monkeypatch.setattr(fgr, "gamma_gradient", counted)
-        factor = OptOptions().tau_advance_factor
+        factor = optimizer.TAU_ADVANCE_FACTOR
         tau_min = 2.0 * fgr.gamma(V, params).gamma / factor
         opts = OptOptions(tau_start=1e3 * tau_min, tau_min=tau_min, max_iters=20)
         out = optimize(V, params, opts)
@@ -204,17 +199,3 @@ class TestOptimize:
         with pytest.raises(InfeasibleStart):
             optimize(V, tight, OptOptions(max_iters=2))
 
-
-class TestSweep:
-    def test_empty(self):
-        assert sweep([]) == []
-
-    def test_records_error_and_success(self, grid, V, params):
-        tight = DesignParams(
-            a=12.0, b=0.5, mu=2.0, delta=1e-4, beta_mode=BetaMode.EQUALS_V
-        )
-        opts = OptOptions(max_iters=3, tau_start=1e-2, tau_min=1e-2)
-        runs = sweep([("bad", V, tight, opts), ("good", V, params, opts)])
-        assert runs[0].error is not None and runs[0].gamma_opt is None
-        assert runs[1].error is None and runs[1].gamma_opt is not None
-        assert runs[1].mechanism in ("A", "B", "mixed")
