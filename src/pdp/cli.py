@@ -41,12 +41,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _quote(cell):
+    """A string cell holding a comma, quote or newline, quoted as RFC 4180 says.
+
+    The cell is wrapped in double quotes and each quote in it doubled; any
+    other cell is returned unchanged.
+    """
+    if isinstance(cell, str) and any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def _csv_column(name: str, values) -> tuple[str, list]:
     """printf conversion and cell values of one column, formatted as _fmt does.
 
     A column of floats takes %.17g (format(v, ".17g")); a column of ints or
-    strings takes %s (str(v)).  A float array is classified by its dtype,
-    without a pass over its cells.
+    strings takes %s (str(v)), with string cells quoted by _quote.  A float
+    array is classified by its dtype, without a pass over its cells.
     """
     if isinstance(values, np.ndarray):
         return ("%.17g" if values.dtype.kind == "f" else "%s"), values.tolist()
@@ -54,14 +65,17 @@ def _csv_column(name: str, values) -> tuple[str, list]:
     floats = sum(isinstance(v, (float, np.floating)) for v in values)
     if 0 < floats < len(values):
         raise TypeError(f"CSV column {name!r} mixes floats with other values")
-    return ("%.17g" if floats else "%s"), values
+    if floats:
+        return "%.17g", values
+    return "%s", [_quote(v) for v in values]
 
 
 def _write_csv(path: str, columns: dict) -> None:
     """Write equal-length columns, keyed by header name, as one CSV file.
 
     All cells are formatted in one %-operation over a row template repeated
-    once per row, byte-identical to joining _fmt(v) cell by cell.
+    once per row, byte-identical to joining _fmt(v) cell by cell (string
+    cells quoted by _quote first).
     """
     convs, cols = zip(*(_csv_column(name, v) for name, v in columns.items()))
     nrows = len(cols[0])
@@ -138,14 +152,14 @@ def _emit_potential_artifacts(em: Emitter, V: PotentialField, res) -> None:
     em.csv("V_opt.csv", {"x": x, "V": V.values})
     em.csv("psi.csv", {"x": x, "psi": res.bound_state.psi})
     ks = np.linspace(0.1, 4.0, 40)
-    ts = [transmission(V, float(k)) for k in ks]
+    ts = transmission(V, ks)
     em.csv(
         "transmission.csv",
         {
             "k": ks,
-            "t_sq": [abs(t) ** 2 for t in ts],
-            "re_t": [t.real for t in ts],
-            "im_t": [t.imag for t in ts],
+            "t_sq": [abs(t) ** 2 for t in ts.tolist()],
+            "re_t": ts.real,
+            "im_t": ts.imag,
         },
     )
 

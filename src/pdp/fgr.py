@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResonanceBelowCutoff
+from .errors import ResonanceBelowCutoff, SolverFailure
 from .grid import BetaMode, DesignParams, Grid, PotentialField, trapz
 from .spectral import (
     BoundState,
@@ -134,10 +134,16 @@ def gamma_jost_form(V: PotentialField, params: DesignParams) -> float:
     """Gamma[V] via the Jost-normalized waves f_{+-} = e_{+-}/t.
 
     Algebraically identical to gamma; kept as an independent assembly path
-    for cross-checking the transmission normalization.
+    for cross-checking the transmission normalization.  When t(k_res)
+    underflows to 0 (an opaque potential) f_{+-} is not representable and
+    SolverFailure is raised.
     """
     res = gamma(V, params)
     st = res.scattering
+    if st.t == 0.0:
+        raise SolverFailure(
+            f"t underflows to 0 at k = {res.k_res}: e/t is not representable"
+        )
     src = params.beta_values(V) * res.bound_state.psi
     f_p = st.e_plus / st.t
     f_m = st.e_minus / st.t

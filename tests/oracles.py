@@ -1,12 +1,15 @@
 """Independent numerical oracles used by the test suite.
 
-Everything here but hamiltonian_apply deliberately avoids the package's
-own discretization: scattering amplitudes come from adaptive ODE
-integration of the continuum equation, bound-state energies from bisection
-on analytic matching conditions, and the zero-energy Wronskian from
-high-order shooting.  hamiltonian_apply forms the residuals of the
-package's discrete solves by applying the 3-point stencil of H_V directly,
-not through any solver.
+Everything here but hamiltonian_apply and lattice_barrier_transmission
+deliberately avoids the package's own discretization: scattering amplitudes
+come from adaptive ODE integration of the continuum equation, bound-state
+energies from bisection on analytic matching conditions, and the
+zero-energy Wronskian from high-order shooting.  hamiltonian_apply forms
+the residuals of the package's discrete solves by applying the 3-point
+stencil of H_V directly, not through any solver.
+lattice_barrier_transmission is the closed form of the 3-point model
+itself for a flat barrier, so it checks the package's t(k) to rounding
+rather than to O(h^2).
 """
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -40,6 +43,43 @@ def square_well_transmission(V0, w, k):
     return np.exp(-2j * k * w) / (
         np.cos(2 * kp * w) - 0.5j * (k * k + kp * kp) / (k * kp) * np.sin(2 * kp * w)
     )
+
+
+def lattice_barrier_transmission(V0, m, h, k):
+    """t(k) of the 3-point model for V = V0 on m consecutive nodes, 0 elsewhere.
+
+    On the barrier rows u_{j-1} = 2x u_j - u_{j+1} with
+    x = cosh(theta) = 1 + h^2 (V0 - k^2)/2, so the m rows act on
+    (u_j, u_{j+1}) as the m-th power of T = [[2x, -1], [1, 0]], which is
+    [[U_m, -U_{m-1}], [U_{m-1}, -U_{m-2}]] in the Chebyshev polynomials
+    U_n(x) = sinh((n+1) theta)/sinh(theta).  Matching the transmitted
+    lattice wave e^{iqx} on one side and e^{iqx} + r e^{-iqx} on the other
+    (2 - 2cos(qh) = h^2 k^2) gives
+
+        1/t = e^{iqhm} (U_{m-1} (1 - x e^{-iqh}) / (i sin(qh)) - U_{m-2}).
+
+    theta = 2 asinh(sqrt(c)/2), c = h^2 (V0 - k^2), keeps theta accurate
+    for small c; it is complex (oscillating rows) when V0 < k^2, and its
+    real part is >= 0.  The U_n are evaluated as e^{(n+1) theta}
+    (1 - e^{-2(n+1) theta}) / (2 sinh theta) with the common factor
+    e^{m theta} divided out, so nothing overflows when m Re(theta) is past
+    the float64 range of e^{m theta}; t then underflows as it should.
+    """
+    c = h * h * (V0 - k * k)
+    theta = 2.0 * np.arcsinh(np.sqrt(complex(c)) / 2.0)
+    qh = 2.0 * np.arcsin(0.5 * k * h)
+    sh = np.sinh(theta)
+    # 1 - x e^{-iqh} without forming x: 1 - e^{-iqh} = 2i sin(qh/2) e^{-iqh/2}
+    one_minus = 2j * np.sin(0.5 * qh) * np.exp(-0.5j * qh) - 0.5 * c * np.exp(-1j * qh)
+
+    def u_scaled(n):  # U_n(x) e^{-m theta}
+        return np.exp((n + 1 - m) * theta) * -np.expm1(-2.0 * (n + 1) * theta) / (2.0 * sh)
+
+    inv_t_scaled = np.exp(1j * qh * m) * (
+        u_scaled(m - 1) * one_minus / (1j * np.sin(qh)) - u_scaled(m - 2)
+    )
+    # t = e^{-m theta} / inv_t_scaled
+    return np.exp(-m * theta - np.log(inv_t_scaled))
 
 
 def square_well_ground_energy(V0, w):

@@ -18,6 +18,7 @@ from pdp.grid import (
     DesignParams,
     PotentialField,
     h1_norm_sq,
+    interpolate_potential,
     make_grid,
     sech_well,
     trapz,
@@ -26,6 +27,7 @@ from pdp.optimizer import OptOptions, classify_mechanism, optimize
 from pdp.spectral import (
     distorted_plane_waves,
     solve_ground_state,
+    transmission,
     wronskian_at_zero,
 )
 from pdp.timedomain import Absorber, SimConfig
@@ -260,6 +262,21 @@ def test_headline_does_not_depend_on_rounding(headline, design_grid):
         assert classify_mechanism(out.result) == classify_mechanism(ref.result), detail
         assert out.iterations == ref.iterations, detail
         assert np.allclose(out.margins, ref.margins, rtol=1e-2, atol=0.0), detail
+
+
+def test_headline_transmission_is_resolved(headline, design_grid):
+    """|t(k_res)|^2 at the headline optimum is far below 1 and converged in h:
+    it agrees within a factor 1.25 with V_opt interpolated onto 2n - 1 nodes."""
+    res = headline["out"].result
+    V = headline["out"].V_opt
+    tsq = abs(res.scattering.t) ** 2
+    fine = make_grid(design_grid.x_min, design_grid.x_max, 2 * design_grid.n - 1)
+    V_fine = interpolate_potential(design_grid.x, V.values, V.support_halfwidth, fine)
+    tsq_fine = abs(transmission(V_fine, res.k_res)) ** 2
+    detail = f"|t(k_res)|^2 = {tsq:.4e} on n = {design_grid.n}, {tsq_fine:.4e} on 2n - 1"
+    assert tsq == abs(transmission(V, res.k_res)) ** 2, detail
+    assert 0.0 < tsq < 1e-30, detail
+    assert 1.0 / 1.25 <= tsq / tsq_fine <= 1.25, detail
 
 
 def test_criterion_6_mechanism_diagnostics():

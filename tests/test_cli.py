@@ -1,4 +1,5 @@
 """Config loading and command-line workflow tests (in-process, tmp dirs)."""
+import csv
 import json
 import os
 
@@ -205,6 +206,18 @@ class TestCsvWriter:
         _write_csv(str(path), {"x": x, "y": x[::-1]})
         assert path.read_bytes() == self.per_cell(["x", "y"], zip(x, x[::-1])).encode()
 
+    def test_string_cells_are_quoted_when_needed(self, tmp_path):
+        cells = ["plain", "a, b", 'say "x"', "two\nlines", "", "x=1"]
+        path = tmp_path / "q.csv"
+        _write_csv(str(path), {"s": cells, "i": list(range(len(cells)))})
+        assert path.read_bytes() == (
+            's,i\nplain,0\n"a, b",1\n"say ""x""",2\n"two\nlines",3\n,4\nx=1,5\n'
+        ).encode()
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["s"] for r in rows] == cells
+        assert [r["i"] for r in rows] == [str(i) for i in range(len(cells))]
+
     def test_no_rows_writes_header(self, tmp_path):
         path = tmp_path / "e.csv"
         _write_csv(str(path), {"a": [], "b": np.array([])})
@@ -261,10 +274,8 @@ class TestSweep:
             "--values", "0.5,1000", "--out", str(out),
         ])
         assert rc == 0
-        header, *rows = (out / "summary.csv").read_text().splitlines()
-        names = header.split(",")
-        # error is the last column, and its message may hold commas
-        bad, good = [dict(zip(names, r.split(",", len(names) - 1))) for r in rows]
+        with open(out / "summary.csv", newline="") as fh:
+            bad, good = csv.DictReader(fh)
         assert bad["label"] == "b=0.5"
         assert bad["error"].startswith("InfeasibleStart: ")
         assert bad["gamma_opt"] == "" and bad["iterations"] == "0"

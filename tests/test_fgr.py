@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from pdp import fgr
-from pdp.errors import ResonanceBelowCutoff
+from pdp.errors import ResonanceBelowCutoff, SolverFailure
 from pdp.grid import (
     BetaMode,
     DesignParams,
@@ -74,6 +74,15 @@ class TestGamma:
         for p in (params_equals_v, params_fixed):
             res = fgr.gamma(V, p)
             assert fgr.gamma_jost_form(V, p) == pytest.approx(res.gamma, rel=1e-8)
+
+    def test_jost_form_of_opaque_potential_raises(self, grid, V, params_fixed):
+        # walls of height 3000 on 3 < |x| <= 11: t(k_res) underflows to 0
+        wall = np.where((np.abs(grid.x) > 3.0) & (np.abs(grid.x) <= 11.0), 3000.0, 0.0)
+        opaque = V.with_values(V.values + wall)
+        res = fgr.gamma(opaque, params_fixed)
+        assert res.scattering.t == 0.0 and res.gamma > 0.0
+        with pytest.raises(SolverFailure):
+            fgr.gamma_jost_form(opaque, params_fixed)
 
     def test_zero_beta_gives_zero_rate(self, grid, V):
         beta0 = PotentialField(grid, np.zeros(grid.n), 12.0)

@@ -1,4 +1,6 @@
 """Spectral solver tests against analytic and integrator oracles."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -346,6 +348,81 @@ class TestTransmissionSweep:
 
         t_o, _ = oracles.scattering_amplitudes(v_func, 10.0, float(k_dip))
         assert tsq.min() == pytest.approx(abs(t_o) ** 2, rel=1e-2)
+
+
+class TestTransmissionRecurrence:
+    @pytest.mark.parametrize(
+        "V0, w, k",
+        [
+            (150.0, 0.0, 0.5),  # one node: |t|^2 ~ 0.1
+            (150.0, 0.2, 0.5),  # ~ 1e-6
+            (150.0, 1.0, 0.5),  # ~ 1e-23
+            (150.0, 3.0, 0.5),  # ~ 4e-66
+            (150.0, 6.0, 0.5),  # ~ 1e-129
+            (150.0, 9.4, 0.5),  # ~ 8e-202
+            (0.02, 15.0, 0.1),  # shallow and wide: ~ 1e-2
+            (1.0, 3.0, 2.0),  # above the barrier, oscillating rows
+            (-0.8, 4.0, 1.1),  # a well
+        ],
+    )
+    def test_flat_barrier_matches_lattice_oracle(self, grid, V0, w, k):
+        vals = np.where(np.abs(grid.x) <= w, V0, 0.0)
+        V = PotentialField(grid, vals, w)
+        m = int(np.count_nonzero(vals))
+        t_exact = oracles.lattice_barrier_transmission(V0, m, grid.h, k)
+        assert t_exact != 0.0
+        assert abs(transmission(V, k) - t_exact) <= 1e-10 * abs(t_exact)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda g: sech_well(1.5, 1.5, 12.0, g), walled_sech],
+        ids=["sech", "tall-wall"],
+    )
+    def test_batch_equals_scalar_calls(self, grid, build):
+        V = build(grid)
+        ks = np.linspace(0.1, 4.0, 40)
+        batch = transmission(V, ks)
+        assert batch.shape == ks.shape
+        assert all(bt == transmission(V, k) for bt, k in zip(batch.tolist(), ks.tolist()))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_potential_raises(self, grid, bad):
+        vals = sech_well(1.5, 1.5, 12.0, grid).values.copy()
+        vals[900] = bad
+        V = PotentialField(grid, vals, 12.0)
+        with pytest.raises(SolverFailure):
+            transmission(V, 1.0)
+        with pytest.raises(SolverFailure):
+            transmission(V, np.array([0.5, 1.0]))
+
+    def test_unresolvable_k_raises(self, grid):
+        V = sech_well(1.5, 1.5, 12.0, grid)
+        k_max = 2.0 / grid.h  # k h / 2 = 1
+        for k in (0.0, -1.0, k_max, 2.0 * k_max, np.nan):
+            with pytest.raises(ValueError):
+                transmission(V, k)
+        with pytest.raises(ValueError):
+            transmission(V, np.array([0.5, 0.0]))
+
+    def test_opaque_wall_gives_zero_without_warnings(self):
+        # V0 = 100 over a width of 80: int sqrt(V0) dx = 800 > 745, so
+        # |t| = e^{-800} is below the smallest subnormal
+        g = make_grid(-50, 50, 5001)
+        V = PotentialField(g, np.where(np.abs(g.x) <= 40.0, 100.0, 0.0), 40.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            st = distorted_plane_waves(V, 1.0)
+            t = transmission(V, np.array([0.5, 1.0, 3.0]))
+        assert st.t == 0.0 and np.all(t == 0.0)
+        assert abs(abs(st.r) - 1.0) <= 1e-12
+        assert np.isfinite(st.r)
+
+    def test_free_potential_transmits_exactly(self, grid):
+        V = PotentialField(grid, np.zeros(grid.n), 15.0)
+        assert transmission(V, 1.3) == 1.0
+        assert np.all(transmission(V, np.array([0.1, 2.0, 4.0])) == 1.0)
+        st = distorted_plane_waves(V, 0.7)
+        assert st.t == 1.0 and st.r == 0.0
 
 
 class TestWronskian:
