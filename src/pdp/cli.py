@@ -35,7 +35,12 @@ EXIT_CONFIG = 4
 
 
 def _fmt(value) -> str:
-    """Deterministic shortest-roundtrip cell formatting."""
+    """Deterministic round-trip cell formatting.
+
+    Floats take 17 significant digits (%.17g), which always read back to
+    the same float but are not the shortest such string (0.1 is written
+    0.10000000000000001).
+    """
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
     return str(value)

@@ -2,15 +2,17 @@
 
 ``BACKEND`` names the implementation and is recorded with benchmark runs.
 
-Every tridiagonal solve ends in _gtsv_solve, a thin LAPACK ?gtsv call
-that assumes finite input; trisolve is the public entry point that checks
-it.  The solvers in pdp.spectral check the potential and their forcing
-once per solve with _require_finite and then call _gtsv_solve, and
-cn_step_loop checks its operands once per call and takes every step
-through _gtsv_solve.  No kernel calls another public kernel, so wrapping
-the module attributes (as a tracer does) counts only outside calls as
-kernels.trisolve, and one kernels.cn_step_loop span covers a whole run of
-steps.
+_lowest_eigenpair gives the ground state of a symmetric tridiagonal
+matrix and the number of its negative eigenvalues from one LAPACK
+bisection.  Every tridiagonal solve ends in _gtsv_solve, a thin LAPACK
+?gtsv call that assumes finite input; trisolve is the public entry point
+that checks it.  The solvers in pdp.spectral check the potential and
+their forcing once per solve with _require_finite and then call
+_gtsv_solve, and cn_step_loop checks its operands once per call and takes
+every step through _gtsv_solve.  No kernel calls another public kernel,
+so wrapping the module attributes (as a tracer does) counts only outside
+calls as kernels.trisolve, and one kernels.cn_step_loop span covers a
+whole run of steps.
 """
 from functools import lru_cache
 
@@ -19,7 +21,6 @@ from scipy.linalg import get_lapack_funcs
 
 __all__ = [
     "trisolve",
-    "sturm_count_below",
     "march_half_bound",
     "cn_step_loop",
 ]
@@ -31,6 +32,9 @@ BACKEND = "python"
 def _gtsv(dtype):
     """LAPACK ?gtsv for one dtype (dgtsv or zgtsv)."""
     return get_lapack_funcs(("gtsv",), dtype=dtype)[0]
+
+
+_stebz, _stein = get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
 
 
 def _gtsv_solve(dl, d, du, b):
@@ -68,25 +72,38 @@ def trisolve(dl, d, du, b):
     return _gtsv_solve(dl, d, du, b)
 
 
-def sturm_count_below(d, e, sigma):
-    """Number of eigenvalues of the symmetric tridiagonal matrix below sigma.
+def _lowest_eigenpair(d, e):
+    """Lowest eigenpair of a symmetric tridiagonal matrix, if it is negative.
 
-    d is the diagonal (length n), e the off-diagonal (length n-1).  Uses the
-    standard Sturm sequence with a safeguarded pivot.
+    d is the diagonal (length n), e the off-diagonal (length n-1).  Returns
+    (count, lam, v): count is the number of eigenvalues strictly below 0,
+    lam the lowest eigenvalue and v its unit eigenvector; lam and v are
+    None when count is 0.  LAPACK ?stebz bisects every eigenvalue in
+    (lo, 0], lo below the Gershgorin bound, so an eigenvalue of exactly 0
+    is returned but not counted; ?stein then computes the eigenvector of
+    the lowest one only.  A NaN or inf raises ValueError, a bisection or
+    inverse iteration that fails to converge numpy.linalg.LinAlgError.
     """
-    n = d.shape[0]
-    count = 0
-    q = d[0] - sigma
-    if q < 0.0:
-        count += 1
-    tiny = np.finfo(np.float64).tiny
-    for i in range(1, n):
-        if q == 0.0:
-            q = tiny
-        q = (d[i] - sigma) - e[i - 1] * e[i - 1] / q
-        if q < 0.0:
-            count += 1
-    return count
+    _require_finite(d, e)
+    # ?stebz narrows (lo, 0] to its own Gershgorin interval, so any lo
+    # below that gives the same bisection
+    lo = float(np.min(d)) - 2.0 * float(np.max(np.abs(e), initial=0.0))
+    lo -= 1.0 + abs(lo)
+    m, w, iblock, isplit, info = _stebz(d, e, 1, lo, 0.0, 0, 0, 0.0, "B")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"?stebz failed with info={info}")
+    w = w[:m]
+    count = int(np.count_nonzero(w < 0.0))
+    if count == 0:
+        return 0, None, None
+    # order "B" sorts w within each split-off block; ?stein reads the
+    # block of its i-th eigenvalue from iblock[i]
+    i = int(np.argmin(w))
+    iblock[0] = iblock[i]
+    z, info = _stein(d, e, w[i : i + 1], iblock, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"?stein failed with info={info}")
+    return count, float(w[i]), z[:, 0]
 
 
 def march_half_bound(v, h, from_right):

@@ -24,9 +24,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, get_blas_funcs
+from scipy.linalg import get_blas_funcs
 
 from . import kernels
 from .errors import NoBoundState, SolverFailure
@@ -59,13 +60,30 @@ class BoundState:
 
 @dataclass(frozen=True)
 class ScatteringState:
-    """Distorted plane waves e_{V+-}(x,k) and the scattering coefficients."""
+    """Distorted plane waves e_{V+-}(x,k) and the scattering coefficients.
+
+    t and r are computed on first read, both from one support recurrence
+    of V at k (see _support_recurrence), and kept; a recurrence failure
+    raises SolverFailure there.
+    """
 
     k: float
     e_plus: np.ndarray
     e_minus: np.ndarray
-    t: complex
-    r: complex
+    V: PotentialField
+
+    @cached_property
+    def _coefficients(self) -> tuple[complex, complex]:
+        t, r = _support_recurrence(self.V, np.array([self.k]))
+        return complex(t[0]), complex(r[0])
+
+    @property
+    def t(self) -> complex:
+        return self._coefficients[0]
+
+    @property
+    def r(self) -> complex:
+        return self._coefficients[1]
 
     @property
     def unitarity_defect(self) -> float:
@@ -90,30 +108,24 @@ class WronskianResult:
     valid: bool
 
 
-def _tridiag(V: PotentialField, shift: float = 0.0):
-    """Diagonal and off-diagonal of H_V - shift with plain (interior) rows."""
-    h = V.grid.h
-    d = 2.0 / h**2 + V.values - shift
-    e = np.full(V.grid.n - 1, -1.0 / h**2)
-    return d, e
-
-
 def solve_ground_state(V: PotentialField) -> BoundState:
     """Most-negative eigenpair of H_V with Dirichlet rows at the domain ends.
 
     The eigenvector is normalized to unit L^2 norm under trapezoid
-    quadrature and signed so that its peak is positive.  Also reports the
-    total number of negative eigenvalues (for the one-bound-state check).
+    quadrature and signed so that its peak is positive.  The eigenpair and
+    the number of eigenvalues strictly below 0 (for the one-bound-state
+    check) come from one LAPACK bisection of the interior rows over the
+    negative half-line (kernels._lowest_eigenpair); an eigenvalue of
+    exactly 0 is not counted.
     """
-    d, e = _tridiag(V)
-    d_int, e_int = d[1:-1], e[1:-1]
-    count = int(kernels.sturm_count_below(d_int, e_int, 0.0))
+    h = V.grid.h
+    d = 2.0 / h**2 + V.values[1:-1]
+    e = np.full(V.grid.n - 3, -1.0 / h**2)
+    count, lam, v = kernels._lowest_eigenpair(d, e)
     if count == 0:
         raise NoBoundState("H_V has no negative eigenvalue on this grid")
-    w, v = eigh_tridiagonal(d_int, e_int, select="i", select_range=(0, 0))
-    lam = float(w[0])
     psi = np.zeros(V.grid.n)
-    psi[1:-1] = v[:, 0]
+    psi[1:-1] = v
     nrm = np.sqrt(trapz(V.grid, psi * psi))
     psi /= nrm
     if psi[np.argmax(np.abs(psi))] < 0:
@@ -329,7 +341,8 @@ def distorted_plane_waves(V: PotentialField, k: float) -> ScatteringState:
     phi_+- solves (H_V - k^2) phi = V e^{+-ikx} with outgoing rows and
     e_+- = e^{+-ikx} - phi_+-.  t and r come from the support recurrence
     that transmission uses, not from the exterior of e_+, whose
-    transmitted tail is a difference of nearly equal numbers.
+    transmitted tail is a difference of nearly equal numbers; it runs
+    when t or r is first read.
     """
     q = lattice_wavenumber(k, V.grid.h)
     x = V.grid.x
@@ -338,10 +351,7 @@ def distorted_plane_waves(V: PotentialField, k: float) -> ScatteringState:
     e_p = wave_p - outgoing_resolvent_solve(V, k, vk * wave_p)
     wave_m = np.exp(-1j * q * x)
     e_m = wave_m - outgoing_resolvent_solve(V, k, vk * wave_m)
-    t, r = _support_recurrence(V, np.array([float(k)]))
-    return ScatteringState(
-        k=float(k), e_plus=e_p, e_minus=e_m, t=complex(t[0]), r=complex(r[0])
-    )
+    return ScatteringState(k=float(k), e_plus=e_p, e_minus=e_m, V=V)
 
 
 def scattering_k_derivative(

@@ -146,8 +146,8 @@ class TestPotentialFile:
         ids=["V_nan", "V_inf", "x_nan"],
     )
     def test_non_finite_value_is_config_error(self, tmp_path, capsys, command, rows):
-        # a NaN compares as non-negative in the Sturm count, so a file that
-        # got past loading would read as a domain error (no bound state)
+        # a file that got past loading would fail inside the solvers (the
+        # ground-state eigensolve raises ValueError), not as a config error
         vpath = tmp_path / "bad.csv"
         vpath.write_text("x,V\n" + rows)
         assert main([command, "--potential", str(vpath)]) == EXIT_CONFIG == 4

@@ -84,6 +84,32 @@ class TestGamma:
         with pytest.raises(SolverFailure):
             fgr.gamma_jost_form(opaque, params_fixed)
 
+    def test_one_eigensolve_and_t_on_first_read(self, V, params_fixed, monkeypatch):
+        # the ground state and its count come from one tridiagonal
+        # eigensolve; the support recurrence for t and r waits for a read
+        from pdp import kernels, spectral
+
+        calls = {"eig": 0, "rec": 0}
+        eig, rec = kernels._lowest_eigenpair, spectral._support_recurrence
+
+        def counted_eig(*args):
+            calls["eig"] += 1
+            return eig(*args)
+
+        def counted_rec(*args):
+            calls["rec"] += 1
+            return rec(*args)
+
+        monkeypatch.setattr(kernels, "_lowest_eigenpair", counted_eig)
+        monkeypatch.setattr(spectral, "_support_recurrence", counted_rec)
+        fgr.clear_cache()
+        st = fgr.gamma(V, params_fixed).scattering
+        assert calls == {"eig": 1, "rec": 0}
+        t, r = st.t, st.r
+        assert st.t == t and st.r == r
+        assert calls == {"eig": 1, "rec": 1}
+        assert t == spectral.transmission(V, st.k)
+
     def test_zero_beta_gives_zero_rate(self, grid, V):
         beta0 = PotentialField(grid, np.zeros(grid.n), 12.0)
         p = DesignParams(a=12.0, b=1e3, mu=2.0, delta=1e-4, beta=beta0)

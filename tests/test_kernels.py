@@ -1,7 +1,7 @@
 """Kernel correctness against library oracles and conservation laws."""
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import solve_banded
 
 from pdp import kernels
 
@@ -87,15 +87,40 @@ class TestTrisolve:
 
 
 class TestSturmCount:
+    # kernels._lowest_eigenpair counts the eigenvalues strictly below 0;
+    # a diagonal shift by sigma counts those below sigma
     def test_matches_dense_eigenvalues(self):
         rng = np.random.default_rng(3)
         n = 200
         d = rng.standard_normal(n)
         e = rng.standard_normal(n - 1)
-        w = eigh_tridiagonal(d, e, eigvals_only=True)
+        w = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
         for sigma in (-2.0, -0.5, 0.0, 0.7, 3.0):
             expected = int(np.count_nonzero(w < sigma))
-            assert kernels.sturm_count_below(d, e, sigma) == expected
+            count, lam, v = kernels._lowest_eigenpair(d - sigma, e)
+            assert count == expected
+            assert lam + sigma == pytest.approx(w[0], abs=1e-12)
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+    def test_exact_zero_eigenvalue_is_not_counted(self):
+        count, lam, v = kernels._lowest_eigenpair(np.array([0.0, 1.0, -1.0]), np.zeros(2))
+        assert count == 1
+        assert lam == -1.0
+        np.testing.assert_array_equal(np.abs(v), [0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "d, e", [([2.0, 2.0, 2.0], [1.0, 1.0]), ([1.0, 0.0, 1.0], [0.0, 0.0])],
+        ids=["positive", "zero"],
+    )
+    def test_no_negative_eigenvalue(self, d, e):
+        count, lam, v = kernels._lowest_eigenpair(np.array(d), np.array(e))
+        assert (count, lam, v) == (0, None, None)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, bad):
+        d = np.array([1.0, bad, -1.0])
+        with pytest.raises(ValueError):
+            kernels._lowest_eigenpair(d, np.ones(2))
 
 
 class TestMarchHalfBound:

@@ -102,6 +102,26 @@ class TestGroundState:
         with pytest.raises(NoBoundState):
             solve_ground_state(V)
 
+    def test_positive_barrier_has_no_bound_state(self, grid):
+        V = square_well(-0.5, 3.0, 15.0, grid)
+        with pytest.raises(NoBoundState):
+            solve_ground_state(V)
+
+    def test_deep_wide_well_counts_every_bound_state(self):
+        # depth 3, half-width 4: 2 w sqrt(V0) / pi = 4.4, so five bound states
+        g = make_grid(-10, 10, 401)
+        V = square_well(3.0, 4.0, 8.0, g)
+        h2 = g.h**2
+        H = (np.diag(2.0 / h2 + V.values[1:-1])
+             - np.diag(np.full(g.n - 3, 1.0 / h2), 1)
+             - np.diag(np.full(g.n - 3, 1.0 / h2), -1))
+        w = np.linalg.eigvalsh(H)
+        bs = solve_ground_state(V)
+        assert bs.count_negative_eigenvalues == np.count_nonzero(w < 0.0) == 5
+        assert bs.lam == pytest.approx(w[0], abs=1e-10)
+        r = hamiltonian_apply(V, bs.psi) - bs.lam * bs.psi
+        assert np.linalg.norm(r[1:-1]) < 1e-8 * (2 / h2)
+
     def test_square_well_matches_matching_condition(self, grid):
         V0, w = 1.3, 2.0
         V = square_well(V0, w, 15.0, grid)
