@@ -182,7 +182,8 @@ def cmd_evaluate(args) -> int:
             "w0": wr.w0,
             "wronskian_variance": wr.variance,
             "margin_resonance": res.bound_state.lam + params.mu,
-            "margin_wronskian": wr.w0**2 - params.delta,
+            # w0 * w0 overflows to inf where w0**2 raises OverflowError
+            "margin_wronskian": wr.w0 * wr.w0 - params.delta,
             "margin_h1": params.b**2 - h1_norm_sq(V),
             "n_bound_states": res.bound_state.count_negative_eigenvalues,
         }
@@ -222,22 +223,7 @@ def cmd_optimize(args) -> int:
     )
     em = Emitter(args.out)
     if args.out:
-        trace_cols = [
-            "iter",
-            "tau",
-            "gamma",
-            "barrier_value",
-            "grad_norm",
-            "step_length",
-            "margin_resonance",
-            "margin_wronskian",
-            "margin_h1",
-            "wronskian_variance",
-        ]
-        em.csv(
-            "trace.csv",
-            {c: [rec[c] for rec in out.trace.iterates] for c in trace_cols},
-        )
+        em.csv("trace.csv", out.trace.columns())
         _emit_potential_artifacts(em, out.V_opt, out.result)
         em.manifest("optimize", cfg, headline)
     return EXIT_OK

@@ -10,9 +10,8 @@ do not have is a ConfigError.
                     "beta_mode": "fixed", "beta_halfwidth": 2.0,
                     "wronskian_tol": 1e-8},
       "init":      {"A": 1.5, "B": 1.5},
-      "optimizer": {"tau_start": 1e-2, "tau_min": 1e-8, "tau_factor": 0.1,
-                    "max_iters": 150, "memory": 10, "armijo": 1e-4,
-                    "backtrack": 0.5, "grad_tol": 1e-10, "symmetric": false},
+      "optimizer": {"tau_start": 1e-2, "tau_min": 1e-8, "max_iters": 150,
+                    "symmetric": false},
       "simulator": {"epsilon": 1.0, "t_final": 40.0, "dt_max": 0.05,
                     "domain": {"x_min": -60.0, "x_max": 60.0, "n": 3001},
                     "absorber": {"width": 15.0, "strength": 1.0},
@@ -55,12 +54,7 @@ DEFAULTS: dict = {
     "optimizer": {
         "tau_start": 1e-2,
         "tau_min": 1e-8,
-        "tau_factor": 0.1,
         "max_iters": 150,
-        "memory": 10,
-        "armijo": 1e-4,
-        "backtrack": 0.5,
-        "grad_tol": 1e-10,
         "symmetric": False,
     },
     "simulator": {
@@ -173,12 +167,7 @@ class builders:
             return OptOptions(
                 tau_start=float(o["tau_start"]),
                 tau_min=float(o["tau_min"]),
-                tau_factor=float(o["tau_factor"]),
                 max_iters=int(o["max_iters"]),
-                memory=int(o["memory"]),
-                armijo=float(o["armijo"]),
-                backtrack=float(o["backtrack"]),
-                grad_tol=float(o["grad_tol"]),
                 symmetric=bool(o["symmetric"]),
             )
         except (KeyError, ValueError, TypeError) as exc:

@@ -15,6 +15,7 @@ the support; nodes outside are frozen at zero.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,7 @@ __all__ = [
 ]
 
 # each tau subproblem is solved loosely: at most its split of max_iters
-# steps and to gradient tolerance max(grad_tol, STAGE_GRAD_FACTOR * tau).
+# steps and to gradient tolerance max(GRAD_TOL, STAGE_GRAD_FACTOR * tau).
 # Without this the -tau log(m) terms, unbounded below as a margin grows,
 # can hijack the whole budget at the first tau driving the iterate deep
 # into the interior.
@@ -47,9 +48,21 @@ STAGE_GRAD_FACTOR = 1e-3
 # minimizer is within m * tau (m = 3 constraints) of the constrained
 # minimum anyway
 TAU_ADVANCE_FACTOR = 1e-2
-# trial steps per line search, each opts.backtrack times the last; if none
+# trial steps per line search, each BACKTRACK times the last; if none
 # is accepted the stage ends on a line-search failure
 MAX_BACKTRACKS = 40
+# tau shrinks tenfold per stage: 7 stages over the default 1e-2 .. 1e-8
+TAU_FACTOR = 0.1
+# relative slack for reaching tau_min: 1e-2 * 0.1**6 lands 4e-16 above 1e-8
+TAU_MIN_RTOL = 1e-12
+# L-BFGS history length; Nocedal & Wright (2006, sec. 7.2) advise 3 to 20
+MEMORY = 10
+# Armijo sufficient-decrease constant, Nocedal & Wright's c1 (sec. 3.1)
+ARMIJO = 1e-4
+# step shrink per rejected or infeasible trial: 40 halvings reach 1e-12
+BACKTRACK = 0.5
+# final-stage gradient tolerance; design runs end on TAU_ADVANCE_FACTOR first
+GRAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -73,25 +86,40 @@ class BarrierEval:
 class OptTrace:
     """Per-iteration records of an optimization run."""
 
+    # the record fields, in trace.csv column order
+    COLUMNS = (
+        "iter", "tau", "gamma", "barrier_value", "grad_norm", "step_length",
+        "margin_resonance", "margin_wronskian", "margin_h1", "wronskian_variance",
+    )
+
     iterates: list[dict] = field(default_factory=list)
 
     def append(self, **kw) -> None:
         self.iterates.append(kw)
 
+    def columns(self) -> dict[str, list]:
+        """One list of values per field, keyed in COLUMNS order."""
+        return {c: [rec[c] for rec in self.iterates] for c in self.COLUMNS}
+
 
 @dataclass(frozen=True)
 class OptOptions:
-    """Optimizer knobs; defaults chosen for n ~ 2000 node grids."""
+    """Optimizer settings; defaults chosen for n ~ 2000 node grids.
+
+    tau falls by TAU_FACTOR per stage from tau_start to tau_min > 0, and
+    the max_iters steps are shared by all stages.
+    """
 
     tau_start: float = 1e-2
     tau_min: float = 1e-8
-    tau_factor: float = 0.1
     max_iters: int = 150
-    memory: int = 10
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    grad_tol: float = 1e-10
     symmetric: bool = False
+
+    def __post_init__(self):
+        if not 0.0 < self.tau_start < np.inf:
+            raise ValueError(f"tau_start must be finite and positive, got {self.tau_start}")
+        if not 0.0 < self.tau_min:
+            raise ValueError(f"tau_min must be positive, got {self.tau_min}")
 
 
 @dataclass(frozen=True)
@@ -233,28 +261,24 @@ def optimize(
     except PdpError as exc:
         raise InfeasibleStart(f"initial potential is not strictly feasible: {exc}") from exc
 
-    n_stages = 1 + max(
-        0,
-        int(np.ceil(np.log(opts.tau_start / opts.tau_min) / np.log(1.0 / opts.tau_factor) - 1e-9)),
-    )
-    stage_cap = max(1, int(np.ceil(opts.max_iters / n_stages)))
+    schedule = [opts.tau_start]
+    while schedule[-1] > opts.tau_min * (1.0 + TAU_MIN_RTOL):
+        schedule.append(max(schedule[-1] * TAU_FACTOR, opts.tau_min))
+    stage_cap = max(1, math.ceil(opts.max_iters / len(schedule)))
 
     trace = OptTrace()
     it = 0
-    tau = cur_tau = opts.tau_start
-    stage_status = "converged"
+    cur_tau = opts.tau_start
     budget_hit = False
-    while True:
+    for stage, tau in enumerate(schedule):
         # Gamma does not depend on tau, so a stage that ends on the
         # Gamma-negligible rule needs no evaluation at its own tau
         if cur_tau != tau and cur.gamma >= TAU_ADVANCE_FACTOR * tau:
             cur, cur_tau = barrier_objective(V, params, tau), tau
         history: list[tuple[np.ndarray, np.ndarray]] = []
         stage_status = "gradient tolerance reached"
-        stage_tol = max(opts.grad_tol, STAGE_GRAD_FACTOR * tau)
-        final_stage = tau <= opts.tau_min * (1.0 + 1e-12)
-        if final_stage:
-            stage_tol = opts.grad_tol
+        final_stage = stage == len(schedule) - 1
+        stage_tol = GRAD_TOL if final_stage else max(GRAD_TOL, STAGE_GRAD_FACTOR * tau)
         stage_it = 0
         while True:
             if cur.gamma < TAU_ADVANCE_FACTOR * tau:
@@ -278,20 +302,19 @@ def optimize(
                 slope = -float(cur.gradient @ cur.gradient)
             step = 1.0
             accepted = None
+            # in symmetric mode V, d and the support mask (Grid.x is exactly
+            # odd) are exactly symmetric, so every trial V + step * d is too
             for _ in range(MAX_BACKTRACKS):
-                trial_v = V.values + step * d
-                if opts.symmetric:
-                    trial_v = _symmetrize(trial_v)
                 try:
-                    trial = V.with_values(trial_v)
+                    trial = V.with_values(V.values + step * d)
                     ev = barrier_objective(trial, params, tau)
                 except PdpError:
-                    step *= opts.backtrack  # clip back into the interior
+                    step *= BACKTRACK  # clip back into the interior
                     continue
-                if ev.value <= cur.value + opts.armijo * step * slope:
+                if ev.value <= cur.value + ARMIJO * step * slope:
                     accepted = (trial, ev)
                     break
-                step *= opts.backtrack
+                step *= BACKTRACK
             if accepted is None:
                 stage_status = "line-search failure"
                 break
@@ -299,7 +322,7 @@ def optimize(
             s = trial.values - V.values
             y = ev.gradient - cur.gradient
             history.append((s, y))
-            if len(history) > opts.memory:
+            if len(history) > MEMORY:
                 history.pop(0)
             V, cur = trial, ev
             it += 1
@@ -319,18 +342,13 @@ def optimize(
         if budget_hit:
             stage_status = "iteration budget exhausted"
             break
-        if final_stage:
-            break
-        tau = max(tau * opts.tau_factor, opts.tau_min)
-    status = stage_status
-    converged = not budget_hit
     return OptResult(
         V_opt=V,
         trace=trace,
         result=cur.result,
         margins=cur.margins,
         iterations=it,
-        converged=converged,
-        status=status,
+        converged=not budget_hit,
+        status=stage_status,
     )
 

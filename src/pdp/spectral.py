@@ -405,11 +405,11 @@ def wronskian_at_zero(V: PotentialField, tol: float = 1e-8) -> WronskianResult:
     """
     v = np.asarray(V.values, dtype=float)
     h = V.grid.h
-    eta_p, deta_p = kernels.march_half_bound(v, h, True)
-    eta_m, deta_m = kernels.march_half_bound(v, h, False)
-    # tall-barrier potentials push W past the float range; overflow is
-    # expected and resolved by the non-finite guard below
+    # tall-barrier potentials push eta and W past the float range; overflow
+    # is expected and resolved by the non-finite guard below
     with np.errstate(over="ignore", invalid="ignore"):
+        eta_p, deta_p = kernels.march_half_bound(v, h, True)
+        eta_m, deta_m = kernels.march_half_bound(v, h, False)
         W = eta_p * deta_m - deta_p * eta_m
         if not np.all(np.isfinite(W)):
             return WronskianResult(

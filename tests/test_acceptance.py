@@ -13,6 +13,7 @@ import pytest
 
 from pdp import fgr, timedomain
 from pdp.cli import main as cli_main
+from pdp.config import DEFAULTS, builders, merge
 from pdp.errors import PdpError
 from pdp.grid import (
     DesignParams,
@@ -38,13 +39,13 @@ def report(num, title, ok, detail):
     assert ok, f"criterion {num} ({title}): {detail}"
 
 
-def indicator_beta(grid, halfwidth, a):
-    vals = np.where(np.abs(grid.x) <= halfwidth, 1.0, 0.0)
-    return PotentialField(grid, vals, a)
+def indicator_beta(grid, a):
+    """The default forcing profile 1_[-2,2] on grid, built as the CLI builds it."""
+    return builders.beta(merge(DEFAULTS, {"design": {"a": a}}), grid)
 
 
 def design_for(grid, a, mu, b=1e3, delta=1e-4):
-    return DesignParams(a=a, b=b, mu=mu, delta=delta, beta=indicator_beta(grid, 2.0, a))
+    return DesignParams(a=a, b=b, mu=mu, delta=delta, beta=indicator_beta(grid, a))
 
 
 def is_feasible(V, params):
@@ -313,7 +314,7 @@ def _simulate_rate(V_design, params, epsilon, t_final, window):
         domain=make_grid(-60.0, 60.0, 3001),
     )
     V = timedomain.resample_potential(V_design, sim.domain)
-    beta = indicator_beta(sim.domain, 2.0, params.a)
+    beta = indicator_beta(sim.domain, params.a)
     psi = solve_ground_state(V).psi.astype(complex)
     out = timedomain.propagate(V, beta, psi, sim)
     return timedomain.fit_decay_rate(out, window)
@@ -363,7 +364,7 @@ def test_criterion_8_persistence_and_filtering(headline, design_grid):
     assert is_feasible(V_cmp, params)
     assert 1e-3 < fgr.gamma(V_cmp, params).gamma < 1e-1
     sim_grid = make_grid(-60.0, 60.0, 3001)
-    beta = indicator_beta(sim_grid, 2.0, params.a)
+    beta = indicator_beta(sim_grid, params.a)
     retained = {}
     for label, V_design in (
         ("init", V_cmp),

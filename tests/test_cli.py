@@ -59,14 +59,34 @@ class TestConfig:
             {"optimizer": {"max_iter": 2}},
             {"simulator": {"domain": {"n": 1501, "nodes": 1501}}},
             {"simulator": {"absorber": {"widht": 30.0}}},
+            # fixed constants of the descent, no longer settable
+            {"optimizer": {"tau_factor": 0.1, "memory": 10, "armijo": 1e-4,
+                           "backtrack": 0.5, "grad_tol": 1e-10}},
         ],
-        ids=["optimizer", "simulator.domain", "simulator.absorber"],
+        ids=["optimizer", "simulator.domain", "simulator.absorber", "optimizer.fixed"],
     )
     def test_unknown_key_rejected(self, tmp_path, overrides):
         # a misspelt key would otherwise leave its default silently in force
         path = write_config(tmp_path, "bad.json", overrides)
         with pytest.raises(ConfigError, match="unknown keys"):
             config.load_config(path)
+
+    def test_docstring_schema_matches_defaults(self):
+        doc = config.__doc__
+        start = doc.index("\n    {\n")
+        end = doc.index("\n    }\n", start) + len("\n    }")
+        assert json.loads(doc[start:end]) == config.DEFAULTS
+
+    @pytest.mark.parametrize(
+        "optimizer", [{"tau_min": 0}, {"tau_min": -1e-8}, {"tau_start": 0}],
+        ids=["tau_min_zero", "tau_min_negative", "tau_start_zero"],
+    )
+    def test_non_positive_tau_exit_code(self, tmp_path, capsys, optimizer):
+        # a tau schedule must run down to a positive tau_min; before the
+        # check these ended in ZeroDivisionError or ValueError tracebacks
+        path = write_config(tmp_path, "tau.json", {"optimizer": optimizer})
+        assert main(["optimize", "--config", path]) == EXIT_CONFIG
+        assert "bad optimizer section" in capsys.readouterr().err
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -122,6 +142,20 @@ class TestEvaluate:
         for row, k in zip(rows[1:], ks):
             t = distorted_plane_waves(V, float(k)).t
             assert row == ",".join(_fmt(v) for v in (k, abs(t) ** 2, t.real, t.imag))
+
+    def test_overflowing_wronskian_margin_is_inf(self, tmp_path):
+        # walls of 1000 on 4 < |x| <= 12 around a -2 well give W0 ~ 6e230,
+        # whose square overflows: the margin is inf, not an OverflowError
+        x = config.builders.grid(config.DEFAULTS).x
+        ax = np.abs(x)
+        v = np.where(ax <= 2, -2.0, np.where((ax > 4) & (ax <= 12), 1000.0, 0.0))
+        vpath = tmp_path / "walls.csv"
+        _write_csv(str(vpath), {"x": x, "V": v})
+        out = tmp_path / "ev"
+        assert main(["evaluate", "--potential", str(vpath), "--out", str(out)]) == 0
+        headline = json.loads((out / "manifest.json").read_text())["headline"]
+        assert 1e154 < headline["w0"] < np.inf
+        assert headline["margin_wronskian"] == np.inf
 
     def test_no_bound_state_exit_code(self, tmp_path):
         # potential identically zero: no bound state -> domain-error exit 2

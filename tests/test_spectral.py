@@ -475,6 +475,18 @@ class TestWronskian:
         wr = wronskian_at_zero(pt)
         assert abs(wr.w0) < 5e-3
 
+    def test_overflowing_march_is_invalid_without_warnings(self, grid):
+        # walls of 3000 on 4 < |x| <= 12 push eta past the float range inside
+        # the march; the non-finite guard reports it, and nothing warns
+        x = np.abs(grid.x)
+        vals = np.where(x <= 2, -2.0, np.where((x > 4) & (x <= 12), 3000.0, 0.0))
+        V = PotentialField(grid, vals, 12.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wr = wronskian_at_zero(V)
+        assert not wr.valid
+        assert np.isnan(wr.w0) and wr.variance == np.inf
+
     def test_generic_smooth_against_shooting(self):
         g = make_grid(-20, 20, 8001)  # h = 0.005 for the 1e-4 comparison
         vals = np.where(np.abs(g.x) <= 10, -1.4 / np.cosh(1.4 * g.x), 0.0)
