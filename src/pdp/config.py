@@ -164,7 +164,7 @@ class builders:
     def opt_options(cfg: dict) -> OptOptions:
         o = cfg["optimizer"]
         try:
-            return OptOptions(
+            opts = OptOptions(
                 tau_start=float(o["tau_start"]),
                 tau_min=float(o["tau_min"]),
                 max_iters=int(o["max_iters"]),
@@ -172,6 +172,15 @@ class builders:
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"bad optimizer section: {exc}") from exc
+        # the symmetric descent mirrors V about the middle node, which is
+        # x = 0 only on a grid centred there
+        g = cfg["grid"]
+        if opts.symmetric and float(g["x_min"]) != -float(g["x_max"]):
+            raise ConfigError(
+                "optimizer.symmetric needs a grid centred at 0 (x_min = -x_max), "
+                f"got the off-centre grid [{g['x_min']}, {g['x_max']}]"
+            )
+        return opts
 
     @staticmethod
     def sim_config(cfg: dict) -> SimConfig:

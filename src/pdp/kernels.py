@@ -4,20 +4,22 @@
 
 _lowest_eigenpair gives the ground state of a symmetric tridiagonal
 matrix and the number of its negative eigenvalues from one LAPACK
-bisection.  Every tridiagonal solve ends in _gtsv_solve, a thin LAPACK
-?gtsv call that assumes finite input; trisolve is the public entry point
-that checks it.  The solvers in pdp.spectral check the potential and
-their forcing once per solve with _require_finite and then call
-_gtsv_solve, and cn_step_loop checks its operands once per call and takes
-every step through _gtsv_solve.  No kernel calls another public kernel,
-so wrapping the module attributes (as a tracer does) counts only outside
-calls as kernels.trisolve, and one kernels.cn_step_loop span covers a
-whole run of steps.
+bisection.  march_half_bound writes the zero-energy trapezoid march as
+one lower-banded triangular system and solves it with one BLAS ?tbsv
+call.  Every tridiagonal solve ends in _gtsv_solve, a thin LAPACK ?gtsv
+call that assumes finite input; trisolve is the public entry point that
+checks it.  The solvers in pdp.spectral check the potential and their
+forcing once per solve with _require_finite and then call _gtsv_solve,
+and cn_step_loop checks its operands once per call and takes every step
+through _gtsv_solve.  No kernel calls another public kernel, so wrapping
+the module attributes (as a tracer does) counts only outside calls as
+kernels.trisolve, and one kernels.cn_step_loop span covers a whole run
+of steps.
 """
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 __all__ = [
     "trisolve",
@@ -35,6 +37,7 @@ def _gtsv(dtype):
 
 
 _stebz, _stein = get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
+_dtbsv = get_blas_funcs(("tbsv",), dtype=np.float64)[0]
 
 
 def _gtsv_solve(dl, d, du, b):
@@ -110,34 +113,46 @@ def march_half_bound(v, h, from_right):
     """March the zero-energy solution eta'' = V eta across the grid.
 
     Trapezoidal (Crank-Nicolson) one-step scheme on the first-order system
-    (eta, eta'), with the potential averaged over the step so the one-step
-    map has unit determinant and the discrete Wronskian of two solutions is
-    conserved exactly.  Initial data eta=1, eta'=0 at the starting end,
-    where the potential vanishes.  Returns (eta, deta) at every node.
+    (eta, D = eta'), with the potential averaged over the step,
+    vbar_i = (v_i + v_{i+1})/2, so the one-step map has unit determinant
+    and the discrete Wronskian of two solutions is conserved exactly.
+    Initial data eta=1, eta'=0 at the starting end, where the potential
+    vanishes.  Returns (eta, deta) at every node.
+
+    With c_i = 1 - (h^2/4) vbar_i, one step is the pair of rows
+
+        c_i eta_{i+1} - (2 - c_i) eta_i - h D_i = 0,
+        D_{i+1} - D_i - (h/2) vbar_i (eta_i + eta_{i+1}) = 0,
+
+    (the implicit step with D_{i+1} eliminated from its eta row), so the
+    whole march is one lower-triangular system with 3 subdiagonals in the
+    interleaved unknowns (eta_0, D_0, eta_1, D_1, ...), solved by one BLAS
+    ?tbsv call.  The march from the right is the march from the left over
+    the reversed potential, with D negated.  A march that overflows gives
+    non-finite values and no floating-point warning.
     """
-    n = v.shape[0]
-    eta = np.empty(n)
-    deta = np.empty(n)
+    v = np.asarray(v, dtype=float)
     if from_right:
-        idx = range(n - 1, 0, -1)
-        start = n - 1
-        step = -1
-    else:
-        idx = range(0, n - 1)
-        start = 0
-        step = 1
-    eta[start] = 1.0
-    deta[start] = 0.0
-    hh = 0.5 * h * step
-    for j in idx:
-        jn = j + step
-        # (I - hh*Fbar) y_{jn} = (I + hh*Fbar) y_j, Fbar = [[0,1],[vbar,0]]
-        vbar = 0.5 * (v[j] + v[jn])
-        r0 = eta[j] + hh * deta[j]
-        r1 = deta[j] + hh * vbar * eta[j]
-        det = 1.0 - hh * hh * vbar
-        eta[jn] = (r0 + hh * r1) / det
-        deta[jn] = (hh * vbar * r0 + r1) / det
+        v = v[::-1]
+    n = v.shape[0]
+    hv = 0.5 * h * (0.5 * (v[:-1] + v[1:]))  # (h/2) vbar_i
+    c = 1.0 - 0.5 * h * hv
+    # column j of the band holds A[j, j], A[j+1, j], A[j+2, j], A[j+3, j];
+    # cols[i, 0] is the column of eta_i, cols[i, 1] the column of D_i
+    cols = np.empty((n, 2, 4))
+    cols[0, 0, :2] = (1.0, 0.0)  # rows 0 and 1 read eta_0 = y[0], D_0 = y[1]
+    cols[1:, 0, 0] = c
+    cols[1:, 0, 1] = -hv
+    cols[:-1, 0, 2] = c - 2.0
+    cols[:-1, 0, 3] = -hv
+    cols[-1, 0, 2:] = 0.0  # outside the matrix, never read
+    cols[:, 1] = (1.0, -h, -1.0, 0.0)
+    y = np.zeros(2 * n)
+    y[0] = 1.0  # eta_0 = 1, D_0 = 0
+    y = _dtbsv(3, cols.reshape(2 * n, 4).T, y, lower=1, overwrite_x=1)
+    eta, deta = y.reshape(n, 2).T
+    if from_right:
+        return eta[::-1], -deta[::-1]
     return eta, deta
 
 

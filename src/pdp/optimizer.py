@@ -16,14 +16,14 @@ the support; nodes outside are frozen at zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import fgr
 from .errors import InfeasiblePoint, InfeasibleStart, PdpError
 from .grid import DesignParams, PotentialField, h1_gradient, h1_norm_sq
-from .spectral import wronskian_at_zero
+from .spectral import ScatteringState, wronskian_at_zero
 
 __all__ = [
     "BarrierEval",
@@ -124,6 +124,13 @@ class OptOptions:
 
 @dataclass(frozen=True)
 class OptResult:
+    """Final potential and its evaluation.
+
+    result.scattering is a fresh ScatteringState of V_opt: its waves and
+    coefficients are computed again when first read, so a kept result
+    holds no grid-length wave.
+    """
+
     V_opt: PotentialField
     trace: OptTrace
     result: fgr.FgrResult
@@ -342,10 +349,13 @@ def optimize(
         if budget_hit:
             stage_status = "iteration budget exhausted"
             break
+    # a kept result holds no waves (a sweep keeps one result per value); a
+    # reader of t or e+- gets them recomputed, to the same bits
+    res = cur.result
     return OptResult(
         V_opt=V,
         trace=trace,
-        result=cur.result,
+        result=replace(res, scattering=ScatteringState(res.k_res, V)),
         margins=cur.margins,
         iterations=it,
         converged=not budget_hit,

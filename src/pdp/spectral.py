@@ -62,15 +62,33 @@ class BoundState:
 class ScatteringState:
     """Distorted plane waves e_{V+-}(x,k) and the scattering coefficients.
 
-    t and r are computed on first read, both from one support recurrence
-    of V at k (see _support_recurrence), and kept; a recurrence failure
-    raises SolverFailure there.
+    A state holds only k and V and computes nothing when it is built.
+    e_plus and e_minus are computed on first read, each from one outgoing
+    solve (see distorted_plane_waves), and t and r on first read, both
+    from one support recurrence of V at k (see _support_recurrence).  A
+    value is kept once read, and every state of the same (k, V) gives the
+    same bits; a solve or recurrence failure raises SolverFailure at the
+    read.  So a state whose waves are never read (as in an optimizer
+    result) holds no grid-length array.
     """
 
     k: float
-    e_plus: np.ndarray
-    e_minus: np.ndarray
     V: PotentialField
+
+    def _wave(self, phase: complex) -> np.ndarray:
+        """e^{phase q x} - R(k)[V e^{phase q x}], phase = +-1j."""
+        q = lattice_wavenumber(self.k, self.V.grid.h)
+        wave = np.exp(phase * q * self.V.grid.x)
+        vk = np.asarray(self.V.values)
+        return wave - outgoing_resolvent_solve(self.V, self.k, vk * wave)
+
+    @cached_property
+    def e_plus(self) -> np.ndarray:
+        return self._wave(1j)
+
+    @cached_property
+    def e_minus(self) -> np.ndarray:
+        return self._wave(-1j)
 
     @cached_property
     def _coefficients(self) -> tuple[complex, complex]:
@@ -339,19 +357,14 @@ def distorted_plane_waves(V: PotentialField, k: float) -> ScatteringState:
     """Distorted plane waves at wavenumber k, with t and r.
 
     phi_+- solves (H_V - k^2) phi = V e^{+-ikx} with outgoing rows and
-    e_+- = e^{+-ikx} - phi_+-.  t and r come from the support recurrence
-    that transmission uses, not from the exterior of e_+, whose
-    transmitted tail is a difference of nearly equal numbers; it runs
-    when t or r is first read.
+    e_+- = e^{+-ikx} - phi_+-; both are computed here.  t and r come from
+    the support recurrence that transmission uses, not from the exterior
+    of e_+, whose transmitted tail is a difference of nearly equal
+    numbers; it runs when t or r is first read.
     """
-    q = lattice_wavenumber(k, V.grid.h)
-    x = V.grid.x
-    vk = np.asarray(V.values)
-    wave_p = np.exp(1j * q * x)
-    e_p = wave_p - outgoing_resolvent_solve(V, k, vk * wave_p)
-    wave_m = np.exp(-1j * q * x)
-    e_m = wave_m - outgoing_resolvent_solve(V, k, vk * wave_m)
-    return ScatteringState(k=float(k), e_plus=e_p, e_minus=e_m, V=V)
+    st = ScatteringState(k=float(k), V=V)
+    st.e_plus, st.e_minus  # computed now and kept by the state
+    return st
 
 
 def scattering_k_derivative(
@@ -405,8 +418,8 @@ def wronskian_at_zero(V: PotentialField, tol: float = 1e-8) -> WronskianResult:
     """
     v = np.asarray(V.values, dtype=float)
     h = V.grid.h
-    # tall-barrier potentials push eta and W past the float range; overflow
-    # is expected and resolved by the non-finite guard below
+    # across tall barriers eta and W pass the float range: the march then
+    # returns inf or NaN, W is not finite, and the result is invalid
     with np.errstate(over="ignore", invalid="ignore"):
         eta_p, deta_p = kernels.march_half_bound(v, h, True)
         eta_m, deta_m = kernels.march_half_bound(v, h, False)

@@ -9,7 +9,9 @@ the residuals of the package's discrete solves by applying the 3-point
 stencil of H_V directly, not through any solver.
 lattice_barrier_transmission is the closed form of the 3-point model
 itself for a flat barrier, so it checks the package's t(k) to rounding
-rather than to O(h^2).
+rather than to O(h^2).  march_half_bound_loop is the package's trapezoid
+march of eta'' = V eta written as a plain loop, one node per step; it
+checks the banded solve of the same scheme to rounding.
 """
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -123,6 +125,41 @@ def wronskian_shooting(v_func, a, breakpoints=(), rtol=1e-12):
     ep, dep = march(a, 0.0)
     em, dem = march(-a, 0.0)
     return ep * dem - dep * em
+
+
+def march_half_bound_loop(v, h, from_right):
+    """March the zero-energy solution eta'' = V eta across the grid.
+
+    Trapezoidal (Crank-Nicolson) one-step scheme on the first-order system
+    (eta, eta'), with the potential averaged over the step so the one-step
+    map has unit determinant and the discrete Wronskian of two solutions is
+    conserved exactly.  Initial data eta=1, eta'=0 at the starting end,
+    where the potential vanishes.  Returns (eta, deta) at every node.
+    """
+    n = v.shape[0]
+    eta = np.empty(n)
+    deta = np.empty(n)
+    if from_right:
+        idx = range(n - 1, 0, -1)
+        start = n - 1
+        step = -1
+    else:
+        idx = range(0, n - 1)
+        start = 0
+        step = 1
+    eta[start] = 1.0
+    deta[start] = 0.0
+    hh = 0.5 * h * step
+    for j in idx:
+        jn = j + step
+        # (I - hh*Fbar) y_{jn} = (I + hh*Fbar) y_j, Fbar = [[0,1],[vbar,0]]
+        vbar = 0.5 * (v[j] + v[jn])
+        r0 = eta[j] + hh * deta[j]
+        r1 = deta[j] + hh * vbar * eta[j]
+        det = 1.0 - hh * hh * vbar
+        eta[jn] = (r0 + hh * r1) / det
+        deta[jn] = (hh * vbar * r0 + r1) / det
+    return eta, deta
 
 
 def pt_ground_state(x):

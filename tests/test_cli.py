@@ -88,6 +88,23 @@ class TestConfig:
         assert main(["optimize", "--config", path]) == EXIT_CONFIG
         assert "bad optimizer section" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, overrides",
+        [
+            (["--symmetric"], {}),
+            ([], {"optimizer": {"symmetric": True}}),
+        ],
+        ids=["flag", "config_entry"],
+    )
+    def test_symmetric_mode_needs_a_centred_grid(self, tmp_path, capsys, argv, overrides):
+        # the symmetric descent mirrors V about the middle node, here
+        # x = 5: the sech start would become two wells and the run would
+        # end in a misleading InfeasibleStart
+        grid = {"grid": {"x_min": -20.0, "x_max": 30.0, "n": 2501}}
+        path = write_config(tmp_path, "offcentre.json", config.merge(grid, overrides))
+        assert main(["optimize", "--config", path] + argv) == EXIT_CONFIG
+        assert "off-centre grid [-20.0, 30.0]" in capsys.readouterr().err
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

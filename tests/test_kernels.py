@@ -1,9 +1,13 @@
 """Kernel correctness against library oracles and conservation laws."""
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+import oracles
 from pdp import kernels
+from pdp.grid import make_grid, sech_well
 
 
 def _random_tridiag(rng, n, complex_=True):
@@ -86,7 +90,7 @@ class TestTrisolve:
             kernels.trisolve(*args)
 
 
-class TestSturmCount:
+class TestLowestEigenpair:
     # kernels._lowest_eigenpair counts the eigenvalues strictly below 0;
     # a diagonal shift by sigma counts those below sigma
     def test_matches_dense_eigenvalues(self):
@@ -128,6 +132,43 @@ class TestMarchHalfBound:
         eta, deta = kernels.march_half_bound(np.zeros(301), 0.05, True)
         np.testing.assert_allclose(eta, 1.0)
         np.testing.assert_allclose(deta, 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("v0, h, n", [(4.0, 0.01, 501), (2.25, 0.05, 301), (100.0, 0.02, 201)])
+    @pytest.mark.parametrize("from_right", [False, True], ids=["left", "right"])
+    def test_flat_wall_is_a_sum_of_two_powers(self, v0, h, n, from_right):
+        # on V = v0 the one-step map has eigenvalues l+- = (1 +- s)/(1 -+ s),
+        # s = (h/2) sqrt(v0), with eigenvectors (1, +-sqrt(v0)); from (1, 0)
+        # eta_j = (l+^j + l-^j)/2 and eta'_j = sqrt(v0) (l+^j - l-^j)/2
+        # exactly, evaluated here with 40 significant digits
+        root = np.sqrt(v0)
+        assert root * root == v0
+        with localcontext() as ctx:
+            ctx.prec = 40
+            s = Decimal(h) / 2 * Decimal(root)
+            lp, lm = (1 + s) / (1 - s), (1 - s) / (1 + s)
+            pp = [lp**j for j in range(n)]
+            pm = [lm**j for j in range(n)]
+            eta_exact = np.array([float((a + b) / 2) for a, b in zip(pp, pm)])
+            deta_exact = np.array([float(Decimal(root) * (a - b) / 2) for a, b in zip(pp, pm)])
+        eta, deta = kernels.march_half_bound(np.full(n, v0), h, from_right)
+        if from_right:
+            # x runs the other way from the right end: eta' changes sign
+            eta, deta = eta[::-1], -deta[::-1]
+        np.testing.assert_allclose(eta, eta_exact, rtol=1e-13, atol=0)
+        assert deta[0] == 0.0
+        np.testing.assert_allclose(deta[1:], deta_exact[1:], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", [2001, 3001])
+    @pytest.mark.parametrize("from_right", [False, True], ids=["left", "right"])
+    def test_matches_the_loop_on_the_sech_start(self, n, from_right):
+        # the banded solve and the node-by-node loop are the same scheme
+        # with the operations in another order
+        grid = make_grid(-20.0, 20.0, n)
+        v = sech_well(1.5, 1.5, 12.0, grid).values
+        got = kernels.march_half_bound(v, grid.h, from_right)
+        ref = oracles.march_half_bound_loop(v, grid.h, from_right)
+        for a, b in zip(got, ref):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
 
 class TestCnStepLoop:

@@ -14,6 +14,7 @@ from pdp.optimizer import (
     lbfgs_direction,
     optimize,
 )
+from pdp.spectral import distorted_plane_waves
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +191,25 @@ class TestOptimize:
         assert out.iterations == 0
         assert out.status == "gamma negligible against tau"
         assert len(calls) == 1
+
+    def test_result_keeps_no_waves(self, grid, V, params):
+        # a kept result holds only scalars, V_opt and the ground state; its
+        # waves are computed again, to the same bits, when first read
+        from pdp import fgr
+
+        out = optimize(V, params, OptOptions(max_iters=5, tau_start=1e-2, tau_min=1e-2))
+        st = out.result.scattering
+        assert not [
+            name for name, val in vars(st).items()
+            if isinstance(val, np.ndarray) and val.size >= grid.n
+        ]
+        fresh = distorted_plane_waves(out.V_opt, out.result.k_res)
+        assert st.e_plus.tobytes() == fresh.e_plus.tobytes()
+        assert st.e_minus.tobytes() == fresh.e_minus.tobytes()
+        assert (st.t, st.r) == (fresh.t, fresh.r)
+        full = fgr.gamma(out.V_opt, params)
+        assert full.gamma == out.result.gamma
+        assert classify_mechanism(out.result) == classify_mechanism(full)
 
     def test_infeasible_start_raises(self, grid):
         V = sech_well(1.5, 1.5, 12.0, grid)
