@@ -6,15 +6,19 @@ _lowest_eigenpair gives the ground state of a symmetric tridiagonal
 matrix and the number of its negative eigenvalues from one LAPACK
 bisection.  march_half_bound writes the zero-energy trapezoid march as
 one lower-banded triangular system and solves it with one BLAS ?tbsv
-call.  Every tridiagonal solve ends in _gtsv_solve, a thin LAPACK ?gtsv
-call that assumes finite input; trisolve is the public entry point that
-checks it.  The solvers in pdp.spectral check the potential and their
-forcing once per solve with _require_finite and then call _gtsv_solve,
-and cn_step_loop checks its operands once per call and takes every step
-through _gtsv_solve.  No kernel calls another public kernel, so wrapping
-the module attributes (as a tracer does) counts only outside calls as
-kernels.trisolve, and one kernels.cn_step_loop span covers a whole run
-of steps.
+call.  A tridiagonal solve with a matrix of its own ends in _gtsv_solve,
+a thin LAPACK ?gtsv call that assumes finite input; trisolve is the
+public entry point that checks it.  The solvers in pdp.spectral check
+the potential and their forcing once per solve with _require_finite and
+then call _gtsv_solve.  cn_step_loop checks its operands once per call.
+Its matrix changes between steps only on the rows the forcing reaches,
+so it factors the fixed outer blocks once per call with LAPACK ?gttrf;
+each step solves them with ?gttrs and the small forced block, corrected
+by their Schur complement, with _gtsv_solve.  Its steps therefore agree
+with a full ?gtsv solve up to rounding, not bitwise.  No kernel calls
+another public kernel, so wrapping the module attributes (as a tracer
+does) counts only outside calls as kernels.trisolve, and one
+kernels.cn_step_loop span covers a whole run of steps.
 """
 from functools import lru_cache
 
@@ -37,18 +41,22 @@ def _gtsv(dtype):
 
 
 _stebz, _stein = get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
+# the CN matrix is always complex
+_gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.complex128)
 _dtbsv = get_blas_funcs(("tbsv",), dtype=np.float64)[0]
 
 
-def _gtsv_solve(dl, d, du, b):
+def _gtsv_solve(dl, d, du, b, *, scratch=False):
     """trisolve without the finiteness check; the caller guarantees it.
 
     The arguments are copied and passed to LAPACK ?gtsv (Gaussian
-    elimination with partial pivoting).  An exactly singular matrix raises
+    elimination with partial pivoting).  With scratch=True, d and b are
+    not copied when ?gtsv can work in them: their contents are then lost,
+    and the solution may be b itself.  An exactly singular matrix raises
     numpy.linalg.LinAlgError.
     """
     gtsv = _gtsv(np.result_type(dl, d, du, b, np.float64))
-    _, _, _, x, info = gtsv(dl, d, du, b)
+    _, _, _, x, info = gtsv(dl, d, du, b, overwrite_d=scratch, overwrite_b=scratch)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
@@ -156,6 +164,19 @@ def march_half_bound(v, h, from_right):
     return eta, deta
 
 
+def _forced_block(beta):
+    """Rows lo:hi of the CN matrix whose diagonal the forcing changes.
+
+    The hull of beta's nonzeros, widened to at least two rows (?gtsv takes
+    no fewer); when beta is zero everywhere, two rows at the centre.
+    """
+    n = beta.shape[0]
+    nz = np.flatnonzero(beta)
+    lo, hi = (int(nz[0]), int(nz[-1]) + 1) if nz.size else (n // 2, n // 2)
+    lo = max(min(lo, hi - 2), 0)
+    return lo, max(hi, lo + 2)
+
+
 def cn_step_loop(off, diag_h, sigma, beta, eps, mu, dt, t0, nsteps, phi, *, record=None):
     """Advance the forced Schrodinger equation by nsteps Crank-Nicolson steps.
 
@@ -164,29 +185,75 @@ def cn_step_loop(off, diag_h, sigma, beta, eps, mu, dt, t0, nsteps, phi, *, reco
     The time-dependent factor is frozen at the step midpoint, keeping the
     scheme second order.  phi is updated in place; returns the final time.
 
+    Each step solves A phi_new = rhs with A = 1 + (i dt/2)(H - i sigma +
+    forcing), whose Hermitian part is >= 1, so every block below and its
+    Schur complement are nonsingular.  Between steps A changes only on the
+    diagonal of the forced block C = rows lo:hi (_forced_block); the outer
+    blocks L = rows :lo and R = rows hi: are fixed.  Once per call, L and R
+    are factored with LAPACK ?gttrf as one matrix that has the identity on
+    C's rows, the responses u of L and R to their couplings with C are
+    solved for, and the two fixed Schur corrections are folded into C's
+    corner diagonal entries.  Each step then solves L and R with ?gttrs,
+    moves their coupling into C's corner right-hand sides, solves the small
+    corrected system on C with _gtsv_solve, and corrects L and R by one
+    axpy each (phi_L = y_L - phi[lo] u_L, phi_R = y_R - phi[hi-1] u_R).
+    The result agrees with one full ?gtsv solve per step up to rounding,
+    not bitwise.  When beta reaches both grid ends there is no outer
+    block, and the step is one ?gtsv solve of the whole system.
+
     The operands are checked once per call (a NaN or inf raises
-    ValueError); the steps then reuse one set of buffers and solve through
-    _gtsv_solve.  If given, record(i, t) is called after step i
-    (i = 0 .. nsteps-1) with the time t it reached and phi holding the new
-    field; it may read phi, and an exception it raises ends the run.
+    ValueError); the steps then reuse one set of buffers.  If given,
+    record(i, t) is called after step i (i = 0 .. nsteps-1) with the time t
+    it reached and phi holding the new field; it may read phi, and an
+    exception it raises ends the run.
     """
     _require_finite(diag_h, sigma, beta, phi, (off, eps, mu, dt, t0))
     n = diag_h.shape[0]
     half = 0.5j * dt
+    hoff = half * off  # every off-diagonal entry of A
     base = diag_h - 1j * sigma
-    hdl = half * np.full(n - 1, off, dtype=np.complex128)
+    lo, hi = _forced_block(beta)
+    beta_c = beta[lo:hi]
+    hdl_c = np.full(hi - lo - 1, hoff, dtype=np.complex128)
+    # A's diagonal on C is one_c + half * diag, one_c being 1 less the
+    # Schur corrections at C's two corners
+    one_c = np.ones(hi - lo, dtype=np.complex128)
+    has_left, has_right = lo > 0, hi < n
+    outer = has_left or has_right
+    if outer:
+        # L and R as one matrix, decoupled from C by identity rows
+        odl = np.full(n - 1, hoff, dtype=np.complex128)
+        odl[max(lo - 1, 0) : hi] = 0.0
+        od = 1.0 + half * base
+        od[lo:hi] = 1.0
+        *lu, info = _gttrf(odl, od, odl)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        # u on L is A_L^-1 times L's column of couplings to C (hoff in
+        # its last row), on R likewise (hoff in R's first row)
+        u = np.zeros(n, dtype=np.complex128)
+        if has_left:
+            u[lo - 1] = hoff
+        if has_right:
+            u[hi] = hoff
+        u = _gttrs(*lu, u, overwrite_b=1)[0]
+        if has_left:
+            one_c[0] -= hoff * u[lo - 1]
+        if has_right:
+            one_c[-1] -= hoff * u[hi]
     # off * phi shifted down one node (lower[0] stays 0) and up one node
     # (upper[-1] stays 0): the off-diagonal part of H phi
     lower = np.zeros(n, dtype=np.complex128)
     upper = np.zeros(n, dtype=np.complex128)
-    forcing = np.empty(n)
-    diag = np.empty(n, dtype=np.complex128)
+    forcing = np.empty(hi - lo)
+    diag = base.copy()  # base + forcing; the forcing is 0 outside C
+    a_c = np.empty(hi - lo, dtype=np.complex128)
     rhs = np.empty(n, dtype=np.complex128)
     t = t0
     for i in range(nsteps):
         c = np.cos(mu * (t + 0.5 * dt))
-        np.multiply(eps * c, beta, out=forcing)
-        np.add(base, forcing, out=diag)
+        np.multiply(eps * c, beta_c, out=forcing)
+        np.add(base[lo:hi], forcing, out=diag[lo:hi])
         # rhs = phi - half * (H - i sigma + forcing) phi, with the
         # operations and operand order of that expression written out
         # with temporaries, so the buffers change no rounding
@@ -197,7 +264,24 @@ def cn_step_loop(off, diag_h, sigma, beta, eps, mu, dt, t0, nsteps, phi, *, reco
         np.add(rhs, upper, out=rhs)
         np.multiply(half, rhs, out=rhs)
         np.subtract(phi, rhs, out=rhs)
-        phi[:] = _gtsv_solve(hdl, 1.0 + half * diag, hdl, rhs)
+        np.multiply(half, diag[lo:hi], out=a_c)
+        np.add(one_c, a_c, out=a_c)
+        if outer:
+            y = _gttrs(*lu, rhs, overwrite_b=1)[0]  # y_L, y_R; C's rows kept
+            if has_left:
+                y[lo] -= hoff * y[lo - 1]
+            if has_right:
+                y[hi - 1] -= hoff * y[hi]
+        else:
+            y = rhs
+        x_c = _gtsv_solve(hdl_c, a_c, hdl_c, y[lo:hi], scratch=True)
+        phi[lo:hi] = x_c
+        if has_left:
+            np.multiply(x_c[0], u[:lo], out=phi[:lo])
+            np.subtract(y[:lo], phi[:lo], out=phi[:lo])
+        if has_right:
+            np.multiply(x_c[-1], u[hi:], out=phi[hi:])
+            np.subtract(y[hi:], phi[hi:], out=phi[hi:])
         t += dt
         if record is not None:
             record(i, t)

@@ -93,7 +93,8 @@ def propagate(
 
     V, beta and phi0 live on cfg.domain; the bound state used for the
     projection is re-solved on that grid.  The reported norm is restricted
-    to the interior (non-absorbing) region.  All steps run in one
+    to the interior, the nodes with x_min + width <= x <= x_max - width
+    between the two absorbing layers.  All steps run in one
     kernels.cn_step_loop call, whose record hook checks the field and
     stores the series after every step.  Raises SolverFailure on
     non-finite field values, phi0 included.
@@ -110,8 +111,15 @@ def propagate(
     diag_h = 2.0 / h**2 + V.values
     off = -1.0 / h**2
     w = grid.weights
-    interior = np.abs(grid.x) <= grid.x_max - cfg.absorber.width
-    w_interior = w[interior]
+    w_psi = (w * psi).astype(np.complex128)  # <psi, phi> = w_psi @ phi
+    # the nodes with x_min + width <= x <= x_max - width, as a slice
+    width = cfg.absorber.width
+    interior = slice(
+        np.searchsorted(grid.x, grid.x_min + width, side="left"),
+        np.searchsorted(grid.x, grid.x_max - width, side="right"),
+    )
+    # weights of Re phi and Im phi, interleaved as in phi's memory
+    w_interior = np.repeat(w[interior], 2)
 
     nsteps = int(np.ceil(cfg.t_final / cfg.dt_max))
     dt = cfg.t_final / nsteps
@@ -123,8 +131,9 @@ def propagate(
         if not np.isfinite(phi).all():
             raise SolverFailure(f"non-finite field at t={t:.4g}")
         times[i] = t
-        proj[i] = abs(w @ (psi * phi)) ** 2
-        norm[i] = float(np.sqrt(np.real(w_interior @ (np.abs(phi[interior]) ** 2))))
+        proj[i] = abs(w_psi @ phi) ** 2
+        re_im = phi[interior].view(np.float64)
+        norm[i] = float(np.sqrt(w_interior @ (re_im * re_im)))
 
     record(0, 0.0)
     kernels.cn_step_loop(

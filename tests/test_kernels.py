@@ -195,45 +195,104 @@ class TestCnStepLoop:
         phi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         return -1 / h**2, diag_h, sigma, beta, phi
 
+    EPS, MU, DT, T0 = 0.8, 2.0, 0.05, 0.3
+
+    def _plain_system(self, off, diag_h, sigma, beta, t, p):
+        """The step's CN matrix (dl = du, d) and right-hand side from p, as plain expressions."""
+        diag = (diag_h - 1j * sigma) + (self.EPS * np.cos(self.MU * (t + 0.5 * self.DT))) * beta
+        half = 0.5j * self.DT
+        rhs = p - half * (np.concatenate(([0.0], off * p[:-1]))
+                          + diag * p
+                          + np.concatenate((off * p[1:], [0.0])))
+        dl = half * np.full(len(p) - 1, off, dtype=np.complex128)
+        return dl, 1.0 + half * diag, rhs
+
+    def _single_steps_against_plain(self, off, diag_h, sigma, beta, phi0, nsteps=40):
+        """Run nsteps one-step calls; check each against the plain expression.
+
+        Each step must solve its own system to a residual of a few
+        roundings, and the field must stay within 1e-13 of the plain
+        trajectory, whose every step is one full kernels.trisolve.
+        Returns the field after each step and the final time.
+        """
+        eps = np.finfo(float).eps
+        phi, plain, t = phi0.copy(), phi0.copy(), self.T0
+        fields = []
+        for _ in range(nsteps):
+            dl, d, rhs = self._plain_system(off, diag_h, sigma, beta, t, phi)
+            t_next = kernels.cn_step_loop(
+                off, diag_h, sigma, beta, self.EPS, self.MU, self.DT, t, 1, phi
+            )
+            a_phi = d * phi
+            a_phi[1:] += dl * phi[:-1]
+            a_phi[:-1] += dl * phi[1:]
+            assert np.max(np.abs(a_phi - rhs)) <= 8 * eps * np.max(np.abs(rhs))
+            dl, d, rhs = self._plain_system(off, diag_h, sigma, beta, t, plain)
+            plain = kernels.trisolve(dl, d, dl, rhs)
+            assert np.max(np.abs(phi - plain)) <= 1e-13 * np.max(np.abs(plain))
+            fields.append(phi.copy())
+            t = t_next
+        return fields, t
+
     def test_one_call_equals_single_steps_and_plain_expression(self):
         off, diag_h, sigma, beta, phi0 = self._operands()
-        eps, mu, dt, t0, nsteps = 0.8, 2.0, 0.05, 0.3, 40
-
-        # the kernel's scheme written out as one plain expression per step
-        plain = [phi0.copy()]
-        t = t0
-        dl = np.full(len(phi0) - 1, off, dtype=np.complex128)
-        for _ in range(nsteps):
-            p = plain[-1]
-            diag = (diag_h - 1j * sigma) + (eps * np.cos(mu * (t + 0.5 * dt))) * beta
-            half = 0.5j * dt
-            rhs = p - half * (np.concatenate(([0.0], off * p[:-1]))
-                              + diag * p
-                              + np.concatenate((off * p[1:], [0.0])))
-            plain.append(kernels.trisolve(half * dl, 1.0 + half * diag, half * dl, rhs))
-            t += dt
-
-        single = phi0.copy()
-        t_single = t0
-        for k in range(nsteps):
-            t_single = kernels.cn_step_loop(
-                off, diag_h, sigma, beta, eps, mu, dt, t_single, 1, single
-            )
-            assert single.tobytes() == plain[k + 1].tobytes()
+        nsteps = 40
+        single, t_single = self._single_steps_against_plain(
+            off, diag_h, sigma, beta, phi0, nsteps
+        )
 
         phi = phi0.copy()
         seen = []
 
         def record(i, t):
             seen.append((i, t))
-            assert phi.tobytes() == plain[i + 1].tobytes()
+            assert phi.tobytes() == single[i].tobytes()
 
         t_end = kernels.cn_step_loop(
-            off, diag_h, sigma, beta, eps, mu, dt, t0, nsteps, phi, record=record
+            off, diag_h, sigma, beta, self.EPS, self.MU, self.DT, self.T0, nsteps, phi,
+            record=record,
         )
         assert [i for i, _ in seen] == list(range(nsteps))
-        assert t_end == t_single == seen[-1][1] == t
-        assert phi.tobytes() == single.tobytes()
+        assert t_end == t_single == seen[-1][1]
+        assert phi.tobytes() == single[-1].tobytes()
+
+    @pytest.mark.parametrize(
+        "forced",
+        [
+            lambda x: np.zeros_like(x),
+            lambda x: x <= -7.0,
+            lambda x: x >= 3.0,
+            lambda x: (np.abs(x) >= 1.0) & (np.abs(x) <= 3.0),
+            lambda x: x == x[60],
+        ],
+        ids=["nowhere", "left_end", "right_end", "gap_in_hull", "one_node"],
+    )
+    def test_any_forced_region_matches_plain_expression(self, forced):
+        # the forced block is the hull of beta's nonzeros, widened to two
+        # rows; the outer blocks around it may be empty
+        off, diag_h, sigma, _, phi0 = self._operands()
+        n, h = len(phi0), 0.1
+        x = h * (np.arange(n) - n // 2)
+        beta = forced(x).astype(float)
+        self._single_steps_against_plain(off, diag_h, sigma, beta, phi0)
+
+    def test_outer_blocks_are_factored_once_per_call(self, monkeypatch):
+        # a per-step refactorization would make the count grow with nsteps
+        calls = []
+        gttrf = kernels._gttrf
+
+        def counting_gttrf(*args, **kwargs):
+            calls.append(args)
+            return gttrf(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_gttrf", counting_gttrf)
+        counts = []
+        for nsteps in (1, 50):
+            calls.clear()
+            off, diag_h, sigma, beta, phi = self._operands()
+            kernels.cn_step_loop(off, diag_h, sigma, beta, 0.8, 2.0, 0.05, 0.0, nsteps, phi)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] >= 1
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("arg", [1, 2, 3, 9], ids=["diag_h", "sigma", "beta", "phi"])

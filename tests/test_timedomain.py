@@ -86,6 +86,25 @@ class TestPropagate:
         out = propagate(V, V, psi, cfg)
         assert out.norm[-1] == pytest.approx(out.norm[0], rel=1e-8)
 
+    def test_interior_norm_leaves_out_both_layers_of_an_off_centre_domain(self):
+        # on [-40, 80] with 15-wide layers the interior is -25 <= x <= 65;
+        # a start state inside the left layer has no interior norm
+        grid = make_grid(-40.0, 80.0, 1201)
+        W = sech_well(1.5, 1.5, 12.0, grid)
+        cfg = cfg_for(grid, t_final=0.1, absorber=Absorber(width=15.0, strength=1.0))
+        phi0 = np.where(grid.x < -26.0, 1.0 + 0.5j, 0.0)
+        out = propagate(W, W, phi0, cfg)
+        assert out.norm[0] == 0.0
+
+    def test_interior_norm_of_a_centred_domain(self, sim_grid, V):
+        cfg = cfg_for(sim_grid, t_final=0.1)
+        rng = np.random.default_rng(4)
+        phi0 = rng.standard_normal(sim_grid.n) + 1j * rng.standard_normal(sim_grid.n)
+        out = propagate(V, V, phi0, cfg)
+        interior = np.abs(sim_grid.x) <= sim_grid.x_max - cfg.absorber.width
+        expected = np.sqrt(sim_grid.weights[interior] @ np.abs(phi0[interior]) ** 2)
+        assert out.norm[0] == pytest.approx(expected, rel=1e-14)
+
     def test_norm_decreases_with_absorber_under_forcing(self, sim_grid, V):
         cfg = cfg_for(sim_grid, epsilon=0.5, t_final=30.0)
         psi = solve_ground_state(V).psi.astype(complex)
