@@ -4,6 +4,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +25,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid on [x_min, x_max] with n nodes."""
+    """Uniform grid on [x_min, x_max] with n nodes.
+
+    x and weights are built on first read and kept, read-only; equality
+    and hashing compare the three fields only.
+    """
 
     x_min: float
     x_max: float
@@ -34,19 +39,22 @@ class Grid:
     def h(self) -> float:
         return (self.x_max - self.x_min) / (self.n - 1)
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
         # centered generation: reproducible bit-exactly, and exactly
         # antisymmetric on symmetric domains (x[j] == -x[n-1-j]), which the
         # reflection-symmetry machinery downstream relies on
         center = 0.5 * (self.x_min + self.x_max)
-        return center + self.h * (np.arange(self.n) - (self.n - 1) / 2.0)
+        x = center + self.h * (np.arange(self.n) - (self.n - 1) / 2.0)
+        x.setflags(write=False)
+        return x
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
         """Trapezoidal quadrature weights."""
         w = np.full(self.n, self.h)
         w[0] = w[-1] = 0.5 * self.h
+        w.setflags(write=False)
         return w
 
 

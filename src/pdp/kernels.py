@@ -3,10 +3,14 @@
 ``BACKEND`` names the implementation and is recorded with benchmark runs.
 
 _lowest_eigenpair gives the ground state of a symmetric tridiagonal
-matrix and the number of its negative eigenvalues from one LAPACK
-bisection.  march_half_bound writes the zero-energy trapezoid march as
-one lower-banded triangular system and solves it with one BLAS ?tbsv
-call.  A tridiagonal solve with a matrix of its own ends in _gtsv_solve,
+matrix and the number of its negative eigenvalues.  A coarse LAPACK
+bisection counts the negative eigenvalues and isolates the lowest one;
+only when the next eigenvalue is too close for that does it bisect again
+to full precision.  Inverse iteration at the coarse shift (?stein) and
+one Rayleigh-quotient step (one ?gtsv solve) then give the eigenvector
+and the eigenvalue to rounding.  march_half_bound writes the zero-energy
+trapezoid march as one lower-banded triangular system and solves it with
+one BLAS ?tbsv call.  A tridiagonal solve with a matrix of its own ends in _gtsv_solve,
 a thin LAPACK ?gtsv call that assumes finite input; trisolve is the
 public entry point that checks it.  The solvers in pdp.spectral check
 the potential and their forcing once per solve with _require_finite and
@@ -83,38 +87,87 @@ def trisolve(dl, d, du, b):
     return _gtsv_solve(dl, d, du, b)
 
 
+# absolute tolerance of the bisection that isolates the lowest eigenvalue:
+# on a design matrix it stops after about 8 Sturm sweeps instead of 39.
+# The count is exact at any tolerance, and the shift it gives ?stein is at
+# most half a tolerance from lambda_1
+_SHIFT_TOL = 1e-2
+# the lowest eigenvalue counts as isolated when the next one up (or 0, above
+# which nothing is bisected) is at least this many tolerances away.  The
+# shift is then 15 times nearer lambda_1 than any other eigenvalue, and
+# after ?stein and the Rayleigh-quotient step lam is exact to rounding and
+# v within 2e-11 of the dense eigenvector at that bound (double wells with
+# the shift half a tolerance off: 1e-14 at 16 tolerances, 5e-9 at 4)
+_ISOLATION = 8
+
+
+def _rayleigh_quotient(d, e, v):
+    """v^T T v for the symmetric tridiagonal T with diagonals d, e.
+
+    T v is formed row by row first: its rows cancel to about (lam - d) v
+    for an eigenvector, where d @ v^2 and the off-diagonal sum would each
+    be of the size of T and cancel only in the total.
+    """
+    tv = d * v
+    tv[:-1] += e * v[1:]
+    tv[1:] += e * v[:-1]
+    return float(v @ tv)
+
+
 def _lowest_eigenpair(d, e):
     """Lowest eigenpair of a symmetric tridiagonal matrix, if it is negative.
 
     d is the diagonal (length n), e the off-diagonal (length n-1).  Returns
     (count, lam, v): count is the number of eigenvalues strictly below 0,
     lam the lowest eigenvalue and v its unit eigenvector; lam and v are
-    None when count is 0.  LAPACK ?stebz bisects every eigenvalue in
-    (lo, 0], lo below the Gershgorin bound, so an eigenvalue of exactly 0
-    is returned but not counted; ?stein then computes the eigenvector of
-    the lowest one only.  A NaN or inf raises ValueError, a bisection or
-    inverse iteration that fails to converge numpy.linalg.LinAlgError.
+    None when count is 0.
+
+    LAPACK ?stebz bisects every eigenvalue in (lo, 0], lo below the
+    Gershgorin bound, to the absolute tolerance _SHIFT_TOL.  The number it
+    finds comes from Sturm counts and is exact; an eigenvalue of exactly 0
+    is returned but not counted.  When the second lowest eigenvalue (or 0,
+    if there is none) lies within _ISOLATION tolerances of the lowest, the
+    same call is repeated at full precision (abstol 0), so that the shift
+    below picks out lambda_1 alone.  ?stein computes the eigenvector at the
+    shift.  One Rayleigh-quotient step polishes it: with rho the Rayleigh
+    quotient of ?stein's vector, v solves (T - rho) v = (?stein's vector)
+    by one real ?gtsv and is normalized, and lam is the Rayleigh quotient
+    of v.  If T - rho is exactly singular, rho is an eigenvalue and
+    ?stein's vector and rho are returned.  A NaN or inf raises ValueError,
+    a bisection or inverse iteration that fails to converge
+    numpy.linalg.LinAlgError.
     """
     _require_finite(d, e)
     # ?stebz narrows (lo, 0] to its own Gershgorin interval, so any lo
     # below that gives the same bisection
     lo = float(np.min(d)) - 2.0 * float(np.max(np.abs(e), initial=0.0))
     lo -= 1.0 + abs(lo)
-    m, w, iblock, isplit, info = _stebz(d, e, 1, lo, 0.0, 0, 0, 0.0, "B")
-    if info != 0:
-        raise np.linalg.LinAlgError(f"?stebz failed with info={info}")
-    w = w[:m]
-    count = int(np.count_nonzero(w < 0.0))
-    if count == 0:
-        return 0, None, None
+    for abstol in (_SHIFT_TOL, 0.0):
+        m, w, iblock, isplit, info = _stebz(d, e, 1, lo, 0.0, 0, 0, abstol, "B")
+        if info != 0:
+            raise np.linalg.LinAlgError(f"?stebz failed with info={info}")
+        w = w[:m]
+        count = int(np.count_nonzero(w < 0.0))
+        if count == 0:
+            return 0, None, None
+        i = int(np.argmin(w))
+        above = float(np.partition(w, 1)[1]) if m > 1 else 0.0
+        if above - w[i] >= _ISOLATION * _SHIFT_TOL:
+            break
     # order "B" sorts w within each split-off block; ?stein reads the
     # block of its i-th eigenvalue from iblock[i]
-    i = int(np.argmin(w))
     iblock[0] = iblock[i]
     z, info = _stein(d, e, w[i : i + 1], iblock, isplit)
     if info != 0:
         raise np.linalg.LinAlgError(f"?stein failed with info={info}")
-    return count, float(w[i]), z[:, 0]
+    z = z[:, 0]
+    rho = _rayleigh_quotient(d, e, z)
+    try:
+        v = _gtsv_solve(e, d - rho, e, z)
+    except np.linalg.LinAlgError:  # rho is an eigenvalue of T exactly
+        return count, rho, z
+    v /= np.sqrt(v @ v)
+    return count, _rayleigh_quotient(d, e, v), v
 
 
 def march_half_bound(v, h, from_right):

@@ -23,7 +23,7 @@ import numpy as np
 from . import fgr
 from .errors import InfeasiblePoint, InfeasibleStart, PdpError
 from .grid import DesignParams, PotentialField, h1_gradient, h1_norm_sq
-from .spectral import ScatteringState, wronskian_at_zero
+from .spectral import BoundState, ScatteringState, wronskian_at_zero
 
 __all__ = [
     "BarrierEval",
@@ -126,9 +126,10 @@ class OptOptions:
 class OptResult:
     """Final potential and its evaluation.
 
-    result.scattering is a fresh ScatteringState of V_opt: its waves and
-    coefficients are computed again when first read, so a kept result
-    holds no grid-length wave.
+    result.bound_state and result.scattering are a fresh BoundState and
+    ScatteringState of V_opt: psi, lam, the waves and the coefficients are
+    computed again when first read, to the same bits, so a kept result
+    holds no grid-length array but V_opt and the trace.
     """
 
     V_opt: PotentialField
@@ -349,13 +350,15 @@ def optimize(
         if budget_hit:
             stage_status = "iteration budget exhausted"
             break
-    # a kept result holds no waves (a sweep keeps one result per value); a
-    # reader of t or e+- gets them recomputed, to the same bits
+    # a kept result holds no psi and no waves (a sweep keeps one result per
+    # value); a reader of psi, t or e+- gets them recomputed, to the same bits
     res = cur.result
     return OptResult(
         V_opt=V,
         trace=trace,
-        result=replace(res, scattering=ScatteringState(res.k_res, V)),
+        result=replace(
+            res, bound_state=BoundState(V), scattering=ScatteringState(res.k_res, V)
+        ),
         margins=cur.margins,
         iterations=it,
         converged=not budget_hit,

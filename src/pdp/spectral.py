@@ -31,7 +31,7 @@ from scipy.linalg import get_blas_funcs
 
 from . import kernels
 from .errors import NoBoundState, SolverFailure
-from .grid import Grid, PotentialField, trapz
+from .grid import Grid, PotentialField
 from .kernels import _gtsv_solve, _require_finite
 
 _tbsv = get_blas_funcs(("tbsv",), dtype=np.complex128)[0]
@@ -51,11 +51,48 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundState:
-    """Normalized ground-state eigenpair of H_V with Dirichlet rows."""
+    """Normalized ground-state eigenpair of H_V with Dirichlet rows.
 
-    lam: float
-    psi: np.ndarray
-    count_negative_eigenvalues: int
+    A state holds only V.  lam, psi and count_negative_eigenvalues come
+    from one eigensolve on first read (see solve_ground_state, which reads
+    them at once) and are kept; every state of the same V gives the same
+    bits, and a V without a negative eigenvalue raises NoBoundState at the
+    read.  So a state that is never read (as in an optimizer result) holds
+    no grid-length array.
+    """
+
+    V: PotentialField
+
+    @cached_property
+    def _eigenpair(self) -> tuple[float, np.ndarray, int]:
+        V = self.V
+        h = V.grid.h
+        d = 2.0 / h**2 + V.values[1:-1]
+        e = np.full(V.grid.n - 3, -1.0 / h**2)
+        count, lam, v = kernels._lowest_eigenpair(d, e)
+        if count == 0:
+            raise NoBoundState("H_V has no negative eigenvalue on this grid")
+        # psi is 0 on the two end nodes, the only ones whose trapezoid
+        # weight is not h, so its trapezoid norm is sqrt(h v.v); the sign
+        # puts the peak positive
+        scale = 1.0 / math.sqrt(h * (v @ v))
+        if v[np.argmax(np.abs(v))] < 0:
+            scale = -scale
+        psi = np.zeros(V.grid.n)
+        np.multiply(v, scale, out=psi[1:-1])
+        return lam, psi, count
+
+    @property
+    def lam(self) -> float:
+        return self._eigenpair[0]
+
+    @property
+    def psi(self) -> np.ndarray:
+        return self._eigenpair[1]
+
+    @property
+    def count_negative_eigenvalues(self) -> int:
+        return self._eigenpair[2]
 
 
 @dataclass(frozen=True)
@@ -132,23 +169,17 @@ def solve_ground_state(V: PotentialField) -> BoundState:
     The eigenvector is normalized to unit L^2 norm under trapezoid
     quadrature and signed so that its peak is positive.  The eigenpair and
     the number of eigenvalues strictly below 0 (for the one-bound-state
-    check) come from one LAPACK bisection of the interior rows over the
-    negative half-line (kernels._lowest_eigenpair); an eigenvalue of
-    exactly 0 is not counted.
+    check) come from kernels._lowest_eigenpair on the interior rows: a
+    coarse LAPACK bisection of the negative half-line counts the
+    eigenvalues and isolates the lowest (bisecting again to full precision
+    only when the next one is too close), inverse iteration at that shift
+    gives the eigenvector, and one Rayleigh-quotient step brings both to
+    rounding.  An eigenvalue of exactly 0 is not counted.  The solve runs
+    here, not on first read: NoBoundState is raised by this call.
     """
-    h = V.grid.h
-    d = 2.0 / h**2 + V.values[1:-1]
-    e = np.full(V.grid.n - 3, -1.0 / h**2)
-    count, lam, v = kernels._lowest_eigenpair(d, e)
-    if count == 0:
-        raise NoBoundState("H_V has no negative eigenvalue on this grid")
-    psi = np.zeros(V.grid.n)
-    psi[1:-1] = v
-    nrm = np.sqrt(trapz(V.grid, psi * psi))
-    psi /= nrm
-    if psi[np.argmax(np.abs(psi))] < 0:
-        psi = -psi
-    return BoundState(lam=lam, psi=psi, count_negative_eigenvalues=count)
+    bs = BoundState(V)
+    bs._eigenpair
+    return bs
 
 
 def lattice_wavenumber(k: float, h: float) -> float:

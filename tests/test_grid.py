@@ -31,6 +31,24 @@ class TestGrid:
         g = make_grid(-20, 20, 2001)
         assert np.array_equal(g.x, -g.x[::-1])
 
+    def test_nodes_and_weights_are_built_once_read_only(self):
+        g = make_grid(-3.0, 5.0, 101)
+        center = 0.5 * (g.x_min + g.x_max)
+        formula = center + g.h * (np.arange(g.n) - (g.n - 1) / 2.0)
+        assert g.x.tobytes() == formula.tobytes()
+        assert g.x is g.x and g.weights is g.weights
+        w = np.full(g.n, g.h)
+        w[0] = w[-1] = 0.5 * g.h
+        assert g.weights.tobytes() == w.tobytes()
+        for a in (g.x, g.weights):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        # the kept arrays take no part in equality or hashing
+        fresh = make_grid(-3.0, 5.0, 101)
+        assert fresh == g and hash(fresh) == hash(g)
+        assert {g: 1}[fresh] == 1
+
     def test_trapz_constant(self):
         g = make_grid(-3.0, 5.0, 101)
         assert trapz(g, np.ones(g.n)) == pytest.approx(8.0)

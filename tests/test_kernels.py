@@ -3,7 +3,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 import oracles
 from pdp import kernels
@@ -20,6 +20,12 @@ def _random_tridiag(rng, n, complex_=True):
         e = rng.standard_normal(n - 1)
         b = rng.standard_normal(n)
     return e.copy(), d, e.copy(), b
+
+
+def _dirichlet_matrix(x, v):
+    """Diagonals of H_V on the interior nodes of the uniform nodes x."""
+    h = x[1] - x[0]
+    return 2.0 / h**2 + v[1:-1], np.full(x.size - 3, -1.0 / h**2)
 
 
 def _banded_oracle(dl, d, du, b):
@@ -125,6 +131,79 @@ class TestLowestEigenpair:
         d = np.array([1.0, bad, -1.0])
         with pytest.raises(ValueError):
             kernels._lowest_eigenpair(d, np.ones(2))
+
+    @staticmethod
+    def _bisection_tols(monkeypatch):
+        """The abstol of every kernels._stebz call made from now on."""
+        tols = []
+        stebz = kernels._stebz
+
+        def recorded(*args):
+            tols.append(args[7])
+            return stebz(*args)
+
+        monkeypatch.setattr(kernels, "_stebz", recorded)
+        return tols
+
+    def test_close_pair_is_bisected_again(self, monkeypatch):
+        # a symmetric double well whose two bound states are split by 1.3e-3,
+        # less than the coarse tolerance: the coarse shift cannot tell them
+        # apart, so the isolation rule bisects again at full precision
+        x = np.linspace(-20.0, 20.0, 801)
+        d, e = _dirichlet_matrix(x, np.where(np.abs(np.abs(x) - 4.0) < 1.0, -2.0, 0.0))
+        w, z = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        assert 0.0 < w[1] - w[0] < kernels._SHIFT_TOL and w[1] < 0.0
+        tols = self._bisection_tols(monkeypatch)
+        count, lam, v = kernels._lowest_eigenpair(d, e)
+        assert tols == [kernels._SHIFT_TOL, 0.0]
+        assert count == 2
+        assert abs(lam - w[0]) <= 1e-12 * max(1.0, abs(w[0]))
+        # the small split conditions the eigenvector: eps ||T|| / split is
+        # about 3e-10, for eigh's vector as much as for this one
+        z0 = z[:, 0]
+        assert np.max(np.abs(np.sign(v @ z0) * v - z0)) <= 1e-10
+
+    def test_shallow_well_near_zero(self, monkeypatch):
+        # lambda_1 within the coarse tolerance of 0: the eigenvalues above 0
+        # are not bisected, so 0 bounds the gap and the lowest is bisected
+        # again; the count stays exact
+        x = np.linspace(-60.0, 60.0, 601)
+        d, e = _dirichlet_matrix(x, np.where(np.abs(x) <= 1.0, -0.08, 0.0))
+        w, z = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        assert -kernels._SHIFT_TOL < w[0] < 0.0 < w[1]
+        tols = self._bisection_tols(monkeypatch)
+        count, lam, v = kernels._lowest_eigenpair(d, e)
+        assert tols == [kernels._SHIFT_TOL, 0.0]
+        assert count == 1
+        assert abs(lam - w[0]) <= 1e-12
+        z0 = z[:, 0]
+        assert np.max(np.abs(np.sign(v @ z0) * v - z0)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2001, 3001])
+    def test_sech_start_to_rounding(self, n):
+        # the reference is LAPACK's MRRR (?stemr), which neither bisects
+        # nor runs inverse iteration.  Dense eigvalsh is no sharper
+        # reference at these sizes: it is 5e-12 off the lowest eigenvalue
+        # (against a long-double Sturm bisection), and eigh takes seconds
+        grid = make_grid(-20.0, 20.0, n)
+        d, e = _dirichlet_matrix(grid.x, sech_well(1.5, 1.5, 12.0, grid).values)
+        ref_lam, ref_v = eigh_tridiagonal(
+            d, e, select="i", select_range=(0, 0), lapack_driver="stemr"
+        )
+        count, lam, v = kernels._lowest_eigenpair(d, e)
+        assert count == 1
+        assert abs(lam - ref_lam[0]) <= 1e-12 * max(1.0, abs(ref_lam[0]))
+        z0 = ref_v[:, 0]
+        assert np.max(np.abs(np.sign(v @ z0) * v - z0)) <= 1e-12
+
+    def test_isolated_ground_state_is_bisected_once(self, monkeypatch):
+        # the design matrix of the sech start has one bound state, far from
+        # 0: one coarse bisection isolates it
+        grid = make_grid(-20.0, 20.0, 2001)
+        d, e = _dirichlet_matrix(grid.x, sech_well(1.5, 1.5, 12.0, grid).values)
+        tols = self._bisection_tols(monkeypatch)
+        assert kernels._lowest_eigenpair(d, e)[0] == 1
+        assert len(tols) == 1 and tols[0] > 0.0
 
 
 class TestMarchHalfBound:

@@ -14,7 +14,7 @@ from pdp.optimizer import (
     lbfgs_direction,
     optimize,
 )
-from pdp.spectral import distorted_plane_waves
+from pdp.spectral import distorted_plane_waves, solve_ground_state
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +191,20 @@ class TestOptimize:
         assert out.iterations == 0
         assert out.status == "gamma negligible against tau"
         assert len(calls) == 1
+
+    def test_result_keeps_no_psi(self, grid, V, params):
+        # the result's ground state holds only V_opt; psi, lam and the
+        # count are solved again, to the same bits, when first read
+        out = optimize(V, params, OptOptions(max_iters=5, tau_start=1e-2, tau_min=1e-2))
+        bs = out.result.bound_state
+        assert not [
+            name for name, val in vars(bs).items()
+            if isinstance(val, np.ndarray) and val.size >= grid.n
+        ]
+        fresh = solve_ground_state(out.V_opt)
+        assert bs.psi.tobytes() == fresh.psi.tobytes()
+        assert bs.lam == fresh.lam
+        assert bs.count_negative_eigenvalues == fresh.count_negative_eigenvalues == 1
 
     def test_result_keeps_no_waves(self, grid, V, params):
         # a kept result holds only scalars, V_opt and the ground state; its

@@ -119,6 +119,18 @@ class TestPropagate:
         with pytest.raises(SolverFailure):
             propagate(V, V, phi0, cfg)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf])
+    @pytest.mark.parametrize("end", [0, -1], ids=["left", "right"])
+    def test_non_finite_end_node_is_solver_failure(self, sim_grid, V, bad, end):
+        # psi is exactly 0 on the Dirichlet end nodes, so w psi carries no
+        # weight there; 0 * NaN = 0 * inf = NaN still spoils the projection
+        cfg = cfg_for(sim_grid, t_final=0.1)
+        phi0 = solve_ground_state(V).psi.astype(complex)
+        assert phi0[end] == 0.0
+        phi0[end] = bad
+        with pytest.raises(SolverFailure):
+            propagate(V, V, phi0, cfg)
+
     def test_grid_mismatch_rejected(self, sim_grid, V):
         other = make_grid(-20, 20, 1001)
         W = sech_well(1.5, 1.5, 12.0, other)
