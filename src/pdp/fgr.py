@@ -17,6 +17,8 @@ multiply by the quadrature weights.
 """
 from __future__ import annotations
 
+import cmath
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -29,9 +31,9 @@ from .spectral import (
     ScatteringState,
     WronskianResult,
     distorted_plane_waves,
+    lattice_wavenumber,
     outgoing_resolvent_solve,
     reduced_resolvent_at_eigenvalue,
-    scattering_k_derivative,
     solve_ground_state,
     wronskian_at_zero,
 )
@@ -99,8 +101,10 @@ def gamma(V: PotentialField, params: DesignParams) -> FgrResult:
     """Gamma[V] via the distorted-plane-wave form.
 
     Raises ResonanceBelowCutoff when lambda_V + mu <= 0 (no continuum
-    channel at the forcing frequency) and NoBoundState when H_V has no
-    negative eigenvalue.
+    channel at the forcing frequency), NoBoundState when H_V has no
+    negative eigenvalue, and SolverFailure when k h / 2 >= 1 (the
+    resonance lies above the lattice's highest wavenumber, so the grid
+    cannot carry the outgoing wave).
     """
     key = V.content_hash() + f"|{params.mu!r}|{params.beta_mode.value}"
     if params.beta_mode is BetaMode.FIXED:
@@ -116,6 +120,11 @@ def gamma(V: PotentialField, params: DesignParams) -> FgrResult:
             f"lambda + mu = {ksq:.6g} <= 0: forced state below the continuum"
         )
     k = float(np.sqrt(ksq))
+    if 0.5 * k * V.grid.h >= 1.0:
+        raise SolverFailure(
+            f"resonance k = {k:.6g} is above the lattice cutoff 2/h = "
+            f"{2.0 / V.grid.h:.6g} (h = {V.grid.h:.6g}): refine the grid"
+        )
     st = distorted_plane_waves(V, k)
     src = params.beta_values(V) * bs.psi
     m_p = complex(trapz(V.grid, src * st.e_plus))
@@ -186,6 +195,38 @@ def wronskian_gradient(
     return _masked(V, wr.eta_plus * wr.eta_minus)
 
 
+def _wave_k_pairings(
+    V: PotentialField, st: ScatteringState, src: np.ndarray, rbp: np.ndarray
+) -> tuple[complex, complex]:
+    """c_+- = trapz(src de_+-/dk) at fixed V, from rbp = R(k)[src].
+
+    With w = e^{+-iqx}, e = w - phi and A phi = V w (A = H_V - k^2 with
+    outgoing rows, see spectral._outgoing_system), differentiating the
+    assembled system gives de/dk = dw - A^-1 r with r = V dw - (dA/dk) phi;
+    dA/dk is -2k on the diagonal plus g = -i q' e^{iqh}/h on the two end
+    rows (the k-dependence of the ghost factor), and q' = dq/dk.  The
+    solve A^-1 r is not needed: src = beta psi is 0 on the two end nodes,
+    the only ones whose trapezoid weight is not h, so trapz(src u) =
+    h src^T u exactly; and A = A^T, so src^T A^-1 r = (A^-1 src)^T r =
+    rbp^T r (reverse mode, Griewank & Walther, Evaluating Derivatives 2e
+    (2008), ch. 3).  Hence
+
+        c = h ((src - V rbp)^T dw - 2k rbp^T phi + g (rbp phi)_{ends}).
+    """
+    grid = V.grid
+    h, k = grid.h, st.k
+    qp = 1.0 / math.sqrt(1.0 - (0.5 * k * h) ** 2)
+    ghost = -1j * qp * cmath.exp(1j * lattice_wavenumber(k, h) * h) / h
+    # dw_+- = +-i q' x w_+-, and w_- is the conjugate of w_+
+    ax = (src - V.values * rbp) * grid.x
+    out = []
+    for sign, w, e in ((1j, st.wave, st.e_plus), (-1j, np.conj(st.wave), st.e_minus)):
+        phi = w - e
+        ends = rbp[0] * phi[0] + rbp[-1] * phi[-1]
+        out.append(h * (sign * qp * (ax @ w) - 2.0 * k * (rbp @ phi) + ghost * ends))
+    return complex(out[0]), complex(out[1])
+
+
 def gamma_gradient(
     V: PotentialField, params: DesignParams, res: FgrResult | None = None
 ) -> GradientField:
@@ -196,10 +237,19 @@ def gamma_gradient(
     the scattering waves through the outgoing resolvent at k, the shift of
     the resonant wavenumber (prefactor and wave dephasing), and - when the
     forcing profile is the potential itself - the direct beta = V term.
+
+    Gamma and its gradient together make two complex solves: the
+    two-column solve for e_+- in gamma, and here one outgoing solve
+    rbp = R(k)[beta psi], plus one real reduced-resolvent solve.  rbp
+    serves both the explicit wave term and the k-derivative of the waves:
+    A = H_V - k^2 with outgoing rows is complex symmetric, so the pairings
+    of beta psi with de_+-/dk follow from rbp by dot products (the adjoint
+    identity, see _wave_k_pairings).  Its weight h is exact, not a
+    quadrature approximation, because psi is 0 on the two end nodes, the
+    only nodes whose trapezoid weight is not h.
     """
     if res is None:
         res = gamma(V, params)
-    grid = V.grid
     bs, st = res.bound_state, res.scattering
     psi, k = bs.psi, res.k_res
     beta = params.beta_values(V)
@@ -220,9 +270,7 @@ def gamma_gradient(
     )
 
     # k shift: prefactor 1/16k and the k-dependence of the waves
-    a_p, a_m = scattering_k_derivative(V, st)
-    c_p = complex(trapz(grid, src * a_p))
-    c_m = complex(trapz(grid, src * a_m))
+    c_p, c_m = _wave_k_pairings(V, st, src, rbp)
     dk_coef = pref * np.real(np.conj(res.m_plus) * c_p + np.conj(res.m_minus) * c_m)
     dk_coef -= res.gamma / k
     g_k = dk_coef * psi * psi / (2.0 * k)

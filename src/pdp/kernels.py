@@ -122,10 +122,10 @@ def _lowest_eigenpair(d, e):
     lam the lowest eigenvalue and v its unit eigenvector; lam and v are
     None when count is 0.
 
-    LAPACK ?stebz bisects every eigenvalue in (lo, 0], lo below the
-    Gershgorin bound, to the absolute tolerance _SHIFT_TOL.  The number it
-    finds comes from Sturm counts and is exact; an eigenvalue of exactly 0
-    is returned but not counted.  When the second lowest eigenvalue (or 0,
+    LAPACK ?stebz bisects every eigenvalue in (-inf, 0], which it clips
+    to the Gershgorin interval of each split-off block, to the absolute
+    tolerance _SHIFT_TOL.  The number it finds comes from Sturm counts and
+    is exact; an eigenvalue of exactly 0 is returned but not counted.  When the second lowest eigenvalue (or 0,
     if there is none) lies within _ISOLATION tolerances of the lowest, the
     same call is repeated at full precision (abstol 0), so that the shift
     below picks out lambda_1 alone.  ?stein computes the eigenvector at the
@@ -138,12 +138,9 @@ def _lowest_eigenpair(d, e):
     numpy.linalg.LinAlgError.
     """
     _require_finite(d, e)
-    # ?stebz narrows (lo, 0] to its own Gershgorin interval, so any lo
-    # below that gives the same bisection
-    lo = float(np.min(d)) - 2.0 * float(np.max(np.abs(e), initial=0.0))
-    lo -= 1.0 + abs(lo)
     for abstol in (_SHIFT_TOL, 0.0):
-        m, w, iblock, isplit, info = _stebz(d, e, 1, lo, 0.0, 0, 0, abstol, "B")
+        # ?stebz clips (-inf, 0] to the Gershgorin interval of each block
+        m, w, iblock, isplit, info = _stebz(d, e, 1, -np.inf, 0.0, 0, 0, abstol, "B")
         if info != 0:
             raise np.linalg.LinAlgError(f"?stebz failed with info={info}")
         w = w[:m]

@@ -7,7 +7,13 @@ Wronskian of the half-bound states.
 
 All boundary conditions are imposed through ghost-node elimination of a
 centered first-derivative condition, which keeps every system tridiagonal
-and the whole scheme O(h^2).
+and the whole scheme O(h^2).  The outgoing matrix H_V - k^2 is complex
+symmetric (not Hermitian), so the transpose of its solve is the same
+solve; gamma_gradient relies on that for the k-derivative of e_+-.
+
+The distorted plane waves e_+- take one complex exponential, e^{iqx}
+(e^{-iqx} is its conjugate), and one outgoing solve whose two columns are
+the forcings V e^{+-iqx}.
 
 t(k) and r(k) are not read off the outgoing solves: a recurrence over the
 rows where V != 0 marches the transmitted wave from the right-hand side of
@@ -45,7 +51,6 @@ __all__ = [
     "reduced_resolvent_at_eigenvalue",
     "distorted_plane_waves",
     "transmission",
-    "scattering_k_derivative",
     "wronskian_at_zero",
 ]
 
@@ -100,32 +105,44 @@ class ScatteringState:
     """Distorted plane waves e_{V+-}(x,k) and the scattering coefficients.
 
     A state holds only k and V and computes nothing when it is built.
-    e_plus and e_minus are computed on first read, each from one outgoing
-    solve (see distorted_plane_waves), and t and r on first read, both
-    from one support recurrence of V at k (see _support_recurrence).  A
-    value is kept once read, and every state of the same (k, V) gives the
-    same bits; a solve or recurrence failure raises SolverFailure at the
-    read.  So a state whose waves are never read (as in an optimizer
-    result) holds no grid-length array.
+    e_plus and e_minus are computed together on first read: one complex
+    exponential gives the lattice wave e^{iqx} (kept as wave, since the
+    k-derivative in gamma_gradient reads it too), and one outgoing solve
+    with the two-column forcing [V e^{iqx}, V e^{-iqx}] gives both
+    scattered parts (see distorted_plane_waves).  t and r are computed on
+    first read, both from one support recurrence of V at k (see
+    _support_recurrence).  A value is kept once read, and every state of
+    the same (k, V) gives the same bits; a solve or recurrence failure
+    raises SolverFailure at the read.  So a state whose waves are never
+    read (as in an optimizer result) holds no grid-length array.
     """
 
     k: float
     V: PotentialField
 
-    def _wave(self, phase: complex) -> np.ndarray:
-        """e^{phase q x} - R(k)[V e^{phase q x}], phase = +-1j."""
+    @cached_property
+    def wave(self) -> np.ndarray:
+        """The free lattice wave e^{iqx} at the nodes (e^{-iqx} is its conjugate)."""
         q = lattice_wavenumber(self.k, self.V.grid.h)
-        wave = np.exp(phase * q * self.V.grid.x)
-        vk = np.asarray(self.V.values)
-        return wave - outgoing_resolvent_solve(self.V, self.k, vk * wave)
+        return np.exp(1j * q * self.V.grid.x)
 
     @cached_property
+    def _waves(self) -> tuple[np.ndarray, np.ndarray]:
+        # V is real, so V e^{-iqx} is the conjugate of V e^{iqx}
+        wave = self.wave
+        f = np.empty((self.V.grid.n, 2), dtype=np.complex128, order="F")
+        np.multiply(self.V.values, wave, out=f[:, 0])
+        np.conjugate(f[:, 0], out=f[:, 1])
+        phi = outgoing_resolvent_solve(self.V, self.k, f)
+        return wave - phi[:, 0], np.conj(wave) - phi[:, 1]
+
+    @property
     def e_plus(self) -> np.ndarray:
-        return self._wave(1j)
+        return self._waves[0]
 
-    @cached_property
+    @property
     def e_minus(self) -> np.ndarray:
-        return self._wave(-1j)
+        return self._waves[1]
 
     @cached_property
     def _coefficients(self) -> tuple[complex, complex]:
@@ -215,7 +232,12 @@ def _outgoing_system(V: PotentialField, k: float):
 
 
 def outgoing_resolvent_solve(V: PotentialField, k: float, f: np.ndarray) -> np.ndarray:
-    """Solve (H_V - k^2) u = f with outgoing radiation rows, k real > 0."""
+    """Solve (H_V - k^2) u = f with outgoing radiation rows, k real > 0.
+
+    f is one forcing of length n or m of them as the columns of an (n, m)
+    array; u has f's shape.  All columns are solved with one LAPACK ?gtsv
+    call, and each column of u has the bits of a one-column solve.
+    """
     if not k > 0:
         raise ValueError("outgoing solves require real k > 0")
     f = np.asarray(f, dtype=np.complex128)
@@ -387,56 +409,16 @@ def transmission(V: PotentialField, k):
 def distorted_plane_waves(V: PotentialField, k: float) -> ScatteringState:
     """Distorted plane waves at wavenumber k, with t and r.
 
-    phi_+- solves (H_V - k^2) phi = V e^{+-ikx} with outgoing rows and
-    e_+- = e^{+-ikx} - phi_+-; both are computed here.  t and r come from
-    the support recurrence that transmission uses, not from the exterior
-    of e_+, whose transmitted tail is a difference of nearly equal
-    numbers; it runs when t or r is first read.
+    phi_+- solves (H_V - k^2) phi = V e^{+-iqx} with outgoing rows and
+    e_+- = e^{+-iqx} - phi_+-; both are computed here, from one
+    exponential and one outgoing solve with two right-hand sides.  t and r
+    come from the support recurrence that transmission uses, not from the
+    exterior of e_+, whose transmitted tail is a difference of nearly
+    equal numbers; it runs when t or r is first read.
     """
     st = ScatteringState(k=float(k), V=V)
     st.e_plus, st.e_minus  # computed now and kept by the state
     return st
-
-
-def scattering_k_derivative(
-    V: PotentialField, st: ScatteringState
-) -> tuple[np.ndarray, np.ndarray]:
-    """d e_{V+-}/dk at fixed V, by differentiating the discrete system.
-
-    Both the forcing phases and the radiation rows depend on k through the
-    lattice wavenumber q(k); differentiating the assembled tridiagonal
-    system (rather than discretizing a continuum formula) keeps the result
-    consistent with distorted_plane_waves to rounding.
-    """
-    grid = V.grid
-    h = grid.h
-    x = grid.x
-    k = st.k
-    q = lattice_wavenumber(k, h)
-    qp = 1.0 / np.sqrt(1.0 - (0.5 * k * h) ** 2)  # dq/dk
-    wave_p = np.exp(1j * q * x)
-    wave_m = np.conj(wave_p)
-    dwave_p = 1j * x * qp * wave_p
-    dwave_m = -1j * x * qp * wave_m
-    dl, d, du = _outgoing_system(V, k)
-    # dD/dk: -2k on the diagonal, plus the ghost factor at the end rows
-    dd = np.full(grid.n, -2.0 * k, dtype=np.complex128)
-    ghost = -1j * qp * np.exp(1j * q * h) / h
-    dd[0] += ghost
-    dd[-1] += ghost
-    vk = np.asarray(V.values)
-    out = []
-    # phi_+- = e^{+-iqx} - e_+-, the scattered parts solved for by
-    # distorted_plane_waves
-    for phi, dwave in ((wave_p - st.e_plus, dwave_p), (wave_m - st.e_minus, dwave_m)):
-        rhs = vk * dwave - dd * phi
-        try:
-            _require_finite(d, rhs)
-            dphi = _gtsv_solve(dl, d, du, rhs)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise SolverFailure(f"k-derivative solve failed at k={k}: {exc}") from exc
-        out.append(dwave - dphi)
-    return out[0], out[1]
 
 
 def wronskian_at_zero(V: PotentialField, tol: float = 1e-8) -> WronskianResult:

@@ -1,10 +1,11 @@
 """Independent numerical oracles used by the test suite.
 
-Everything here but hamiltonian_apply and lattice_barrier_transmission
-deliberately avoids the package's own discretization: scattering amplitudes
-come from adaptive ODE integration of the continuum equation, bound-state
-energies from bisection on analytic matching conditions, and the
-zero-energy Wronskian from high-order shooting.  hamiltonian_apply forms
+Everything here but hamiltonian_apply, lattice_barrier_transmission and
+scattering_k_derivative deliberately avoids the package's own
+discretization: scattering amplitudes come from adaptive ODE integration
+of the continuum equation, bound-state energies from bisection on
+analytic matching conditions, and the zero-energy Wronskian from
+high-order shooting.  hamiltonian_apply forms
 the residuals of the package's discrete solves by applying the 3-point
 stencil of H_V directly, not through any solver.
 lattice_barrier_transmission is the closed form of the 3-point model
@@ -12,10 +13,16 @@ itself for a flat barrier, so it checks the package's t(k) to rounding
 rather than to O(h^2).  march_half_bound_loop is the package's trapezoid
 march of eta'' = V eta written as a plain loop, one node per step; it
 checks the banded solve of the same scheme to rounding.
+scattering_k_derivative differentiates the package's assembled outgoing
+system in k (forward mode, two tangent solves); it checks the Gamma
+gradient's adjoint k-term, which needs no solve of its own, to rounding.
 """
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+
+from pdp.kernels import trisolve
+from pdp.spectral import _outgoing_system, lattice_wavenumber
 
 
 def scattering_amplitudes(v_func, a, k, rtol=1e-11):
@@ -182,3 +189,33 @@ def hamiltonian_apply(V, u):
     out[0] = (2.0 * u[0] - u[1]) / h2
     out[-1] = (2.0 * u[-1] - u[-2]) / h2
     return out + V.values * u
+
+
+def scattering_k_derivative(V, st):
+    """d e_{V+-}/dk at fixed V, by differentiating the discrete system.
+
+    st is the package's distorted plane waves of V at st.k.  Both the
+    forcing phases and the radiation rows depend on k through the lattice
+    wavenumber q(k); the assembled tridiagonal system A phi = V w (with
+    e = w - phi, w = e^{+-iqx}) is differentiated, and the two tangent
+    systems A dphi = V dw - (dA/dk) phi are solved (forward mode).
+    """
+    grid = V.grid
+    h, x, k = grid.h, grid.x, st.k
+    q = lattice_wavenumber(k, h)
+    qp = 1.0 / np.sqrt(1.0 - (0.5 * k * h) ** 2)  # dq/dk
+    wave_p = np.exp(1j * q * x)
+    wave_m = np.conj(wave_p)
+    dwave_p = 1j * x * qp * wave_p
+    dwave_m = -1j * x * qp * wave_m
+    dl, d, du = _outgoing_system(V, k)
+    # dA/dk: -2k on the diagonal, plus the ghost factor at the end rows
+    dd = np.full(grid.n, -2.0 * k, dtype=np.complex128)
+    ghost = -1j * qp * np.exp(1j * q * h) / h
+    dd[0] += ghost
+    dd[-1] += ghost
+    vk = np.asarray(V.values)
+    out = []
+    for phi, dwave in ((wave_p - st.e_plus, dwave_p), (wave_m - st.e_minus, dwave_m)):
+        out.append(dwave - trisolve(dl, d, du, vk * dwave - dd * phi))
+    return out[0], out[1]

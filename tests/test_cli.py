@@ -180,6 +180,18 @@ class TestEvaluate:
         vpath.write_text("x,V\n-20,0\n20,0\n")
         assert main(["evaluate", "--potential", str(vpath)]) == 2
 
+    @pytest.mark.parametrize("command", ["evaluate", "optimize"])
+    def test_resonance_above_lattice_cutoff_exit_code(self, tmp_path, capsys, command):
+        # h = 0.1 resolves k < 20; mu = 500 puts the resonance near k = 22.3.
+        # That is a solver failure (exit 3), not a failed check (exit 1)
+        cfgp = write_config(
+            tmp_path, "cut.json",
+            {"grid": {"x_min": -20, "x_max": 20, "n": 401}, "design": {"mu": 500}},
+        )
+        out = str(tmp_path / command)
+        assert main([command, "--config", cfgp, "--out", out]) == 3
+        assert "lattice cutoff" in capsys.readouterr().err
+
     def test_bad_config_exit_code(self, tmp_path):
         path = write_config(tmp_path, "bad.json", {"nonsense": {}})
         assert main(["evaluate", "--config", path]) == 4

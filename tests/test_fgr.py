@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from pdp import fgr
+import oracles
+from pdp import fgr, spectral
 from pdp.errors import ResonanceBelowCutoff, SolverFailure
 from pdp.grid import (
     BetaMode,
@@ -10,6 +11,7 @@ from pdp.grid import (
     PotentialField,
     make_grid,
     sech_well,
+    trapz,
 )
 from pdp.spectral import wronskian_at_zero
 
@@ -110,6 +112,14 @@ class TestGamma:
         assert calls == {"eig": 1, "rec": 1}
         assert t == spectral.transmission(V, st.k)
 
+    def test_resonance_above_lattice_cutoff_is_solver_failure(self):
+        # h = 0.1 resolves k < 2/h = 20; mu = 500 puts k near 22.3
+        coarse = make_grid(-20, 20, 401)
+        Vc = sech_well(1.5, 1.5, 12.0, coarse)
+        p = DesignParams(a=12.0, b=1e3, mu=500.0, delta=1e-4, beta_mode=BetaMode.EQUALS_V)
+        with pytest.raises(SolverFailure, match=r"k = 22\.3.*h = 0\.1"):
+            fgr.gamma(Vc, p)
+
     def test_zero_beta_gives_zero_rate(self, grid, V):
         beta0 = PotentialField(grid, np.zeros(grid.n), 12.0)
         p = DesignParams(a=12.0, b=1e3, mu=2.0, delta=1e-4, beta=beta0)
@@ -207,7 +217,76 @@ class TestWronskianGradient:
             assert fd == pytest.approx(g.pair(w), rel=1e-4)
 
 
+def walled_sech(grid):
+    """a=12 sech well with a height-40 wall on 6 < x < 7 (psi not even)."""
+    wall = np.where((grid.x > 6.0) & (grid.x < 7.0), 40.0, 0.0)
+    return PotentialField(grid, sech_well(1.5, 1.5, 12.0, grid).values + wall, 12.0)
+
+
+def gaussian_well(grid):
+    vals = np.where(np.abs(grid.x) <= 10, -0.9 * np.exp(-grid.x**2 / 4), 0.0)
+    return PotentialField(grid, vals, 10.0)
+
+
+class TestWaveKPairings:
+    # fgr._wave_k_pairings gives c_+- = trapz(beta psi de_+-/dk) from the
+    # gradient's one outgoing solve, by adjointness; the oracle solves the
+    # two tangent systems of the same discrete model
+    @pytest.mark.parametrize(
+        "n, a, build",
+        [
+            (2001, 12.0, lambda g: sech_well(1.5, 1.5, 12.0, g)),
+            (3001, 12.0, lambda g: sech_well(1.5, 1.5, 12.0, g)),
+            (2001, 10.0, gaussian_well),
+        ],
+        ids=["sech-2001", "sech-3001", "gaussian"],
+    )
+    @pytest.mark.parametrize("mode", ["equals_v", "fixed"])
+    def test_matches_tangent_solves(self, n, a, build, mode):
+        # at n = 3001 both paths are up to 5e-12 from a 40-digit evaluation
+        # of the same float64 inputs, and from a tangent solve by banded LU;
+        # with each other they agree to 2.4e-13 at most here
+        g = make_grid(-20.0, 20.0, n)
+        W = build(g)
+        if mode == "equals_v":
+            p = DesignParams(a=a, b=1e3, mu=2.0, delta=1e-4, beta_mode=BetaMode.EQUALS_V)
+        else:
+            beta = PotentialField(g, np.where(np.abs(g.x) <= 2.0, 1.0, 0.0), a)
+            p = DesignParams(a=a, b=1e3, mu=2.0, delta=1e-4, beta=beta)
+        res = fgr.gamma(W, p)
+        src = p.beta_values(W) * res.bound_state.psi
+        rbp = spectral.outgoing_resolvent_solve(W, res.k_res, src)
+        c = fgr._wave_k_pairings(W, res.scattering, src, rbp)
+        a_p, a_m = oracles.scattering_k_derivative(W, res.scattering)
+        for c_adj, a_orc in zip(c, (a_p, a_m)):
+            c_orc = complex(trapz(g, src * a_orc))
+            assert abs(c_adj - c_orc) <= 1e-12 * abs(c_orc)
+
+    def test_outgoing_matrix_is_complex_symmetric(self, V):
+        # the adjoint identity uses A^T = A: one array is both off-diagonals
+        dl, d, du = spectral._outgoing_system(V, 1.1)
+        assert dl is du and np.iscomplexobj(d)
+
+
 class TestGammaGradient:
+    def test_two_complex_solves_per_evaluation(self, V, params_fixed, monkeypatch):
+        # e_+- take one two-column solve and the gradient one more,
+        # R(k)[beta psi]; the k-derivative of the waves takes none (see
+        # _wave_k_pairings).  The other solve is real: the reduced resolvent
+        calls = []
+        gtsv = spectral._gtsv_solve
+
+        def counted(dl, d, du, b, **kwargs):
+            if np.iscomplexobj(d) or np.iscomplexobj(b):
+                calls.append(np.shape(b))
+            return gtsv(dl, d, du, b, **kwargs)
+
+        monkeypatch.setattr(spectral, "_gtsv_solve", counted)
+        fgr.clear_cache()
+        res = fgr.gamma(V, params_fixed)
+        fgr.gamma_gradient(V, params_fixed, res)
+        assert calls == [(V.grid.n, 2), (V.grid.n,)]
+
     @pytest.mark.parametrize("fix", ["equals_v", "fixed"])
     def test_finite_difference(self, grid, V, params_equals_v, params_fixed, fix):
         p = params_equals_v if fix == "equals_v" else params_fixed
@@ -230,6 +309,16 @@ class TestGammaGradient:
         g = fgr.gamma_gradient(V, params_equals_v)
         fd = directional_fd(lambda W: fgr.gamma(W, params_equals_v).gamma, V, w)
         assert fd == pytest.approx(g.pair(w), rel=1e-3)
+
+    @pytest.mark.parametrize("fix", ["equals_v", "fixed"])
+    def test_finite_difference_without_symmetry(self, grid, params_equals_v, params_fixed, fix):
+        # the wall makes psi and e_+- asymmetric, and |t(k_res)|^2 is 3e-6
+        p = params_equals_v if fix == "equals_v" else params_fixed
+        W = walled_sech(grid)
+        g = fgr.gamma_gradient(W, p)
+        for w in bump_directions(grid, 12.0, seed=15):
+            fd = directional_fd(lambda U: fgr.gamma(U, p).gamma, W, w)
+            assert fd == pytest.approx(g.pair(w), rel=1e-3)
 
     def test_symmetric_potential_gives_symmetric_field(self, V, params_equals_v):
         g = fgr.gamma_gradient(V, params_equals_v).values

@@ -196,6 +196,36 @@ class TestLowestEigenpair:
         z0 = ref_v[:, 0]
         assert np.max(np.abs(np.sign(v @ z0) * v - z0)) <= 1e-12
 
+    @staticmethod
+    def _stebz_matrices():
+        rng = np.random.default_rng(17)
+        for n in (2, 3, 5, 17, 64, 200):
+            d = rng.standard_normal(n)
+            yield d, rng.standard_normal(n - 1)
+            yield d - d.max() - 0.5, rng.standard_normal(n - 1)  # lambda_1 < 0
+        yield np.array([0.0, 1.0, -1.0]), np.zeros(2)  # three 1x1 blocks
+        grid = make_grid(-20.0, 20.0, 2001)
+        yield _dirichlet_matrix(grid.x, sech_well(1.5, 1.5, 12.0, grid).values)
+
+    @pytest.mark.parametrize("abstol", [kernels._SHIFT_TOL, 0.0])
+    def test_unbounded_lower_limit_bisects_as_gershgorin(self, abstol):
+        # _lowest_eigenpair passes vl = -inf: ?stebz clips it to the
+        # Gershgorin interval of each block, so any finite vl below that
+        # interval gives the same bisection, bit for bit
+        found = []
+        for d, e in self._stebz_matrices():
+            lo = float(np.min(d)) - 2.0 * float(np.max(np.abs(e), initial=0.0))
+            lo -= 1.0 + abs(lo)
+            out = []
+            for vl in (-np.inf, lo):
+                m, w, iblock, isplit, info = kernels._stebz(d, e, 1, vl, 0.0, 0, 0, abstol, "B")
+                assert info == 0
+                nsplit = int(np.flatnonzero(isplit == d.size)[0]) + 1
+                out.append((m, w[:m].tobytes(), iblock[:m].tobytes(), isplit[:nsplit].tobytes()))
+            assert out[0] == out[1]
+            found.append(out[0][0])
+        assert min(found[1::2]) >= 1 and max(found) >= 3
+
     def test_isolated_ground_state_is_bisected_once(self, monkeypatch):
         # the design matrix of the sech start has one bound state, far from
         # 0: one coarse bisection isolates it
