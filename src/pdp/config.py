@@ -21,9 +21,10 @@ do not have is a ConfigError.
       "sweep":     {"vary": "a", "values": [4.0, 8.0, 16.0]}
     }
 
-The simulator forcing frequency is design.mu.  beta_mode "fixed" uses the
-indicator of [-beta_halfwidth, beta_halfwidth]; "equals_v" forces with the
-potential itself.
+The simulator forcing frequency is design.mu, and the simulator domain
+must strictly contain the design support [-a, a].  beta_mode "fixed" uses
+the indicator of [-beta_halfwidth, beta_halfwidth]; "equals_v" forces with
+the potential itself.
 """
 from __future__ import annotations
 
@@ -187,7 +188,7 @@ class builders:
         s = cfg["simulator"]
         try:
             dom = s["domain"]
-            return SimConfig(
+            sim = SimConfig(
                 epsilon=float(s["epsilon"]),
                 mu=float(cfg["design"]["mu"]),
                 t_final=float(s["t_final"]),
@@ -198,5 +199,13 @@ class builders:
                 ),
                 domain=make_grid(dom["x_min"], dom["x_max"], dom["n"]),
             )
+            a = float(cfg["design"]["a"])
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"bad simulator section: {exc}") from exc
+        # the design potential and beta are resampled onto the domain
+        if not (sim.domain.x_min < -a and a < sim.domain.x_max):
+            raise ConfigError(
+                f"simulator.domain [{sim.domain.x_min}, {sim.domain.x_max}] must strictly "
+                f"contain the design support [-a, a], a = {a}"
+            )
+        return sim

@@ -15,14 +15,18 @@ a thin LAPACK ?gtsv call that assumes finite input; trisolve is the
 public entry point that checks it.  The solvers in pdp.spectral check
 the potential and their forcing once per solve with _require_finite and
 then call _gtsv_solve.  cn_step_loop checks its operands once per call.
-Its matrix changes between steps only on the rows the forcing reaches,
-so it factors the fixed outer blocks once per call with LAPACK ?gttrf;
-each step solves them with ?gttrs and the small forced block, corrected
-by their Schur complement, with _gtsv_solve.  Its steps therefore agree
-with a full ?gtsv solve up to rounding, not bitwise.  No kernel calls
-another public kernel, so wrapping the module attributes (as a tracer
-does) counts only outside calls as kernels.trisolve, and one
-kernels.cn_step_loop span covers a whole run of steps.
+It writes the Crank-Nicolson map as 2 A^-1 - I, so a step is one solve
+with A and no right-hand-side product.  A changes between steps only on
+the rows the forcing reaches, so the fixed outer blocks are factored
+once per call, without pivoting: the Hermitian part of A is at least I,
+which gives every pivot a real part of at least 1.  Each step solves
+them with two unit-triangular BLAS ?tbsv sweeps and a multiply by the
+reciprocal pivots, with no complex division, and the small forced block,
+corrected by their Schur complement, with _gtsv_solve.  Its steps
+therefore agree with a full ?gtsv solve up to rounding, not bitwise.
+No kernel calls another public kernel, so wrapping the module attributes
+(as a tracer does) counts only outside calls as kernels.trisolve, and
+one kernels.cn_step_loop span covers a whole run of steps.
 """
 from functools import lru_cache
 
@@ -45,9 +49,9 @@ def _gtsv(dtype):
 
 
 _stebz, _stein = get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
-# the CN matrix is always complex
-_gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.complex128)
 _dtbsv = get_blas_funcs(("tbsv",), dtype=np.float64)[0]
+# the CN matrix is always complex
+_ztbsv, _zaxpy = get_blas_funcs(("tbsv", "axpy"), dtype=np.complex128)
 
 
 def _gtsv_solve(dl, d, du, b, *, scratch=False):
@@ -227,6 +231,26 @@ def _forced_block(beta):
     return lo, max(hi, lo + 2)
 
 
+def _factor_unpivoted(e, d):
+    """LU factors, without pivoting, of the tridiagonal matrix (e, d, e).
+
+    e is both off-diagonals (length n-1), d the diagonal (length n).
+    Returns (m, p): the pivots p (the diagonal of U) and m = e / p[:-1],
+    which is both the subdiagonal of the unit-lower L and the
+    superdiagonal of the unit-upper D^-1 U, D = diag(p).  A plain loop
+    over the rows, for matrices whose pivots cannot vanish; a zero pivot
+    raises ZeroDivisionError.
+    """
+    d = d.tolist()
+    m = []
+    p = [d[0]]
+    for ei, di in zip(e.tolist(), d[1:]):
+        mi = ei / p[-1]
+        m.append(mi)
+        p.append(di - mi * ei)
+    return np.array(m, dtype=np.complex128), np.array(p, dtype=np.complex128)
+
+
 def cn_step_loop(off, diag_h, sigma, beta, eps, mu, dt, t0, nsteps, phi, *, record=None):
     """Advance the forced Schrodinger equation by nsteps Crank-Nicolson steps.
 
@@ -235,21 +259,30 @@ def cn_step_loop(off, diag_h, sigma, beta, eps, mu, dt, t0, nsteps, phi, *, reco
     The time-dependent factor is frozen at the step midpoint, keeping the
     scheme second order.  phi is updated in place; returns the final time.
 
-    Each step solves A phi_new = rhs with A = 1 + (i dt/2)(H - i sigma +
-    forcing), whose Hermitian part is >= 1, so every block below and its
-    Schur complement are nonsingular.  Between steps A changes only on the
-    diagonal of the forced block C = rows lo:hi (_forced_block); the outer
-    blocks L = rows :lo and R = rows hi: are fixed.  Once per call, L and R
-    are factored with LAPACK ?gttrf as one matrix that has the identity on
-    C's rows, the responses u of L and R to their couplings with C are
-    solved for, and the two fixed Schur corrections are folded into C's
-    corner diagonal entries.  Each step then solves L and R with ?gttrs,
-    moves their coupling into C's corner right-hand sides, solves the small
-    corrected system on C with _gtsv_solve, and corrects L and R by one
-    axpy each (phi_L = y_L - phi[lo] u_L, phi_R = y_R - phi[hi-1] u_R).
-    The result agrees with one full ?gtsv solve per step up to rounding,
-    not bitwise.  When beta reaches both grid ends there is no outer
-    block, and the step is one ?gtsv solve of the whole system.
+    With A = I + X, X = (i dt/2)(H - i sigma + forcing), the CN map is
+    A^-1 (I - X) = 2 A^-1 - I, so each step solves A chi = 2 phi and sets
+    phi to chi - phi; no right-hand side (I - X) phi is formed.  The
+    Hermitian part of A is I + (dt/2) sigma >= I.  Every Schur complement
+    of A keeps that bound, so the blocks below are nonsingular and LU
+    without pivoting exists with every pivot p of real part >= 1 (and
+    |1/p| <= 1).
+
+    Between steps A changes only on the diagonal of the forced block C =
+    rows lo:hi (_forced_block); the outer blocks L = rows :lo and R =
+    rows hi: are fixed.  Once per call, L and R are factored without
+    pivoting (_factor_unpivoted) as one matrix that has the identity on
+    C's rows, the reciprocal pivots are formed, the responses u of L and
+    R to their couplings with C are solved for, and the two fixed Schur
+    corrections are folded into C's corner diagonal entries.  Each step
+    then solves L and R by one unit-lower BLAS ?tbsv sweep, a multiply by
+    the reciprocal pivots and one unit-upper ?tbsv sweep, with no complex
+    division; moves their coupling into C's corner right-hand sides;
+    solves the small corrected system on C with _gtsv_solve; and sets
+    phi_L = y_L - chi[lo] u_L - phi_L and phi_R = y_R - chi[hi-1] u_R -
+    phi_R.  The result agrees with solving (I + X) phi_new = (I - X) phi
+    by one full ?gtsv per step up to rounding, not bitwise.  When beta
+    reaches both grid ends there is no outer block, and the step is one
+    ?gtsv solve of the whole system.
 
     The operands are checked once per call (a NaN or inf raises
     ValueError); the steps then reuse one set of buffers.  If given,
@@ -261,12 +294,12 @@ def cn_step_loop(off, diag_h, sigma, beta, eps, mu, dt, t0, nsteps, phi, *, reco
     n = diag_h.shape[0]
     half = 0.5j * dt
     hoff = half * off  # every off-diagonal entry of A
-    base = diag_h - 1j * sigma
     lo, hi = _forced_block(beta)
     beta_c = beta[lo:hi]
+    base_c = diag_h[lo:hi] - 1j * sigma[lo:hi]
     hdl_c = np.full(hi - lo - 1, hoff, dtype=np.complex128)
-    # A's diagonal on C is one_c + half * diag, one_c being 1 less the
-    # Schur corrections at C's two corners
+    # A's diagonal on C is one_c + half * (base_c + forcing), one_c being
+    # 1 less the Schur corrections at C's two corners
     one_c = np.ones(hi - lo, dtype=np.complex128)
     has_left, has_right = lo > 0, hi < n
     outer = has_left or has_right
@@ -274,11 +307,23 @@ def cn_step_loop(off, diag_h, sigma, beta, eps, mu, dt, t0, nsteps, phi, *, reco
         # L and R as one matrix, decoupled from C by identity rows
         odl = np.full(n - 1, hoff, dtype=np.complex128)
         odl[max(lo - 1, 0) : hi] = 0.0
-        od = 1.0 + half * base
+        od = 1.0 + half * (diag_h - 1j * sigma)
         od[lo:hi] = 1.0
-        *lu, info = _gttrf(odl, od, odl)
-        if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
+        m, p = _factor_unpivoted(odl, od)
+        rp = 1.0 / p
+        # ?tbsv band storage (Fortran order, as BLAS reads it) of the
+        # unit-lower L, m below the diagonal, and of the unit-upper
+        # D^-1 U, m above it; the unit diagonals are not read
+        lower = np.ones((2, n), dtype=np.complex128, order="F")
+        lower[1, :-1] = m
+        upper = np.ones((2, n), dtype=np.complex128, order="F")
+        upper[0, 1:] = m
+
+        def solve_outer(b):
+            b = _ztbsv(1, lower, b, lower=1, diag=1, overwrite_x=1)
+            np.multiply(b, rp, out=b)
+            return _ztbsv(1, upper, b, diag=1, overwrite_x=1)
+
         # u on L is A_L^-1 times L's column of couplings to C (hoff in
         # its last row), on R likewise (hoff in R's first row)
         u = np.zeros(n, dtype=np.complex128)
@@ -286,52 +331,38 @@ def cn_step_loop(off, diag_h, sigma, beta, eps, mu, dt, t0, nsteps, phi, *, reco
             u[lo - 1] = hoff
         if has_right:
             u[hi] = hoff
-        u = _gttrs(*lu, u, overwrite_b=1)[0]
+        u = solve_outer(u)
         if has_left:
             one_c[0] -= hoff * u[lo - 1]
         if has_right:
             one_c[-1] -= hoff * u[hi]
-    # off * phi shifted down one node (lower[0] stays 0) and up one node
-    # (upper[-1] stays 0): the off-diagonal part of H phi
-    lower = np.zeros(n, dtype=np.complex128)
-    upper = np.zeros(n, dtype=np.complex128)
     forcing = np.empty(hi - lo)
-    diag = base.copy()  # base + forcing; the forcing is 0 outside C
     a_c = np.empty(hi - lo, dtype=np.complex128)
-    rhs = np.empty(n, dtype=np.complex128)
+    y = np.empty(n, dtype=np.complex128)
     t = t0
     for i in range(nsteps):
         c = np.cos(mu * (t + 0.5 * dt))
         np.multiply(eps * c, beta_c, out=forcing)
-        np.add(base[lo:hi], forcing, out=diag[lo:hi])
-        # rhs = phi - half * (H - i sigma + forcing) phi, with the
-        # operations and operand order of that expression written out
-        # with temporaries, so the buffers change no rounding
-        np.multiply(off, phi[:-1], out=lower[1:])
-        np.multiply(off, phi[1:], out=upper[:-1])
-        np.multiply(diag, phi, out=rhs)
-        np.add(lower, rhs, out=rhs)
-        np.add(rhs, upper, out=rhs)
-        np.multiply(half, rhs, out=rhs)
-        np.subtract(phi, rhs, out=rhs)
-        np.multiply(half, diag[lo:hi], out=a_c)
+        np.add(base_c, forcing, out=a_c)
+        np.multiply(half, a_c, out=a_c)
         np.add(one_c, a_c, out=a_c)
+        np.multiply(2.0, phi, out=y)
         if outer:
-            y = _gttrs(*lu, rhs, overwrite_b=1)[0]  # y_L, y_R; C's rows kept
+            y = solve_outer(y)  # y_L, y_R; C's rows kept
             if has_left:
                 y[lo] -= hoff * y[lo - 1]
             if has_right:
                 y[hi - 1] -= hoff * y[hi]
-        else:
-            y = rhs
-        x_c = _gtsv_solve(hdl_c, a_c, hdl_c, y[lo:hi], scratch=True)
-        phi[lo:hi] = x_c
+        x_c = _gtsv_solve(hdl_c, a_c, hdl_c, y[lo:hi], scratch=True)  # chi_C
+        # chi_L = y_L - chi[lo] u_L and chi_R = y_R - chi[hi-1] u_R, in y;
+        # then phi = chi - phi
         if has_left:
-            np.multiply(x_c[0], u[:lo], out=phi[:lo])
+            y = _zaxpy(u, y, n=lo, a=-x_c[0])
             np.subtract(y[:lo], phi[:lo], out=phi[:lo])
         if has_right:
-            np.multiply(x_c[-1], u[hi:], out=phi[hi:])
+            y = _zaxpy(u, y, n=n - hi, offx=hi, offy=hi, a=-x_c[-1])
             np.subtract(y[hi:], phi[hi:], out=phi[hi:])
+        np.subtract(x_c, phi[lo:hi], out=phi[lo:hi])
         t += dt
         if record is not None:
             record(i, t)

@@ -119,8 +119,10 @@ def propagate(
         np.searchsorted(grid.x, grid.x_min + width, side="left"),
         np.searchsorted(grid.x, grid.x_max - width, side="right"),
     )
-    # weights of Re phi and Im phi, interleaved as in phi's memory
+    # weights of Re phi and Im phi, interleaved as in phi's memory, and a
+    # buffer for their squares
     w_interior = np.repeat(w[interior], 2)
+    sq = np.empty_like(w_interior)
 
     nsteps = int(np.ceil(cfg.t_final / cfg.dt_max))
     dt = cfg.t_final / nsteps
@@ -136,7 +138,8 @@ def propagate(
         if not math.isfinite(proj[i]):
             raise SolverFailure(f"non-finite field at t={t:.4g}")
         re_im = phi[interior].view(np.float64)
-        norm[i] = float(np.sqrt(w_interior @ (re_im * re_im)))
+        np.multiply(re_im, re_im, out=sq)
+        norm[i] = float(np.sqrt(w_interior @ sq))
 
     # an inf in phi makes 0 * inf in the projection: SolverFailure, not a
     # floating-point warning

@@ -382,6 +382,23 @@ class TestSimulateAndFilter:
         assert main(["filter", "--config", cfgp, "--seed", "3"]) == 0
         assert "projection retained:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["simulate", "filter"])
+    @pytest.mark.parametrize(
+        "x_min, x_max", [(-10.0, 10.0), (-10.0, 30.0)], ids=["narrow", "off_centre"]
+    )
+    def test_domain_must_contain_the_design_support(
+        self, tmp_path, capsys, command, x_min, x_max
+    ):
+        # with the default a = 12 the narrow domain used to end in a
+        # ValueError traceback, and the off-centre one silently cut the
+        # well's left end off at x = -10
+        sim = {"domain": {"x_min": x_min, "x_max": x_max, "n": 501}, "absorber": {"width": 3}}
+        cfgp = write_config(tmp_path, "sim.json", {"simulator": sim})
+        assert main([command, "--config", cfgp]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"simulator.domain [{x_min}, {x_max}]" in err
+        assert "a = 12.0" in err
+
 
 class TestGradcheck:
     def test_passes_with_few_directions(self, tmp_path, capsys):

@@ -3,7 +3,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal, lapack, solve_banded
 
 import oracles
 from pdp import kernels
@@ -388,13 +388,13 @@ class TestCnStepLoop:
     def test_outer_blocks_are_factored_once_per_call(self, monkeypatch):
         # a per-step refactorization would make the count grow with nsteps
         calls = []
-        gttrf = kernels._gttrf
+        factor = kernels._factor_unpivoted
 
-        def counting_gttrf(*args, **kwargs):
+        def counting_factor(*args, **kwargs):
             calls.append(args)
-            return gttrf(*args, **kwargs)
+            return factor(*args, **kwargs)
 
-        monkeypatch.setattr(kernels, "_gttrf", counting_gttrf)
+        monkeypatch.setattr(kernels, "_factor_unpivoted", counting_factor)
         counts = []
         for nsteps in (1, 50):
             calls.clear()
@@ -402,6 +402,53 @@ class TestCnStepLoop:
             kernels.cn_step_loop(off, diag_h, sigma, beta, 0.8, 2.0, 0.05, 0.0, nsteps, phi)
             counts.append(len(calls))
         assert counts[0] == counts[1] >= 1
+
+    def test_steps_without_pivoting_where_lapack_pivots(self):
+        # a well of h^2 V = -1.5 on 4 < |x| < 5 makes an outer pivot
+        # smaller than the coupling, so LAPACK's partial pivoting swaps
+        # rows there; the unpivoted steps must still match the plain ones
+        off, diag_h, sigma, beta, phi0 = self._operands()
+        n, h = len(phi0), 0.1
+        x = h * (np.arange(n) - n // 2)
+        diag_h = diag_h + np.where((np.abs(x) > 4.0) & (np.abs(x) < 5.0), -1.5 / h**2, 0.0)
+        # the outer matrix of cn_step_loop: identity rows on the forced block
+        lo, hi = kernels._forced_block(beta)
+        half = 0.5j * self.DT
+        odl = np.full(n - 1, half * off, dtype=np.complex128)
+        odl[lo - 1 : hi] = 0.0
+        od = 1.0 + half * (diag_h - 1j * sigma)
+        od[lo:hi] = 1.0
+        *_, ipiv, info = lapack.zgttrf(odl, od, odl)
+        assert info == 0
+        assert np.count_nonzero(ipiv != np.arange(1, n + 1)) == 2
+        self._single_steps_against_plain(off, diag_h, sigma, beta, phi0)
+
+    def test_outer_pivots_have_real_part_at_least_one(self, monkeypatch):
+        # the Hermitian part of the CN matrix is I + (dt/2) sigma >= I, and
+        # so is that of every Schur complement: no pivot comes near 0
+        pivots = []
+        factor = kernels._factor_unpivoted
+
+        def keeping_factor(*args):
+            m, p = factor(*args)
+            pivots.append(p)
+            return m, p
+
+        monkeypatch.setattr(kernels, "_factor_unpivoted", keeping_factor)
+        rng = np.random.default_rng(15)
+        for _ in range(40):
+            n = int(rng.integers(3, 400))
+            h = rng.uniform(0.01, 1.0)
+            diag_h = 2 / h**2 + rng.uniform(-3.0, 3.0, n) / h**2
+            sigma = np.where(rng.random(n) < 0.5, 0.0, rng.exponential(2.0, n))
+            lo, hi = np.sort(rng.integers(0, n + 1, 2))
+            beta = np.zeros(n)
+            beta[lo:hi] = rng.standard_normal(hi - lo)
+            phi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            dt = rng.uniform(1e-3, 1.0)
+            kernels.cn_step_loop(-1 / h**2, diag_h, sigma, beta, 0.5, 2.0, dt, 0.0, 1, phi)
+        assert len(pivots) >= 30  # the rest have no outer block
+        assert all(p.real.min() >= 1.0 for p in pivots)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("arg", [1, 2, 3, 9], ids=["diag_h", "sigma", "beta", "phi"])
