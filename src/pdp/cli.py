@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import itertools
+import functools
 import json
+import math
 import os
 import sys
 
@@ -57,54 +58,90 @@ def _quote(cell):
     return cell
 
 
-def _csv_column(name: str, values) -> tuple[str, list]:
-    """printf conversion and cell values of one column, formatted as _fmt does.
+def _float_cells(values: list) -> list[str]:
+    """%.17g strings of a list of floats, formatted in one %-operation."""
+    cells = ("%.17g\n" * len(values) % tuple(values)).split("\n")
+    cells.pop()  # the empty string after the last newline
+    return cells
+
+
+def _csv_cells(name: str, values, memo: dict | None = None) -> list[str]:
+    """The cells of one CSV column as strings, formatted as _fmt does.
 
     A column of floats takes %.17g (format(v, ".17g")); a column of ints or
-    strings takes %s (str(v)), with string cells quoted by _quote.  A float
+    strings takes str(v), with string cells quoted by _quote.  A float
     array is classified by its dtype, without a pass over its cells.
+
+    memo maps id(array) to (array, cells).  Given one, a float array that
+    owns its data and is read-only, so cannot change between two files, is
+    formatted once; holding the array keeps its id from being reused while
+    the memo lives.
     """
     if isinstance(values, np.ndarray):
-        return ("%.17g" if values.dtype.kind == "f" else "%s"), values.tolist()
+        if values.dtype.kind != "f":
+            return list(map(str, values.tolist()))
+        if memo is None or values.flags.writeable or not values.flags.owndata:
+            return _float_cells(values.tolist())
+        hit = memo.get(id(values))
+        if hit is None:
+            hit = memo[id(values)] = (values, _float_cells(values.tolist()))
+        return hit[1]
     values = list(values)
     floats = sum(isinstance(v, (float, np.floating)) for v in values)
     if 0 < floats < len(values):
         raise TypeError(f"CSV column {name!r} mixes floats with other values")
     if floats:
-        return "%.17g", values
-    return "%s", [_quote(v) for v in values]
+        return _float_cells(values)
+    return [str(_quote(v)) for v in values]
 
 
-def _write_csv(path: str, columns: dict) -> None:
+def _write_csv(path: str, columns: dict, memo: dict | None = None) -> None:
     """Write equal-length columns, keyed by header name, as one CSV file.
 
-    All cells are formatted in one %-operation over a row template repeated
-    once per row, byte-identical to joining _fmt(v) cell by cell (string
-    cells quoted by _quote first).
+    Each column is formatted by _csv_cells (each float column in one
+    %-operation) and the rows are joined from the cells, byte-identical to
+    joining _fmt(v) cell by cell (string cells quoted by _quote first).
     """
-    convs, cols = zip(*(_csv_column(name, v) for name, v in columns.items()))
-    nrows = len(cols[0])
-    if any(len(c) != nrows for c in cols):
+    cols = [_csv_cells(name, v, memo) for name, v in columns.items()]
+    if any(len(c) != len(cols[0]) for c in cols):
         raise ValueError("CSV columns differ in length")
-    template = ",".join(convs) + "\n"
-    cells = tuple(itertools.chain.from_iterable(zip(*cols)))
+    lines = [",".join(columns), *map(",".join, zip(*cols))]
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        fh.write(template * nrows % cells)
+        fh.write("\n".join(lines) + "\n")
+
+
+def _finite_or_null(obj):
+    """obj with each non-finite float in it, at any depth, replaced by None.
+
+    Strict JSON has no NaN or Infinity; None is written as null.
+    """
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
 
 
 def _write_json(path: str, obj: dict) -> None:
+    """Write obj as strict JSON, non-finite floats as null."""
+    text = json.dumps(_finite_or_null(obj), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 class Emitter:
-    """Collects written artifact names for the run manifest."""
+    """Writes one command's artifacts and collects their names for the manifest.
+
+    Read-only float columns (such as Grid.x, shared by V_opt.csv and
+    psi.csv) are formatted once per Emitter; see _csv_cells.
+    """
 
     def __init__(self, out_dir: str | None):
         self.out_dir = out_dir
         self.outputs: list[str] = []
+        self._cells: dict = {}
         if out_dir:
             os.makedirs(out_dir, exist_ok=True)
 
@@ -112,7 +149,7 @@ class Emitter:
         """Write columns ({header: values}) to out_dir/name."""
         if self.out_dir is None:
             return
-        _write_csv(os.path.join(self.out_dir, name), columns)
+        _write_csv(os.path.join(self.out_dir, name), columns, self._cells)
         self.outputs.append(name)
 
     def manifest(self, command: str, cfg: dict, headline: dict) -> None:
@@ -143,7 +180,10 @@ def _load_potential_csv(path: str, grid: Grid, a: float) -> PotentialField:
         raise ConfigError(f"potential file {path} has a non-finite x or V value")
     if not (np.diff(data[:, 0]) > 0).all():
         raise ConfigError(f"potential file {path} needs strictly increasing x")
-    return interpolate_potential(data[:, 0], data[:, 1], a, grid)
+    try:
+        return interpolate_potential(data[:, 0], data[:, 1], a, grid)
+    except ValueError as exc:  # the support [-a, a] does not fit in the grid
+        raise ConfigError(f"potential file {path}: {exc}") from exc
 
 
 def _resolve_potential(cfg: dict, grid: Grid, path: str | None) -> PotentialField:
@@ -318,7 +358,7 @@ def _emit_sim(em: Emitter, cfg: dict, command: str, result) -> None:
         {
             "final_projection_sq": float(result.projection_sq[-1]),
             "initial_projection_sq": float(result.projection_sq[0]),
-            "fitted_rate": None if np.isnan(result.fitted_rate) else result.fitted_rate,
+            "fitted_rate": result.fitted_rate,
         },
     )
 
@@ -408,7 +448,9 @@ def cmd_gradcheck(args) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The pdp argument parser, built once per process; it holds no run state."""
     ap = argparse.ArgumentParser(
         prog="pdp",
         description="Design of Schrodinger potentials minimizing the "

@@ -21,10 +21,10 @@ do not have is a ConfigError.
       "sweep":     {"vary": "a", "values": [4.0, 8.0, 16.0]}
     }
 
-The simulator forcing frequency is design.mu, and the simulator domain
-must strictly contain the design support [-a, a].  beta_mode "fixed" uses
-the indicator of [-beta_halfwidth, beta_halfwidth]; "equals_v" forces with
-the potential itself.
+The simulator forcing frequency is design.mu.  The design grid and the
+simulator domain must each strictly contain the design support [-a, a].
+beta_mode "fixed" uses the indicator of [-beta_halfwidth, beta_halfwidth];
+"equals_v" forces with the potential itself.
 """
 from __future__ import annotations
 

@@ -84,8 +84,12 @@ class PotentialField:
                            np.array(self.values, dtype=float, copy=True))
         if len(self.values) != self.grid.n:
             raise ValueError("values length does not match grid")
-        if not self.support_halfwidth < self.grid.x_max:
-            raise ValueError("support must lie strictly inside the domain")
+        a = self.support_halfwidth
+        if not (self.grid.x_min < -a and a < self.grid.x_max):
+            raise ValueError(
+                f"support [-{a}, {a}] must lie strictly inside the domain "
+                f"[{self.grid.x_min}, {self.grid.x_max}]"
+            )
         outside = np.abs(self.grid.x) > self.support_halfwidth
         if np.any(self.values[outside] != 0.0):
             raise ValueError("potential must vanish outside [-a, a]")
@@ -145,8 +149,6 @@ def sech_well(A: float, B: float, a: float, grid: Grid) -> PotentialField:
     """Truncated sech well -A*sech(B*x) on |x| <= a, zero outside."""
     if A <= 0 or B <= 0:
         raise ValueError("A and B must be positive")
-    if a >= grid.x_max:
-        raise ValueError("support must lie strictly inside the domain")
     x = grid.x
     v = np.where(np.abs(x) <= a, -A / np.cosh(B * x), 0.0)
     return PotentialField(grid, v, a)
@@ -159,8 +161,6 @@ def square_well(depth: float, halfwidth: float, a: float, grid: Grid) -> Potenti
     restores second-order accuracy of the 3-point stencil across the
     discontinuity.
     """
-    if a >= grid.x_max:
-        raise ValueError("support must lie strictly inside the domain")
     x = grid.x
     v = np.where(np.abs(x) <= halfwidth, -depth, 0.0)
     v[np.isclose(np.abs(x), halfwidth, rtol=0.0, atol=1e-12 * max(1.0, halfwidth))] = -0.5 * depth

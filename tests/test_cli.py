@@ -6,17 +6,27 @@ import os
 import numpy as np
 import pytest
 
-from pdp import config
-from pdp.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, _fmt, _write_csv, main
+from pdp import config, fgr, optimizer
+from pdp.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, Emitter, _fmt, _write_csv, build_parser, main
 from pdp.errors import ConfigError
 from pdp.grid import DesignParams, Grid
-from pdp.spectral import distorted_plane_waves
+from pdp.spectral import distorted_plane_waves, solve_ground_state
 
 
 def write_config(tmp_path, name, overrides):
     path = tmp_path / name
     path.write_text(json.dumps(overrides))
     return str(path)
+
+
+def fmt_rows(columns: dict) -> bytes:
+    """The CSV of columns ({header: values}), each cell formatted by _fmt."""
+    rows = [",".join(columns)] + [",".join(_fmt(v) for v in row) for row in zip(*columns.values())]
+    return ("\n".join(rows) + "\n").encode()
+
+
+def no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 SMALL_OPT = {
@@ -160,9 +170,10 @@ class TestEvaluate:
             t = distorted_plane_waves(V, float(k)).t
             assert row == ",".join(_fmt(v) for v in (k, abs(t) ** 2, t.real, t.imag))
 
-    def test_overflowing_wronskian_margin_is_inf(self, tmp_path):
+    def test_overflowing_wronskian_margin_is_inf(self, tmp_path, capsys):
         # walls of 1000 on 4 < |x| <= 12 around a -2 well give W0 ~ 6e230,
-        # whose square overflows: the margin is inf, not an OverflowError
+        # whose square overflows: the margin is inf, not an OverflowError.
+        # stdout prints it as inf; the strict-JSON manifest writes null
         x = config.builders.grid(config.DEFAULTS).x
         ax = np.abs(x)
         v = np.where(ax <= 2, -2.0, np.where((ax > 4) & (ax <= 12), 1000.0, 0.0))
@@ -170,9 +181,73 @@ class TestEvaluate:
         _write_csv(str(vpath), {"x": x, "V": v})
         out = tmp_path / "ev"
         assert main(["evaluate", "--potential", str(vpath), "--out", str(out)]) == 0
-        headline = json.loads((out / "manifest.json").read_text())["headline"]
+        assert "margin_wronskian = inf\n" in capsys.readouterr().out
+        text = (out / "manifest.json").read_text()
+        headline = json.loads(text, parse_constant=no_constant)["headline"]
         assert 1e154 < headline["w0"] < np.inf
-        assert headline["margin_wronskian"] == np.inf
+        assert headline["margin_wronskian"] is None
+
+    def test_manifest_is_strict_json(self, tmp_path, capsys):
+        # walls of 4000 make the Wronskian march invalid: w0 and its margin
+        # are nan and the variance inf, which stdout prints as such and the
+        # manifest writes as null
+        x = config.builders.grid(config.DEFAULTS).x
+        ax = np.abs(x)
+        v = np.where(ax <= 1, -3.0, np.where((ax > 3) & (ax <= 11.5), 4000.0, 0.0))
+        vpath = tmp_path / "tall.csv"
+        _write_csv(str(vpath), {"x": x, "V": v})
+        cfgp = write_config(tmp_path, "tall.json", {"design": {"a": 12.0, "mu": 4.0}})
+        out = tmp_path / "ev"
+        argv = ["evaluate", "--config", cfgp, "--potential", str(vpath), "--out", str(out)]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        for line in ("w0 = nan", "margin_wronskian = nan", "wronskian_variance = inf"):
+            assert line + "\n" in stdout
+        man = json.loads((out / "manifest.json").read_text(), parse_constant=no_constant)
+        head = man["headline"]
+        assert head["w0"] is head["margin_wronskian"] is head["wronskian_variance"] is None
+        assert head["gamma"] > 0.0
+        # optimize's margins list: non-finite entries at any depth become null
+        em = Emitter(str(tmp_path / "opt"))
+        em.manifest("optimize", {}, {"margins": [1.5, float("inf")], "lam": np.float64(-np.inf)})
+        text = (tmp_path / "opt" / "manifest.json").read_text()
+        head = json.loads(text, parse_constant=no_constant)["headline"]
+        assert head == {"lam": None, "margins": [1.5, None]}
+
+    def test_potential_and_psi_files_match_per_cell_formatting(self, tmp_path):
+        # V_opt.csv and psi.csv share one formatting of grid.x
+        out = tmp_path / "ev"
+        assert main(["evaluate", "--out", str(out)]) == 0
+        cfg = config.load_config(None)
+        V = config.builders.initial_potential(cfg, config.builders.grid(cfg))
+        x = V.grid.x
+        assert (out / "V_opt.csv").read_bytes() == fmt_rows({"x": x, "V": V.values})
+        psi = solve_ground_state(V).psi
+        assert (out / "psi.csv").read_bytes() == fmt_rows({"x": x, "psi": psi})
+
+    def test_cached_parser_keeps_no_state_between_calls(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        first = build_parser().parse_args(["evaluate", "--potential", "f.csv", "--out", "o"])
+        assert (first.potential, first.out) == ("f.csv", "o")
+        second = build_parser().parse_args(["evaluate"])
+        assert (second.potential, second.out, second.config) == (None, None, None)
+        # a square well from a file, then the config's sech well
+        x = config.builders.grid(config.DEFAULTS).x
+        vpath = tmp_path / "square.csv"
+        _write_csv(str(vpath), {"x": x, "V": np.where(np.abs(x) <= 3, -1.0, 0.0)})
+        out = tmp_path / "file"
+        assert main(["evaluate", "--potential", str(vpath), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate"]) == 0
+        gammas = [line for line in capsys.readouterr().out.splitlines() if line.startswith("gamma = ")]
+        cfg = config.load_config(None)
+        grid = config.builders.grid(cfg)
+        V = config.builders.initial_potential(cfg, grid)
+        fgr.clear_cache()
+        gamma = fgr.gamma(V, config.builders.design(cfg, grid)).gamma
+        assert gammas == [f"gamma = {_fmt(gamma)}"]
+        # nothing was written for the second call, which had no --out
+        assert sorted(os.listdir(tmp_path)) == ["file", "square.csv"]
 
     def test_no_bound_state_exit_code(self, tmp_path):
         # potential identically zero: no bound state -> domain-error exit 2
@@ -197,9 +272,14 @@ class TestEvaluate:
         assert main(["evaluate", "--config", path]) == 4
         path2 = write_config(tmp_path, "bad2.json", {"design": {"beta_mode": "wat"}})
         assert main(["evaluate", "--config", path2]) == 4
-        # the support [-a, a] of the beta indicator must lie inside the grid
+        # the support [-a, a] of the beta indicator must lie inside the grid,
+        # at the right end and at the left
         path3 = write_config(tmp_path, "bad3.json", {"design": {"a": 25.0}})
         assert main(["evaluate", "--config", path3]) == 4
+        path4 = write_config(
+            tmp_path, "bad4.json", {"grid": {"x_min": -10.0, "x_max": 30.0, "n": 401}}
+        )
+        assert main(["evaluate", "--config", path4]) == 4
 
 
 class TestPotentialFile:
@@ -228,6 +308,26 @@ class TestPotentialFile:
         capsys.readouterr()
         assert main([command, "--potential", str(vpath)]) == EXIT_CONFIG
         assert "increasing" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["evaluate", "simulate"])
+    @pytest.mark.parametrize(
+        "grid, a",
+        [({"x_min": -20.0, "x_max": 20.0, "n": 2001}, 25.0),
+         ({"x_min": -10.0, "x_max": 30.0, "n": 401}, 12.0)],
+        ids=["right_end", "left_end"],
+    )
+    def test_support_outside_the_grid_is_config_error(self, tmp_path, capsys, command, grid, a):
+        # with beta = V no beta indicator is built, so the potential file is
+        # the first thing sampled on [-a, a]
+        cfgp = write_config(
+            tmp_path, "wide.json",
+            {"grid": grid, "design": {"a": a, "beta_mode": "equals_v"}},
+        )
+        vpath = tmp_path / "well.csv"
+        vpath.write_text("x,V\n-1,0\n0,-1\n1,0\n")
+        assert main([command, "--config", cfgp, "--potential", str(vpath)]) == EXIT_CONFIG
+        assert "must lie strictly inside the domain" in capsys.readouterr().err
 
 
 class TestCsvWriter:
@@ -286,6 +386,23 @@ class TestCsvWriter:
         _write_csv(str(path), {"a": [], "b": np.array([])})
         assert path.read_bytes() == b"a,b\n"
 
+    def test_emitter_formats_only_unchanging_arrays_once(self, tmp_path):
+        # a writable array, or a read-only view of one, can change between
+        # two files: each file is formatted from its current contents
+        em = Emitter(str(tmp_path))
+        a = np.array([0.1, 0.2, 0.3])
+        view = a.view()
+        view.flags.writeable = False
+        fixed = np.array([1.5, -2.5, 1e-300])
+        fixed.flags.writeable = False
+        em.csv("first.csv", {"a": a, "view": view, "fixed": fixed})
+        a[:] = [7.0, 8.0, 9.0]
+        em.csv("second.csv", {"a": a, "view": view, "fixed": fixed})
+        for name, values in (("first.csv", [0.1, 0.2, 0.3]), ("second.csv", [7.0, 8.0, 9.0])):
+            expected = fmt_rows({"a": values, "view": values, "fixed": fixed.tolist()})
+            assert (tmp_path / name).read_bytes() == expected
+        assert em.outputs == ["first.csv", "second.csv"]
+
     def test_mixed_or_ragged_columns_rejected(self, tmp_path):
         with pytest.raises(TypeError):
             _write_csv(str(tmp_path / "m.csv"), {"a": [1.0, 2]})
@@ -323,6 +440,16 @@ class TestSweep:
         assert rows[0].split(",")[:2] == ["label", "mu"]
         assert len(rows) == 3
         assert rows[1].startswith("mu=2,")
+        # both V_opt files share one formatting of grid.x
+        cfg = config.load_config(cfgp)
+        grid = config.builders.grid(cfg)
+        for mu, name in ((2.0, "V_opt_mu_2.csv"), (2.5, "V_opt_mu_2.5.csv")):
+            sub = config.merge(cfg, {"design": {"mu": mu}})
+            V0 = config.builders.initial_potential(sub, grid)
+            params = config.builders.design(sub, grid)
+            V = optimizer.optimize(V0, params, config.builders.opt_options(sub)).V_opt
+            expected = fmt_rows({"x": grid.x, "V": V.values})
+            assert open(os.path.join(out, name), "rb").read() == expected
 
     def test_failed_value_is_recorded_in_its_row(self, tmp_path, capsys):
         # b = 0.5 puts the start outside the H1 ball: that value fails with

@@ -76,6 +76,15 @@ class TestPotentialField:
         g = make_grid(-10, 10, 201)
         with pytest.raises(ValueError):
             PotentialField(g, np.zeros(g.n), 10.0)
+        # at the left end too: on [-10, 30] the well would not vanish at x = -10
+        off = make_grid(-10.0, 30.0, 401)
+        for build in (
+            lambda: PotentialField(off, np.zeros(off.n), 12.0),
+            lambda: sech_well(1.5, 1.5, 12.0, off),
+            lambda: square_well(1.0, 2.0, 12.0, off),
+        ):
+            with pytest.raises(ValueError, match="strictly inside"):
+                build()
 
     def test_values_read_only(self):
         g = make_grid(-10, 10, 201)
