@@ -8,7 +8,6 @@ from .grid import (
     PotentialField,
     make_grid,
     sech_well,
-    square_well,
     h1_norm_sq,
 )
 from .errors import (

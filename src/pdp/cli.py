@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, fgr, optimizer, timedomain
 from .config import builders, load_config, merge
 from .errors import ConfigError, PdpError, SolverFailure
-from .grid import Grid, PotentialField, h1_norm_sq, interpolate_potential, trapz
+from .grid import BetaMode, Grid, PotentialField, h1_norm_sq, interpolate_potential
 from .spectral import solve_ground_state, transmission, wronskian_at_zero
 
 EXIT_OK = 0
@@ -340,10 +340,8 @@ def _sim_inputs(cfg, args):
     grid = builders.grid(cfg)
     V_design = _resolve_potential(cfg, grid, args.potential)
     V = timedomain.resample_potential(V_design, sim.domain)
-    if cfg["design"]["beta_mode"] == "equals_v":
-        beta = V
-    else:
-        beta = builders.beta(cfg, sim.domain)
+    params = builders.design(cfg, sim.domain)
+    beta = V if params.beta_mode is BetaMode.EQUALS_V else params.beta
     return sim, V, beta
 
 
@@ -405,6 +403,10 @@ def cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(int(gc["seed"]))
     eps = float(gc["fd_step"])
     n_dir = int(gc["n_directions"])
+    if n_dir < 1:
+        raise ConfigError(f"gradcheck.n_directions must be at least 1, got {n_dir}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ConfigError(f"gradcheck.fd_step must be finite and positive, got {eps!r}")
     V = builders.initial_potential(cfg, grid)
     x = grid.x
     a = params.a

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,15 +85,19 @@ class GradientField:
         return float(trapz(self.grid, self.values * w))
 
 
-# memoized (ground state, scattering) solves keyed by potential content;
-# the optimizer evaluates Gamma and its gradient at the same point many
-# times during line searches
-_CACHE_MAX = 32
-_cache: OrderedDict[str, FgrResult] = OrderedDict()
+# The last point gamma solved, as (V, params, result).  It serves the
+# repeats of the last point that still occur: the optimizer's
+# re-evaluation of its current point at each new tau stage, the start Gamma
+# that pdp optimize prints before optimizing from the same potential, and
+# gamma_gradient, k_gradient or gamma_jost_form called without a result.
+# It stays only while benchmark workloads call clear_cache.
+_last: tuple[PotentialField, DesignParams, FgrResult] | None = None
 
 
 def clear_cache() -> None:
-    _cache.clear()
+    """Forget the kept result, so that the next gamma call solves."""
+    global _last
+    _last = None
 
 
 def gamma(V: PotentialField, params: DesignParams) -> FgrResult:
@@ -105,14 +108,21 @@ def gamma(V: PotentialField, params: DesignParams) -> FgrResult:
     negative eigenvalue, and SolverFailure when k h / 2 >= 1 (the
     resonance lies above the lattice's highest wavenumber, so the grid
     cannot carry the outgoing wave).
+
+    A repeat of the last point solved, with params the same object and V
+    on the same grid and support with equal values, returns that point's
+    result without solving.
     """
-    key = V.content_hash() + f"|{params.mu!r}|{params.beta_mode.value}"
-    if params.beta_mode is BetaMode.FIXED:
-        key += "|" + params.beta.content_hash()
-    hit = _cache.get(key)
-    if hit is not None:
-        _cache.move_to_end(key)
-        return hit
+    global _last
+    if _last is not None:
+        W, p, res = _last
+        if (
+            p is params
+            and W.grid == V.grid
+            and W.support_halfwidth == V.support_halfwidth
+            and np.array_equal(W.values, V.values)
+        ):
+            return res
     bs = solve_ground_state(V)
     ksq = bs.lam + params.mu
     if ksq <= 0.0:
@@ -133,9 +143,7 @@ def gamma(V: PotentialField, params: DesignParams) -> FgrResult:
     res = FgrResult(
         gamma=rate, k_res=k, m_plus=m_p, m_minus=m_m, bound_state=bs, scattering=st
     )
-    _cache[key] = res
-    if len(_cache) > _CACHE_MAX:
-        _cache.popitem(last=False)
+    _last = (V, params, res)
     return res
 
 

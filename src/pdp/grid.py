@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -15,7 +14,6 @@ __all__ = [
     "DesignParams",
     "make_grid",
     "sech_well",
-    "square_well",
     "interpolate_potential",
     "h1_norm_sq",
     "h1_gradient",
@@ -103,13 +101,6 @@ class PotentialField:
         v = np.where(self.support_mask, values, 0.0)
         return PotentialField(self.grid, v, self.support_halfwidth)
 
-    def content_hash(self) -> str:
-        m = hashlib.sha256()
-        m.update(np.asarray(self.values).tobytes())
-        m.update(repr((self.grid.x_min, self.grid.x_max, self.grid.n,
-                       self.support_halfwidth)).encode())
-        return m.hexdigest()
-
 
 class BetaMode(enum.Enum):
     FIXED = "fixed"
@@ -151,20 +142,6 @@ def sech_well(A: float, B: float, a: float, grid: Grid) -> PotentialField:
         raise ValueError("A and B must be positive")
     x = grid.x
     v = np.where(np.abs(x) <= a, -A / np.cosh(B * x), 0.0)
-    return PotentialField(grid, v, a)
-
-
-def square_well(depth: float, halfwidth: float, a: float, grid: Grid) -> PotentialField:
-    """Square well -depth on |x| <= halfwidth, for tests and experiments.
-
-    Nodes that land exactly on the jump get the mean value -depth/2, which
-    restores second-order accuracy of the 3-point stencil across the
-    discontinuity.
-    """
-    x = grid.x
-    v = np.where(np.abs(x) <= halfwidth, -depth, 0.0)
-    v[np.isclose(np.abs(x), halfwidth, rtol=0.0, atol=1e-12 * max(1.0, halfwidth))] = -0.5 * depth
-    v[np.abs(x) > a] = 0.0
     return PotentialField(grid, v, a)
 
 

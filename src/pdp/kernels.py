@@ -10,13 +10,12 @@ to full precision.  Inverse iteration at the coarse shift (?stein) and
 one Rayleigh-quotient step (one ?gtsv solve) then give the eigenvector
 and the eigenvalue to rounding.  march_half_bound writes the zero-energy
 trapezoid march as one lower-banded triangular system and solves it with
-one BLAS ?tbsv call.  A tridiagonal solve with a matrix of its own ends in _gtsv_solve,
-a thin LAPACK ?gtsv call that assumes finite input; trisolve is the
-public entry point that checks it.  The solvers in pdp.spectral check
-the potential and their forcing once per solve with _require_finite and
-then call _gtsv_solve.  cn_step_loop checks its operands once per call.
-It writes the Crank-Nicolson map as 2 A^-1 - I, so a step is one solve
-with A and no right-hand-side product.  A changes between steps only on
+one BLAS ?tbsv call.  A tridiagonal solve with a matrix of its own ends
+in _gtsv_solve, a thin LAPACK ?gtsv call that assumes finite input.  The
+solvers in pdp.spectral check the potential and their forcing once per
+solve with _require_finite and then call _gtsv_solve.  cn_step_loop
+checks its operands once per call.  It writes the Crank-Nicolson map as
+2 A^-1 - I, so a step is one solve with A and no right-hand-side product.  A changes between steps only on
 the rows the forcing reaches, so the fixed outer blocks are factored
 once per call, without pivoting: the Hermitian part of A is at least I,
 which gives every pivot a real part of at least 1.  Each step solves
@@ -25,8 +24,8 @@ reciprocal pivots, with no complex division, and the small forced block,
 corrected by their Schur complement, with _gtsv_solve.  Its steps
 therefore agree with a full ?gtsv solve up to rounding, not bitwise.
 No kernel calls another public kernel, so wrapping the module attributes
-(as a tracer does) counts only outside calls as kernels.trisolve, and
-one kernels.cn_step_loop span covers a whole run of steps.
+(as a tracer does) gives one span per outside call: one
+kernels.cn_step_loop span covers a whole run of steps.
 """
 from functools import lru_cache
 
@@ -34,7 +33,6 @@ import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 __all__ = [
-    "trisolve",
     "march_half_bound",
     "cn_step_loop",
 ]
@@ -55,12 +53,15 @@ _ztbsv, _zaxpy = get_blas_funcs(("tbsv", "axpy"), dtype=np.complex128)
 
 
 def _gtsv_solve(dl, d, du, b, *, scratch=False):
-    """trisolve without the finiteness check; the caller guarantees it.
+    """Solve the tridiagonal system with sub/main/super diagonals dl, d, du.
 
-    The arguments are copied and passed to LAPACK ?gtsv (Gaussian
-    elimination with partial pivoting).  With scratch=True, d and b are
-    not copied when ?gtsv can work in them: their contents are then lost,
-    and the solution may be b itself.  An exactly singular matrix raises
+    dl and du have length n-1; b is (n,) or (n, nrhs).  Complex or real
+    input; real input gives a real solution.  The caller guarantees finite
+    input (see _require_finite).  The arguments are copied and passed to
+    LAPACK ?gtsv (Gaussian elimination with partial pivoting), and the
+    solution is a new array.  With scratch=True, d and b are not copied
+    when ?gtsv can work in them: their contents are then lost, and the
+    solution may be b itself.  An exactly singular matrix raises
     numpy.linalg.LinAlgError.
     """
     gtsv = _gtsv(np.result_type(dl, d, du, b, np.float64))
@@ -77,18 +78,6 @@ def _require_finite(*arrays) -> None:
     for a in arrays:
         if not np.isfinite(a).all():
             raise ValueError("array must not contain infs or NaNs")
-
-
-def trisolve(dl, d, du, b):
-    """Solve the tridiagonal system with sub/main/super diagonals dl, d, du.
-
-    dl and du have length n-1; b is (n,) or (n, nrhs).  Complex or real
-    input; real input gives a real solution, returned as a new array; the
-    arguments are left unchanged.  A NaN or inf in any argument raises
-    ValueError, an exactly singular matrix numpy.linalg.LinAlgError.
-    """
-    _require_finite(dl, d, du, b)
-    return _gtsv_solve(dl, d, du, b)
 
 
 # absolute tolerance of the bisection that isolates the lowest eigenvalue:

@@ -157,10 +157,6 @@ class ScatteringState:
     def r(self) -> complex:
         return self._coefficients[1]
 
-    @property
-    def unitarity_defect(self) -> float:
-        return abs(abs(self.r) ** 2 + abs(self.t) ** 2 - 1.0)
-
 
 @dataclass(frozen=True)
 class WronskianResult:

@@ -13,16 +13,33 @@ itself for a flat barrier, so it checks the package's t(k) to rounding
 rather than to O(h^2).  march_half_bound_loop is the package's trapezoid
 march of eta'' = V eta written as a plain loop, one node per step; it
 checks the banded solve of the same scheme to rounding.
-scattering_k_derivative differentiates the package's assembled outgoing
-system in k (forward mode, two tangent solves); it checks the Gamma
-gradient's adjoint k-term, which needs no solve of its own, to rounding.
+square_well samples the square well onto a package grid, with the mean
+value on nodes that land on a jump.  scattering_k_derivative
+differentiates the package's assembled outgoing system in k (forward
+mode, two tangent solves); it checks the Gamma gradient's adjoint k-term,
+which needs no solve of its own, to rounding.
 """
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from pdp.kernels import trisolve
+from pdp.grid import PotentialField
 from pdp.spectral import _outgoing_system, lattice_wavenumber
+
+
+def square_well(depth, halfwidth, a, grid):
+    """Square well -depth on |x| <= halfwidth, zero outside, support [-a, a].
+
+    Nodes that land exactly on the jump get the mean value -depth/2, which
+    restores second-order accuracy of the 3-point stencil across the
+    discontinuity.
+    """
+    x = grid.x
+    v = np.where(np.abs(x) <= halfwidth, -depth, 0.0)
+    v[np.isclose(np.abs(x), halfwidth, rtol=0.0, atol=1e-12 * max(1.0, halfwidth))] = -0.5 * depth
+    v[np.abs(x) > a] = 0.0
+    return PotentialField(grid, v, a)
 
 
 def scattering_amplitudes(v_func, a, k, rtol=1e-11):
@@ -214,8 +231,10 @@ def scattering_k_derivative(V, st):
     ghost = -1j * qp * np.exp(1j * q * h) / h
     dd[0] += ghost
     dd[-1] += ghost
+    ab = np.zeros((3, grid.n), dtype=np.complex128)
+    ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
     vk = np.asarray(V.values)
     out = []
     for phi, dwave in ((wave_p - st.e_plus, dwave_p), (wave_m - st.e_minus, dwave_m)):
-        out.append(dwave - trisolve(dl, d, du, vk * dwave - dd * phi))
+        out.append(dwave - solve_banded((1, 1), ab, vk * dwave - dd * phi))
     return out[0], out[1]

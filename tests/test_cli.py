@@ -526,6 +526,15 @@ class TestSimulateAndFilter:
         assert f"simulator.domain [{x_min}, {x_max}]" in err
         assert "a = 12.0" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "filter"])
+    def test_invalid_beta_mode_exit_code(self, tmp_path, capsys, command):
+        # beta is taken from the design parameters, as evaluate takes it,
+        # so an unknown mode is a config error here too, not the indicator
+        bogus = config.merge(SMALL_SIM, {"design": {"beta_mode": "bogus"}})
+        cfgp = write_config(tmp_path, "sim.json", bogus)
+        assert main([command, "--config", cfgp]) == EXIT_CONFIG
+        assert "beta_mode" in capsys.readouterr().err
+
 
 class TestGradcheck:
     def test_passes_with_few_directions(self, tmp_path, capsys):
@@ -547,3 +556,14 @@ class TestGradcheck:
         assert "FAIL" in capsys.readouterr().out
         man = json.loads(open(os.path.join(out, "manifest.json")).read())
         assert man["headline"]["passed"] is False
+
+    def test_no_directions_is_a_config_error(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path, "gc.json", {"gradcheck": {"n_directions": 0}})
+        assert main(["gradcheck", "--config", cfgp]) == EXIT_CONFIG
+        assert "gradcheck.n_directions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", [0.0, -1e-3, float("inf")])
+    def test_degenerate_fd_step_is_a_config_error(self, tmp_path, capsys, step):
+        cfgp = write_config(tmp_path, "gc.json", {"gradcheck": {"fd_step": step}})
+        assert main(["gradcheck", "--config", cfgp]) == EXIT_CONFIG
+        assert "gradcheck.fd_step" in capsys.readouterr().err

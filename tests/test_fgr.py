@@ -1,9 +1,11 @@
 """Decay-rate evaluation and Frechet-gradient tests (finite-difference checked)."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 import oracles
-from pdp import fgr, spectral
+from pdp import fgr, kernels, spectral
 from pdp.errors import ResonanceBelowCutoff, SolverFailure
 from pdp.grid import (
     BetaMode,
@@ -151,6 +153,47 @@ class TestGamma:
             a=12.0, b=1e3, mu=2.5, delta=1e-4, beta_mode=BetaMode.EQUALS_V
         )
         assert fgr.gamma(V, params_equals_v).gamma != fgr.gamma(V, p2).gamma
+
+
+class TestLastPointMemo:
+    """fgr.gamma keeps the last point it solved and nothing else."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        eig = kernels._lowest_eigenpair
+
+        def counted(*args):
+            calls.append(1)
+            return eig(*args)
+
+        monkeypatch.setattr(kernels, "_lowest_eigenpair", counted)
+        fgr.clear_cache()
+        return calls
+
+    def test_repeat_with_rebuilt_potential_makes_no_solve(self, V, params_fixed, solves):
+        res = fgr.gamma(V, params_fixed)
+        W = V.with_values(V.values.copy())
+        assert W is not V
+        assert fgr.gamma(W, params_fixed) is res
+        assert len(solves) == 1
+
+    def test_equal_params_built_anew_solve_again(self, V, params_fixed, solves):
+        fgr.gamma(V, params_fixed)
+        fgr.gamma(V, dataclasses.replace(params_fixed))
+        assert len(solves) == 2
+
+    def test_only_the_last_point_is_kept(self, V, params_fixed, solves):
+        V2 = V.with_values(1.01 * V.values)
+        for W in (V, V2, V):
+            fgr.gamma(W, params_fixed)
+        assert len(solves) == 3
+
+    def test_clear_cache_forces_a_solve(self, V, params_fixed, solves):
+        fgr.gamma(V, params_fixed)
+        fgr.clear_cache()
+        fgr.gamma(V, params_fixed)
+        assert len(solves) == 2
 
 
 class TestGradientField:
