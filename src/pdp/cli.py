@@ -364,10 +364,10 @@ def _emit_sim(em: Emitter, cfg: dict, command: str, result) -> None:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     sim, V, beta = _sim_inputs(cfg, args)
+    window = builders.fit_window(cfg)
     psi = solve_ground_state(V).psi
     result = timedomain.propagate(V, beta, psi.astype(np.complex128), sim)
     try:
-        window = tuple(cfg["simulator"]["fit_window"])
         result.fitted_rate = timedomain.fit_decay_rate(result, window)
     except ValueError:
         pass  # non-positive data or empty window: rate stays nan
@@ -384,8 +384,9 @@ def cmd_simulate(args) -> int:
 def cmd_filter(args) -> int:
     cfg = load_config(args.config)
     sim, V, beta = _sim_inputs(cfg, args)
-    amp = float(cfg["simulator"]["noise_amplitude"])
-    seed = int(cfg["simulator"]["seed"]) if args.seed is None else args.seed
+    amp, seed = builders.noise(cfg)
+    if args.seed is not None:
+        seed = args.seed
     result = timedomain.filter_experiment(V, beta, sim, amp, seed)
     retained = result.projection_sq[-1] / result.projection_sq[0]
     print(f"projection retained: {_fmt(retained)}")
@@ -399,14 +400,8 @@ def cmd_gradcheck(args) -> int:
     cfg = load_config(args.config)
     grid = builders.grid(cfg)
     params = builders.design(cfg, grid)
-    gc = cfg["gradcheck"]
-    rng = np.random.default_rng(int(gc["seed"]))
-    eps = float(gc["fd_step"])
-    n_dir = int(gc["n_directions"])
-    if n_dir < 1:
-        raise ConfigError(f"gradcheck.n_directions must be at least 1, got {n_dir}")
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ConfigError(f"gradcheck.fd_step must be finite and positive, got {eps!r}")
+    seed, n_dir, eps = builders.gradcheck(cfg)
+    rng = np.random.default_rng(seed)
     V = builders.initial_potential(cfg, grid)
     x = grid.x
     a = params.a

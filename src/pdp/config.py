@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
 import numpy as np
 
@@ -109,6 +110,24 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config {path} must be a JSON object")
     _reject_unknown_keys(user, DEFAULTS, "config")
     return merge(DEFAULTS, user)
+
+
+def _number(cfg: dict, section: str, key: str, kind=float):
+    """cfg[section][key] converted by kind; ConfigError naming the key if it fails."""
+    val = cfg[section][key]
+    try:
+        return kind(val)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(
+            f"{section}.{key} must be {'an integer' if kind is int else 'a number'}, got {val!r}"
+        ) from exc
+
+
+def _seed(cfg: dict, section: str) -> int:
+    seed = _number(cfg, section, "seed", int)
+    if seed < 0:
+        raise ConfigError(f"{section}.seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 class builders:
@@ -209,3 +228,32 @@ class builders:
                 f"contain the design support [-a, a], a = {a}"
             )
         return sim
+
+    @staticmethod
+    def noise(cfg: dict) -> tuple[float, int]:
+        """(simulator.noise_amplitude, simulator.seed) of the filter experiment."""
+        return _number(cfg, "simulator", "noise_amplitude"), _seed(cfg, "simulator")
+
+    @staticmethod
+    def fit_window(cfg: dict) -> tuple[float, float]:
+        """simulator.fit_window, the time window of the decay-rate fit."""
+        window = cfg["simulator"]["fit_window"]
+        if not isinstance(window, (list, tuple)) or len(window) != 2:
+            raise ConfigError(f"simulator.fit_window must be two numbers, got {window!r}")
+        try:
+            return float(window[0]), float(window[1])
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(
+                f"simulator.fit_window must be two numbers, got {window!r}"
+            ) from exc
+
+    @staticmethod
+    def gradcheck(cfg: dict) -> tuple[int, int, float]:
+        """(seed, n_directions, fd_step) of the gradcheck section."""
+        n_dir = _number(cfg, "gradcheck", "n_directions", int)
+        if n_dir < 1:
+            raise ConfigError(f"gradcheck.n_directions must be at least 1, got {n_dir}")
+        eps = _number(cfg, "gradcheck", "fd_step")
+        if not (math.isfinite(eps) and eps > 0.0):
+            raise ConfigError(f"gradcheck.fd_step must be finite and positive, got {eps!r}")
+        return _seed(cfg, "gradcheck"), n_dir, eps

@@ -14,6 +14,10 @@ pairing,
 
 zeroed outside the support window.  Callers doing nodal optimization
 multiply by the quadrature weights.
+
+gamma makes the one complex solve of Gamma and its gradient: the outgoing
+matrix at k_res is factored once for e_+- and R(k_res)[beta psi], which
+the result keeps for gamma_gradient.
 """
 from __future__ import annotations
 
@@ -52,7 +56,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FgrResult:
-    """Decay rate together with the spectral data used to form it."""
+    """Decay rate together with the spectral data used to form it.
+
+    source_response is R(k_res)[beta psi], the outgoing response to the
+    golden-rule source, solved with e_+- for gamma_gradient; it is None in
+    a result that keeps no grid-length array, and gamma_gradient then
+    solves for it.
+    """
 
     gamma: float
     k_res: float
@@ -60,6 +70,7 @@ class FgrResult:
     m_minus: complex
     bound_state: BoundState
     scattering: ScatteringState
+    source_response: np.ndarray | None = None
 
     def diagnostics(self) -> dict:
         """Scalar summary for run manifests."""
@@ -135,13 +146,19 @@ def gamma(V: PotentialField, params: DesignParams) -> FgrResult:
             f"resonance k = {k:.6g} is above the lattice cutoff 2/h = "
             f"{2.0 / V.grid.h:.6g} (h = {V.grid.h:.6g}): refine the grid"
         )
-    st = distorted_plane_waves(V, k)
     src = params.beta_values(V) * bs.psi
+    st, rbp = distorted_plane_waves(V, k, src)
     m_p = complex(trapz(V.grid, src * st.e_plus))
     m_m = complex(trapz(V.grid, src * st.e_minus))
     rate = (abs(m_p) ** 2 + abs(m_m) ** 2) / (16.0 * k)
     res = FgrResult(
-        gamma=rate, k_res=k, m_plus=m_p, m_minus=m_m, bound_state=bs, scattering=st
+        gamma=rate,
+        k_res=k,
+        m_plus=m_p,
+        m_minus=m_m,
+        bound_state=bs,
+        scattering=st,
+        source_response=rbp,
     )
     _last = (V, params, res)
     return res
@@ -246,10 +263,11 @@ def gamma_gradient(
     the resonant wavenumber (prefactor and wave dephasing), and - when the
     forcing profile is the potential itself - the direct beta = V term.
 
-    Gamma and its gradient together make two complex solves: the
-    two-column solve for e_+- in gamma, and here one outgoing solve
-    rbp = R(k)[beta psi], plus one real reduced-resolvent solve.  rbp
-    serves both the explicit wave term and the k-derivative of the waves:
+    Gamma and its gradient together make one complex solve, the
+    three-column outgoing solve in gamma for e_+- and rbp = R(k)[beta
+    psi] (res.source_response; solved here when res keeps none), plus one
+    real reduced-resolvent solve here.  rbp serves both the explicit wave
+    term and the k-derivative of the waves:
     A = H_V - k^2 with outgoing rows is complex symmetric, so the pairings
     of beta psi with de_+-/dk follow from rbp by dot products (the adjoint
     identity, see _wave_k_pairings).  Its weight h is exact, not a
@@ -271,7 +289,9 @@ def gamma_gradient(
     g_psi = -pref * psi * reduced_resolvent_at_eigenvalue(V, bs, beta * resp)
 
     # explicit dependence of e_+- on V: de = -R(k)[w e]
-    rbp = outgoing_resolvent_solve(V, k, src)
+    rbp = res.source_response
+    if rbp is None:
+        rbp = outgoing_resolvent_solve(V, k, src)
     g_wave = -pref * np.real(
         np.conj(res.m_plus) * st.e_plus * rbp
         + np.conj(res.m_minus) * st.e_minus * rbp

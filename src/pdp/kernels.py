@@ -8,7 +8,10 @@ bisection counts the negative eigenvalues and isolates the lowest one;
 only when the next eigenvalue is too close for that does it bisect again
 to full precision.  Inverse iteration at the coarse shift (?stein) and
 one Rayleigh-quotient step (one ?gtsv solve) then give the eigenvector
-and the eigenvalue to rounding.  march_half_bound writes the zero-energy
+and the eigenvalue to rounding.  _lowest_eigenpair_by_parity does the
+same for a mirror-symmetric matrix of odd order from its even half: the
+even block gives the eigenpair, and a Sturm count of the odd block
+completes the count.  march_half_bound writes the zero-energy
 trapezoid march as one lower-banded triangular system and solves it with
 one BLAS ?tbsv call.  A tridiagonal solve with a matrix of its own ends
 in _gtsv_solve, a thin LAPACK ?gtsv call that assumes finite input.  The
@@ -27,6 +30,7 @@ No kernel calls another public kernel, so wrapping the module attributes
 (as a tracer does) gives one span per outside call: one
 kernels.cn_step_loop span covers a whole run of steps.
 """
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -107,15 +111,16 @@ def _rayleigh_quotient(d, e, v):
     return float(v @ tv)
 
 
-def _lowest_eigenpair(d, e):
+def _lowest_eigenpair(d, e, vl=-np.inf):
     """Lowest eigenpair of a symmetric tridiagonal matrix, if it is negative.
 
     d is the diagonal (length n), e the off-diagonal (length n-1).  Returns
     (count, lam, v): count is the number of eigenvalues strictly below 0,
     lam the lowest eigenvalue and v its unit eigenvector; lam and v are
-    None when count is 0.
+    None when count is 0.  vl < 0 is a lower bound of the eigenvalues
+    that the caller knows: no eigenvalue at or below it is seen.
 
-    LAPACK ?stebz bisects every eigenvalue in (-inf, 0], which it clips
+    LAPACK ?stebz bisects every eigenvalue in (vl, 0], which it clips
     to the Gershgorin interval of each split-off block, to the absolute
     tolerance _SHIFT_TOL.  The number it finds comes from Sturm counts and
     is exact; an eigenvalue of exactly 0 is returned but not counted.  When the second lowest eigenvalue (or 0,
@@ -132,8 +137,8 @@ def _lowest_eigenpair(d, e):
     """
     _require_finite(d, e)
     for abstol in (_SHIFT_TOL, 0.0):
-        # ?stebz clips (-inf, 0] to the Gershgorin interval of each block
-        m, w, iblock, isplit, info = _stebz(d, e, 1, -np.inf, 0.0, 0, 0, abstol, "B")
+        # ?stebz clips (vl, 0] to the Gershgorin interval of each block
+        m, w, iblock, isplit, info = _stebz(d, e, 1, vl, 0.0, 0, 0, abstol, "B")
         if info != 0:
             raise np.linalg.LinAlgError(f"?stebz failed with info={info}")
         w = w[:m]
@@ -158,6 +163,66 @@ def _lowest_eigenpair(d, e):
         return count, rho, z
     v /= np.sqrt(v @ v)
     return count, _rayleigh_quotient(d, e, v), v
+
+
+def _count_negative(d, e):
+    """Number of eigenvalues strictly below 0 of a symmetric tridiagonal matrix.
+
+    One ?stebz call whose tolerance ends the bisection before it starts:
+    each split-off block contributes the difference of its Sturm counts at
+    the ends of its Gershgorin interval clipped to (-inf, 0], and no
+    eigenvalue is refined.  As in _lowest_eigenpair, a block that is one
+    exact 0 is not counted.
+    """
+    if d.size == 1:  # ?stebz's wrapper takes no empty e
+        return int(d[0] < 0.0)
+    m, w, _, _, info = _stebz(d, e, 1, -np.inf, 0.0, 0, 0, np.inf, "B")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"?stebz failed with info={info}")
+    return int(np.count_nonzero(w[:m] < 0.0))
+
+
+def _lowest_eigenpair_by_parity(d, e):
+    """_lowest_eigenpair of a mirror-symmetric matrix of odd order.
+
+    d (length n = 2c + 1 >= 3) and e must read the same reversed.  Such a
+    matrix commutes with the reversal J, so it splits into an even block
+    (v = Jv) and an odd one (v = -Jv; Cantoni & Butler, Linear Algebra
+    Appl. 13 (1976) 275).  The even block is rows 0..c with v_c shared by
+    both halves; scaling v_c by 1/sqrt(2) makes it symmetric, with sqrt(2)
+    e_{c-1} coupling rows c-1 and c.  The odd block is rows 0..c-1 with
+    v_c = 0, the leading c x c block of d and e.  With e nonzero, the
+    lowest eigenvalue is simple, so Jv = +-v, and its eigenvector has no
+    zero entry (up to the signs of e it is a Perron vector), so it is not
+    odd: lam is the lowest eigenvalue of the even block.  The odd block is
+    only counted (_count_negative), and count is the sum of both counts.
+
+    The sqrt(2) row widens the even block's Gershgorin interval to about
+    0.41 |e| below the full matrix's, and ?stebz would bisect from there.
+    The even eigenvalues are eigenvalues of the full matrix, so the
+    bisection starts at a Gershgorin bound of the full matrix instead,
+    min(d) - 2 max|e|, less the rounding allowance that ?stebz gives its
+    own bound (2.1 n ulp times the larger end of the interval).
+    """
+    _require_finite(d, e)
+    n = d.shape[0]
+    c = n // 2
+    r = 2.0 * float(np.max(np.abs(e)))
+    gl, gu = float(np.min(d)) - r, float(np.max(d)) + r
+    vl = gl - 2.1 * n * np.finfo(float).eps * max(abs(gl), abs(gu))
+    if vl >= 0.0:
+        return 0, None, None
+    e_even = e[:c].copy()
+    e_even[-1] *= math.sqrt(2.0)
+    count, lam, u = _lowest_eigenpair(d[: c + 1], e_even, vl)
+    if count == 0:
+        return 0, None, None
+    count += _count_negative(d[:c], e[: c - 1])
+    v = np.empty(n)
+    np.multiply(u[:c], math.sqrt(0.5), out=v[:c])
+    v[c] = u[c]
+    v[c + 1 :] = v[:c][::-1]
+    return count, lam, v
 
 
 def march_half_bound(v, h, from_right):

@@ -127,9 +127,10 @@ class OptResult:
     """Final potential and its evaluation.
 
     result.bound_state and result.scattering are a fresh BoundState and
-    ScatteringState of V_opt: psi, lam, the waves and the coefficients are
-    computed again when first read, to the same bits, so a kept result
-    holds no grid-length array but V_opt and the trace.
+    ScatteringState of V_opt, and result.source_response is None: psi,
+    lam, the waves and t are computed again when first read, to the same
+    bits, so a kept result holds no grid-length array but V_opt and the
+    trace.
     """
 
     V_opt: PotentialField
@@ -350,14 +351,18 @@ def optimize(
         if budget_hit:
             stage_status = "iteration budget exhausted"
             break
-    # a kept result holds no psi and no waves (a sweep keeps one result per
-    # value); a reader of psi, t or e+- gets them recomputed, to the same bits
+    # a kept result holds no psi, no waves and no source response (a sweep
+    # keeps one result per value); a reader of psi, t or e+- gets them
+    # recomputed, to the same bits
     res = cur.result
     return OptResult(
         V_opt=V,
         trace=trace,
         result=replace(
-            res, bound_state=BoundState(V), scattering=ScatteringState(res.k_res, V)
+            res,
+            bound_state=BoundState(V),
+            scattering=ScatteringState(res.k_res, V),
+            source_response=None,
         ),
         margins=cur.margins,
         iterations=it,

@@ -1,9 +1,9 @@
 """Spectral machinery for H_V = -d^2/dx^2 + V on a uniform grid.
 
-Ground state (Dirichlet eigensolve), outgoing resolvent solves with Robin
-radiation rows, distorted plane waves, the transmission and reflection
-coefficients, the reduced resolvent at the eigenvalue, and the zero-energy
-Wronskian of the half-bound states.
+Ground state (Dirichlet eigensolve, from the even half of the grid when V
+is mirror-symmetric), outgoing resolvent solves with Robin radiation rows,
+distorted plane waves, the transmission coefficient, the reduced resolvent
+at the eigenvalue, and the zero-energy Wronskian of the half-bound states.
 
 All boundary conditions are imposed through ghost-node elimination of a
 centered first-derivative condition, which keeps every system tridiagonal
@@ -13,7 +13,8 @@ solve; gamma_gradient relies on that for the k-derivative of e_+-.
 
 The distorted plane waves e_+- take one complex exponential, e^{iqx}
 (e^{-iqx} is its conjugate), and one outgoing solve whose two columns are
-the forcings V e^{+-iqx}.
+the forcings V e^{+-iqx}; a caller's own forcing can ride along as a third
+column of the same solve (distorted_plane_waves with a source).
 
 t(k) and r(k) are not read off the outgoing solves: a recurrence over the
 rows where V != 0 marches the transmitted wave from the right-hand side of
@@ -64,6 +65,11 @@ class BoundState:
     bits, and a V without a negative eigenvalue raises NoBoundState at the
     read.  So a state that is never read (as in an optimizer result) holds
     no grid-length array.
+
+    A V that reads the same reversed, on a grid centred at 0 with an odd
+    number of nodes, is solved by parity from the even half of the grid
+    (kernels._lowest_eigenpair_by_parity), which agrees with the full-grid
+    solve to rounding; every other V is solved on the full grid.
     """
 
     V: PotentialField
@@ -71,10 +77,19 @@ class BoundState:
     @cached_property
     def _eigenpair(self) -> tuple[float, np.ndarray, int]:
         V = self.V
-        h = V.grid.h
+        grid = V.grid
+        h = grid.h
         d = 2.0 / h**2 + V.values[1:-1]
-        e = np.full(V.grid.n - 3, -1.0 / h**2)
-        count, lam, v = kernels._lowest_eigenpair(d, e)
+        e = np.full(grid.n - 3, -1.0 / h**2)
+        mirrored = (
+            grid.n % 2 == 1
+            and grid.x_min == -grid.x_max
+            and np.array_equal(V.values, V.values[::-1])
+        )
+        if mirrored:
+            count, lam, v = kernels._lowest_eigenpair_by_parity(d, e)
+        else:
+            count, lam, v = kernels._lowest_eigenpair(d, e)
         if count == 0:
             raise NoBoundState("H_V has no negative eigenvalue on this grid")
         # psi is 0 on the two end nodes, the only ones whose trapezoid
@@ -102,19 +117,19 @@ class BoundState:
 
 @dataclass(frozen=True)
 class ScatteringState:
-    """Distorted plane waves e_{V+-}(x,k) and the scattering coefficients.
+    """Distorted plane waves e_{V+-}(x,k) and the transmission coefficient.
 
     A state holds only k and V and computes nothing when it is built.
     e_plus and e_minus are computed together on first read: one complex
     exponential gives the lattice wave e^{iqx} (kept as wave, since the
     k-derivative in gamma_gradient reads it too), and one outgoing solve
     with the two-column forcing [V e^{iqx}, V e^{-iqx}] gives both
-    scattered parts (see distorted_plane_waves).  t and r are computed on
-    first read, both from one support recurrence of V at k (see
-    _support_recurrence).  A value is kept once read, and every state of
-    the same (k, V) gives the same bits; a solve or recurrence failure
-    raises SolverFailure at the read.  So a state whose waves are never
-    read (as in an optimizer result) holds no grid-length array.
+    scattered parts (see distorted_plane_waves).  t is computed on first
+    read, from one support recurrence of V at k (see _support_recurrence).
+    A value is kept once read, and every state of the same (k, V) gives
+    the same bits; a solve or recurrence failure raises SolverFailure at
+    the read.  So a state whose waves are never read (as in an optimizer
+    result) holds no grid-length array.
     """
 
     k: float
@@ -126,15 +141,28 @@ class ScatteringState:
         q = lattice_wavenumber(self.k, self.V.grid.h)
         return np.exp(1j * q * self.V.grid.x)
 
-    @cached_property
-    def _waves(self) -> tuple[np.ndarray, np.ndarray]:
-        # V is real, so V e^{-iqx} is the conjugate of V e^{iqx}
+    def _outgoing(self, source=None):
+        """(e_+, e_-, u) from one outgoing solve; u is R(k)[source] or None.
+
+        The solve takes the forcings V e^{iqx} and V e^{-iqx} (its
+        conjugate, V being real) and, if given, source as a third column;
+        each column has the bits of its one-column solve.
+        """
         wave = self.wave
-        f = np.empty((self.V.grid.n, 2), dtype=np.complex128, order="F")
+        m = 2 if source is None else 3
+        f = np.empty((self.V.grid.n, m), dtype=np.complex128, order="F")
         np.multiply(self.V.values, wave, out=f[:, 0])
         np.conjugate(f[:, 0], out=f[:, 1])
+        if source is not None:
+            f[:, 2] = source
         phi = outgoing_resolvent_solve(self.V, self.k, f)
-        return wave - phi[:, 0], np.conj(wave) - phi[:, 1]
+        u = None if source is None else phi[:, 2].copy()  # not a view that keeps phi
+        return wave - phi[:, 0], np.conj(wave) - phi[:, 1], u
+
+    @cached_property
+    def _waves(self) -> tuple[np.ndarray, np.ndarray]:
+        e_plus, e_minus, _ = self._outgoing()
+        return e_plus, e_minus
 
     @property
     def e_plus(self) -> np.ndarray:
@@ -145,17 +173,9 @@ class ScatteringState:
         return self._waves[1]
 
     @cached_property
-    def _coefficients(self) -> tuple[complex, complex]:
-        t, r = _support_recurrence(self.V, np.array([self.k]))
-        return complex(t[0]), complex(r[0])
-
-    @property
     def t(self) -> complex:
-        return self._coefficients[0]
-
-    @property
-    def r(self) -> complex:
-        return self._coefficients[1]
+        t, _ = _support_recurrence(self.V, np.array([self.k]))
+        return complex(t[0])
 
 
 @dataclass(frozen=True)
@@ -187,8 +207,10 @@ def solve_ground_state(V: PotentialField) -> BoundState:
     eigenvalues and isolates the lowest (bisecting again to full precision
     only when the next one is too close), inverse iteration at that shift
     gives the eigenvector, and one Rayleigh-quotient step brings both to
-    rounding.  An eigenvalue of exactly 0 is not counted.  The solve runs
-    here, not on first read: NoBoundState is raised by this call.
+    rounding.  A mirror-symmetric V is solved on the even half of the grid
+    and counted on both halves (see BoundState).  An eigenvalue of exactly
+    0 is not counted.  The solve runs here, not on first read:
+    NoBoundState is raised by this call.
     """
     bs = BoundState(V)
     bs._eigenpair
@@ -402,19 +424,27 @@ def transmission(V: PotentialField, k):
     return complex(t[0]) if ks.ndim == 0 else t.reshape(ks.shape)
 
 
-def distorted_plane_waves(V: PotentialField, k: float) -> ScatteringState:
-    """Distorted plane waves at wavenumber k, with t and r.
+def distorted_plane_waves(V: PotentialField, k: float, source=None):
+    """Distorted plane waves at wavenumber k, with t.
 
     phi_+- solves (H_V - k^2) phi = V e^{+-iqx} with outgoing rows and
     e_+- = e^{+-iqx} - phi_+-; both are computed here, from one
-    exponential and one outgoing solve with two right-hand sides.  t and r
-    come from the support recurrence that transmission uses, not from the
+    exponential and one outgoing solve with two right-hand sides.  t comes
+    from the support recurrence that transmission uses, not from the
     exterior of e_+, whose transmitted tail is a difference of nearly
-    equal numbers; it runs when t or r is first read.
+    equal numbers; it runs when t is first read.
+
+    With source (length n), the same solve takes it as a third column,
+    and (state, R(k)[source]) is returned; e_+- and the response each have
+    the bits of their solve without the other.
     """
     st = ScatteringState(k=float(k), V=V)
-    st.e_plus, st.e_minus  # computed now and kept by the state
-    return st
+    if source is None:
+        st.e_plus  # computed now and kept by the state
+        return st
+    e_plus, e_minus, u = st._outgoing(source)
+    st.__dict__["_waves"] = (e_plus, e_minus)  # kept as the cached property keeps it
+    return st, u
 
 
 def wronskian_at_zero(V: PotentialField, tol: float = 1e-8) -> WronskianResult:

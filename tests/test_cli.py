@@ -536,6 +536,34 @@ class TestSimulateAndFilter:
         assert "beta_mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, overrides, key",
+    [
+        ("gradcheck", {"gradcheck": {"n_directions": "two"}}, "gradcheck.n_directions"),
+        ("gradcheck", {"gradcheck": {"seed": "x"}}, "gradcheck.seed"),
+        ("gradcheck", {"gradcheck": {"seed": -1}}, "gradcheck.seed"),
+        ("gradcheck", {"gradcheck": {"fd_step": [1e-3]}}, "gradcheck.fd_step"),
+        ("simulate", {"simulator": {"fit_window": ["a", 40.0]}}, "simulator.fit_window"),
+        ("simulate", {"simulator": {"fit_window": [5.0]}}, "simulator.fit_window"),
+        ("simulate", {"simulator": {"fit_window": 5.0}}, "simulator.fit_window"),
+        ("filter", {"simulator": {"noise_amplitude": "big"}}, "simulator.noise_amplitude"),
+        ("filter", {"simulator": {"seed": "x"}}, "simulator.seed"),
+    ],
+    ids=[
+        "n_directions", "gradcheck_seed", "negative_seed", "fd_step",
+        "fit_window", "short_fit_window", "scalar_fit_window", "noise_amplitude",
+        "simulator_seed",
+    ],
+)
+def test_bad_value_is_a_config_error_naming_the_key(tmp_path, capsys, command, overrides, key):
+    # each of these used to end in a traceback with exit 1, the code for a
+    # failed gradient check, or (a one-number fit window) in a NaN rate
+    # and exit 0
+    cfgp = write_config(tmp_path, "bad.json", config.merge(SMALL_SIM, overrides))
+    assert main([command, "--config", cfgp]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
 class TestGradcheck:
     def test_passes_with_few_directions(self, tmp_path, capsys):
         cfgp = write_config(

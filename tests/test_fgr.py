@@ -90,7 +90,7 @@ class TestGamma:
 
     def test_one_eigensolve_and_t_on_first_read(self, V, params_fixed, monkeypatch):
         # the ground state and its count come from one tridiagonal
-        # eigensolve; the support recurrence for t and r waits for a read
+        # eigensolve; the support recurrence for t waits for a read
         from pdp import kernels, spectral
 
         calls = {"eig": 0, "rec": 0}
@@ -109,8 +109,8 @@ class TestGamma:
         fgr.clear_cache()
         st = fgr.gamma(V, params_fixed).scattering
         assert calls == {"eig": 1, "rec": 0}
-        t, r = st.t, st.r
-        assert st.t == t and st.r == r
+        t = st.t
+        assert st.t == t
         assert calls == {"eig": 1, "rec": 1}
         assert t == spectral.transmission(V, st.k)
 
@@ -312,10 +312,11 @@ class TestWaveKPairings:
 
 
 class TestGammaGradient:
-    def test_two_complex_solves_per_evaluation(self, V, params_fixed, monkeypatch):
-        # e_+- take one two-column solve and the gradient one more,
-        # R(k)[beta psi]; the k-derivative of the waves takes none (see
-        # _wave_k_pairings).  The other solve is real: the reduced resolvent
+    def test_one_complex_solve_per_evaluation(self, V, params_fixed, monkeypatch):
+        # e_+- and R(k)[beta psi] take one three-column solve in gamma, and
+        # the gradient none; the k-derivative of the waves takes none
+        # either (see _wave_k_pairings).  The other solve is real: the
+        # reduced resolvent
         calls = []
         gtsv = spectral._gtsv_solve
 
@@ -328,7 +329,25 @@ class TestGammaGradient:
         fgr.clear_cache()
         res = fgr.gamma(V, params_fixed)
         fgr.gamma_gradient(V, params_fixed, res)
-        assert calls == [(V.grid.n, 2), (V.grid.n,)]
+        assert calls == [(V.grid.n, 3)]
+
+    @pytest.mark.parametrize("build", ["sech", "walled"])
+    def test_same_bits_without_the_kept_response(self, grid, V, params_fixed, build):
+        # an optimizer result keeps no R(k)[beta psi]; the gradient then
+        # solves for it, and each column of gamma's solve has the bits of
+        # its one-column solve
+        from pdp.optimizer import OptOptions, optimize
+
+        W = V if build == "sech" else walled_sech(grid)
+        fgr.clear_cache()
+        out = optimize(W, params_fixed, OptOptions(max_iters=1, tau_start=1e-2, tau_min=1e-2))
+        assert out.result.source_response is None
+        fgr.clear_cache()
+        res = fgr.gamma(out.V_opt, params_fixed)
+        assert res.source_response is not None
+        kept = fgr.gamma_gradient(out.V_opt, params_fixed, res).values
+        solved = fgr.gamma_gradient(out.V_opt, params_fixed, out.result).values
+        assert kept.tobytes() == solved.tobytes()
 
     @pytest.mark.parametrize("fix", ["equals_v", "fixed"])
     def test_finite_difference(self, grid, V, params_equals_v, params_fixed, fix):

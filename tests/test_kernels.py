@@ -238,6 +238,51 @@ class TestLowestEigenpair:
         assert len(tols) == 1 and tols[0] > 0.0
 
 
+class TestLowestEigenpairByParity:
+    @pytest.mark.parametrize("n", [3, 5, 17, 201])
+    def test_matches_dense_on_mirror_symmetric_matrices(self, n):
+        # counts below several shifts, and the lowest eigenpair, of random
+        # matrices that read the same reversed.  Their ground states can be
+        # localized at both ends, with an even/odd split below rounding, so
+        # eigh's vector may be any mix of the pair: v is checked by its
+        # residual and its symmetry instead
+        rng = np.random.default_rng(n)
+        d = rng.standard_normal(n)
+        d = 0.5 * (d + d[::-1])
+        e = rng.standard_normal(n - 1)
+        e = 0.5 * (e + e[::-1])
+        T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        w = np.linalg.eigvalsh(T)
+        for sigma in (-2.0, -0.5, 0.0, 0.7, 3.0):
+            expected = int(np.count_nonzero(w < sigma))
+            count, lam, v = kernels._lowest_eigenpair_by_parity(d - sigma, e)
+            assert count == expected
+            if expected == 0:
+                assert (lam, v) == (None, None)
+                continue
+            assert lam + sigma == pytest.approx(w[0], abs=1e-12)
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(T @ v - (lam + sigma) * v) <= 1e-12
+            assert np.array_equal(v, v[::-1])
+
+    def test_bisection_starts_at_the_full_matrix_bound(self, monkeypatch):
+        # the even block's sqrt(2) row would start the bisection 0.41/h^2
+        # lower; the full matrix's bound saves the sweeps that costs
+        grid = make_grid(-20.0, 20.0, 2001)
+        d, e = _dirichlet_matrix(grid.x, sech_well(1.5, 1.5, 12.0, grid).values)
+        vls = []
+        stebz = kernels._stebz
+
+        def recorded(*args):
+            vls.append(args[3])
+            return stebz(*args)
+
+        monkeypatch.setattr(kernels, "_stebz", recorded)
+        kernels._lowest_eigenpair_by_parity(d, e)
+        assert -1.5 - 1e-6 < vls[0] < -1.5  # min V = -1.5, less the allowance
+        assert vls[1:] == [-np.inf]  # the odd block is only counted
+
+
 class TestMarchHalfBound:
     def test_zero_potential_stays_constant(self):
         eta, deta = kernels.march_half_bound(np.zeros(301), 0.05, True)

@@ -220,10 +220,32 @@ class TestOptimize:
         fresh = distorted_plane_waves(out.V_opt, out.result.k_res)
         assert st.e_plus.tobytes() == fresh.e_plus.tobytes()
         assert st.e_minus.tobytes() == fresh.e_minus.tobytes()
-        assert (st.t, st.r) == (fresh.t, fresh.r)
+        assert st.t == fresh.t
         full = fgr.gamma(out.V_opt, params)
         assert full.gamma == out.result.gamma
         assert classify_mechanism(out.result) == classify_mechanism(full)
+
+    def test_result_holds_no_grid_length_array(self, grid, V, params):
+        # every array reachable from the result is V_opt's values or the
+        # grid's own nodes and weights; nothing solved is kept
+        import dataclasses
+
+        out = optimize(V, params, OptOptions(max_iters=5, tau_start=1e-2, tau_min=1e-2))
+        shared = {id(out.V_opt.values), id(grid.x), id(grid.weights)}
+        found, todo, seen = [], [out.result], set()
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                if obj.size >= grid.n and id(obj) not in shared:
+                    found.append(obj.shape)
+            elif dataclasses.is_dataclass(obj):
+                todo.extend(vars(obj).values())
+            elif isinstance(obj, (tuple, list)):
+                todo.extend(obj)
+        assert found == []
 
     def test_infeasible_start_raises(self, grid):
         V = sech_well(1.5, 1.5, 12.0, grid)

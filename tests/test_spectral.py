@@ -8,6 +8,7 @@ import oracles
 from oracles import hamiltonian_apply, square_well
 from pdp.errors import NoBoundState, SolverFailure
 from pdp.grid import PotentialField, make_grid, sech_well, trapz
+from pdp import kernels, spectral
 from pdp.spectral import (
     distorted_plane_waves,
     lattice_wavenumber,
@@ -17,6 +18,11 @@ from pdp.spectral import (
     transmission,
     wronskian_at_zero,
 )
+
+
+def reflection(V, k):
+    """r(k), read off the support recurrence that gives t."""
+    return complex(spectral._support_recurrence(V, np.array([float(k)]))[1][0])
 
 
 def pt_potential(grid, a=15.0):
@@ -128,6 +134,93 @@ class TestGroundState:
         assert lam == pytest.approx(oracles.square_well_ground_energy(V0, w), abs=2e-4)
 
 
+def full_grid_solve(V):
+    """(count, lam, psi) from kernels._lowest_eigenpair on the full interior
+    matrix, normalized and signed as BoundState does."""
+    h = V.grid.h
+    d = 2.0 / h**2 + V.values[1:-1]
+    count, lam, v = kernels._lowest_eigenpair(d, np.full(V.grid.n - 3, -1.0 / h**2))
+    scale = 1.0 / np.sqrt(h * (v @ v))
+    if v[np.argmax(np.abs(v))] < 0:
+        scale = -scale
+    psi = np.zeros(V.grid.n)
+    psi[1:-1] = v * scale
+    return count, lam, psi
+
+
+def double_well(grid):
+    """Two Gaussian wells at x = +-5 whose even and odd states are split
+    by 4.7e-3."""
+    x = grid.x
+    v = -(np.exp(-((x - 5.0) ** 2)) + np.exp(-((x + 5.0) ** 2)))
+    return PotentialField(grid, np.where(np.abs(x) <= 12.0, v, 0.0), 12.0)
+
+
+class TestGroundStateParity:
+    # a mirror-symmetric V on a centred grid with odd n is solved from the
+    # even half of the grid; every other V on the full grid
+    @staticmethod
+    def _parity_calls(monkeypatch):
+        calls = []
+        parity = kernels._lowest_eigenpair_by_parity
+
+        def counted(d, e):
+            calls.append(d.size)
+            return parity(d, e)
+
+        monkeypatch.setattr(kernels, "_lowest_eigenpair_by_parity", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "build, count",
+        [
+            (lambda g: sech_well(1.5, 1.5, 12.0, g), 1),
+            (lambda g: square_well(2.0, 3.0, 15.0, g), 3),  # even, odd, even
+            (double_well, 2),
+        ],
+        ids=["sech", "square", "double"],
+    )
+    def test_matches_full_grid_solve(self, grid, build, count, monkeypatch):
+        V = build(grid)
+        ref_count, ref_lam, ref_psi = full_grid_solve(V)
+        calls = self._parity_calls(monkeypatch)
+        bs = solve_ground_state(V)
+        assert calls == [grid.n - 2]
+        assert bs.count_negative_eigenvalues == ref_count == count
+        assert abs(bs.lam - ref_lam) <= 1e-12 * max(1.0, abs(ref_lam))
+        assert np.max(np.abs(bs.psi - ref_psi)) <= 1e-10
+
+    def test_double_well_pair_is_closer_than_the_coarse_tolerance(self, grid):
+        h = grid.h
+        d = 2.0 / h**2 + double_well(grid).values[1:-1]
+        e = np.full(d.size - 1, -1.0 / h**2)
+        m, w, *_ = kernels._stebz(d, e, 1, -np.inf, 0.0, 0, 0, 0.0, "B")
+        w = np.sort(w[:m])
+        assert m == 2 and 0.0 < w[1] - w[0] < kernels._SHIFT_TOL
+
+    @pytest.mark.parametrize("case", ["even-n", "off-centre", "one-ulp"])
+    def test_other_potentials_take_the_full_grid_path(self, case, monkeypatch):
+        if case == "even-n":
+            V = sech_well(1.5, 1.5, 12.0, make_grid(-20.0, 20.0, 2000))
+        elif case == "off-centre":
+            g = make_grid(-30.0, 40.0, 2001)  # middle node at x = 5
+            v = np.where(np.abs(g.x - 5.0) <= 7.0, -1.5 / np.cosh(1.5 * (g.x - 5.0)), 0.0)
+            V = PotentialField(g, 0.5 * (v + v[::-1]), 12.0)
+        else:
+            V = sech_well(1.5, 1.5, 12.0, make_grid(-20.0, 20.0, 2001))
+            v = V.values.copy()
+            v[800] = np.nextafter(v[800], -np.inf)
+            V = V.with_values(v)
+        assert np.array_equal(V.values, V.values[::-1]) == (case != "one-ulp")
+        calls = self._parity_calls(monkeypatch)
+        bs = solve_ground_state(V)
+        assert calls == []
+        count, lam, psi = full_grid_solve(V)
+        assert bs.count_negative_eigenvalues == count
+        assert bs.lam == lam
+        assert bs.psi.tobytes() == psi.tobytes()
+
+
 class TestOutgoingResolvent:
     def test_free_green_function(self, grid):
         V = PotentialField(grid, np.zeros(grid.n), 15.0)
@@ -186,12 +279,12 @@ class TestDistortedPlaneWaves:
         q = lattice_wavenumber(1.2, grid.h)
         np.testing.assert_allclose(st.e_plus, np.exp(1j * q * grid.x), atol=1e-10)
         assert st.t == pytest.approx(1.0, abs=1e-10)
-        assert abs(st.r) < 1e-10
+        assert abs(reflection(V, 1.2)) < 1e-10
 
     def test_poschl_teller_reflectionless(self, pt):
         st = distorted_plane_waves(pt, 1.0)
         assert abs(st.t) == pytest.approx(1.0, abs=1e-3)
-        assert abs(st.r) < 1e-3
+        assert abs(reflection(pt, 1.0)) < 1e-3
 
     def test_square_well_against_analytic_transfer_matrix(self, grid):
         V0, w = 1.3, 2.0
@@ -200,7 +293,7 @@ class TestDistortedPlaneWaves:
             st = distorted_plane_waves(V, k)
             t_exact = oracles.square_well_transmission(V0, w, k)
             assert abs(st.t - t_exact) < 2e-3
-            assert abs(abs(st.r) ** 2 + abs(st.t) ** 2 - 1.0) < 1e-10
+            assert abs(abs(reflection(V, k)) ** 2 + abs(st.t) ** 2 - 1.0) < 1e-10
 
     def test_generic_against_ode_oracle(self, grid):
         vals = np.where(
@@ -217,7 +310,7 @@ class TestDistortedPlaneWaves:
             st = distorted_plane_waves(V, k)
             t_o, r_o = oracles.scattering_amplitudes(v_func, 10.0, k)
             assert abs(st.t - t_o) < 2e-3
-            assert abs(st.r - r_o) < 2e-3
+            assert abs(reflection(V, k) - r_o) < 2e-3
 
     def test_symmetry_relation(self, pt):
         # for symmetric V: e_-(x) = e_+(-x)
@@ -238,6 +331,21 @@ class TestDistortedPlaneWaves:
             one = w - outgoing_resolvent_solve(V, k, V.values * w)
             assert e.tobytes() == one.tobytes()
         assert st.wave.tobytes() == np.exp(1j * q * grid.x).tobytes()
+
+
+    @pytest.mark.parametrize("wall", [0.0, 40.0], ids=["sech", "walled"])
+    def test_source_column_keeps_the_bits_of_its_own_solve(self, grid, wall):
+        # with a source, the solve for e_+- takes it as a third column;
+        # the waves and the response keep the bits of their own solves
+        vals = sech_well(1.5, 1.5, 12.0, grid).values
+        V = PotentialField(grid, vals + np.where((grid.x > 6.0) & (grid.x < 7.0), wall, 0.0), 12.0)
+        k = 1.1
+        src = np.where(np.abs(grid.x) <= 2.0, 1.0, 0.0) * solve_ground_state(V).psi
+        st, u = distorted_plane_waves(V, k, src)
+        plain = distorted_plane_waves(V, k)
+        assert st.e_plus.tobytes() == plain.e_plus.tobytes()
+        assert st.e_minus.tobytes() == plain.e_minus.tobytes()
+        assert u.tobytes() == outgoing_resolvent_solve(V, k, src).tobytes()
 
 
 def dense_bordered_solve(V, bs, f):
@@ -447,16 +555,17 @@ class TestTransmissionRecurrence:
             warnings.simplefilter("error")
             st = distorted_plane_waves(V, 1.0)
             t = transmission(V, np.array([0.5, 1.0, 3.0]))
+            r = reflection(V, 1.0)
         assert st.t == 0.0 and np.all(t == 0.0)
-        assert abs(abs(st.r) - 1.0) <= 1e-12
-        assert np.isfinite(st.r)
+        assert abs(abs(r) - 1.0) <= 1e-12
+        assert np.isfinite(r)
 
     def test_free_potential_transmits_exactly(self, grid):
         V = PotentialField(grid, np.zeros(grid.n), 15.0)
         assert transmission(V, 1.3) == 1.0
         assert np.all(transmission(V, np.array([0.1, 2.0, 4.0])) == 1.0)
         st = distorted_plane_waves(V, 0.7)
-        assert st.t == 1.0 and st.r == 0.0
+        assert st.t == 1.0 and reflection(V, 0.7) == 0.0
 
 
 class TestWronskian:

@@ -26,10 +26,7 @@ ALLOWED = {
     ("fgr", "clear_cache"): "the benchmark workloads call it before each timed operation",
 }
 # public methods and properties that no pdp code reads, and why each stays
-ALLOWED_MEMBERS = {
-    "spectral.ScatteringState.r": "the reflection amplitude, read off the same "
-    "recurrence as t; the unitarity gate |r|^2 + |t|^2 = 1 of criterion 2 reads it",
-}
+ALLOWED_MEMBERS: dict[str, str] = {}
 
 
 class _References(ast.NodeVisitor):
