@@ -23,9 +23,9 @@ import sys
 import numpy as np
 
 from . import __version__, fgr, optimizer, timedomain
-from .config import builders, load_config, merge
+from .config import builders, load_config, merge, override
 from .errors import ConfigError, PdpError, SolverFailure
-from .grid import BetaMode, Grid, PotentialField, h1_norm_sq, interpolate_potential
+from .grid import Grid, PotentialField, h1_norm_sq, interpolate_potential
 from .spectral import solve_ground_state, transmission, wronskian_at_zero
 
 EXIT_OK = 0
@@ -189,7 +189,7 @@ def _load_potential_csv(path: str, grid: Grid, a: float) -> PotentialField:
 def _resolve_potential(cfg: dict, grid: Grid, path: str | None) -> PotentialField:
     if path is None:
         return builders.initial_potential(cfg, grid)
-    return _load_potential_csv(path, grid, float(cfg["design"]["a"]))
+    return _load_potential_csv(path, grid, cfg["design"]["a"])
 
 
 def _emit_potential_artifacts(em: Emitter, V: PotentialField, res) -> None:
@@ -237,10 +237,21 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _given(**flags) -> dict:
+    """The flags given on the command line (those not None), as a config section."""
+    return {key: val for key, val in flags.items() if val is not None}
+
+
+def _json_list(text: str):
+    """A comma-separated flag as the JSON list [text], else text for the config check to reject."""
+    try:
+        return json.loads(f"[{text}]")
+    except json.JSONDecodeError:
+        return text
+
+
 def cmd_optimize(args) -> int:
-    cfg = load_config(args.config)
-    if args.symmetric:
-        cfg["optimizer"]["symmetric"] = True
+    cfg = override(load_config(args.config), {"optimizer": _given(symmetric=args.symmetric)})
     grid = builders.grid(cfg)
     params = builders.design(cfg, grid)
     opts = builders.opt_options(cfg)
@@ -270,15 +281,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    vary = args.vary or cfg["sweep"]["vary"]
-    try:
-        raw = args.values.split(",") if args.values else cfg["sweep"]["values"]
-        values = [float(v) for v in raw]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sweep values must be numbers: {exc}") from exc
-    if vary not in ("a", "mu", "b", "delta"):
-        raise ConfigError(f"cannot sweep over {vary!r} (one of a, mu, b, delta)")
+    cfg = override(load_config(args.config), {"sweep": _given(vary=args.vary, values=args.values)})
+    vary, values = builders.sweep(cfg)
     grid = builders.grid(cfg)
     opts = builders.opt_options(cfg)
     labels, gamma_init, outs, errors = [], [], [], []
@@ -341,8 +345,7 @@ def _sim_inputs(cfg, args):
     V_design = _resolve_potential(cfg, grid, args.potential)
     V = timedomain.resample_potential(V_design, sim.domain)
     params = builders.design(cfg, sim.domain)
-    beta = V if params.beta_mode is BetaMode.EQUALS_V else params.beta
-    return sim, V, beta
+    return sim, V, V.with_values(params.beta_values(V))
 
 
 def _emit_sim(em: Emitter, cfg: dict, command: str, result) -> None:
@@ -375,24 +378,18 @@ def cmd_simulate(args) -> int:
         f"projection_sq: {_fmt(result.projection_sq[0])} -> {_fmt(result.projection_sq[-1])}"
         + ("" if np.isnan(result.fitted_rate) else f", fitted rate {_fmt(result.fitted_rate)}")
     )
-    em = Emitter(args.out)
-    if args.out:
-        _emit_sim(em, cfg, "simulate", result)
+    _emit_sim(Emitter(args.out), cfg, "simulate", result)  # writes nothing without --out
     return EXIT_OK
 
 
 def cmd_filter(args) -> int:
-    cfg = load_config(args.config)
+    cfg = override(load_config(args.config), {"simulator": _given(seed=args.seed)})
     sim, V, beta = _sim_inputs(cfg, args)
     amp, seed = builders.noise(cfg)
-    if args.seed is not None:
-        seed = args.seed
     result = timedomain.filter_experiment(V, beta, sim, amp, seed)
     retained = result.projection_sq[-1] / result.projection_sq[0]
     print(f"projection retained: {_fmt(retained)}")
-    em = Emitter(args.out)
-    if args.out:
-        _emit_sim(em, cfg, "filter", result)
+    _emit_sim(Emitter(args.out), cfg, "filter", result)
     return EXIT_OK
 
 
@@ -467,13 +464,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="barrier L-BFGS minimization of Gamma")
     common(p, out_required=False)
     p.add_argument("--potential", help="starting potential CSV (default: config init)")
-    p.add_argument("--symmetric", action="store_true", help="optimize in the symmetric subspace")
+    p.add_argument("--symmetric", action="store_const", const=True,
+                   help="optimize in the symmetric subspace")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("sweep", help="independent optimize runs over a parameter")
     common(p)
     p.add_argument("--vary", help="design field to vary (a, mu, b, delta)")
-    p.add_argument("--values", help="comma-separated values")
+    p.add_argument("--values", type=_json_list, help="comma-separated numbers")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="time-domain propagation from the bound state")

@@ -2,7 +2,10 @@
 
 A config file is a JSON object with optional sections; anything omitted
 falls back to the defaults below, and a section or key that the defaults
-do not have is a ConfigError.
+do not have is a ConfigError.  Each value must have its default's type (a
+float a finite number, an integer a whole one), checked at load and for
+each CLI flag written over the file ("design.mu must be a finite number,
+got '2'").
 
     {
       "grid":      {"x_min": -20.0, "x_max": 20.0, "n": 2001},
@@ -28,9 +31,10 @@ beta_mode "fixed" uses the indicator of [-beta_halfwidth, beta_halfwidth];
 """
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
-import math
+import sys
 
 import numpy as np
 
@@ -39,7 +43,7 @@ from .grid import BetaMode, DesignParams, Grid, PotentialField, make_grid, sech_
 from .optimizer import OptOptions
 from .timedomain import Absorber, SimConfig
 
-__all__ = ["DEFAULTS", "load_config", "merge", "builders"]
+__all__ = ["DEFAULTS", "load_config", "merge", "override", "builders"]
 
 DEFAULTS: dict = {
     "grid": {"x_min": -20.0, "x_max": 20.0, "n": 2001},
@@ -85,14 +89,44 @@ def merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _reject_unknown_keys(user: dict, defaults: dict, where: str) -> None:
-    """ConfigError on any key of user missing from defaults, at every dict level."""
-    unknown = set(user) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    for key, val in user.items():
-        if isinstance(val, dict) and isinstance(defaults[key], dict):
-            _reject_unknown_keys(val, defaults[key], f"{where}.{key}")
+def _require(ok: bool, key: str, want: str, val) -> None:
+    """ConfigError "<key> must be <want>, got <val>" unless ok."""
+    if not ok:
+        raise ConfigError(f"{key} must be {want}, got {val!r}")
+
+
+def _typed(val, default, key: str):
+    """val checked against the JSON type of default, and converted to it.
+
+    A section may hold only its default's keys; a list's items are typed by
+    its default's first.  key names val in a ConfigError ("" for the config).
+    """
+    if isinstance(default, dict):
+        _require(isinstance(val, dict), key, "an object", val)
+        unknown = set(val) - set(default)
+        if unknown:
+            raise ConfigError(f"unknown keys in {key or 'config'}: {sorted(unknown)}")
+        return {k: _typed(v, default[k], f"{key}.{k}".lstrip(".")) for k, v in val.items()}
+    if isinstance(default, list):
+        _require(isinstance(val, list), key, "a list of finite numbers", val)
+        return [_typed(v, default[0], f"{key}[{i}]") for i, v in enumerate(val)]
+    # a number is finite in a float, and true and false are no numbers
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    number = number and abs(val) <= sys.float_info.max
+    kind = type(default)
+    ok, want = {
+        bool: (isinstance(val, bool), "true or false"),
+        str: (isinstance(val, str), "a string"),
+        int: (number and val % 1 == 0, "an integer"),
+        float: (number, "a finite number"),
+    }[kind]
+    _require(ok, key, want, val)
+    return kind(val)
+
+
+def override(cfg: dict, user: dict) -> dict:
+    """cfg with the values of user written over it, each first checked by its default's type."""
+    return merge(cfg, _typed(user, DEFAULTS, ""))
 
 
 def load_config(path: str | None) -> dict:
@@ -108,94 +142,63 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    _reject_unknown_keys(user, DEFAULTS, "config")
-    return merge(DEFAULTS, user)
+    return override(DEFAULTS, user)
 
 
-def _number(cfg: dict, section: str, key: str, kind=float):
-    """cfg[section][key] converted by kind; ConfigError naming the key if it fails."""
-    val = cfg[section][key]
+@contextlib.contextmanager
+def _section(name: str):
+    """A ValueError of a domain constructor as a ConfigError naming the section."""
     try:
-        return kind(val)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(
-            f"{section}.{key} must be {'an integer' if kind is int else 'a number'}, got {val!r}"
-        ) from exc
-
-
-def _seed(cfg: dict, section: str) -> int:
-    seed = _number(cfg, section, "seed", int)
-    if seed < 0:
-        raise ConfigError(f"{section}.seed must be a non-negative integer, got {seed}")
-    return seed
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"bad {name} section: {exc}") from exc
 
 
 class builders:
-    """Constructors from a merged config dict to domain objects."""
+    """Constructors from a merged config dict to domain objects.
+
+    The values already have their defaults' types, so a builder converts
+    nothing; it adds the range checks that a type cannot express, and the
+    ValueError of a domain constructor becomes a ConfigError.
+    """
 
     @staticmethod
     def grid(cfg: dict) -> Grid:
-        g = cfg["grid"]
-        try:
-            return make_grid(g["x_min"], g["x_max"], g["n"])
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"bad grid section: {exc}") from exc
+        with _section("grid"):
+            return make_grid(**cfg["grid"])
 
     @staticmethod
     def beta(cfg: dict, grid: Grid) -> PotentialField:
         d = cfg["design"]
-        try:
-            hw = float(d["beta_halfwidth"])
-            vals = np.where(np.abs(grid.x) <= hw, 1.0, 0.0)
-            return PotentialField(grid, vals, float(d["a"]))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"bad design section: {exc}") from exc
+        hw = d["beta_halfwidth"]
+        _require(hw > 0.0, "design.beta_halfwidth", "positive", hw)
+        with _section("design"):
+            return PotentialField(grid, np.where(np.abs(grid.x) <= hw, 1.0, 0.0), d["a"])
 
     @staticmethod
     def design(cfg: dict, grid: Grid) -> DesignParams:
         d = cfg["design"]
-        try:
-            mode = BetaMode(d["beta_mode"])
-        except ValueError as exc:
-            raise ConfigError(f"beta_mode must be 'fixed' or 'equals_v'") from exc
-        beta = builders.beta(cfg, grid) if mode is BetaMode.FIXED else None
-        try:
-            return DesignParams(
-                a=float(d["a"]),
-                b=float(d["b"]),
-                mu=float(d["mu"]),
-                delta=float(d["delta"]),
-                beta_mode=mode,
-                beta=beta,
-                wronskian_tol=float(d["wronskian_tol"]),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"bad design section: {exc}") from exc
+        mode = d["beta_mode"]
+        _require(mode in ("fixed", "equals_v"), "design.beta_mode", "'fixed' or 'equals_v'", mode)
+        beta = builders.beta(cfg, grid) if mode == "fixed" else None
+        bounds = {key: d[key] for key in ("a", "b", "mu", "delta", "wronskian_tol")}
+        with _section("design"):
+            return DesignParams(**bounds, beta_mode=BetaMode(mode), beta=beta)
 
     @staticmethod
     def initial_potential(cfg: dict, grid: Grid) -> PotentialField:
         i = cfg["init"]
-        try:
-            return sech_well(float(i["A"]), float(i["B"]), float(cfg["design"]["a"]), grid)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"bad init section: {exc}") from exc
+        with _section("init"):
+            return sech_well(i["A"], i["B"], cfg["design"]["a"], grid)
 
     @staticmethod
     def opt_options(cfg: dict) -> OptOptions:
-        o = cfg["optimizer"]
-        try:
-            opts = OptOptions(
-                tau_start=float(o["tau_start"]),
-                tau_min=float(o["tau_min"]),
-                max_iters=int(o["max_iters"]),
-                symmetric=bool(o["symmetric"]),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"bad optimizer section: {exc}") from exc
+        with _section("optimizer"):
+            opts = OptOptions(**cfg["optimizer"])  # the section's keys are its fields
         # the symmetric descent mirrors V about the middle node, which is
         # x = 0 only on a grid centred there
         g = cfg["grid"]
-        if opts.symmetric and float(g["x_min"]) != -float(g["x_max"]):
+        if opts.symmetric and g["x_min"] != -g["x_max"]:
             raise ConfigError(
                 "optimizer.symmetric needs a grid centred at 0 (x_min = -x_max), "
                 f"got the off-centre grid [{g['x_min']}, {g['x_max']}]"
@@ -205,23 +208,17 @@ class builders:
     @staticmethod
     def sim_config(cfg: dict) -> SimConfig:
         s = cfg["simulator"]
-        try:
-            dom = s["domain"]
+        with _section("simulator"):
             sim = SimConfig(
-                epsilon=float(s["epsilon"]),
-                mu=float(cfg["design"]["mu"]),
-                t_final=float(s["t_final"]),
-                dt_max=float(s["dt_max"]),
-                absorber=Absorber(
-                    width=float(s["absorber"]["width"]),
-                    strength=float(s["absorber"]["strength"]),
-                ),
-                domain=make_grid(dom["x_min"], dom["x_max"], dom["n"]),
+                epsilon=s["epsilon"],
+                mu=cfg["design"]["mu"],
+                t_final=s["t_final"],
+                dt_max=s["dt_max"],
+                absorber=Absorber(**s["absorber"]),
+                domain=make_grid(**s["domain"]),
             )
-            a = float(cfg["design"]["a"])
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"bad simulator section: {exc}") from exc
         # the design potential and beta are resampled onto the domain
+        a = cfg["design"]["a"]
         if not (sim.domain.x_min < -a and a < sim.domain.x_max):
             raise ConfigError(
                 f"simulator.domain [{sim.domain.x_min}, {sim.domain.x_max}] must strictly "
@@ -232,28 +229,29 @@ class builders:
     @staticmethod
     def noise(cfg: dict) -> tuple[float, int]:
         """(simulator.noise_amplitude, simulator.seed) of the filter experiment."""
-        return _number(cfg, "simulator", "noise_amplitude"), _seed(cfg, "simulator")
+        s = cfg["simulator"]
+        _require(s["seed"] >= 0, "simulator.seed", "non-negative", s["seed"])
+        return s["noise_amplitude"], s["seed"]
 
     @staticmethod
     def fit_window(cfg: dict) -> tuple[float, float]:
         """simulator.fit_window, the time window of the decay-rate fit."""
-        window = cfg["simulator"]["fit_window"]
-        if not isinstance(window, (list, tuple)) or len(window) != 2:
-            raise ConfigError(f"simulator.fit_window must be two numbers, got {window!r}")
-        try:
-            return float(window[0]), float(window[1])
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(
-                f"simulator.fit_window must be two numbers, got {window!r}"
-            ) from exc
+        w = cfg["simulator"]["fit_window"]
+        _require(len(w) == 2 and w[0] < w[1], "simulator.fit_window", "two increasing times", w)
+        return w[0], w[1]
 
     @staticmethod
     def gradcheck(cfg: dict) -> tuple[int, int, float]:
         """(seed, n_directions, fd_step) of the gradcheck section."""
-        n_dir = _number(cfg, "gradcheck", "n_directions", int)
-        if n_dir < 1:
-            raise ConfigError(f"gradcheck.n_directions must be at least 1, got {n_dir}")
-        eps = _number(cfg, "gradcheck", "fd_step")
-        if not (math.isfinite(eps) and eps > 0.0):
-            raise ConfigError(f"gradcheck.fd_step must be finite and positive, got {eps!r}")
-        return _seed(cfg, "gradcheck"), n_dir, eps
+        g = cfg["gradcheck"]
+        _require(g["n_directions"] >= 1, "gradcheck.n_directions", "at least 1", g["n_directions"])
+        _require(g["fd_step"] > 0.0, "gradcheck.fd_step", "positive", g["fd_step"])
+        _require(g["seed"] >= 0, "gradcheck.seed", "non-negative", g["seed"])
+        return g["seed"], g["n_directions"], g["fd_step"]
+
+    @staticmethod
+    def sweep(cfg: dict) -> tuple[str, list[float]]:
+        """(vary, values) of the sweep section: the design field varied and its values."""
+        vary = cfg["sweep"]["vary"]
+        _require(vary in ("a", "mu", "b", "delta"), "sweep.vary", "one of a, mu, b, delta", vary)
+        return vary, cfg["sweep"]["values"]

@@ -120,6 +120,8 @@ class OptOptions:
             raise ValueError(f"tau_start must be finite and positive, got {self.tau_start}")
         if not 0.0 < self.tau_min:
             raise ValueError(f"tau_min must be positive, got {self.tau_min}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be non-negative, got {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -196,10 +198,10 @@ def barrier_objective(V: PotentialField, params: DesignParams, tau: float) -> Ba
     value = res.gamma - tau * (np.log(m1) + log_m2 + np.log(m3))
 
     w = V.grid.weights
-    g_field = fgr.gamma_gradient(V, params, res).values
-    g_field = g_field - tau * (
-        res.bound_state.psi ** 2 / m1
-        + w_coef * (wr.eta_plus * wr.eta_minus)
+    # the constraint fields that gradcheck verifies (masked off the support)
+    g_field = fgr.gamma_gradient(V, params, res).values - tau * (
+        fgr.lambda_gradient(V, res.bound_state).values / m1
+        + w_coef * fgr.wronskian_gradient(V, wr).values
     )
     grad = w * g_field + (tau / m3) * h1_gradient(V)
     grad = np.where(V.support_mask, grad, 0.0)

@@ -267,6 +267,25 @@ def test_headline_does_not_depend_on_rounding(headline, design_grid):
         assert np.allclose(out.margins, ref.margins, rtol=1e-2, atol=0.0), detail
 
 
+def test_b_type_optimum_does_not_depend_on_rounding(design_grid):
+    """The B-type optimum (a=8, mu=4, b=10) from starts 1e-12 apart: same
+    mechanism, same iteration count and every margin within 1%."""
+    params = design_for(design_grid, a=8.0, mu=4.0, b=10.0)
+    ref = optimize(sech_well(1.5, 1.5, 8.0, design_grid), params, OptOptions(symmetric=True))
+    assert classify_mechanism(ref.result) == "B"
+    for sign in (1.0, -1.0):
+        V0 = sech_well(1.5 * (1.0 + sign * 1e-12), 1.5, 8.0, design_grid)
+        out = optimize(V0, params, OptOptions(symmetric=True))
+        detail = (
+            f"start 1.5*(1{sign:+.0f}e-12): {out.iterations} iterations, "
+            f"mechanism {classify_mechanism(out.result)}, margins {out.margins} "
+            f"vs {ref.iterations}, B, {ref.margins}"
+        )
+        assert classify_mechanism(out.result) == "B", detail
+        assert out.iterations == ref.iterations, detail
+        assert np.allclose(out.margins, ref.margins, rtol=1e-2, atol=0.0), detail
+
+
 def test_headline_transmission_is_resolved(headline, design_grid):
     """|t(k_res)|^2 at the headline optimum is far below 1 and converged in h:
     it agrees within a factor 1.25 with V_opt interpolated onto 2n - 1 nodes."""
@@ -283,7 +302,8 @@ def test_headline_transmission_is_resolved(headline, design_grid):
 
 
 def test_criterion_6_mechanism_diagnostics():
-    # A-type: wide support a = 64 builds an opaque band-gap structure
+    # A-type: wide support a = 64 builds an opaque tunnelling barrier, with
+    # V > k^2 on 97% of the support nodes (95% at the headline), not a band gap
     grid_a = make_grid(-80, 80, 3001)
     params_a = design_for(grid_a, a=64.0, mu=2.0)
     out_a = optimize(

@@ -115,6 +115,20 @@ class TestConfig:
         assert main(["optimize", "--config", path] + argv) == EXIT_CONFIG
         assert "off-centre grid [-20.0, 30.0]" in capsys.readouterr().err
 
+    def test_values_take_the_type_of_their_default(self, tmp_path):
+        path = write_config(
+            tmp_path, "typed.json",
+            {"grid": {"n": 2001.0}, "design": {"mu": 2}, "simulator": {"fit_window": [5, 40]}},
+        )
+        cfg = config.load_config(path)
+        assert cfg["grid"]["n"] == 2001 and isinstance(cfg["grid"]["n"], int)
+        assert cfg["design"]["mu"] == 2.0 and isinstance(cfg["design"]["mu"], float)
+        assert all(isinstance(t, float) for t in cfg["simulator"]["fit_window"])
+        # a flag's value goes through the same check
+        assert config.override(cfg, {"simulator": {"seed": 7.0}})["simulator"]["seed"] == 7
+        with pytest.raises(ConfigError, match="simulator.seed must be an integer"):
+            config.override(cfg, {"simulator": {"seed": "7"}})
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -491,7 +505,7 @@ class TestSweep:
     def test_non_numeric_values_exit_code(self, tmp_path, capsys, argv, overrides):
         cfgp = write_config(tmp_path, "sweep.json", overrides)
         assert main(["sweep", "--config", cfgp, "--vary", "mu"] + argv) == EXIT_CONFIG
-        assert "sweep values" in capsys.readouterr().err
+        assert "sweep.values" in capsys.readouterr().err
 
 
 class TestSimulateAndFilter:
@@ -561,6 +575,40 @@ def test_bad_value_is_a_config_error_naming_the_key(tmp_path, capsys, command, o
     # and exit 0
     cfgp = write_config(tmp_path, "bad.json", config.merge(SMALL_SIM, overrides))
     assert main([command, "--config", cfgp]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, argv, overrides, key",
+    [
+        ("simulate", [], {"simulator": {"fit_window": [2.0, 0.5]}}, "simulator.fit_window"),
+        ("filter", ["--seed", "-1"], {}, "simulator.seed"),
+        ("evaluate", [], {"design": {"beta_halfwidth": -1}}, "design.beta_halfwidth"),
+        ("optimize", [], {"optimizer": {"max_iters": -3}}, "max_iters"),
+        ("sweep", ["--vary", "A"], {}, "sweep.vary"),
+        ("optimize", [], {"optimizer": {"symmetric": "false"}}, "optimizer.symmetric"),
+        ("evaluate", [], {"grid": {"n": 2001.9}}, "grid.n"),
+        ("evaluate", [], {"design": {"mu": float("nan")}}, "design.mu"),
+        ("evaluate", [], {"init": {"A": True}}, "init.A"),
+        ("evaluate", [], {"design": {"mu": "2"}}, "design.mu"),
+        ("evaluate", [], {"simulator": {"domain": 3001}}, "simulator.domain"),
+    ],
+    ids=[
+        "decreasing_fit_window", "negative_seed_flag", "negative_beta_halfwidth",
+        "negative_max_iters", "unknown_vary", "string_bool", "fractional_int", "nan",
+        "bool_as_number", "numeric_string", "scalar_section",
+    ],
+)
+def test_bad_type_or_range_exits_4_naming_the_key(
+    tmp_path, capsys, command, argv, overrides, key
+):
+    # each value is checked against the type of its default when the config
+    # is loaded, and a flag that sets a key is checked as the file is.
+    # Before, a decreasing window printed no rate with exit 0, "false" ran
+    # symmetric, n = 2001.9 ran n = 2001, true ran A = 1, "2" was read as
+    # 2, and a negative seed or a NaN ended in a traceback
+    cfgp = write_config(tmp_path, "bad.json", config.merge(SMALL_SIM, overrides))
+    assert main([command, "--config", cfgp] + argv) == EXIT_CONFIG
     assert key in capsys.readouterr().err
 
 

@@ -9,6 +9,10 @@ counts where it is loaded under the binding that one of its module's
 imports (or its own module) gives it, or as an attribute of its module.
 A method or property counts wherever an attribute of its name is read,
 because the syntax does not tell the type of the object read from.
+
+Every private function, class and module-level constant of a pdp module
+must be referenced by name somewhere in src/pdp or tests/ besides its own
+definition, so that a simplification leaves no dead code behind.
 """
 import ast
 import importlib
@@ -18,6 +22,7 @@ import pathlib
 import pdp
 
 SRC = pathlib.Path(pdp.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 
 # public names that no pdp code calls, and why each stays
 ALLOWED = {
@@ -135,3 +140,47 @@ def test_allowed_exceptions_are_public_and_unused():
     # an exception that pdp starts to use, or that leaves the surface,
     # comes off the list
     assert set(ALLOWED) <= _unreferenced_names(_parse()[1])
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, statement) of each private function, class and module-level
+    name (one leading underscore) defined at the top level of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [getattr(target, "id", "") for target in node.targets]
+        elif isinstance(node, ast.AnnAssign):
+            names = [getattr(node.target, "id", "")]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _names_read(node) -> set[str]:
+    """Names loaded, attributes read and names imported anywhere in node."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def test_every_private_name_is_referenced():
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    trees = {p: ast.parse(p.read_text(), str(p)) for p in paths}
+    # the names each top-level statement reads, its own definition aside
+    reads = [(stmt, _names_read(stmt)) for tree in trees.values() for stmt in tree.body]
+    unused = [
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name, node in _private_definitions(trees[path])
+        if not any(name in names for stmt, names in reads if stmt is not node)
+    ]
+    assert unused == []
