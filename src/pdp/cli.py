@@ -370,10 +370,16 @@ def cmd_simulate(args) -> int:
     window = builders.fit_window(cfg)
     psi = solve_ground_state(V).psi
     result = timedomain.propagate(V, beta, psi.astype(np.complex128), sim)
+    samples = np.count_nonzero(result.in_window(window))
+    if samples < 2:
+        raise ConfigError(
+            f"simulator.fit_window {list(window)} holds {samples} of the run's samples "
+            f"(t_final = {sim.t_final}), the fit needs at least two"
+        )
     try:
         result.fitted_rate = timedomain.fit_decay_rate(result, window)
     except ValueError:
-        pass  # non-positive data or empty window: rate stays nan
+        pass  # non-positive data on the window: rate stays nan
     print(
         f"projection_sq: {_fmt(result.projection_sq[0])} -> {_fmt(result.projection_sq[-1])}"
         + ("" if np.isnan(result.fitted_rate) else f", fitted rate {_fmt(result.fitted_rate)}")

@@ -79,14 +79,24 @@ DEFAULTS: dict = {
 
 
 def merge(base: dict, override: dict) -> dict:
-    """Recursive dict merge; override wins leaf-by-leaf."""
+    """Recursive dict merge; override wins leaf-by-leaf.
+
+    base is deep-copied once; override's values are taken as given, not
+    copied, so they must be fresh containers (as _typed returns them) or
+    left unchanged by the caller.
+    """
     out = copy.deepcopy(base)
+    _write_over(out, override)
+    return out
+
+
+def _write_over(out: dict, override: dict) -> None:
+    """Write override's values over out, section by section, in place."""
     for key, val in override.items():
         if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = merge(out[key], val)
+            _write_over(out[key], val)
         else:
-            out[key] = copy.deepcopy(val)
-    return out
+            out[key] = val
 
 
 def _require(ok: bool, key: str, want: str, val) -> None:
@@ -235,9 +245,15 @@ class builders:
 
     @staticmethod
     def fit_window(cfg: dict) -> tuple[float, float]:
-        """simulator.fit_window, the time window of the decay-rate fit."""
+        """simulator.fit_window, the time window of the decay-rate fit.
+
+        The window must start before simulator.t_final, where the run ends.
+        """
         w = cfg["simulator"]["fit_window"]
         _require(len(w) == 2 and w[0] < w[1], "simulator.fit_window", "two increasing times", w)
+        t_final = cfg["simulator"]["t_final"]
+        _require(w[0] < t_final, "simulator.fit_window",
+                 f"a window starting before simulator.t_final = {t_final}", w)
         return w[0], w[1]
 
     @staticmethod

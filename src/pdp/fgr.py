@@ -34,6 +34,7 @@ from .spectral import (
     ScatteringState,
     WronskianResult,
     distorted_plane_waves,
+    has_eigenvalue_at_or_below,
     lattice_wavenumber,
     outgoing_resolvent_solve,
     reduced_resolvent_at_eigenvalue,
@@ -114,11 +115,18 @@ def clear_cache() -> None:
 def gamma(V: PotentialField, params: DesignParams) -> FgrResult:
     """Gamma[V] via the distorted-plane-wave form.
 
-    Raises ResonanceBelowCutoff when lambda_V + mu <= 0 (no continuum
-    channel at the forcing frequency), NoBoundState when H_V has no
-    negative eigenvalue, and SolverFailure when k h / 2 >= 1 (the
-    resonance lies above the lattice's highest wavenumber, so the grid
-    cannot carry the outgoing wave).
+    Raises:
+        ResonanceBelowCutoff: lambda_V + mu <= 0, no continuum channel at
+            the forcing frequency.  One pivot sweep of H_V + mu
+            (spectral.has_eigenvalue_at_or_below) rejects such a V before
+            the eigensolve, with a message that quotes mu, not lambda;
+            lambda + mu is checked again after the eigensolve, for an
+            eigenvalue within rounding of -mu.
+        NoBoundState: H_V has no negative eigenvalue.
+        SolverFailure: k h / 2 >= 1, the resonance lies above the
+            lattice's highest wavenumber, so the grid cannot carry the
+            outgoing wave.
+        ValueError: a NaN or inf in V.
 
     A repeat of the last point solved, with params the same object and V
     on the same grid and support with equal values, returns that point's
@@ -134,6 +142,11 @@ def gamma(V: PotentialField, params: DesignParams) -> FgrResult:
             and np.array_equal(W.values, V.values)
         ):
             return res
+    if has_eigenvalue_at_or_below(V, -params.mu):
+        raise ResonanceBelowCutoff(
+            f"H_V has an eigenvalue at or below -mu = {-params.mu:.6g}: "
+            "forced state below the continuum"
+        )
     bs = solve_ground_state(V)
     ksq = bs.lam + params.mu
     if ksq <= 0.0:

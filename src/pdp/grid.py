@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -37,6 +37,11 @@ class Grid:
     def h(self) -> float:
         return (self.x_max - self.x_min) / (self.n - 1)
 
+    @property
+    def centred(self) -> bool:
+        """Whether the grid is centred at 0 (x_min = -x_max), so x is exactly odd."""
+        return self.x_min == -self.x_max
+
     @cached_property
     def x(self) -> np.ndarray:
         # centered generation: reproducible bit-exactly, and exactly
@@ -69,9 +74,23 @@ def trapz(grid: Grid, values: np.ndarray) -> float | complex:
     return grid.weights @ values
 
 
+@lru_cache(maxsize=8)
+def _support_mask(grid: Grid, a: float) -> np.ndarray:
+    """|x| <= a on the nodes of grid, read-only; kept per (grid, a)."""
+    mask = np.abs(grid.x) <= a
+    mask.setflags(write=False)
+    return mask
+
+
 @dataclass(frozen=True)
 class PotentialField:
-    """Sampled potential with compact support in [-a, a]."""
+    """Sampled potential with compact support in [-a, a].
+
+    support_mask (|x| <= a) is read-only and built once per grid and a,
+    not per field.  mirrored is decided on first read and kept: whether
+    the values read the same reversed, bit for bit (so -0.0 and 0.0
+    differ, and a NaN equals its mirror image only with the same payload).
+    """
 
     grid: Grid
     values: np.ndarray
@@ -88,14 +107,18 @@ class PotentialField:
                 f"support [-{a}, {a}] must lie strictly inside the domain "
                 f"[{self.grid.x_min}, {self.grid.x_max}]"
             )
-        outside = np.abs(self.grid.x) > self.support_halfwidth
-        if np.any(self.values[outside] != 0.0):
+        if np.any(self.values[~self.support_mask] != 0.0):
             raise ValueError("potential must vanish outside [-a, a]")
         self.values.setflags(write=False)
 
+    @cached_property
+    def mirrored(self) -> bool:
+        v = self.values.view(np.uint64)
+        return bool(np.array_equal(v, v[::-1]))
+
     @property
     def support_mask(self) -> np.ndarray:
-        return np.abs(self.grid.x) <= self.support_halfwidth
+        return _support_mask(self.grid, self.support_halfwidth)
 
     def with_values(self, values: np.ndarray) -> "PotentialField":
         v = np.where(self.support_mask, values, 0.0)

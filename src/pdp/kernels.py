@@ -1,6 +1,9 @@
 """Hot numerical kernels, implemented with numpy/scipy.
 
 ``BACKEND`` names the implementation and is recorded with benchmark runs.
+Every BLAS and LAPACK routine that pdp calls is fetched here, once; other
+modules reach them only through this one (pdp.spectral's support
+recurrence solves with _ztbsv).
 
 _lowest_eigenpair gives the ground state of a symmetric tridiagonal
 matrix and the number of its negative eigenvalues.  A coarse LAPACK
@@ -10,11 +13,14 @@ to full precision.  Inverse iteration at the coarse shift (?stein) and
 one Rayleigh-quotient step (one ?gtsv solve) then give the eigenvector
 and the eigenvalue to rounding.  _lowest_eigenpair_by_parity does the
 same for a mirror-symmetric matrix of odd order from its even half: the
-even block gives the eigenpair, and a Sturm count of the odd block
-completes the count.  march_half_bound writes the zero-energy
-trapezoid march as one lower-banded triangular system and solves it with
-one BLAS ?tbsv call.  A tridiagonal solve with a matrix of its own ends
-in _gtsv_solve, a thin LAPACK ?gtsv call that assumes finite input.  The
+even block gives the eigenpair, and the odd block completes the count,
+with one LDL^T pivot sweep (?pttrf, _positive_definite) when it has no
+negative eigenvalue and a Sturm count when it has.  march_half_bound
+writes the zero-energy trapezoid march as one lower-banded triangular
+system and solves it with one BLAS ?tbsv call; the band's entries that
+do not depend on V are copied from a template kept per (n, h).  A
+tridiagonal solve with a matrix of its own ends in _gtsv_solve, a thin
+LAPACK ?gtsv call that assumes finite input.  The
 solvers in pdp.spectral check the potential and their forcing once per
 solve with _require_finite and then call _gtsv_solve.  cn_step_loop
 checks its operands once per call.  It writes the Crank-Nicolson map as
@@ -50,7 +56,7 @@ def _gtsv(dtype):
     return get_lapack_funcs(("gtsv",), dtype=dtype)[0]
 
 
-_stebz, _stein = get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
+_stebz, _stein, _pttrf = get_lapack_funcs(("stebz", "stein", "pttrf"), dtype=np.float64)
 _dtbsv = get_blas_funcs(("tbsv",), dtype=np.float64)[0]
 # the CN matrix is always complex
 _ztbsv, _zaxpy = get_blas_funcs(("tbsv", "axpy"), dtype=np.complex128)
@@ -182,6 +188,21 @@ def _count_negative(d, e):
     return int(np.count_nonzero(w[:m] < 0.0))
 
 
+def _positive_definite(d, e) -> bool:
+    """Whether a symmetric tridiagonal matrix is positive definite.
+
+    d is the diagonal (length n), e the off-diagonal (length n-1); the
+    caller guarantees finite input.  One LDL^T pivot sweep (LAPACK
+    ?pttrf, O(n) with no bisection) stops at the first pivot <= 0, and
+    the matrix is positive definite when there is none.  So it is exactly
+    when _count_negative would count 0, except for an eigenvalue within
+    rounding of 0, where the pivots and the Sturm sequence round apart.
+    """
+    if d.size == 1:  # ?pttrf's wrapper takes no empty e
+        return bool(d[0] > 0.0)
+    return _pttrf(d, e)[2] == 0
+
+
 def _lowest_eigenpair_by_parity(d, e):
     """_lowest_eigenpair of a mirror-symmetric matrix of odd order.
 
@@ -195,7 +216,9 @@ def _lowest_eigenpair_by_parity(d, e):
     lowest eigenvalue is simple, so Jv = +-v, and its eigenvector has no
     zero entry (up to the signs of e it is a Perron vector), so it is not
     odd: lam is the lowest eigenvalue of the even block.  The odd block is
-    only counted (_count_negative), and count is the sum of both counts.
+    only counted: 0 when one pivot sweep finds it positive definite
+    (_positive_definite), else by _count_negative; count is the sum of
+    both counts.
 
     The sqrt(2) row widens the even block's Gershgorin interval to about
     0.41 |e| below the full matrix's, and ?stebz would bisect from there.
@@ -217,12 +240,28 @@ def _lowest_eigenpair_by_parity(d, e):
     count, lam, u = _lowest_eigenpair(d[: c + 1], e_even, vl)
     if count == 0:
         return 0, None, None
-    count += _count_negative(d[:c], e[: c - 1])
+    if not _positive_definite(d[:c], e[: c - 1]):
+        count += _count_negative(d[:c], e[: c - 1])
     v = np.empty(n)
     np.multiply(u[:c], math.sqrt(0.5), out=v[:c])
     v[c] = u[c]
     v[c + 1 :] = v[:c][::-1]
     return count, lam, v
+
+
+@lru_cache(maxsize=4)
+def _march_band(n, h):
+    """The entries of march_half_bound's band that do not depend on V, read-only.
+
+    Every D column holds (1, -h, -1, 0); the eta column of node 0 starts
+    with (1, 0), and that of node n-1 ends in two entries outside the
+    matrix, never read.  The other eta entries are 0 here.
+    """
+    cols = np.zeros((n, 2, 4))
+    cols[0, 0, :2] = (1.0, 0.0)  # rows 0 and 1 read eta_0 = y[0], D_0 = y[1]
+    cols[:, 1] = (1.0, -h, -1.0, 0.0)
+    cols.setflags(write=False)
+    return cols
 
 
 def march_half_bound(v, h, from_right):
@@ -254,15 +293,14 @@ def march_half_bound(v, h, from_right):
     hv = 0.5 * h * (0.5 * (v[:-1] + v[1:]))  # (h/2) vbar_i
     c = 1.0 - 0.5 * h * hv
     # column j of the band holds A[j, j], A[j+1, j], A[j+2, j], A[j+3, j];
-    # cols[i, 0] is the column of eta_i, cols[i, 1] the column of D_i
-    cols = np.empty((n, 2, 4))
-    cols[0, 0, :2] = (1.0, 0.0)  # rows 0 and 1 read eta_0 = y[0], D_0 = y[1]
-    cols[1:, 0, 0] = c
-    cols[1:, 0, 1] = -hv
-    cols[:-1, 0, 2] = c - 2.0
-    cols[:-1, 0, 3] = -hv
-    cols[-1, 0, 2:] = 0.0  # outside the matrix, never read
-    cols[:, 1] = (1.0, -h, -1.0, 0.0)
+    # cols[i, 0] is the column of eta_i, cols[i, 1] the column of D_i.  The
+    # entries that do not depend on V are copied from one kept template
+    cols = _march_band(n, h).copy()
+    eta_cols = cols[:, 0]
+    eta_cols[1:, 0] = c
+    np.negative(hv, out=eta_cols[1:, 1])
+    np.subtract(c, 2.0, out=eta_cols[:-1, 2])
+    np.negative(hv, out=eta_cols[:-1, 3])
     y = np.zeros(2 * n)
     y[0] = 1.0  # eta_0 = 1, D_0 = 0
     y = _dtbsv(3, cols.reshape(2 * n, 4).T, y, lower=1, overwrite_x=1)

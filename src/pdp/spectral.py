@@ -1,9 +1,16 @@
 """Spectral machinery for H_V = -d^2/dx^2 + V on a uniform grid.
 
 Ground state (Dirichlet eigensolve, from the even half of the grid when V
-is mirror-symmetric), outgoing resolvent solves with Robin radiation rows,
-distorted plane waves, the transmission coefficient, the reduced resolvent
-at the eigenvalue, and the zero-energy Wronskian of the half-bound states.
+is mirror-symmetric), whether H_V has an eigenvalue at or below a given
+energy (one LDL^T pivot sweep, no eigensolve), outgoing resolvent solves
+with Robin radiation rows, distorted plane waves, the transmission
+coefficient, the reduced resolvent at the eigenvalue, and the zero-energy
+Wronskian of the half-bound states.
+
+Mirror symmetry is decided once per field (PotentialField.mirrored, bit
+for bit) and once per grid (Grid.centred, where x is exactly odd).  The
+lattice wave of a centred grid keeps the bits of the full exponential;
+the parity ground state agrees with the full-grid one to rounding.
 
 All boundary conditions are imposed through ghost-node elimination of a
 centered first-derivative condition, which keeps every system tridiagonal
@@ -12,9 +19,11 @@ symmetric (not Hermitian), so the transpose of its solve is the same
 solve; gamma_gradient relies on that for the k-derivative of e_+-.
 
 The distorted plane waves e_+- take one complex exponential, e^{iqx}
-(e^{-iqx} is its conjugate), and one outgoing solve whose two columns are
-the forcings V e^{+-iqx}; a caller's own forcing can ride along as a third
-column of the same solve (distorted_plane_waves with a source).
+(e^{-iqx} is its conjugate; on a centred grid it is taken on x >= 0 and
+conjugated onto the mirror nodes), and one outgoing solve whose two
+columns are the forcings V e^{+-iqx}; a caller's own forcing can ride
+along as a third column of the same solve (distorted_plane_waves with a
+source).
 
 t(k) and r(k) are not read off the outgoing solves: a recurrence over the
 rows where V != 0 marches the transmitted wave from the right-hand side of
@@ -34,26 +43,31 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import get_blas_funcs
 
 from . import kernels
 from .errors import NoBoundState, SolverFailure
 from .grid import Grid, PotentialField
-from .kernels import _gtsv_solve, _require_finite
-
-_tbsv = get_blas_funcs(("tbsv",), dtype=np.complex128)[0]
+from .kernels import _gtsv_solve, _require_finite, _ztbsv
 
 __all__ = [
     "BoundState",
     "ScatteringState",
     "WronskianResult",
     "solve_ground_state",
+    "has_eigenvalue_at_or_below",
     "outgoing_resolvent_solve",
     "reduced_resolvent_at_eigenvalue",
     "distorted_plane_waves",
     "transmission",
     "wronskian_at_zero",
 ]
+
+
+def _dirichlet_rows(V: PotentialField) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of H_V on the interior nodes (Dirichlet rows)."""
+    h = V.grid.h
+    return 2.0 / h**2 + V.values[1:-1], np.full(V.grid.n - 3, -1.0 / h**2)
+
 
 @dataclass(frozen=True)
 class BoundState:
@@ -66,10 +80,12 @@ class BoundState:
     read.  So a state that is never read (as in an optimizer result) holds
     no grid-length array.
 
-    A V that reads the same reversed, on a grid centred at 0 with an odd
-    number of nodes, is solved by parity from the even half of the grid
-    (kernels._lowest_eigenpair_by_parity), which agrees with the full-grid
-    solve to rounding; every other V is solved on the full grid.
+    A V that reads the same reversed (V.mirrored), on a centred grid
+    with an odd number of nodes, is solved by parity from the even half of
+    the grid (kernels._lowest_eigenpair_by_parity), which agrees with the
+    full-grid solve to rounding; every other V is solved on the full grid.
+    The odd half is only counted, and a pivot sweep that finds it positive
+    definite counts it as 0 without bisecting.
     """
 
     V: PotentialField
@@ -79,14 +95,8 @@ class BoundState:
         V = self.V
         grid = V.grid
         h = grid.h
-        d = 2.0 / h**2 + V.values[1:-1]
-        e = np.full(grid.n - 3, -1.0 / h**2)
-        mirrored = (
-            grid.n % 2 == 1
-            and grid.x_min == -grid.x_max
-            and np.array_equal(V.values, V.values[::-1])
-        )
-        if mirrored:
+        d, e = _dirichlet_rows(V)
+        if grid.n % 2 == 1 and grid.centred and V.mirrored:
             count, lam, v = kernels._lowest_eigenpair_by_parity(d, e)
         else:
             count, lam, v = kernels._lowest_eigenpair(d, e)
@@ -137,9 +147,21 @@ class ScatteringState:
 
     @cached_property
     def wave(self) -> np.ndarray:
-        """The free lattice wave e^{iqx} at the nodes (e^{-iqx} is its conjugate)."""
-        q = lattice_wavenumber(self.k, self.V.grid.h)
-        return np.exp(1j * q * self.V.grid.x)
+        """The free lattice wave e^{iqx} at the nodes (e^{-iqx} is its conjugate).
+
+        On a centred grid x is exactly odd, so the exponential is taken on
+        x >= 0 only and conjugated onto the mirror nodes, with the bits of
+        the full exponential.
+        """
+        grid = self.V.grid
+        q = lattice_wavenumber(self.k, grid.h)
+        if not grid.centred:
+            return np.exp(1j * q * grid.x)
+        n, c = grid.n, grid.n // 2  # x[c:] >= 0
+        wave = np.empty(n, dtype=np.complex128)
+        np.exp(1j * q * grid.x[c:], out=wave[c:])
+        np.conjugate(wave[: n - c - 1 : -1], out=wave[:c])
+        return wave
 
     def _outgoing(self, source=None):
         """(e_+, e_-, u) from one outgoing solve; u is R(k)[source] or None.
@@ -215,6 +237,21 @@ def solve_ground_state(V: PotentialField) -> BoundState:
     bs = BoundState(V)
     bs._eigenpair
     return bs
+
+
+def has_eigenvalue_at_or_below(V: PotentialField, energy: float) -> bool:
+    """Whether H_V with Dirichlet rows has an eigenvalue <= energy.
+
+    Decided without an eigensolve: H_V - energy is positive definite
+    exactly when it has no such eigenvalue, and one LDL^T pivot sweep of
+    its interior rows tells which (kernels._positive_definite).  The
+    answer is solve_ground_state(V).lam <= energy, up to rounding of an
+    eigenvalue at energy.  A NaN or inf in V raises ValueError, as the
+    eigensolve does.
+    """
+    d, e = _dirichlet_rows(V)
+    _require_finite(d)
+    return not kernels._positive_definite(d - energy, e)
 
 
 def lattice_wavenumber(k: float, h: float) -> float:
@@ -392,7 +429,7 @@ def _support_recurrence(V: PotentialField, ks: np.ndarray):
             yb = y[2 * b0 : 2 * b1]
             yb[0] = d - (hv0 - hk2) * u
             yb[1] = u
-            _tbsv(2, band[:, 2 * b0 : 2 * b1], yb, lower=1, diag=1, overwrite_x=1)
+            _ztbsv(2, band[:, 2 * b0 : 2 * b1], yb, lower=1, diag=1, overwrite_x=1)
             d, u = complex(yb[-2]), complex(yb[-1])
             e = math.frexp(max(abs(u), abs(d)))[1]
             u, d = u * 2.0**-e, d * 2.0**-e
@@ -452,8 +489,9 @@ def wronskian_at_zero(V: PotentialField, tol: float = 1e-8) -> WronskianResult:
 
     eta_+ is marched in from the right end (eta=1, eta'=0 there, where V
     vanishes), eta_- from the left, both with the trapezoidal one-step
-    scheme.  The Wronskian is formed at every node and averaged; the
-    variance over nodes is the discretization self-check.
+    scheme (kernels.march_half_bound).  The Wronskian is formed at every
+    node and averaged; the variance over nodes is the discretization
+    self-check.
     """
     v = np.asarray(V.values, dtype=float)
     h = V.grid.h

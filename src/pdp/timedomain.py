@@ -69,6 +69,11 @@ class SimResult:
     norm: np.ndarray
     fitted_rate: float = np.nan
 
+    def in_window(self, window: tuple[float, float]) -> np.ndarray:
+        """Mask of the samples with t0 <= t <= t1, window = (t0, t1)."""
+        t0, t1 = window
+        return (self.times >= t0) & (self.times <= t1)
+
 
 def absorber_profile(cfg: SimConfig) -> np.ndarray:
     """sigma(x): quartic ramp from 0 at the layer edge to `strength` at the wall."""
@@ -156,8 +161,7 @@ def fit_decay_rate(result: SimResult, window: tuple[float, float]) -> float:
     2 eps^2 Gamma (the squared modulus doubles the amplitude exponent).
     Raises on non-positive data in the window.
     """
-    t0, t1 = window
-    sel = (result.times >= t0) & (result.times <= t1)
+    sel = result.in_window(window)
     if np.count_nonzero(sel) < 2:
         raise ValueError("window contains fewer than two samples")
     p = result.projection_sq[sel]

@@ -240,6 +240,9 @@ def test_criterion_5_optimization_headline(headline):
         and margins_ok
         and headline["elapsed"] < 1800
     )
+    # Gamma recomputed from scratch at the optimum has the same bits
+    fgr.clear_cache()
+    assert fgr.gamma(out.V_opt, params).gamma == g_opt
     report(
         5, "optimization headline", ok,
         f"gamma {headline['gamma_init']:.3e} -> {g_opt:.3e} in {out.iterations} "
@@ -319,6 +322,10 @@ def test_criterion_6_mechanism_diagnostics():
     )
     mech_b = classify_mechanism(out_b.result)
     tsq_b = abs(out_b.result.scattering.t) ** 2
+    # Gamma recomputed from scratch at each optimum has the same bits
+    for out, params in ((out_a, params_a), (out_b, params_b)):
+        fgr.clear_cache()
+        assert fgr.gamma(out.V_opt, params).gamma == out.result.gamma
     ok = mech_a == "A" and mech_b == "B"
     report(
         6, "mechanism diagnostics", ok,

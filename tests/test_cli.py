@@ -54,6 +54,29 @@ class TestConfig:
         cfg["design"]["mu"] = 99.0
         assert config.DEFAULTS["design"]["mu"] == 2.0  # deep copy
 
+    def test_loaded_config_is_its_own(self, tmp_path):
+        # merge copies the defaults once and takes the typed user values as
+        # they are: a loaded config still shares no container with DEFAULTS
+        # or with another load
+        path = write_config(
+            tmp_path, "own.json",
+            {"design": {"mu": 3.0}, "simulator": {"fit_window": [1.0, 2.0]}},
+        )
+        first = config.load_config(path)
+        first["design"]["mu"] = 99.0
+        first["simulator"]["fit_window"].append(3.0)
+        first["simulator"]["domain"]["n"] = 5
+        first["sweep"]["values"].append(32.0)
+        second = config.load_config(path)
+        assert second["design"]["mu"] == 3.0
+        assert second["simulator"]["fit_window"] == [1.0, 2.0]
+        assert second["simulator"]["domain"]["n"] == 3001
+        assert second["sweep"]["values"] == [4.0, 8.0, 16.0]
+        assert config.DEFAULTS["design"]["mu"] == 2.0
+        assert config.DEFAULTS["simulator"]["fit_window"] == [5.0, 40.0]
+        assert config.DEFAULTS["simulator"]["domain"]["n"] == 3001
+        assert config.DEFAULTS["sweep"]["values"] == [4.0, 8.0, 16.0]
+
     def test_merge_is_leafwise(self):
         out = config.merge({"a": {"x": 1, "y": 2}, "b": 3}, {"a": {"y": 5}})
         assert out == {"a": {"x": 1, "y": 5}, "b": 3}
@@ -592,11 +615,15 @@ def test_bad_value_is_a_config_error_naming_the_key(tmp_path, capsys, command, o
         ("evaluate", [], {"init": {"A": True}}, "init.A"),
         ("evaluate", [], {"design": {"mu": "2"}}, "design.mu"),
         ("evaluate", [], {"simulator": {"domain": 3001}}, "simulator.domain"),
+        # SMALL_SIM runs to t_final = 2.0
+        ("simulate", [], {"simulator": {"fit_window": [5.0, 9.0]}}, "simulator.fit_window"),
+        ("simulate", [], {"simulator": {"fit_window": [1.99, 9.0]}}, "simulator.fit_window"),
     ],
     ids=[
         "decreasing_fit_window", "negative_seed_flag", "negative_beta_halfwidth",
         "negative_max_iters", "unknown_vary", "string_bool", "fractional_int", "nan",
-        "bool_as_number", "numeric_string", "scalar_section",
+        "bool_as_number", "numeric_string", "scalar_section", "fit_window_after_the_run",
+        "fit_window_of_one_sample",
     ],
 )
 def test_bad_type_or_range_exits_4_naming_the_key(

@@ -134,6 +134,46 @@ class TestGamma:
         with pytest.raises(ResonanceBelowCutoff):
             fgr.gamma(Vd, p)
 
+    @pytest.mark.parametrize("shift", [0.0, 2.5], ids=["symmetric", "shifted"])
+    def test_sub_cutoff_wells_are_rejected_before_the_eigensolve(
+        self, grid, shift, monkeypatch
+    ):
+        # wells with lambda + mu from -0.3 to +0.3: one pivot sweep of
+        # H_V + mu rejects exactly those that the eigensolve puts at or
+        # below the cutoff, and a rejected well costs no eigensolve
+        solves = []
+        solve = fgr.solve_ground_state
+        monkeypatch.setattr(fgr, "solve_ground_state", lambda W: solves.append(1) or solve(W))
+        for depth in (1.5, 3.0):
+            v = np.where(np.abs(grid.x) <= 12.0, -depth / np.cosh(1.5 * (grid.x - shift)), 0.0)
+            W = PotentialField(grid, v, 12.0)
+            assert W.mirrored == (shift == 0.0)
+            lam = spectral.solve_ground_state(W).lam
+            for gap in (-0.3, -0.2, -0.1, -0.01, 0.01, 0.1, 0.2, 0.3):
+                p = DesignParams(
+                    a=12.0, b=1e3, mu=gap - lam, delta=1e-4, beta_mode=BetaMode.EQUALS_V
+                )
+                fgr.clear_cache()
+                solves.clear()
+                if lam + p.mu <= 0.0:
+                    with pytest.raises(ResonanceBelowCutoff):
+                        fgr.gamma(W, p)
+                    assert solves == []
+                else:
+                    assert fgr.gamma(W, p).bound_state.lam == lam
+                    assert solves == [1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("mirrored", [True, False])
+    def test_non_finite_potential_raises_value_error(self, grid, params_fixed, bad, mirrored):
+        v = sech_well(1.5, 1.5, 12.0, grid).values.copy()
+        v[grid.n // 2 + 3] = bad
+        if mirrored:
+            v[grid.n // 2 - 3] = bad
+        fgr.clear_cache()
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            fgr.gamma(PotentialField(grid, v, 12.0), params_fixed)
+
     def test_diagnostics_keys(self, V, params_equals_v):
         d = fgr.gamma(V, params_equals_v).diagnostics()
         assert set(d) == {

@@ -280,7 +280,31 @@ class TestLowestEigenpairByParity:
         monkeypatch.setattr(kernels, "_stebz", recorded)
         kernels._lowest_eigenpair_by_parity(d, e)
         assert -1.5 - 1e-6 < vls[0] < -1.5  # min V = -1.5, less the allowance
-        assert vls[1:] == [-np.inf]  # the odd block is only counted
+        # the odd block is positive definite: one pivot sweep, no bisection
+        assert vls[1:] == []
+
+
+class TestPositiveDefinite:
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 200])
+    def test_agrees_with_dense_eigenvalues(self, n):
+        # random matrices, shifted so that their lowest eigenvalue lies far
+        # from 0 or 1e-9 from it, on either side
+        rng = np.random.default_rng(300 + n)
+        for _ in range(20):
+            d = rng.standard_normal(n)
+            e = rng.standard_normal(n - 1)
+            off = np.diag(e, 1) + np.diag(e, -1)
+            w0 = np.linalg.eigvalsh(np.diag(d) + off)[0]
+            for gap in (-1.0, -1e-9, 1e-9, 1.0):
+                shifted = d - (w0 - gap)
+                lowest = np.linalg.eigvalsh(np.diag(shifted) + off)[0]
+                assert abs(lowest - gap) < 1e-12
+                assert kernels._positive_definite(shifted, e) == (lowest > 0.0)
+
+    def test_leaves_its_arguments(self):
+        d, e = np.array([2.0, 2.0, 2.0]), np.array([-1.0, -1.0])
+        assert kernels._positive_definite(d, e)
+        assert d.tolist() == [2.0, 2.0, 2.0] and e.tolist() == [-1.0, -1.0]
 
 
 class TestMarchHalfBound:

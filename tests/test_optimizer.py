@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from pdp.errors import InfeasiblePoint, InfeasibleStart
-from pdp.grid import BetaMode, DesignParams, make_grid, sech_well
-from pdp import optimizer
+from pdp.grid import BetaMode, DesignParams, PotentialField, make_grid, sech_well
+from pdp import fgr, kernels, optimizer
 from pdp.optimizer import (
     OptOptions,
     barrier_objective,
@@ -246,6 +246,38 @@ class TestOptimize:
             elif isinstance(obj, (tuple, list)):
                 todo.extend(obj)
         assert found == []
+
+    def test_asymmetric_run_takes_the_general_paths(self, grid, monkeypatch):
+        # a shifted start with symmetric=False: every ground state is solved
+        # on the full grid, every Wronskian marches from both ends, and the
+        # optimum's Gamma recomputes to the same bits
+        beta = PotentialField(grid, np.where(np.abs(grid.x) <= 2.0, 1.0, 0.0), 12.0)
+        params = DesignParams(a=12.0, b=1e3, mu=2.0, delta=1e-4, beta=beta)
+        v = np.where(np.abs(grid.x) <= 12.0, -1.5 / np.cosh(1.5 * (grid.x - 1.0)), 0.0)
+        calls = {"march": 0, "wronskian": 0, "full": 0, "parity": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(kernels, "march_half_bound", counted("march", kernels.march_half_bound))
+        monkeypatch.setattr(
+            optimizer, "wronskian_at_zero", counted("wronskian", optimizer.wronskian_at_zero)
+        )
+        monkeypatch.setattr(kernels, "_lowest_eigenpair", counted("full", kernels._lowest_eigenpair))
+        monkeypatch.setattr(
+            kernels, "_lowest_eigenpair_by_parity",
+            counted("parity", kernels._lowest_eigenpair_by_parity),
+        )
+        fgr.clear_cache()
+        out = optimize(PotentialField(grid, v, 12.0), params, OptOptions(max_iters=5))
+        assert out.iterations == 5 and not out.V_opt.mirrored
+        assert calls["parity"] == 0 and calls["full"] > 5 and calls["wronskian"] > 5
+        assert calls["march"] == 2 * calls["wronskian"]
+        fgr.clear_cache()
+        assert fgr.gamma(out.V_opt, params).gamma == out.result.gamma
 
     def test_infeasible_start_raises(self, grid):
         V = sech_well(1.5, 1.5, 12.0, grid)

@@ -190,6 +190,31 @@ class TestGroundStateParity:
         assert abs(bs.lam - ref_lam) <= 1e-12 * max(1.0, abs(ref_lam))
         assert np.max(np.abs(bs.psi - ref_psi)) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "build, odd",
+        [
+            (lambda g: sech_well(1.5, 1.5, 12.0, g), 0),
+            (lambda g: square_well(2.0, 3.0, 15.0, g), 1),
+            (double_well, 1),
+        ],
+        ids=["sech", "square", "double"],
+    )
+    def test_odd_block_count_equals_the_sturm_count(self, grid, build, odd, monkeypatch):
+        # a pivot sweep settles a positive definite odd block; any other is
+        # counted by bisection, as the full count needs
+        d, e = spectral._dirichlet_rows(build(grid))
+        c = d.size // 2
+        assert kernels._count_negative(d[:c], e[: c - 1]) == odd
+        assert kernels._positive_definite(d[:c], e[: c - 1]) == (odd == 0)
+        counted = []
+        count_negative = kernels._count_negative
+        monkeypatch.setattr(
+            kernels, "_count_negative", lambda d, e: counted.append(d.size) or count_negative(d, e)
+        )
+        bs = solve_ground_state(build(grid))
+        assert counted == ([] if odd == 0 else [c])
+        assert bs.count_negative_eigenvalues == full_grid_solve(build(grid))[0]
+
     def test_double_well_pair_is_closer_than_the_coarse_tolerance(self, grid):
         h = grid.h
         d = 2.0 / h**2 + double_well(grid).values[1:-1]
@@ -219,6 +244,85 @@ class TestGroundStateParity:
         assert bs.count_negative_eigenvalues == count
         assert bs.lam == lam
         assert bs.psi.tobytes() == psi.tobytes()
+
+
+class TestLatticeWaveParity:
+    # on a centred grid x is exactly odd, and the lattice wave is taken on
+    # x >= 0 and conjugated onto the mirror nodes; elsewhere in full
+    @staticmethod
+    def _exp_sizes(monkeypatch):
+        sizes = []
+        exp = np.exp
+
+        def counted(z, *args, **kwargs):
+            sizes.append(np.size(z))
+            return exp(z, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counted)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "x_max, n", [(20.0, 2001), (20.0, 2000), (80.0, 3001), (7.3, 64)],
+        ids=["n2001", "n2000", "n3001", "n64"],
+    )
+    def test_equals_the_full_exponential(self, x_max, n, monkeypatch):
+        grid = make_grid(-x_max, x_max, n)
+        assert grid.centred and np.array_equal(grid.x, -grid.x[::-1])
+        V = sech_well(1.5, 1.5, 0.5 * x_max, grid)
+        kmax = 2.0 / grid.h
+        # up to just below the lattice cutoff 2/h
+        ks = np.append(np.linspace(0.01, 0.99, 24), 1.0 - 1e-12) * kmax
+        sizes = self._exp_sizes(monkeypatch)
+        for k in ks.tolist():
+            q = lattice_wavenumber(k, grid.h)
+            wave = spectral.ScatteringState(k, V).wave
+            assert wave.tobytes() == np.exp(1j * q * grid.x).tobytes(), k
+        # one half-grid exponential per wave, one full one per reference
+        assert sizes == [n - n // 2, n] * ks.size
+
+    def test_off_centre_grid_takes_the_full_exponential(self, monkeypatch):
+        grid = make_grid(-30.0, 40.0, 2001)
+        assert not grid.centred
+        V = sech_well(1.5, 1.5, 12.0, grid)
+        sizes = self._exp_sizes(monkeypatch)
+        wave = spectral.ScatteringState(1.1, V).wave
+        assert sizes == [grid.n]
+        q = lattice_wavenumber(1.1, grid.h)
+        assert wave.tobytes() == np.exp(1j * q * grid.x).tobytes()
+
+
+class TestEigenvalueAtOrBelow:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda g: sech_well(1.5, 1.5, 12.0, g),
+            lambda g: square_well(2.0, 3.0, 15.0, g),
+            double_well,
+            lambda g: walled_sech(g),  # defined below
+            lambda g: PotentialField(g, np.where(np.abs(g.x - 3.0) <= 5.0, -1.0, 0.0), 12.0),
+        ],
+        ids=["sech", "square", "double", "walled", "asymmetric"],
+    )
+    def test_agrees_with_the_eigensolve(self, grid, build):
+        V = build(grid)
+        lam = solve_ground_state(V).lam
+        for gap in (-0.3, -0.1, -1e-3, 1e-3, 0.1, 0.3):
+            assert spectral.has_eigenvalue_at_or_below(V, lam + gap) == (gap > 0.0)
+
+    def test_no_bound_state_is_never_below_zero(self, grid):
+        V = PotentialField(grid, np.zeros(grid.n), 15.0)
+        assert not spectral.has_eigenvalue_at_or_below(V, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_potential_raises_as_the_eigensolve(self, grid, bad):
+        v = sech_well(1.5, 1.5, 12.0, grid).values.copy()
+        v[grid.n // 2] = bad
+        V = PotentialField(grid, v, 12.0)
+        with pytest.raises(ValueError, match="infs or NaNs") as sweep:
+            spectral.has_eigenvalue_at_or_below(V, -2.0)
+        with pytest.raises(ValueError) as solve:
+            solve_ground_state(V)
+        assert str(sweep.value) == str(solve.value)
 
 
 class TestOutgoingResolvent:
@@ -609,6 +713,39 @@ class TestWronskian:
             wr = wronskian_at_zero(V)
         assert not wr.valid
         assert np.isnan(wr.w0) and wr.variance == np.inf
+
+    @pytest.mark.parametrize("case", ["sech", "overflowing", "even-n"])
+    def test_mirror_symmetric_marches_mirror_each_other_bitwise(self, grid, case):
+        # for a V that reads the same reversed, bit for bit, the march from
+        # the left is the march from the right reversed, with eta' negated,
+        # to the bit and inf and NaN included: one march could give both
+        if case == "sech":
+            V = sech_well(1.5, 1.5, 12.0, grid)
+        elif case == "overflowing":  # the walls of the test above
+            x = np.abs(grid.x)
+            vals = np.where(x <= 2, -2.0, np.where((x > 4) & (x <= 12), 3000.0, 0.0))
+            V = PotentialField(grid, vals, 12.0)
+        else:
+            V = sech_well(1.5, 1.5, 12.0, make_grid(-20.0, 20.0, 2000))
+        assert V.mirrored
+        v, h = V.values, V.grid.h
+        with np.errstate(over="ignore", invalid="ignore"):
+            eta_p, deta_p = kernels.march_half_bound(v, h, True)
+            eta_m, deta_m = kernels.march_half_bound(v, h, False)
+        assert (case == "overflowing") == (not np.all(np.isfinite(eta_p)))
+        assert eta_m.tobytes() == eta_p[::-1].tobytes()
+        assert deta_m.tobytes() == (-deta_p[::-1]).tobytes()
+
+    def test_mirrored_is_bitwise(self, grid):
+        V = sech_well(1.5, 1.5, 12.0, grid)
+        assert V.mirrored
+        v = V.values.copy()
+        v[800] = np.nextafter(v[800], -np.inf)
+        assert not V.with_values(v).mirrored
+        # -0.0 and 0.0 compare equal but differ in their bits
+        v = np.where(grid.x > 0.0, -0.0, 0.0) * (np.abs(grid.x) <= 12.0)
+        W = PotentialField(grid, v, 12.0)
+        assert np.array_equal(W.values, W.values[::-1]) and not W.mirrored
 
     def test_generic_smooth_against_shooting(self):
         g = make_grid(-20, 20, 8001)  # h = 0.005 for the 1e-4 comparison

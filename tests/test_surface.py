@@ -184,3 +184,30 @@ def test_every_private_name_is_referenced():
         if not any(name in names for stmt, names in reads if stmt is not node)
     ]
     assert unused == []
+
+
+def test_blas_and_lapack_are_reached_only_through_kernels():
+    # pdp.kernels fetches every BLAS and LAPACK routine that pdp calls, so
+    # that a second copy of a routine, or a backend change, has one place
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "kernels":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            found += [
+                f"{path.stem}:{node.lineno} {name}"
+                for name in names
+                if name.startswith("scipy.linalg")
+                or name.split(".")[-1] in ("get_blas_funcs", "get_lapack_funcs")
+            ]
+    assert found == []
