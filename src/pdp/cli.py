@@ -274,7 +274,7 @@ def cmd_optimize(args) -> int:
     )
     em = Emitter(args.out)
     if args.out:
-        em.csv("trace.csv", out.trace.columns())
+        em.csv("trace.csv", out.trace)
         _emit_potential_artifacts(em, out.V_opt, out.result)
         em.manifest("optimize", cfg, headline)
     return EXIT_OK
@@ -413,7 +413,7 @@ def cmd_gradcheck(args) -> int:
         c = rng.uniform(-0.7 * a, 0.7 * a)
         width = rng.uniform(0.5, 2.0)
         w = np.exp(-(((x - c) / width) ** 2))
-        return np.where(np.abs(x) <= a, w, 0.0)
+        return np.where(V.support_mask, w, 0.0)
 
     res = fgr.gamma(V, params)
     wr = wronskian_at_zero(V, params.wronskian_tol)

@@ -13,7 +13,10 @@ pairing,
     d/deps F[V + eps w] |_0  =  integral g w dx  (trapezoid rule),
 
 zeroed outside the support window.  Callers doing nodal optimization
-multiply by the quadrature weights.
+multiply by the quadrature weights.  Each gradient reads the solved state
+of V that it differentiates: lambda_gradient a BoundState and
+wronskian_gradient a WronskianResult, both required; gamma_gradient and
+k_gradient an FgrResult, which they get from gamma when given none.
 
 gamma makes the one complex solve of Gamma and its gradient: the outgoing
 matrix at k_res is factored once for e_+- and R(k_res)[beta psi], which
@@ -39,7 +42,6 @@ from .spectral import (
     outgoing_resolvent_solve,
     reduced_resolvent_at_eigenvalue,
     solve_ground_state,
-    wronskian_at_zero,
 )
 
 __all__ = [
@@ -202,10 +204,11 @@ def _masked(V: PotentialField, g: np.ndarray) -> GradientField:
     return GradientField(V.grid, np.where(V.support_mask, g, 0.0))
 
 
-def lambda_gradient(V: PotentialField, bs: BoundState | None = None) -> GradientField:
-    """Riesz field of the ground-state energy: psi^2 (Rayleigh-Schrodinger)."""
-    if bs is None:
-        bs = solve_ground_state(V)
+def lambda_gradient(V: PotentialField, bs: BoundState) -> GradientField:
+    """Riesz field of the ground-state energy: psi^2 (Rayleigh-Schrodinger).
+
+    bs is the ground state of V, as solve_ground_state gives it.
+    """
     return _masked(V, bs.psi * bs.psi)
 
 
@@ -218,18 +221,15 @@ def k_gradient(
     return _masked(V, res.bound_state.psi ** 2 / (2.0 * res.k_res))
 
 
-def wronskian_gradient(
-    V: PotentialField, wr: WronskianResult | None = None
-) -> GradientField:
+def wronskian_gradient(V: PotentialField, wr: WronskianResult) -> GradientField:
     """Riesz field of the zero-energy Wronskian: eta_+ eta_-.
 
+    wr is the Wronskian of V, as spectral.wronskian_at_zero gives it.
     Variation-of-parameters on eta'' = V eta: perturbing V by w changes the
     constant Wronskian W = eta_+ eta_-' - eta_+' eta_- of the two half-bound
     solutions (eta_+ normalized at the right end, eta_- at the left) by
     +integral w eta_+ eta_- dx.
     """
-    if wr is None:
-        wr = wronskian_at_zero(V)
     return _masked(V, wr.eta_plus * wr.eta_minus)
 
 

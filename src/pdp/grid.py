@@ -62,8 +62,14 @@ class Grid:
 
 
 def make_grid(x_min: float, x_max: float, n: int) -> Grid:
-    if n < 3:
-        raise ValueError(f"need at least 3 nodes, got n={n}")
+    """Uniform grid of n >= 4 nodes on [x_min, x_max].
+
+    Fewer nodes leave H_V at most one interior (Dirichlet) row, which has
+    no off-diagonal and, for a mirror-symmetric V, no even and odd block
+    for the ground-state solve to split it into.
+    """
+    if n < 4:
+        raise ValueError(f"need at least 4 nodes, got n={n}")
     if not x_max > x_min:
         raise ValueError(f"need x_max > x_min, got [{x_min}, {x_max}]")
     return Grid(float(x_min), float(x_max), int(n))
@@ -163,8 +169,7 @@ def sech_well(A: float, B: float, a: float, grid: Grid) -> PotentialField:
     """Truncated sech well -A*sech(B*x) on |x| <= a, zero outside."""
     if A <= 0 or B <= 0:
         raise ValueError("A and B must be positive")
-    x = grid.x
-    v = np.where(np.abs(x) <= a, -A / np.cosh(B * x), 0.0)
+    v = np.where(_support_mask(grid, a), -A / np.cosh(B * grid.x), 0.0)
     return PotentialField(grid, v, a)
 
 
@@ -176,7 +181,7 @@ def interpolate_potential(
     Nodes beyond the sampled range also get zero.
     """
     v = np.interp(grid.x, x, values, left=0.0, right=0.0)
-    return PotentialField(grid, np.where(np.abs(grid.x) <= a, v, 0.0), a)
+    return PotentialField(grid, np.where(_support_mask(grid, a), v, 0.0), a)
 
 
 def _derivative(grid: Grid, values: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ the support; nodes outside are frozen at zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .spectral import BoundState, ScatteringState, wronskian_at_zero
 
 __all__ = [
     "BarrierEval",
-    "OptTrace",
     "OptOptions",
     "OptResult",
     "barrier_objective",
@@ -63,6 +62,11 @@ ARMIJO = 1e-4
 BACKTRACK = 0.5
 # final-stage gradient tolerance; design runs end on TAU_ADVANCE_FACTOR first
 GRAD_TOL = 1e-10
+# the per-step record of a run, in trace.csv column order
+TRACE_COLUMNS = (
+    "iter", "tau", "gamma", "barrier_value", "grad_norm", "step_length",
+    "margin_resonance", "margin_wronskian", "margin_h1", "wronskian_variance",
+)
 
 
 @dataclass(frozen=True)
@@ -80,26 +84,6 @@ class BarrierEval:
     margins: tuple[float, float, float]
     wronskian_variance: float
     result: fgr.FgrResult
-
-
-@dataclass
-class OptTrace:
-    """Per-iteration records of an optimization run."""
-
-    # the record fields, in trace.csv column order
-    COLUMNS = (
-        "iter", "tau", "gamma", "barrier_value", "grad_norm", "step_length",
-        "margin_resonance", "margin_wronskian", "margin_h1", "wronskian_variance",
-    )
-
-    iterates: list[dict] = field(default_factory=list)
-
-    def append(self, **kw) -> None:
-        self.iterates.append(kw)
-
-    def columns(self) -> dict[str, list]:
-        """One list of values per field, keyed in COLUMNS order."""
-        return {c: [rec[c] for rec in self.iterates] for c in self.COLUMNS}
 
 
 @dataclass(frozen=True)
@@ -128,6 +112,12 @@ class OptOptions:
 class OptResult:
     """Final potential and its evaluation.
 
+    trace holds one array per TRACE_COLUMNS name, in that order, with one
+    entry per accepted step.  status says why the run ended: "iteration
+    budget exhausted", or else why the last tau stage ended ("gradient
+    tolerance reached", "gamma negligible against tau" or "line-search
+    failure").
+
     result.bound_state and result.scattering are a fresh BoundState and
     ScatteringState of V_opt, and result.source_response is None: psi,
     lam, the waves and t are computed again when first read, to the same
@@ -136,11 +126,10 @@ class OptResult:
     """
 
     V_opt: PotentialField
-    trace: OptTrace
+    trace: dict[str, np.ndarray]
     result: fgr.FgrResult
     margins: tuple[float, float, float]
     iterations: int
-    converged: bool
     status: str
 
 
@@ -277,7 +266,7 @@ def optimize(
         schedule.append(max(schedule[-1] * TAU_FACTOR, opts.tau_min))
     stage_cap = max(1, math.ceil(opts.max_iters / len(schedule)))
 
-    trace = OptTrace()
+    rows: list[tuple] = []  # one per accepted step, in TRACE_COLUMNS order
     it = 0
     cur_tau = opts.tau_start
     budget_hit = False
@@ -338,18 +327,10 @@ def optimize(
             V, cur = trial, ev
             it += 1
             stage_it += 1
-            trace.append(
-                iter=it,
-                tau=tau,
-                gamma=cur.gamma,
-                barrier_value=cur.value,
-                grad_norm=float(np.max(np.abs(cur.gradient))),
-                step_length=step,
-                margin_resonance=cur.margins[0],
-                margin_wronskian=cur.margins[1],
-                margin_h1=cur.margins[2],
-                wronskian_variance=cur.wronskian_variance,
-            )
+            rows.append((
+                it, tau, cur.gamma, cur.value, float(np.max(np.abs(cur.gradient))), step,
+                *cur.margins, cur.wronskian_variance,
+            ))
         if budget_hit:
             stage_status = "iteration budget exhausted"
             break
@@ -359,7 +340,7 @@ def optimize(
     res = cur.result
     return OptResult(
         V_opt=V,
-        trace=trace,
+        trace={c: np.array([row[i] for row in rows]) for i, c in enumerate(TRACE_COLUMNS)},
         result=replace(
             res,
             bound_state=BoundState(V),
@@ -368,7 +349,6 @@ def optimize(
         ),
         margins=cur.margins,
         iterations=it,
-        converged=not budget_hit,
         status=stage_status,
     )
 

@@ -63,10 +63,29 @@ __all__ = [
 ]
 
 
+def _stencil(V: PotentialField, shift: float = 0.0, ghost: complex | None = None):
+    """Diagonal (on every node) and off-diagonal of the 3-point H_V - shift.
+
+    The diagonal is 2/h^2 + V - shift and the off-diagonal -1/h^2.  With
+    ghost, both end rows eliminate a ghost node u_ghost = ghost * u_end, so
+    their diagonal is (2 - ghost)/h^2 + V - shift, complex when ghost is.
+    """
+    h = V.grid.h
+    d = 2.0 / h**2 + V.values
+    if shift:
+        d -= shift
+    if ghost is not None:
+        if isinstance(ghost, complex):
+            d = d.astype(np.complex128)
+        for j in (0, -1):
+            d[j] = (2.0 - ghost) / h**2 + V.values[j] - shift
+    return d, -1.0 / h**2
+
+
 def _dirichlet_rows(V: PotentialField) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of H_V on the interior nodes (Dirichlet rows)."""
-    h = V.grid.h
-    return 2.0 / h**2 + V.values[1:-1], np.full(V.grid.n - 3, -1.0 / h**2)
+    d, off = _stencil(V)
+    return d[1:-1], np.full(V.grid.n - 3, off)
 
 
 @dataclass(frozen=True)
@@ -277,12 +296,9 @@ def _outgoing_system(V: PotentialField, k: float):
     symmetric.
     """
     h = V.grid.h
-    n = V.grid.n
     q = lattice_wavenumber(k, h)
-    d = np.asarray(2.0 / h**2 + V.values - k * k, dtype=np.complex128)
-    d[0] = (2.0 - np.exp(1j * q * h)) / h**2 + V.values[0] - k * k
-    d[-1] = (2.0 - np.exp(1j * q * h)) / h**2 + V.values[-1] - k * k
-    dl = np.full(n - 1, -1.0 / h**2, dtype=np.complex128)
+    d, off = _stencil(V, k * k, np.exp(1j * q * h))
+    dl = np.full(V.grid.n - 1, off, dtype=np.complex128)
     return dl, d, dl
 
 
@@ -336,16 +352,13 @@ def reduced_resolvent_at_eigenvalue(
         raise ValueError("forcing length does not match grid")
     lam, psi = bs.lam, bs.psi
     h = grid.h
-    n = grid.n
     w = grid.weights
 
     # discrete decay rate: 2(cosh(kq h) - 1)/h^2 = -lam, exact for the
     # free lattice mode e^{-kq |x|}; ghost elimination as in _outgoing_system
     kq = np.arccosh(1.0 - lam * h * h / 2.0) / h
-    d = 2.0 / h**2 + V.values - lam
-    d[0] = (2.0 - np.exp(-kq * h)) / h**2 + V.values[0] - lam
-    d[-1] = (2.0 - np.exp(-kq * h)) / h**2 + V.values[-1] - lam
-    dl = np.full(n - 1, -1.0 / h**2)
+    d, off = _stencil(V, lam, np.exp(-kq * h))
+    dl = np.full(grid.n - 1, off)
 
     fc = f - (w @ (psi * f)) * psi
     try:

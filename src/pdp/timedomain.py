@@ -20,7 +20,7 @@ import numpy as np
 from . import kernels
 from .errors import SolverFailure
 from .grid import Grid, PotentialField, interpolate_potential, make_grid, trapz
-from .spectral import solve_ground_state
+from .spectral import _stencil, solve_ground_state
 
 __all__ = [
     "Absorber",
@@ -114,8 +114,7 @@ def propagate(
     psi = solve_ground_state(V).psi
     sigma = absorber_profile(cfg)
     h = grid.h
-    diag_h = 2.0 / h**2 + V.values
-    off = -1.0 / h**2
+    diag_h, off = _stencil(V)
     w = grid.weights
     w_psi = (w * psi).astype(np.complex128)  # <psi, phi> = w_psi @ phi
     # the nodes with x_min + width <= x <= x_max - width, as a slice kept
@@ -187,9 +186,8 @@ def filter_experiment(
     grid = cfg.domain
     psi = solve_ground_state(V).psi
     rng = np.random.default_rng(seed)
-    mask = np.abs(grid.x) <= V.support_halfwidth
     noise = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
-    phi0 = psi + noise_amplitude * np.where(mask, noise, 0.0)
+    phi0 = psi + noise_amplitude * np.where(V.support_mask, noise, 0.0)
     overlap = complex(trapz(grid, psi * phi0))
     if overlap == 0:
         raise ValueError("initial state is orthogonal to the bound state")

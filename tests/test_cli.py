@@ -611,6 +611,7 @@ def test_bad_value_is_a_config_error_naming_the_key(tmp_path, capsys, command, o
         ("sweep", ["--vary", "A"], {}, "sweep.vary"),
         ("optimize", [], {"optimizer": {"symmetric": "false"}}, "optimizer.symmetric"),
         ("evaluate", [], {"grid": {"n": 2001.9}}, "grid.n"),
+        ("evaluate", [], {"grid": {"n": 3}}, "grid section: need at least 4 nodes, got n=3"),
         ("evaluate", [], {"design": {"mu": float("nan")}}, "design.mu"),
         ("evaluate", [], {"init": {"A": True}}, "init.A"),
         ("evaluate", [], {"design": {"mu": "2"}}, "design.mu"),
@@ -621,8 +622,8 @@ def test_bad_value_is_a_config_error_naming_the_key(tmp_path, capsys, command, o
     ],
     ids=[
         "decreasing_fit_window", "negative_seed_flag", "negative_beta_halfwidth",
-        "negative_max_iters", "unknown_vary", "string_bool", "fractional_int", "nan",
-        "bool_as_number", "numeric_string", "scalar_section", "fit_window_after_the_run",
+        "negative_max_iters", "unknown_vary", "string_bool", "fractional_int", "three_nodes",
+        "nan", "bool_as_number", "numeric_string", "scalar_section", "fit_window_after_the_run",
         "fit_window_of_one_sample",
     ],
 )
@@ -633,7 +634,7 @@ def test_bad_type_or_range_exits_4_naming_the_key(
     # is loaded, and a flag that sets a key is checked as the file is.
     # Before, a decreasing window printed no rate with exit 0, "false" ran
     # symmetric, n = 2001.9 ran n = 2001, true ran A = 1, "2" was read as
-    # 2, and a negative seed or a NaN ended in a traceback
+    # 2, and a negative seed, a NaN or a grid of 3 nodes ended in a traceback
     cfgp = write_config(tmp_path, "bad.json", config.merge(SMALL_SIM, overrides))
     assert main([command, "--config", cfgp] + argv) == EXIT_CONFIG
     assert key in capsys.readouterr().err

@@ -15,7 +15,7 @@ from pdp.grid import (
     sech_well,
     trapz,
 )
-from pdp.spectral import wronskian_at_zero
+from pdp.spectral import solve_ground_state, wronskian_at_zero
 
 
 @pytest.fixture(scope="module")
@@ -238,15 +238,15 @@ class TestLastPointMemo:
 
 class TestGradientField:
     def test_pair_is_weighted_inner_product(self, grid, V):
-        g = fgr.lambda_gradient(V)
+        g = fgr.lambda_gradient(V, solve_ground_state(V))
         w = np.exp(-grid.x**2)
         assert g.pair(w) == pytest.approx(float(grid.weights @ (g.values * w)))
 
     def test_zero_outside_support(self, V, params_equals_v):
         for g in (
-            fgr.lambda_gradient(V),
+            fgr.lambda_gradient(V, solve_ground_state(V)),
             fgr.k_gradient(V, params_equals_v),
-            fgr.wronskian_gradient(V),
+            fgr.wronskian_gradient(V, wronskian_at_zero(V)),
             fgr.gamma_gradient(V, params_equals_v),
         ):
             assert np.all(g.values[~V.support_mask] == 0.0)
@@ -254,11 +254,9 @@ class TestGradientField:
 
 class TestLambdaGradient:
     def test_finite_difference(self, grid, V):
-        g = fgr.lambda_gradient(V)
+        g = fgr.lambda_gradient(V, solve_ground_state(V))
 
         def lam(W):
-            from pdp.spectral import solve_ground_state
-
             return solve_ground_state(W).lam
 
         for w in bump_directions(grid, 12.0, seed=10):
@@ -266,7 +264,7 @@ class TestLambdaGradient:
             assert fd == pytest.approx(g.pair(w), rel=1e-4)
 
     def test_symmetric_potential_gives_symmetric_field(self, V):
-        g = fgr.lambda_gradient(V).values
+        g = fgr.lambda_gradient(V, solve_ground_state(V)).values
         np.testing.assert_allclose(g, g[::-1], atol=1e-12)
 
 
@@ -290,7 +288,7 @@ class TestKGradient:
 
 class TestWronskianGradient:
     def test_finite_difference(self, grid, V):
-        g = fgr.wronskian_gradient(V)
+        g = fgr.wronskian_gradient(V, wronskian_at_zero(V))
 
         def w0(W):
             return wronskian_at_zero(W).w0

@@ -13,6 +13,7 @@ from pdp.grid import (
     sech_well,
     trapz,
 )
+from pdp.spectral import solve_ground_state
 
 
 class TestGrid:
@@ -59,10 +60,29 @@ class TestGrid:
         assert trapz(g, g.x**2) == pytest.approx(2.0 / 3.0, abs=1e-6)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            make_grid(-1, 1, 2)
+        for n in (2, 3):
+            with pytest.raises(ValueError, match=f"n={n}"):
+                make_grid(-1, 1, n)
         with pytest.raises(ValueError):
             make_grid(1, -1, 100)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("well", [(-2.0, -3.0, -2.0), (-1.0, -3.0, -2.0)],
+                             ids=["mirrored", "asymmetric"])
+    def test_smallest_grids_solve(self, n, well):
+        # the ground state of a well on the nodes with |x| < 2.5, against a
+        # dense eigensolve of the interior rows
+        g = make_grid(-3.0, 3.0, n)
+        inner = np.abs(g.x) <= 2.0
+        v = np.zeros(n)
+        v[inner] = np.interp(g.x[inner], [-1.5, 0.0, 1.5], well)
+        bs = solve_ground_state(PotentialField(g, v, 2.0))
+        off = np.full(n - 3, -1.0 / g.h**2)
+        H = np.diag(2.0 / g.h**2 + v[1:-1]) + np.diag(off, 1) + np.diag(off, -1)
+        eig = np.linalg.eigvalsh(H)
+        assert bs.lam == pytest.approx(eig[0], rel=1e-12)
+        assert bs.count_negative_eigenvalues == np.count_nonzero(eig < 0) >= 1
+        assert trapz(g, bs.psi**2) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestPotentialField:

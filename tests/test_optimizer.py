@@ -14,7 +14,7 @@ from pdp.optimizer import (
     lbfgs_direction,
     optimize,
 )
-from pdp.spectral import distorted_plane_waves, solve_ground_state
+from pdp.spectral import distorted_plane_waves, solve_ground_state, wronskian_at_zero
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +30,15 @@ def V(grid):
 @pytest.fixture(scope="module")
 def params():
     return DesignParams(a=12.0, b=1e3, mu=2.0, delta=1e-4, beta_mode=BetaMode.EQUALS_V)
+
+
+def walled(grid, H, b):
+    """The headline sech well plus walls H exp(-((|x| - 8)/1.5)^2), and
+    design parameters with b and beta the indicator of [-2, 2]."""
+    V = sech_well(1.5, 1.5, 12.0, grid)
+    V = V.with_values(V.values + H * np.exp(-(((np.abs(grid.x) - 8.0) / 1.5) ** 2)))
+    beta = PotentialField(grid, np.where(np.abs(grid.x) <= 2.0, 1.0, 0.0), 12.0)
+    return V, DesignParams(a=12.0, b=b, mu=2.0, delta=1e-4, beta=beta)
 
 
 class TestLbfgsDirection:
@@ -109,6 +118,33 @@ class TestBarrierObjective:
         ev = barrier_objective(V, params, 1e-2)
         assert np.all(ev.gradient[~V.support_mask] == 0.0)
 
+    def test_wronskian_beyond_1e100_takes_its_margin_in_log_space(self, grid):
+        # walls of height 1000 make |W0| about 4e105, whose square overflows:
+        # the margin reads inf and the barrier takes 2 log|W0| for log m2
+        V, p = walled(grid, 1000.0, 1e4)
+        tau = 1e-2
+        ev = barrier_objective(V, p, tau)
+        w0 = wronskian_at_zero(V, p.wronskian_tol).w0
+        assert abs(w0) > 1e100
+        m1, m2, m3 = ev.margins
+        assert m2 == np.inf
+        assert ev.value == pytest.approx(
+            ev.gamma - tau * (np.log(m1) + 2.0 * np.log(abs(w0)) + np.log(m3)), rel=1e-14
+        )
+        # a bump over the well, where the Wronskian term dominates the
+        # gradient and the walls' under-resolved march does not enter
+        w = np.where(V.support_mask, np.exp(-((grid.x / 2.0) ** 2)), 0.0)
+        eps = 1e-3
+        fp = barrier_objective(V.with_values(V.values + eps * w), p, tau).value
+        fm = barrier_objective(V.with_values(V.values - eps * w), p, tau).value
+        assert (fp - fm) / (2 * eps) == pytest.approx(float(ev.gradient @ w), rel=1e-4)
+
+    def test_overflowing_wronskian_is_infeasible(self, grid):
+        # walls of height 9000 overflow the half-bound march
+        V, p = walled(grid, 9000.0, 1e5)
+        with pytest.raises(InfeasiblePoint, match="Wronskian"):
+            barrier_objective(V, p, 1e-2)
+
     def test_h1_bound_violation_is_infeasible(self, grid):
         V = sech_well(1.5, 1.5, 12.0, grid)
         tight = DesignParams(
@@ -148,7 +184,8 @@ class TestOptimize:
         assert out.result.gamma < g0
         assert out.iterations <= 8
         assert all(m > 0 for m in out.margins)
-        assert len(out.trace.iterates) == out.iterations
+        assert list(out.trace) == list(optimizer.TRACE_COLUMNS)
+        assert all(len(col) == out.iterations for col in out.trace.values())
 
     def test_symmetric_mode_keeps_symmetry(self, grid, V, params):
         opts = OptOptions(max_iters=5, tau_start=1e-2, tau_min=1e-2, symmetric=True)
@@ -165,9 +202,8 @@ class TestOptimize:
         opts = OptOptions(tau_start=tau, tau_min=tau, max_iters=20)
         out = optimize(V, params, opts)
         assert out.iterations == 0
-        assert out.trace.iterates == []
+        assert all(len(col) == 0 for col in out.trace.values())
         np.testing.assert_array_equal(out.V_opt.values, V.values)
-        assert out.converged
         assert out.status == "gamma negligible against tau"
 
     def test_negligible_gamma_skips_stage_evaluations(self, V, params, monkeypatch):
@@ -278,6 +314,26 @@ class TestOptimize:
         assert calls["march"] == 2 * calls["wronskian"]
         fgr.clear_cache()
         assert fgr.gamma(out.V_opt, params).gamma == out.result.gamma
+
+    def test_line_search_failure_ends_the_run_at_its_start(self, grid, monkeypatch):
+        # with no trial step allowed every stage fails its line search
+        monkeypatch.setattr(optimizer, "MAX_BACKTRACKS", 0)
+        V0, p = walled(grid, 0.0, 1e4)
+        out = optimize(V0, p, OptOptions())
+        assert out.status == "line-search failure"
+        assert out.iterations == 0
+        np.testing.assert_array_equal(out.V_opt.values, V0.values)
+
+    def test_ascent_direction_is_replaced_by_steepest_descent(self, V, params, monkeypatch):
+        # a direction d with d.g >= 0 is replaced by -g: a run whose L-BFGS
+        # directions are all +g steps as a steepest-descent run does
+        runs = []
+        for direction in (lambda history, g: g.copy(), lambda history, g: -g):
+            monkeypatch.setattr(optimizer, "lbfgs_direction", direction)
+            runs.append(optimize(V, params, OptOptions(max_iters=3)))
+        ascent, descent = runs
+        assert ascent.iterations == descent.iterations == 3
+        assert ascent.V_opt.values.tobytes() == descent.V_opt.values.tobytes()
 
     def test_infeasible_start_raises(self, grid):
         V = sech_well(1.5, 1.5, 12.0, grid)

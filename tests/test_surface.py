@@ -3,18 +3,20 @@
 Every function and class that a pdp module lists in __all__, or that
 pdp/__init__ re-exports, must be referenced somewhere in src/pdp besides
 its own definition, and so must every public method and property of
-those classes.  A name that only the tests use belongs in the tests.
+those classes, and every field of those that are dataclasses.  A name
+that only the tests use belongs in the tests.
 References are found in the syntax trees, not by text search: a name
 counts where it is loaded under the binding that one of its module's
 imports (or its own module) gives it, or as an attribute of its module.
-A method or property counts wherever an attribute of its name is read,
-because the syntax does not tell the type of the object read from.
+A method, property or field counts wherever an attribute of its name is
+read, because the syntax does not tell the type of the object read from.
 
 Every private function, class and module-level constant of a pdp module
 must be referenced by name somewhere in src/pdp or tests/ besides its own
 definition, so that a simplification leaves no dead code behind.
 """
 import ast
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -134,6 +136,20 @@ def test_every_public_method_and_property_is_used_in_the_package():
             ):
                 unused.append(f"{module}.{name}.{member.name}")
     assert sorted(unused) == sorted(ALLOWED_MEMBERS)
+
+
+def test_every_public_dataclass_field_is_read_in_the_package():
+    # a field that pdp only writes is a value that nothing reads back
+    _, refs = _parse()
+    read = {attr for r in refs.values() for attr, _ in r.attrs}
+    unused = []
+    for module, name in sorted(_surface(refs)):
+        obj = getattr(importlib.import_module(f"pdp.{module}"), name)
+        if dataclasses.is_dataclass(obj):
+            unused += [
+                f"{module}.{name}.{f.name}" for f in dataclasses.fields(obj) if f.name not in read
+            ]
+    assert unused == []
 
 
 def test_allowed_exceptions_are_public_and_unused():
