@@ -218,13 +218,15 @@ class builders:
     @staticmethod
     def sim_config(cfg: dict) -> SimConfig:
         s = cfg["simulator"]
+        with _section("simulator.absorber"):
+            absorber = Absorber(**s["absorber"])
         with _section("simulator"):
             sim = SimConfig(
                 epsilon=s["epsilon"],
                 mu=cfg["design"]["mu"],
                 t_final=s["t_final"],
                 dt_max=s["dt_max"],
-                absorber=Absorber(**s["absorber"]),
+                absorber=absorber,
                 domain=make_grid(**s["domain"]),
             )
         # the design potential and beta are resampled onto the domain

@@ -88,6 +88,12 @@ def _support_mask(grid: Grid, a: float) -> np.ndarray:
     return mask
 
 
+def _mirrored(a: np.ndarray) -> bool:
+    """Whether the float or complex array a reads the same reversed, bit for bit."""
+    b = a.view(np.uint64).reshape(a.shape[0], -1)  # a complex entry is one (re, im) row
+    return bool(np.array_equal(b, b[::-1]))
+
+
 @dataclass(frozen=True)
 class PotentialField:
     """Sampled potential with compact support in [-a, a].
@@ -119,8 +125,7 @@ class PotentialField:
 
     @cached_property
     def mirrored(self) -> bool:
-        v = self.values.view(np.uint64)
-        return bool(np.array_equal(v, v[::-1]))
+        return _mirrored(self.values)
 
     @property
     def support_mask(self) -> np.ndarray:

@@ -24,13 +24,18 @@ LAPACK ?gtsv call that assumes finite input.  The
 solvers in pdp.spectral check the potential and their forcing once per
 solve with _require_finite and then call _gtsv_solve.  cn_step_loop
 checks its operands once per call.  It writes the Crank-Nicolson map as
-2 A^-1 - I, so a step is one solve with A and no right-hand-side product.  A changes between steps only on
-the rows the forcing reaches, so the fixed outer blocks are factored
-once per call, without pivoting: the Hermitian part of A is at least I,
-which gives every pivot a real part of at least 1.  Each step solves
-them with two unit-triangular BLAS ?tbsv sweeps and a multiply by the
-reciprocal pivots, with no complex division, and the small forced block,
-corrected by their Schur complement, with _gtsv_solve.  Its steps
+2 A^-1 - I, so a step is one solve with A and no right-hand-side product.
+Its off-diagonal is a scalar or one value per row pair: pdp.timedomain
+steps a mirror-symmetric run from an even start on the even half of the
+grid, with sqrt(2) times the coupling of the last two rows, and that
+half matrix is complex symmetric with Hermitian part >= I, as the full
+one is.  A changes between steps only on the rows the forcing reaches,
+so the fixed outer blocks are factored once per call, without pivoting:
+the Hermitian part of A is at least I, which gives every pivot a real
+part of at least 1.  Each step solves them with two unit-triangular BLAS
+?tbsv sweeps and a multiply by the reciprocal pivots, with no complex
+division, and the small forced block, corrected by their Schur
+complement, with _gtsv_solve.  Its steps
 therefore agree with a full ?gtsv solve up to rounding, not bitwise.
 No kernel calls another public kernel, so wrapping the module attributes
 (as a tracer does) gives one span per outside call: one
@@ -347,9 +352,11 @@ def cn_step_loop(off, diag_h, sigma, beta, eps, mu, dt, t0, nsteps, phi, *, reco
     """Advance the forced Schrodinger equation by nsteps Crank-Nicolson steps.
 
     i phi_t = (H - i sigma) phi + eps cos(mu t) beta phi, with H the
-    tridiagonal operator (off-diagonal value ``off``, diagonal ``diag_h``).
-    The time-dependent factor is frozen at the step midpoint, keeping the
-    scheme second order.  phi is updated in place; returns the final time.
+    real symmetric tridiagonal operator with diagonal ``diag_h`` and
+    off-diagonal ``off``: one value per pair of neighbouring rows (length
+    n-1), or a scalar for all of them.  The time-dependent factor is frozen
+    at the step midpoint, keeping the scheme second order.  phi is updated
+    in place; returns the final time.
 
     With A = I + X, X = (i dt/2)(H - i sigma + forcing), the CN map is
     A^-1 (I - X) = 2 A^-1 - I, so each step solves A chi = 2 phi and sets
@@ -382,14 +389,14 @@ def cn_step_loop(off, diag_h, sigma, beta, eps, mu, dt, t0, nsteps, phi, *, reco
     it reached and phi holding the new field; it may read phi, and an
     exception it raises ends the run.
     """
-    _require_finite(diag_h, sigma, beta, phi, (off, eps, mu, dt, t0))
+    _require_finite(off, diag_h, sigma, beta, phi, (eps, mu, dt, t0))
     n = diag_h.shape[0]
     half = 0.5j * dt
-    hoff = half * off  # every off-diagonal entry of A
+    hoff = half * np.broadcast_to(off, n - 1)  # the off-diagonal of A
     lo, hi = _forced_block(beta)
     beta_c = beta[lo:hi]
     base_c = diag_h[lo:hi] - 1j * sigma[lo:hi]
-    hdl_c = np.full(hi - lo - 1, hoff, dtype=np.complex128)
+    hdl_c = hoff[lo : hi - 1]
     # A's diagonal on C is one_c + half * (base_c + forcing), one_c being
     # 1 less the Schur corrections at C's two corners
     one_c = np.ones(hi - lo, dtype=np.complex128)
@@ -397,7 +404,7 @@ def cn_step_loop(off, diag_h, sigma, beta, eps, mu, dt, t0, nsteps, phi, *, reco
     outer = has_left or has_right
     if outer:
         # L and R as one matrix, decoupled from C by identity rows
-        odl = np.full(n - 1, hoff, dtype=np.complex128)
+        odl = hoff.copy()
         odl[max(lo - 1, 0) : hi] = 0.0
         od = 1.0 + half * (diag_h - 1j * sigma)
         od[lo:hi] = 1.0
@@ -416,18 +423,20 @@ def cn_step_loop(off, diag_h, sigma, beta, eps, mu, dt, t0, nsteps, phi, *, reco
             np.multiply(b, rp, out=b)
             return _ztbsv(1, upper, b, diag=1, overwrite_x=1)
 
-        # u on L is A_L^-1 times L's column of couplings to C (hoff in
-        # its last row), on R likewise (hoff in R's first row)
+        # u on L is A_L^-1 times L's column of couplings to C (hoff_l in
+        # its last row), on R likewise (hoff_r in R's first row)
+        hoff_l = complex(hoff[lo - 1]) if has_left else 0j
+        hoff_r = complex(hoff[hi - 1]) if has_right else 0j
         u = np.zeros(n, dtype=np.complex128)
         if has_left:
-            u[lo - 1] = hoff
+            u[lo - 1] = hoff_l
         if has_right:
-            u[hi] = hoff
+            u[hi] = hoff_r
         u = solve_outer(u)
         if has_left:
-            one_c[0] -= hoff * u[lo - 1]
+            one_c[0] -= hoff_l * u[lo - 1]
         if has_right:
-            one_c[-1] -= hoff * u[hi]
+            one_c[-1] -= hoff_r * u[hi]
     forcing = np.empty(hi - lo)
     a_c = np.empty(hi - lo, dtype=np.complex128)
     y = np.empty(n, dtype=np.complex128)
@@ -442,9 +451,9 @@ def cn_step_loop(off, diag_h, sigma, beta, eps, mu, dt, t0, nsteps, phi, *, reco
         if outer:
             y = solve_outer(y)  # y_L, y_R; C's rows kept
             if has_left:
-                y[lo] -= hoff * y[lo - 1]
+                y[lo] -= hoff_l * y[lo - 1]
             if has_right:
-                y[hi - 1] -= hoff * y[hi]
+                y[hi - 1] -= hoff_r * y[hi]
         x_c = _gtsv_solve(hdl_c, a_c, hdl_c, y[lo:hi], scratch=True)  # chi_C
         # chi_L = y_L - chi[lo] u_L and chi_R = y_R - chi[hi-1] u_R, in y;
         # then phi = chi - phi

@@ -9,6 +9,18 @@ ends, tracks the bound-state projection |<psi_V, phi(t)>|^2, and fits the
 observed decay rate for comparison with 2 eps^2 Gamma[V].  Time stepping is
 Crank-Nicolson with the forcing factor frozen at the step midpoint
 (second order, unconditionally stable, norm-conserving when sigma = 0).
+
+A run that is mirror-symmetric with an even start stays even, and is
+stepped on the even half of the grid: V, beta and sigma read the same
+reversed, bit for bit, on a centred grid (Grid.centred) with an odd
+number of nodes n = 2c + 1, and phi(0) reads the same reversed too.  The
+half problem is nodes 0..c in the orthonormal even basis of
+kernels._lowest_eigenpair_by_parity: u_j = sqrt(2) phi_j for j < c and
+u_c = phi_c, with sqrt(2) times the off-diagonal coupling rows c-1 and c.
+Its CN matrix is complex symmetric with Hermitian part >= I, as the full
+one is.  It agrees with the full-grid run to rounding, not bitwise.  Every
+other run (an asymmetric V, beta or start, an off-centre grid, an even n)
+is stepped on the full grid.
 """
 from __future__ import annotations
 
@@ -19,7 +31,7 @@ import numpy as np
 
 from . import kernels
 from .errors import SolverFailure
-from .grid import Grid, PotentialField, interpolate_potential, make_grid, trapz
+from .grid import Grid, PotentialField, _mirrored, interpolate_potential, make_grid, trapz
 from .spectral import _stencil, solve_ground_state
 
 __all__ = [
@@ -36,10 +48,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Absorber:
-    """Quartic complex-absorber ramp occupying the outer `width` of each end."""
+    """Quartic complex-absorber ramp occupying the outer `width` of each end.
+
+    strength must be non-negative: the unpivoted Crank-Nicolson
+    factorization of kernels.cn_step_loop needs sigma >= 0.
+    """
 
     width: float = 15.0
     strength: float = 1.0
+
+    def __post_init__(self):
+        if not self.strength >= 0.0:
+            raise ValueError(f"absorber strength must be non-negative, got {self.strength!r}")
 
 
 @dataclass(frozen=True)
@@ -102,8 +122,13 @@ def propagate(
     to the interior, the nodes with x_min + width <= x <= x_max - width
     between the two absorbing layers.  All steps run in one
     kernels.cn_step_loop call, whose record hook stores the series after
-    every step and checks the field through its projection.  Raises
-    SolverFailure on non-finite field values, phi0 included.
+    every step and checks the field through its projection.  When V, beta,
+    absorber_profile(cfg) and phi0 each read the same reversed, bit for
+    bit, on a centred grid of odd n, the steps run on the even half of the
+    grid (see the module docstring), and the hook takes the projection with
+    half-grid weights and the norm over the same interior nodes; the series
+    then agree with a full-grid run to rounding.  Raises SolverFailure on
+    non-finite field values, phi0 included.
     """
     grid = cfg.domain
     if V.grid != grid or beta.grid != grid:
@@ -115,8 +140,8 @@ def propagate(
     sigma = absorber_profile(cfg)
     h = grid.h
     diag_h, off = _stencil(V)
-    w = grid.weights
-    w_psi = (w * psi).astype(np.complex128)  # <psi, phi> = w_psi @ phi
+    beta_v = beta.values
+    w_psi = grid.weights * psi  # <psi, phi> = w_psi @ phi
     # the nodes with x_min + width <= x <= x_max - width, as a slice kept
     # off the two end nodes, so that every trapezoid weight in it is h
     width = cfg.absorber.width
@@ -124,6 +149,24 @@ def propagate(
         max(np.searchsorted(grid.x, grid.x_min + width, side="left"), 1),
         min(np.searchsorted(grid.x, grid.x_max - width, side="right"), grid.n - 1),
     )
+    if (
+        grid.n % 2 == 1 and grid.centred and V.mirrored and beta.mirrored
+        and _mirrored(sigma) and _mirrored(phi)
+    ):
+        # even coordinates u of nodes 0..c; psi is even too, so <psi, phi>
+        # = sum over j < c of (sqrt(2) w psi)_j u_j, plus w_c psi_c u_c
+        c = grid.n // 2
+        scale = np.full(c + 1, math.sqrt(2.0))
+        scale[c] = 1.0
+        phi = phi[: c + 1] * scale
+        w_psi = w_psi[: c + 1] * scale
+        diag_h, sigma, beta_v = diag_h[: c + 1], sigma[: c + 1], beta_v[: c + 1]
+        off = np.full(c, off)
+        off[-1] *= math.sqrt(2.0)
+        # x is exactly odd, so the interior is mirrored and holds x = 0;
+        # |u_j|^2 = 2 |phi_j|^2 for j < c counts both mirror nodes
+        interior = slice(interior.start, c + 1)
+    w_psi = w_psi.astype(np.complex128)
 
     nsteps = int(np.ceil(cfg.t_final / cfg.dt_max))
     dt = cfg.t_final / nsteps
@@ -147,7 +190,7 @@ def propagate(
     with np.errstate(invalid="ignore"):
         record(0, 0.0)
         kernels.cn_step_loop(
-            off, diag_h, sigma, beta.values, cfg.epsilon, cfg.mu, dt, 0.0, nsteps, phi,
+            off, diag_h, sigma, beta_v, cfg.epsilon, cfg.mu, dt, 0.0, nsteps, phi,
             record=lambda i, t: record(i + 1, t),
         )
     return SimResult(times=times, projection_sq=proj, norm=norm)

@@ -437,6 +437,7 @@ def test_criterion_9_determinism(tmp_path):
     mismatches = []
     for cmd, args in (
         ("evaluate", ["evaluate"]),
+        ("simulate", ["simulate", "--config", str(cfg_path)]),
         ("filter", ["filter", "--config", str(cfg_path), "--seed", "7"]),
     ):
         dirs = [str(tmp_path / f"{cmd}_{i}") for i in (0, 1)]

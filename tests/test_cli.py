@@ -619,12 +619,14 @@ def test_bad_value_is_a_config_error_naming_the_key(tmp_path, capsys, command, o
         # SMALL_SIM runs to t_final = 2.0
         ("simulate", [], {"simulator": {"fit_window": [5.0, 9.0]}}, "simulator.fit_window"),
         ("simulate", [], {"simulator": {"fit_window": [1.99, 9.0]}}, "simulator.fit_window"),
+        ("simulate", [], {"simulator": {"absorber": {"width": 15.0, "strength": -40.0}}},
+         "simulator.absorber"),
     ],
     ids=[
         "decreasing_fit_window", "negative_seed_flag", "negative_beta_halfwidth",
         "negative_max_iters", "unknown_vary", "string_bool", "fractional_int", "three_nodes",
         "nan", "bool_as_number", "numeric_string", "scalar_section", "fit_window_after_the_run",
-        "fit_window_of_one_sample",
+        "fit_window_of_one_sample", "negative_absorber_strength",
     ],
 )
 def test_bad_type_or_range_exits_4_naming_the_key(
@@ -634,7 +636,10 @@ def test_bad_type_or_range_exits_4_naming_the_key(
     # is loaded, and a flag that sets a key is checked as the file is.
     # Before, a decreasing window printed no rate with exit 0, "false" ran
     # symmetric, n = 2001.9 ran n = 2001, true ran A = 1, "2" was read as
-    # 2, and a negative seed, a NaN or a grid of 3 nodes ended in a traceback
+    # 2, and a negative seed, a NaN or a grid of 3 nodes ended in a traceback.
+    # A negative absorber strength amplified the field: here a projection of
+    # 4.5e25 at t = 2 and a negative rate with exit 0, and with the default
+    # simulator section an overflow (exit 3)
     cfgp = write_config(tmp_path, "bad.json", config.merge(SMALL_SIM, overrides))
     assert main([command, "--config", cfgp] + argv) == EXIT_CONFIG
     assert key in capsys.readouterr().err

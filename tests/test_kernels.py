@@ -378,13 +378,16 @@ class TestCnStepLoop:
     EPS, MU, DT, T0 = 0.8, 2.0, 0.05, 0.3
 
     def _plain_system(self, off, diag_h, sigma, beta, t, p):
-        """The step's CN matrix (dl = du, d) and right-hand side from p, as plain expressions."""
+        """The step's CN matrix (dl = du, d) and right-hand side from p, as plain expressions.
+
+        off is a scalar or one value per pair of neighbouring rows.
+        """
         diag = (diag_h - 1j * sigma) + (self.EPS * np.cos(self.MU * (t + 0.5 * self.DT))) * beta
         half = 0.5j * self.DT
         rhs = p - half * (np.concatenate(([0.0], off * p[:-1]))
                           + diag * p
                           + np.concatenate((off * p[1:], [0.0])))
-        dl = half * np.full(len(p) - 1, off, dtype=np.complex128)
+        dl = half * np.broadcast_to(off, len(p) - 1).astype(np.complex128)
         return dl, 1.0 + half * diag, rhs
 
     def _single_steps_against_plain(self, off, diag_h, sigma, beta, phi0, nsteps=40):
@@ -456,6 +459,41 @@ class TestCnStepLoop:
         beta = forced(x).astype(float)
         self._single_steps_against_plain(off, diag_h, sigma, beta, phi0)
 
+    @pytest.mark.parametrize(
+        "forced",
+        [
+            lambda x: np.abs(x) <= 2.0,
+            lambda x: (np.abs(x) >= 1.0) & (np.abs(x) <= 3.0),
+        ],
+        ids=["centre_in_forced_block", "centre_in_outer_block"],
+    )
+    def test_even_half_with_per_row_coupling_matches_plain_expression(self, forced):
+        # the even half of a mirror-symmetric system, as pdp.timedomain
+        # steps it: rows 0..c, with sqrt(2) times the coupling of rows c-1
+        # and c in the last entry of a per-row off-diagonal
+        off, diag_h, sigma, _, phi0 = self._operands()
+        c = len(phi0) // 2
+        x = 0.1 * (np.arange(c + 1) - c)
+        off_rows = np.full(c, off)
+        off_rows[-1] *= np.sqrt(2.0)
+        beta = forced(x).astype(float)
+        _, hi = kernels._forced_block(beta)
+        # the centre row is in the forced block or in the right outer block
+        assert (hi == c + 1) == (beta[c] != 0.0)
+        self._single_steps_against_plain(
+            off_rows, diag_h[: c + 1], sigma[: c + 1], beta, phi0[: c + 1]
+        )
+
+    def test_every_row_pair_its_own_coupling(self):
+        # the couplings of the forced block to both outer blocks differ
+        # from each other and from every other row pair
+        off, diag_h, sigma, _, phi0 = self._operands()
+        n = len(phi0)
+        x = 0.1 * (np.arange(n) - n // 2)
+        off_rows = off * np.random.default_rng(3).uniform(0.5, 1.5, n - 1)
+        beta = ((x >= -3.0) & (x <= 1.0)).astype(float)
+        self._single_steps_against_plain(off_rows, diag_h, sigma, beta, phi0)
+
     def test_outer_blocks_are_factored_once_per_call(self, monkeypatch):
         # a per-step refactorization would make the count grow with nsteps
         calls = []
@@ -522,10 +560,12 @@ class TestCnStepLoop:
         assert all(p.real.min() >= 1.0 for p in pivots)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("arg", [1, 2, 3, 9], ids=["diag_h", "sigma", "beta", "phi"])
+    @pytest.mark.parametrize(
+        "arg", [0, 1, 2, 3, 9], ids=["off", "diag_h", "sigma", "beta", "phi"]
+    )
     def test_non_finite_operand_raises_value_error(self, arg, bad):
         off, diag_h, sigma, beta, phi = self._operands()
-        args = [off, diag_h, sigma, beta, 0.5, 2.0, 0.05, 0.0, 3, phi]
+        args = [np.full(len(phi) - 1, off), diag_h, sigma, beta, 0.5, 2.0, 0.05, 0.0, 3, phi]
         args[arg] = args[arg].copy()
         args[arg][5] = bad
         with pytest.raises(ValueError):

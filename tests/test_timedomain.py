@@ -1,7 +1,10 @@
 """Forced-propagation, absorber, and rate-fitting tests."""
+import math
+
 import numpy as np
 import pytest
 
+from pdp import kernels
 from pdp.errors import SolverFailure
 from pdp.grid import PotentialField, make_grid, sech_well
 from pdp.spectral import solve_ground_state
@@ -43,6 +46,9 @@ class TestSimConfig:
             cfg_for(sim_grid, dt_max=0.0)
         with pytest.raises(ValueError):
             cfg_for(sim_grid, absorber=Absorber(width=40.0))
+        # the unpivoted CN factorization needs sigma >= 0
+        with pytest.raises(ValueError):
+            cfg_for(sim_grid, absorber=Absorber(width=15.0, strength=-40.0))
 
 
 class TestAbsorberProfile:
@@ -54,6 +60,8 @@ class TestAbsorberProfile:
         assert sigma[0] == pytest.approx(cfg.absorber.strength)
         assert sigma[-1] == pytest.approx(cfg.absorber.strength)
         assert np.all(sigma >= 0)
+        # mirrored bit for bit, which the even-half propagation relies on
+        assert sigma.tobytes() == sigma[::-1].tobytes()
 
 
 class TestResample:
@@ -140,6 +148,116 @@ class TestPropagate:
             propagate(W, V, psi, cfg)
         with pytest.raises(ValueError):
             propagate(V, V, np.zeros(7, dtype=complex), cfg)
+
+
+def _full_grid_series(V, beta, phi0, cfg):
+    """projection_sq and norm of kernels.cn_step_loop on the full operands.
+
+    The oracle of the even-half run: every node is stepped, and the series
+    are recorded as plain expressions over the whole grid.
+    """
+    grid = cfg.domain
+    h = grid.h
+    w_psi = grid.weights * solve_ground_state(V).psi
+    interior = np.abs(grid.x) <= grid.x_max - cfg.absorber.width
+    interior[[0, -1]] = False
+    nsteps = math.ceil(cfg.t_final / cfg.dt_max)
+    phi = np.array(phi0, dtype=np.complex128)
+    proj, norm = [], []
+
+    def record(*_):
+        proj.append(abs(w_psi @ phi) ** 2)
+        norm.append(math.sqrt(h * np.sum(np.abs(phi[interior]) ** 2)))
+
+    record()
+    kernels.cn_step_loop(
+        -1.0 / h**2, 2.0 / h**2 + V.values, absorber_profile(cfg), beta.values,
+        cfg.epsilon, cfg.mu, cfg.t_final / nsteps, 0.0, nsteps, phi, record=record,
+    )
+    return np.array(proj), np.array(norm)
+
+
+def _rows_stepped(monkeypatch, run):
+    """The result of run() and the number of rows that each cn_step_loop call stepped."""
+    rows = []
+    step_loop = kernels.cn_step_loop
+
+    def spy(off, diag_h, *args, **kwargs):
+        rows.append(diag_h.shape[0])
+        return step_loop(off, diag_h, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "cn_step_loop", spy)
+        return run(), rows
+
+
+class TestEvenHalf:
+    """A mirror-symmetric run with an even start steps nodes 0..c only."""
+
+    def test_matches_the_full_grid_run(self, sim_grid, V, monkeypatch):
+        cfg = cfg_for(sim_grid, epsilon=0.2, t_final=20.0)
+        psi = solve_ground_state(V).psi.astype(complex)
+        out, rows = _rows_stepped(monkeypatch, lambda: propagate(V, V, psi, cfg))
+        assert rows == [sim_grid.n // 2 + 1]
+        proj, norm = _full_grid_series(V, V, psi, cfg)
+        assert proj[-1] < 0.999 * proj[0]  # the forcing moved the state
+        np.testing.assert_allclose(out.projection_sq, proj, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(out.norm, norm, rtol=1e-12, atol=0)
+
+    def test_interior_norm_of_a_mirrored_start(self, sim_grid, V, monkeypatch):
+        # the half interior counts each node j < c for itself and its mirror
+        cfg = cfg_for(sim_grid, t_final=0.1)
+        rng = np.random.default_rng(4)
+        r = rng.standard_normal(sim_grid.n) + 1j * rng.standard_normal(sim_grid.n)
+        phi0 = r + r[::-1]
+        out, rows = _rows_stepped(monkeypatch, lambda: propagate(V, V, phi0, cfg))
+        assert rows == [sim_grid.n // 2 + 1]
+        interior = np.abs(sim_grid.x) <= sim_grid.x_max - cfg.absorber.width
+        expected = np.sqrt(sim_grid.weights[interior] @ np.abs(phi0[interior]) ** 2)
+        assert out.norm[0] == pytest.approx(expected, rel=1e-14)
+        psi = solve_ground_state(V).psi
+        expected = abs(sim_grid.weights @ (psi * phi0)) ** 2
+        assert out.projection_sq[0] == pytest.approx(expected, rel=1e-13)
+
+    @staticmethod
+    def _mirrored_inputs(grid):
+        """A mirrored well and an even start on grid, by node index about its middle.
+
+        The well is cut off 10 from the middle, inside the support [-12, 12]
+        of a grid whose middle is at most 1 off x = 0.
+        """
+        k = np.abs(np.arange(grid.n) - 0.5 * (grid.n - 1))
+        values = np.where(k * grid.h <= 10.0, -1.5 / np.cosh(1.5 * k * grid.h) ** 2, 0.0)
+        W = PotentialField(grid, values, 12.0)
+        psi = solve_ground_state(W).psi
+        return W, (psi + psi[::-1]).astype(complex)
+
+    @pytest.mark.parametrize(
+        "case", ["off_centre_grid", "even_n", "asymmetric_V", "asymmetric_beta", "noisy_filter"]
+    )
+    def test_every_other_run_steps_the_full_grid(self, monkeypatch, case):
+        grid = {
+            "off_centre_grid": make_grid(-29.0, 31.0, 1501),
+            "even_n": make_grid(-30.0, 30.0, 1500),
+        }.get(case, make_grid(-30.0, 30.0, 1501))
+        W, phi0 = self._mirrored_inputs(grid)
+        beta = W
+        # a zero-strength absorber is mirrored on any grid, so that each
+        # case breaks exactly one condition of the even-half run
+        cfg = cfg_for(grid, epsilon=0.2, t_final=0.5, absorber=Absorber(width=8.0, strength=0.0))
+        if case == "asymmetric_V":
+            W = W.with_values(W.values + np.where(grid.x == grid.x[700], 1e-3, 0.0))
+        if case == "asymmetric_beta":
+            beta = W.with_values(np.where(grid.x == grid.x[700], 1.0, 0.0))
+        assert W.mirrored == (case != "asymmetric_V")
+        assert beta.mirrored == (case != "asymmetric_beta")
+        assert phi0.tobytes() == phi0[::-1].tobytes()
+        if case == "noisy_filter":
+            run = lambda: filter_experiment(W, beta, cfg, noise_amplitude=0.5, seed=7)
+        else:
+            run = lambda: propagate(W, beta, phi0, cfg)
+        _, rows = _rows_stepped(monkeypatch, run)
+        assert rows == [grid.n]
 
 
 class TestFitDecayRate:
