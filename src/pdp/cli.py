@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from . import __version__, fgr, optimizer, timedomain
 from .config import builders, load_config, merge, override
 from .errors import ConfigError, PdpError, SolverFailure
 from .grid import Grid, PotentialField, h1_norm_sq, interpolate_potential
-from .spectral import solve_ground_state, transmission, wronskian_at_zero
+from .spectral import solve_ground_state, wronskian_at_zero
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -169,11 +170,16 @@ class Emitter:
 def _load_potential_csv(path: str, grid: Grid, a: float) -> PotentialField:
     """Read an (x, V) CSV and sample it onto the working grid."""
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # a file without data rows is reported below, not by numpy
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read potential file {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"potential file {path} is not (x,V) CSV: {exc}") from exc
+    if data.shape[0] == 0:
+        raise ConfigError(f"potential file {path} has no data rows")
     if data.shape[1] < 2:
         raise ConfigError(f"potential file {path} needs x and V columns")
     if not np.isfinite(data[:, :2]).all():
@@ -192,21 +198,27 @@ def _resolve_potential(cfg: dict, grid: Grid, path: str | None) -> PotentialFiel
     return _load_potential_csv(path, grid, cfg["design"]["a"])
 
 
-def _emit_potential_artifacts(em: Emitter, V: PotentialField, res) -> None:
+def _transmission_table(res) -> dict:
+    """The columns of transmission.csv: t(k) of res's potential on 40 k.
+
+    t(k_res), which the headline reads, rides in the same support march
+    (ScatteringState.transmission_table), so call this before the headline.
+    """
+    ks = np.linspace(0.1, 4.0, 40)
+    ts = res.scattering.transmission_table(ks)
+    return {
+        "k": ks,
+        "t_sq": [abs(t) ** 2 for t in ts.tolist()],
+        "re_t": ts.real,
+        "im_t": ts.imag,
+    }
+
+
+def _emit_potential_artifacts(em: Emitter, V: PotentialField, res, table: dict) -> None:
     x = V.grid.x
     em.csv("V_opt.csv", {"x": x, "V": V.values})
     em.csv("psi.csv", {"x": x, "psi": res.bound_state.psi})
-    ks = np.linspace(0.1, 4.0, 40)
-    ts = transmission(V, ks)
-    em.csv(
-        "transmission.csv",
-        {
-            "k": ks,
-            "t_sq": [abs(t) ** 2 for t in ts.tolist()],
-            "re_t": ts.real,
-            "im_t": ts.imag,
-        },
-    )
+    em.csv("transmission.csv", table)
 
 
 def cmd_evaluate(args) -> int:
@@ -216,6 +228,7 @@ def cmd_evaluate(args) -> int:
     V = _resolve_potential(cfg, grid, args.potential)
     res = fgr.gamma(V, params)
     wr = wronskian_at_zero(V, params.wronskian_tol)
+    table = _transmission_table(res) if args.out else None
     diag = res.diagnostics()
     diag.update(
         {
@@ -232,7 +245,7 @@ def cmd_evaluate(args) -> int:
         print(f"{key} = {_fmt(diag[key])}")
     em = Emitter(args.out)
     if args.out:
-        _emit_potential_artifacts(em, V, res)
+        _emit_potential_artifacts(em, V, res, table)
         em.manifest("evaluate", cfg, diag)
     return EXIT_OK
 
@@ -258,6 +271,7 @@ def cmd_optimize(args) -> int:
     V0 = _resolve_potential(cfg, grid, args.potential)
     gamma_init = fgr.gamma(V0, params).gamma
     out = optimizer.optimize(V0, params, opts)
+    table = _transmission_table(out.result) if args.out else None
     headline = {
         "gamma_init": gamma_init,
         "gamma_opt": out.result.gamma,
@@ -275,7 +289,7 @@ def cmd_optimize(args) -> int:
     em = Emitter(args.out)
     if args.out:
         em.csv("trace.csv", out.trace)
-        _emit_potential_artifacts(em, out.V_opt, out.result)
+        _emit_potential_artifacts(em, out.V_opt, out.result, table)
         em.manifest("optimize", cfg, headline)
     return EXIT_OK
 

@@ -272,4 +272,6 @@ class builders:
         """(vary, values) of the sweep section: the design field varied and its values."""
         vary = cfg["sweep"]["vary"]
         _require(vary in ("a", "mu", "b", "delta"), "sweep.vary", "one of a, mu, b, delta", vary)
-        return vary, cfg["sweep"]["values"]
+        values = cfg["sweep"]["values"]
+        _require(len(values) > 0, "sweep.values", "a non-empty list", values)
+        return vary, values

@@ -2,8 +2,7 @@
 
 ``BACKEND`` names the implementation and is recorded with benchmark runs.
 Every BLAS and LAPACK routine that pdp calls is fetched here, once; other
-modules reach them only through this one (pdp.spectral's support
-recurrence solves with _ztbsv).
+modules reach them only through this one.
 
 _lowest_eigenpair gives the ground state of a symmetric tridiagonal
 matrix and the number of its negative eigenvalues.  A coarse LAPACK
@@ -18,7 +17,12 @@ with one LDL^T pivot sweep (?pttrf, _positive_definite) when it has no
 negative eigenvalue and a Sturm count when it has.  march_half_bound
 writes the zero-energy trapezoid march as one lower-banded triangular
 system and solves it with one BLAS ?tbsv call; the band's entries that
-do not depend on V are copied from a template kept per (n, h).  A
+do not depend on V are copied from a template kept per (n, h).
+_support_march runs pdp.spectral's support recurrence for a batch of
+wavenumbers: per k, one BLAS ?tbsv call per block of rows, with the
+state renormalized by a power of two at each block end.  The blocks are
+cut by a growth bound that depends on V and the batch's largest k, and
+the end state's bits do not depend on the cuts.  A
 tridiagonal solve with a matrix of its own ends in _gtsv_solve, a thin
 LAPACK ?gtsv call that assumes finite input.  The
 solvers in pdp.spectral check the potential and their forcing once per
@@ -313,6 +317,93 @@ def march_half_bound(v, h, from_right):
     if from_right:
         return eta[::-1], -deta[::-1]
     return eta, deta
+
+
+# growth budget of one block of _support_march, in bits.  A block's per-row
+# bounds sum to less than this plus its first row's bound, so from a state
+# of size <= 1 it stays below 2**1024 while that bound is below 2**128
+# (2 + (h k)^2 + h^2 |V| < 2**128 on every row); a larger V may overflow,
+# and the state is then not finite
+_BLOCK_BITS = 896
+
+
+def _march_cuts(hv, hk2_max):
+    """Block boundaries of _support_march: sorted row indices from 0 to len(hv).
+
+    Row i grows max(|u|, |d|) by at most 2 + |hv_i - hk2|, which is at
+    most 2 + hk2_max + |hv_i| for every hk2 <= hk2_max; a block ends where
+    the sum of log2 of that bound passes a multiple of _BLOCK_BITS.
+    hk2_max = 4 bounds every resolvable k (k h / 2 < 1).
+    """
+    bits = np.cumsum(np.log2((2.0 + hk2_max) + np.abs(hv)))
+    ends = np.searchsorted(bits, np.arange(_BLOCK_BITS, bits[-1], _BLOCK_BITS))
+    return sorted({0, hv.shape[0], *ends.tolist()})
+
+
+def _support_march(hv, hk2, d):
+    """March the state (d, u = 1) over the rows hv, once per entry of hk2.
+
+    Row i maps (d, u) to (d', u') with
+
+        d' = d - (hv_i - hk2) u,    u' = u - d',
+
+    the support recurrence of pdp.spectral in difference form (hv_i is
+    h^2 V of the row's node, hk2 = (h k)^2).  hv is a non-empty real
+    array; hk2 (floats) and d (the start states' d, complex) are
+    sequences with one entry per k.  Returns three lists (d, u, scale),
+    one entry per k: the end state is (d, u) times 2**scale, with
+    max(|u|, |d|) in [0.5, 1) unless it is 0 or not finite.  A march can
+    overflow only where a row's bound 2 + hk2 + |hv_i| reaches 2**128
+    (see _BLOCK_BITS); its state is then not finite, with no
+    floating-point warning.
+
+    Per k, the march is a unit lower-banded triangular system with two
+    subdiagonals in the unknowns (u_start, d_0, u_0, d_1, u_1, ...),
+    solved by BLAS ?tbsv in blocks of rows cut by _march_cuts(hv,
+    max(hk2)): the batch's largest k bounds every row.
+    A block carries the state it starts from in: the u of that state as
+    its first unknown, the d as the right-hand side of its first d row, so
+    every row is formed by ?tbsv alone.  The state is renormalized to a
+    mantissa and a power-of-two exponent at each block end.  A row's
+    coefficients are 1, -1 and the real hv_i - hk2, so its two entries
+    are the same floating-point expressions in every position, and
+    power-of-two scaling commutes with them exactly: the end state has
+    the same bits whatever the cuts, and each k the same bits alone or in
+    a batch.
+    """
+    m = hv.shape[0]
+    cuts = _march_cuts(hv, max(hk2))
+    # lower band storage (column-major (3, 2m + 1), unit diagonal implied)
+    # of the unknowns u_start at column 0 and (d_i, u_i) of row i at
+    # 2i + 1, 2i + 2: band[1] couples u_i to d_i (1) and d_{i+1} to u_i
+    # (hv_{i+1} - hk2, real, written per k), band[2] holds the -1 of both
+    # differences
+    band = np.zeros((2 * m + 1, 3), dtype=np.complex128).T
+    band[0] = 1.0
+    band[1, 1::2] = 1.0
+    band[2] = -1.0
+    coef = band.real[1, :-1:2]
+    y = np.empty(2 * m + 1, dtype=np.complex128)
+    blocks = [(y[2 * b0 : 2 * b1 + 1], band[:, 2 * b0 : 2 * b1 + 1])
+              for b0, b1 in zip(cuts[:-1], cuts[1:])]
+    d_end, u_end, scale_end = [], [], []
+    for c, di in zip(hk2, d):
+        np.subtract(hv, c, out=coef)
+        ui = 1.0 + 0.0j
+        scale = 0
+        y.fill(0.0)
+        for yb, band_b in blocks:
+            yb[0] = ui
+            yb[1] = di
+            yb = _ztbsv(2, band_b, yb, lower=1, diag=1, overwrite_x=1)
+            di, ui = yb[-2:].tolist()
+            e = math.frexp(max(abs(ui), abs(di)))[1]
+            ui, di = ui * 2.0**-e, di * 2.0**-e
+            scale += e
+        d_end.append(di)
+        u_end.append(ui)
+        scale_end.append(scale)
+    return d_end, u_end, scale_end
 
 
 def _forced_block(beta):

@@ -214,7 +214,7 @@ def lbfgs_direction(history: list[tuple[np.ndarray, np.ndarray]], g: np.ndarray)
     if not history:
         return q
     alphas = []
-    pairs = [(s, y, float(s @ y)) for s, y in history if float(s @ y) > 0.0]
+    pairs = [(s, y, sy) for s, y in history if (sy := float(s @ y)) > 0.0]
     if not pairs:
         return q
     for s, y, sy in reversed(pairs):

@@ -47,7 +47,7 @@ import numpy as np
 from . import kernels
 from .errors import NoBoundState, SolverFailure
 from .grid import Grid, PotentialField
-from .kernels import _gtsv_solve, _require_finite, _ztbsv
+from .kernels import _gtsv_solve, _require_finite
 
 __all__ = [
     "BoundState",
@@ -154,7 +154,8 @@ class ScatteringState:
     k-derivative in gamma_gradient reads it too), and one outgoing solve
     with the two-column forcing [V e^{iqx}, V e^{-iqx}] gives both
     scattered parts (see distorted_plane_waves).  t is computed on first
-    read, from one support recurrence of V at k (see _support_recurrence).
+    read, from one support recurrence of V at k (see _support_recurrence),
+    or by transmission_table together with a table of t(k).
     A value is kept once read, and every state of the same (k, V) gives
     the same bits; a solve or recurrence failure raises SolverFailure at
     the read.  So a state whose waves are never read (as in an optimizer
@@ -217,6 +218,17 @@ class ScatteringState:
     def t(self) -> complex:
         t, _ = _support_recurrence(self.V, np.array([self.k]))
         return complex(t[0])
+
+    def transmission_table(self, ks: np.ndarray) -> np.ndarray:
+        """transmission(self.V, ks) for a 1-D ks, with t read in the same march.
+
+        k rides in the batch of ks, and t is kept from it with the bits of
+        its own march (see _support_recurrence): t and the table cost one
+        march together.
+        """
+        ts = transmission(self.V, np.concatenate(([self.k], ks)))
+        self.__dict__["t"] = complex(ts[0])  # kept as the cached property keeps it
+        return ts[1:]
 
 
 @dataclass(frozen=True)
@@ -374,14 +386,6 @@ def reduced_resolvent_at_eigenvalue(
     return u
 
 
-# growth budget of one block of the support recurrence, in bits.  A block's
-# per-row bounds sum to less than this plus its first row's bound, so from a
-# state of size <= 1 it stays below 2**1024 while that bound is below 2**128
-# (h^2 |V| < 2**128 on every row); a larger V may overflow, which raises
-# SolverFailure
-_BLOCK_BITS = 896
-
-
 def _support_recurrence(V: PotentialField, ks: np.ndarray):
     """t(k) and r(k) of the discrete model for each k of the 1-D array ks.
 
@@ -393,14 +397,16 @@ def _support_recurrence(V: PotentialField, ks: np.ndarray):
 
     Rows outside jl..jr are free, so u = A e^{iqx} + B e^{-iqx} at nodes
     jl-1, jl (ghost nodes when the support touches a domain end), and
-    t = 1/A, r = B/A.  Per k, the march is a unit lower-banded triangular
-    system in the unknowns (d_{j-1}, u_{j-1}), solved by BLAS ?tbsv in
-    blocks.  A row grows max(|u|, |d|) by at most 2 + |h^2 (V_j - k^2)|
-    < 6 + h^2 |V_j| (k h / 2 < 1), so blocks cut where the sum of log2 of
-    that bound passes a multiple of _BLOCK_BITS cannot overflow, and the
-    state is renormalized to a mantissa and a power-of-two exponent at
-    each block end.  The cuts depend on V only, and power-of-two scaling
-    is exact, so each k gives the same bits alone or in a batch.
+    t = 1/A, r = B/A.  The march itself is kernels._support_march: per k,
+    a banded BLAS ?tbsv solve in blocks of rows, renormalized by a power
+    of two at each block end.  The blocks are cut where a growth bound
+    that holds for every k of the batch, 2 + (h k_max)^2 + h^2 |V_j| per
+    row, passes a multiple of kernels._BLOCK_BITS, so the cuts depend on
+    V and the batch's largest k.  Every row is formed inside the BLAS
+    solve by the same floating-point expressions wherever a block starts,
+    and power-of-two scaling is exact, so t and r do not depend on the
+    cuts: each k gives the same bits alone or in a batch.  Here the march's
+    end state is matched to the lattice waves.
     """
     h = V.grid.h
     s = 0.5 * h * ks
@@ -414,46 +420,25 @@ def _support_recurrence(V: PotentialField, ks: np.ndarray):
     t = np.ones(ks.shape, dtype=np.complex128)
     r = np.zeros(ks.shape, dtype=np.complex128)
     rows = np.flatnonzero(v)
-    if rows.size == 0:
+    if rows.size == 0 or ks.size == 0:
         return t, r
     jl, jr = int(rows[0]), int(rows[-1])
     m = jr - jl + 1
     hv = h * h * v[jl : jr + 1][::-1]  # row i of the march is node jr - i
-    bits = np.cumsum(np.log2(6.0 + np.abs(hv)))
-    ends = np.searchsorted(bits, np.arange(_BLOCK_BITS, bits[-1], _BLOCK_BITS))
-    cuts = sorted({0, m, *ends.tolist()})
-    hv_start = hv[cuts[:-1]].tolist()
-    # unknowns (d, u) of row i at 2i, 2i+1, in lower band storage (column-
-    # major (3, 2m), unit diagonal implied): band[1, 2i] = 1 couples u to d
-    # of row i, band[1, 2i-1] carries h^2 (V - k^2) of row i, and band[2]
-    # holds the -1 of both differences
-    pattern = np.array([1.0, 1.0, -1.0, 1.0, 0.0, -1.0], dtype=np.complex128)
-    band = np.tile(pattern, m).reshape(2 * m, 3).T
     x_a = 0.5 * (V.grid.x_min + V.grid.x_max) + h * (jl - 1 - (V.grid.n - 1) / 2.0)
-    y = np.empty(2 * m, dtype=np.complex128)
-    for i, (k, sk) in enumerate(zip(ks.tolist(), s.tolist())):
-        hk2 = (h * k) ** 2
-        np.subtract(hv[1:], hk2, out=band[1, 1:-1:2])
-        w = complex(math.sqrt(1.0 - sk * sk), sk)  # e^{iqh/2}
-        u, d = 1.0 + 0.0j, 2j * sk * w
-        scale = 0
-        y.fill(0.0)
-        for b0, b1, hv0 in zip(cuts[:-1], cuts[1:], hv_start):
-            yb = y[2 * b0 : 2 * b1]
-            yb[0] = d - (hv0 - hk2) * u
-            yb[1] = u
-            _ztbsv(2, band[:, 2 * b0 : 2 * b1], yb, lower=1, diag=1, overwrite_x=1)
-            d, u = complex(yb[-2]), complex(yb[-1])
-            e = math.frexp(max(abs(u), abs(d)))[1]
-            u, d = u * 2.0**-e, d * 2.0**-e
-            scale += e
-        p = d + 2j * sk * w.conjugate() * u  # A e^{iqx_a}, times 2i sin(qh)
+    ks, s = ks.tolist(), s.tolist()
+    w = [complex(math.sqrt(1.0 - sk * sk), sk) for sk in s]  # e^{iqh/2}
+    # the transmitted wave at nodes jr, jr+1: u = 1, d = e^{iqh} - 1
+    d0 = [2j * sk * wk for sk, wk in zip(s, w)]
+    d, u, scale = kernels._support_march(hv, [(h * k) ** 2 for k in ks], d0)
+    for i, (k, sk, wk, dk, uk, ek) in enumerate(zip(ks, s, w, d, u, scale)):
+        p = dk + 2j * sk * wk.conjugate() * uk  # A e^{iqx_a}, times 2i sin(qh)
         if not cmath.isfinite(p):
             raise SolverFailure(f"transmission recurrence overflowed at k={k}")
         qh = 2.0 * math.asin(sk)
-        z = cmath.exp(-1j * qh * m) * (4j * sk * w.real) / p
-        t[i] = complex(math.ldexp(z.real, -scale), math.ldexp(z.imag, -scale))
-        r[i] = (2j * sk * w * u - d) / p * cmath.exp(2j * (qh / h) * x_a)
+        z = cmath.exp(-1j * qh * m) * (4j * sk * wk.real) / p
+        t[i] = complex(math.ldexp(z.real, -ek), math.ldexp(z.imag, -ek))
+        r[i] = (2j * sk * wk * uk - dk) / p * cmath.exp(2j * (qh / h) * x_a)
     return t, r
 
 
@@ -466,8 +451,11 @@ def transmission(V: PotentialField, k):
     wave grows, rather than off the transmitted tail of an outgoing solve,
     which cancels to round-off once |t| is far below 1 (see the module
     docstring).  t keeps its relative accuracy down to the float64 range
-    and underflows to 0 beyond it.  k <= 0, or k h / 2 >= 1, raises
-    ValueError; a NaN or inf in V raises SolverFailure.
+    and underflows to 0 beyond it.  All k of an array share one march,
+    whose blocks are cut by a bound on the largest k; the cuts move only
+    exact power-of-two rescalings, so each t has the bits of a scalar
+    call.  An empty array gives an empty t.  k <= 0, or k h / 2 >= 1,
+    raises ValueError; a NaN or inf in V raises SolverFailure.
     """
     ks = np.asarray(k, dtype=float)
     t, _ = _support_recurrence(V, ks.reshape(-1))

@@ -2,11 +2,12 @@
 import csv
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from pdp import config, fgr, optimizer
+from pdp import config, fgr, kernels, optimizer
 from pdp.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, Emitter, _fmt, _write_csv, build_parser, main
 from pdp.errors import ConfigError
 from pdp.grid import DesignParams, Grid
@@ -207,6 +208,32 @@ class TestEvaluate:
             t = distorted_plane_waves(V, float(k)).t
             assert row == ",".join(_fmt(v) for v in (k, abs(t) ** 2, t.real, t.imag))
 
+    @pytest.mark.parametrize(
+        "argv, marches",
+        [
+            (["evaluate"], [1]),
+            (["evaluate", "--out", "{out}"], [41]),
+            (["optimize", "--config", "{cfg}", "--out", "{out}"], [41]),
+        ],
+        ids=["evaluate", "evaluate_out", "optimize_out"],
+    )
+    def test_one_support_march_per_run(self, tmp_path, capsys, monkeypatch, argv, marches):
+        # t(k_res) for the headline rides in the march of the 40-point
+        # transmission.csv table
+        calls = []
+        march = kernels._support_march
+
+        def counted(hv, hk2, d):
+            calls.append(len(hk2))
+            return march(hv, hk2, d)
+
+        monkeypatch.setattr(kernels, "_support_march", counted)
+        cfgp = write_config(tmp_path, "small.json", SMALL_OPT)
+        fgr.clear_cache()
+        argv = [a.format(out=tmp_path / "out", cfg=cfgp) for a in argv]
+        assert main(argv) == 0
+        assert calls == marches
+
     def test_overflowing_wronskian_margin_is_inf(self, tmp_path, capsys):
         # walls of 1000 on 4 < |x| <= 12 around a -2 well give W0 ~ 6e230,
         # whose square overflows: the margin is inf, not an OverflowError.
@@ -332,6 +359,20 @@ class TestPotentialFile:
         vpath.write_text("x,V\n" + rows)
         assert main([command, "--potential", str(vpath)]) == EXIT_CONFIG == 4
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "simulate"])
+    @pytest.mark.parametrize("text", ["x,V\n", ""], ids=["header_only", "empty"])
+    def test_file_without_data_rows_is_config_error(self, tmp_path, capsys, command, text):
+        # numpy warns on such a file and returns an empty array; the
+        # message says what is missing, and no warning reaches stderr
+        vpath = tmp_path / "empty.csv"
+        vpath.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--potential", str(vpath)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"potential file {vpath} has no data rows" in err
+        assert "Warning" not in err
 
     @pytest.mark.parametrize("command", ["evaluate", "simulate"])
     def test_decreasing_x_is_config_error(self, tmp_path, capsys, command):
@@ -529,6 +570,20 @@ class TestSweep:
         cfgp = write_config(tmp_path, "sweep.json", overrides)
         assert main(["sweep", "--config", cfgp, "--vary", "mu"] + argv) == EXIT_CONFIG
         assert "sweep.values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, overrides",
+        [(["--values", ""], {}), ([], {"sweep": {"vary": "mu", "values": []}})],
+        ids=["flag", "config_entry"],
+    )
+    def test_empty_values_exit_code(self, tmp_path, capsys, argv, overrides):
+        # a sweep over no value would write a summary.csv of its header only
+        cfgp = write_config(tmp_path, "sweep.json", overrides)
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", cfgp, "--vary", "mu", "--out", str(out)] + argv)
+        assert rc == EXIT_CONFIG
+        assert "sweep.values must be a non-empty list" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulateAndFilter:

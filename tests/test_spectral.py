@@ -672,6 +672,118 @@ class TestTransmissionRecurrence:
         assert st.t == 1.0 and reflection(V, 0.7) == 0.0
 
 
+def _sech_bump_wells(grid, count, seed=11):
+    """Symmetric wells of the evaluate benchmark's family: sech core plus a bump pair."""
+    rng = np.random.default_rng(seed)
+    x = grid.x
+    wells = []
+    for _ in range(count):
+        A, B = rng.uniform(0.9, 2.0), rng.uniform(0.6, 1.6)
+        amp, c, s = rng.uniform(-0.25, 0.25), rng.uniform(1.0, 6.0), rng.uniform(1.5, 3.0)
+        v = -A / np.cosh(B * x) + amp * (np.exp(-((x - c) ** 2) / s) + np.exp(-((x + c) ** 2) / s))
+        wells.append(PotentialField(grid, np.where(np.abs(x) <= 12.0, v, 0.0), 12.0))
+    return wells
+
+
+class TestSupportMarchCuts:
+    # the cuts of the support march move only exact power-of-two
+    # rescalings: t and r keep their bits under any budget that does not
+    # overflow.  The budgets: the bound of every resolvable k ((h k)^2 < 4,
+    # the cuts before they took the batch's own k), the batch's bound, a
+    # tighter 300 bits, and one block, which the cases below do not
+    # overflow (|t| > 2**-400)
+    BUDGETS = ("worst_case", "batch", "300_bits", "one_block")
+    KS = np.concatenate(([1.15], np.linspace(0.1, 4.0, 40)))
+
+    @staticmethod
+    def _cases(grid):
+        x = grid.x
+        return [
+            *_sech_bump_wells(grid, 16),
+            # opaque wall: |t|^2 ~ 4e-66 at k = 0.5
+            PotentialField(grid, np.where(np.abs(x) <= 3.0, 150.0, 0.0), 3.0),
+            # Bragg cosine, dip near k = 1
+            PotentialField(grid, np.where(np.abs(x) <= 10.0, 0.2 * np.cos(2.0 * x), 0.0), 10.0),
+        ]
+
+    def _t_r(self, V, budget, monkeypatch):
+        cuts = kernels._march_cuts
+        blocks = []
+
+        def cut_by_budget(hv, hk2_max):
+            if budget == "one_block":
+                out = [0, hv.shape[0]]
+            else:
+                out = cuts(hv, 4.0 if budget == "worst_case" else hk2_max)
+            blocks.append(len(out) - 1)
+            return out
+
+        with monkeypatch.context() as mp:
+            mp.setattr(kernels, "_march_cuts", cut_by_budget)
+            if budget == "300_bits":
+                mp.setattr(kernels, "_BLOCK_BITS", 300)
+            t, r = spectral._support_recurrence(V, self.KS)
+        return t.view(float), r.view(float), blocks[0]
+
+    def test_t_and_r_do_not_depend_on_the_cuts(self, grid, monkeypatch):
+        cases = self._cases(grid)
+        for V in cases:
+            t0, r0 = (a.view(float) for a in spectral._support_recurrence(V, self.KS))
+            blocks = {}
+            for budget in self.BUDGETS:
+                t, r, blocks[budget] = self._t_r(V, budget, monkeypatch)
+                assert np.array_equal(t, t0) and np.array_equal(r, r0), budget
+            # the budgets cut differently: over the 1201 rows of an a = 12
+            # support the worst-case bound takes twice the batch's blocks
+            assert blocks["one_block"] == 1 < blocks["300_bits"]
+            assert blocks["batch"] <= blocks["worst_case"] < blocks["300_bits"]
+            if V.support_halfwidth == 12.0:
+                assert blocks["batch"] < blocks["worst_case"]
+        opaque = spectral._support_recurrence(cases[16], np.array([0.5]))[0]
+        assert 0.0 < abs(opaque[0]) ** 2 < 1e-60
+
+    def test_batch_cuts_by_its_largest_k(self, grid, monkeypatch):
+        seen = []
+        cuts = kernels._march_cuts
+
+        def spy(hv, hk2_max):
+            seen.append(hk2_max)
+            return cuts(hv, hk2_max)
+
+        monkeypatch.setattr(kernels, "_march_cuts", spy)
+        V = sech_well(1.5, 1.5, 12.0, grid)
+        transmission(V, np.array([0.5, 4.0, 1.0]))
+        transmission(V, 0.5)
+        assert seen == [(4.0 * grid.h) ** 2, (0.5 * grid.h) ** 2]
+        hv = grid.h**2 * V.values[np.flatnonzero(V.values)]
+        assert len(cuts(hv, seen[0])) - 1 == 2  # two blocks over the 1201 rows
+        assert len(cuts(hv, 4.0)) - 1 == 4  # with the bound of every resolvable k
+
+    def test_empty_k_array_gives_empty_t(self, grid):
+        V = sech_well(1.5, 1.5, 12.0, grid)
+        t = transmission(V, np.array([]))
+        assert t.shape == (0,) and t.dtype == np.complex128
+        t, r = spectral._support_recurrence(V, np.array([]))
+        assert t.shape == r.shape == (0,)
+
+    def test_table_reads_t_in_the_same_march(self, grid, monkeypatch):
+        calls = []
+        march = kernels._support_march
+
+        def counted(hv, hk2, d):
+            calls.append(len(hk2))
+            return march(hv, hk2, d)
+
+        monkeypatch.setattr(kernels, "_support_march", counted)
+        V = walled_sech(grid)
+        ks = np.linspace(0.1, 4.0, 40)
+        st = distorted_plane_waves(V, 1.15)
+        table = st.transmission_table(ks)
+        assert calls == [41]
+        assert st.t == transmission(V, 1.15)
+        assert np.array_equal(table, transmission(V, ks))
+
+
 class TestWronskian:
     def test_free_potential_is_exceptional(self, grid):
         V = PotentialField(grid, np.zeros(grid.n), 15.0)
