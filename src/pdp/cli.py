@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, fgr, optimizer, timedomain
 from .config import builders, load_config, merge, override
 from .errors import ConfigError, PdpError, SolverFailure
-from .grid import Grid, PotentialField, h1_norm_sq, interpolate_potential
+from .grid import Grid, PotentialField, h1_norm_sq, interpolate_potential, trapz
 from .spectral import solve_ground_state, wronskian_at_zero
 
 EXIT_OK = 0
@@ -198,13 +198,26 @@ def _resolve_potential(cfg: dict, grid: Grid, path: str | None) -> PotentialFiel
     return _load_potential_csv(path, grid, cfg["design"]["a"])
 
 
+# the largest k of transmission.csv
+_TABLE_K_MAX = 4.0
+
+
+def _check_table_grid(grid: Grid) -> None:
+    """ConfigError unless the grid carries every k of transmission.csv (k < 2/h)."""
+    if not 0.5 * grid.h * _TABLE_K_MAX < 1.0:
+        raise ConfigError(
+            f"grid [{grid.x_min}, {grid.x_max}] with n = {grid.n} cannot carry "
+            f"transmission.csv's k = {_TABLE_K_MAX}: it needs k < 2/h = {2.0 / grid.h:g}"
+        )
+
+
 def _transmission_table(res) -> dict:
     """The columns of transmission.csv: t(k) of res's potential on 40 k.
 
     t(k_res), which the headline reads, rides in the same support march
     (ScatteringState.transmission_table), so call this before the headline.
     """
-    ks = np.linspace(0.1, 4.0, 40)
+    ks = np.linspace(0.1, _TABLE_K_MAX, 40)
     ts = res.scattering.transmission_table(ks)
     return {
         "k": ks,
@@ -224,6 +237,8 @@ def _emit_potential_artifacts(em: Emitter, V: PotentialField, res, table: dict) 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
     grid = builders.grid(cfg)
+    if args.out:
+        _check_table_grid(grid)
     params = builders.design(cfg, grid)
     V = _resolve_potential(cfg, grid, args.potential)
     res = fgr.gamma(V, params)
@@ -266,6 +281,8 @@ def _json_list(text: str):
 def cmd_optimize(args) -> int:
     cfg = override(load_config(args.config), {"optimizer": _given(symmetric=args.symmetric)})
     grid = builders.grid(cfg)
+    if args.out:
+        _check_table_grid(grid)
     params = builders.design(cfg, grid)
     opts = builders.opt_options(cfg)
     V0 = _resolve_potential(cfg, grid, args.potential)
@@ -433,12 +450,9 @@ def cmd_gradcheck(args) -> int:
     wr = wronskian_at_zero(V, params.wronskian_tol)
     fields = {
         "gamma": (fgr.gamma_gradient(V, params, res), lambda W: fgr.gamma(W, params).gamma),
-        "lambda": (
-            fgr.lambda_gradient(V, res.bound_state),
-            lambda W: solve_ground_state(W).lam,
-        ),
-        "k": (fgr.k_gradient(V, params, res), lambda W: fgr.gamma(W, params).k_res),
-        "wronskian": (fgr.wronskian_gradient(V, wr), lambda W: wronskian_at_zero(W).w0),
+        "lambda": (fgr.lambda_gradient(res.bound_state), lambda W: solve_ground_state(W).lam),
+        "k": (fgr.k_gradient(res), lambda W: fgr.gamma(W, params).k_res),
+        "wronskian": (fgr.wronskian_gradient(wr), lambda W: wronskian_at_zero(W).w0),
     }
     worst = {}
     for name, (gfield, functional) in fields.items():
@@ -448,7 +462,7 @@ def cmd_gradcheck(args) -> int:
             fp = functional(V.with_values(V.values + eps * w))
             fm = functional(V.with_values(V.values - eps * w))
             fd = (fp - fm) / (2 * eps)
-            an = gfield.pair(w)
+            an = float(trapz(grid, gfield * w))
             errs.append(abs(fd - an) / max(abs(fd), 1e-300))
         worst[name] = max(errs)
     failed = False
@@ -472,9 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=False):
+    def common(p):
         p.add_argument("--config", help="JSON config file (defaults used if omitted)")
-        p.add_argument("--out", required=out_required, help="output directory for artifacts")
+        p.add_argument("--out", help="output directory for artifacts")
 
     p = sub.add_parser("evaluate", help="Gamma and diagnostics for one potential")
     common(p)
@@ -482,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("optimize", help="barrier L-BFGS minimization of Gamma")
-    common(p, out_required=False)
+    common(p)
     p.add_argument("--potential", help="starting potential CSV (default: config init)")
     p.add_argument("--symmetric", action="store_const", const=True,
                    help="optimize in the symmetric subspace")

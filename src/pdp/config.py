@@ -207,11 +207,10 @@ class builders:
             opts = OptOptions(**cfg["optimizer"])  # the section's keys are its fields
         # the symmetric descent mirrors V about the middle node, which is
         # x = 0 only on a grid centred there
-        g = cfg["grid"]
-        if opts.symmetric and g["x_min"] != -g["x_max"]:
+        if opts.symmetric and not (grid := builders.grid(cfg)).centred:
             raise ConfigError(
                 "optimizer.symmetric needs a grid centred at 0 (x_min = -x_max), "
-                f"got the off-centre grid [{g['x_min']}, {g['x_max']}]"
+                f"got the off-centre grid [{grid.x_min}, {grid.x_max}]"
             )
         return opts
 

@@ -6,17 +6,17 @@ The rate is
     k = sqrt(lambda_V + mu),
 
 with psi the normalized ground state of H_V at energy lambda_V and e_{V+-}
-the distorted plane waves at the resonant wavenumber.  Gradients are
-returned as GradientField Riesz representatives with respect to the L^2
-pairing,
+the distorted plane waves at the resonant wavenumber.  Each gradient is
+the Riesz representative with respect to the L^2 pairing,
 
     d/deps F[V + eps w] |_0  =  integral g w dx  (trapezoid rule),
 
-zeroed outside the support window.  Callers doing nodal optimization
-multiply by the quadrature weights.  Each gradient reads the solved state
-of V that it differentiates: lambda_gradient a BoundState and
-wronskian_gradient a WronskianResult, both required; gamma_gradient and
-k_gradient an FgrResult, which they get from gamma when given none.
+as a plain array with a value on every node.  The optimizer restricts it
+to the support [-a, a], its design space, and applies the quadrature
+weights.  Each gradient takes the solved state of V that it
+differentiates: lambda_gradient a BoundState, wronskian_gradient a
+WronskianResult and k_gradient an FgrResult; gamma_gradient takes an
+FgrResult too, and gets one from gamma when given none.
 
 gamma makes the one complex solve of Gamma and its gradient: the outgoing
 matrix at k_res is factored once for e_+- and R(k_res)[beta psi], which
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResonanceBelowCutoff, SolverFailure
-from .grid import BetaMode, DesignParams, Grid, PotentialField, trapz
+from .grid import BetaMode, DesignParams, PotentialField, trapz
 from .spectral import (
     BoundState,
     ScatteringState,
@@ -46,7 +46,6 @@ from .spectral import (
 
 __all__ = [
     "FgrResult",
-    "GradientField",
     "gamma",
     "gamma_jost_form",
     "gamma_gradient",
@@ -87,23 +86,11 @@ class FgrResult:
         }
 
 
-@dataclass(frozen=True)
-class GradientField:
-    """Riesz representative of a Frechet derivative, zero outside [-a, a]."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def pair(self, w: np.ndarray) -> float:
-        """Directional derivative along the perturbation w."""
-        return float(trapz(self.grid, self.values * w))
-
-
 # The last point gamma solved, as (V, params, result).  It serves the
 # repeats of the last point that still occur: the optimizer's
 # re-evaluation of its current point at each new tau stage, the start Gamma
 # that pdp optimize prints before optimizing from the same potential, and
-# gamma_gradient, k_gradient or gamma_jost_form called without a result.
+# gamma_gradient called without a result, and gamma_jost_form.
 # It stays only while benchmark workloads call clear_cache.
 _last: tuple[PotentialField, DesignParams, FgrResult] | None = None
 
@@ -200,28 +187,23 @@ def gamma_jost_form(V: PotentialField, params: DesignParams) -> float:
     return abs(st.t) ** 2 * s / (16.0 * res.k_res)
 
 
-def _masked(V: PotentialField, g: np.ndarray) -> GradientField:
-    return GradientField(V.grid, np.where(V.support_mask, g, 0.0))
-
-
-def lambda_gradient(V: PotentialField, bs: BoundState) -> GradientField:
+def lambda_gradient(bs: BoundState) -> np.ndarray:
     """Riesz field of the ground-state energy: psi^2 (Rayleigh-Schrodinger).
 
     bs is the ground state of V, as solve_ground_state gives it.
     """
-    return _masked(V, bs.psi * bs.psi)
+    return bs.psi * bs.psi
 
 
-def k_gradient(
-    V: PotentialField, params: DesignParams, res: FgrResult | None = None
-) -> GradientField:
-    """Riesz field of the resonant wavenumber k = sqrt(lambda + mu)."""
-    if res is None:
-        res = gamma(V, params)
-    return _masked(V, res.bound_state.psi ** 2 / (2.0 * res.k_res))
+def k_gradient(res: FgrResult) -> np.ndarray:
+    """Riesz field of the resonant wavenumber k = sqrt(lambda + mu).
+
+    res is the decay rate of V, as gamma gives it.
+    """
+    return res.bound_state.psi ** 2 / (2.0 * res.k_res)
 
 
-def wronskian_gradient(V: PotentialField, wr: WronskianResult) -> GradientField:
+def wronskian_gradient(wr: WronskianResult) -> np.ndarray:
     """Riesz field of the zero-energy Wronskian: eta_+ eta_-.
 
     wr is the Wronskian of V, as spectral.wronskian_at_zero gives it.
@@ -230,7 +212,7 @@ def wronskian_gradient(V: PotentialField, wr: WronskianResult) -> GradientField:
     solutions (eta_+ normalized at the right end, eta_- at the left) by
     +integral w eta_+ eta_- dx.
     """
-    return _masked(V, wr.eta_plus * wr.eta_minus)
+    return wr.eta_plus * wr.eta_minus
 
 
 def _wave_k_pairings(
@@ -267,8 +249,8 @@ def _wave_k_pairings(
 
 def gamma_gradient(
     V: PotentialField, params: DesignParams, res: FgrResult | None = None
-) -> GradientField:
-    """Riesz field of Gamma[V].
+) -> np.ndarray:
+    """Riesz field of Gamma[V], res the decay rate of V as gamma gives it.
 
     Assembles the four first-order responses: the eigenvector shift through
     the reduced resolvent at lambda, the explicit potential dependence of
@@ -319,4 +301,4 @@ def gamma_gradient(
     g = g_psi + g_wave + g_k
     if params.beta_mode is BetaMode.EQUALS_V:
         g = g + pref * psi * resp
-    return _masked(V, g)
+    return g

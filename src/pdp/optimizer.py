@@ -74,13 +74,14 @@ class BarrierEval:
     """Value and nodal gradient of the barrier objective at one potential.
 
     gradient is the full-grid nodal gradient (quadrature weights already
-    applied; zero off the support).  margins = (lambda+mu, W^2-delta,
-    b^2-||V||^2), all strictly positive.
+    applied; zero off the support, the one place where a gradient is
+    restricted to the design space).  margins = (lambda+mu, W^2-delta,
+    b^2-||V||^2), all strictly positive.  result is the decay rate of the
+    potential, Gamma included.
     """
 
     value: float
     gradient: np.ndarray
-    gamma: float
     margins: tuple[float, float, float]
     wronskian_variance: float
     result: fgr.FgrResult
@@ -153,9 +154,10 @@ def barrier_objective(V: PotentialField, params: DesignParams, tau: float) -> Ba
 
     tau is the weight of the log-barrier terms, params the constraints.
 
-    The Gamma and constraint gradients are continuous Riesz fields, so the
-    nodal gradient applies the trapezoid weights; the H1 term is an exact
-    discrete quadratic form and contributes its own nodal gradient.
+    The Gamma and constraint gradients are continuous Riesz fields on
+    every node, so the nodal gradient applies the trapezoid weights; the H1
+    term is an exact discrete quadratic form and contributes its own nodal
+    gradient.  The sum is then zeroed off the support [-a, a].
     """
     res = fgr.gamma(V, params)  # raises NoBoundState / ResonanceBelowCutoff
     if res.bound_state.count_negative_eigenvalues != 1:
@@ -187,17 +189,15 @@ def barrier_objective(V: PotentialField, params: DesignParams, tau: float) -> Ba
     value = res.gamma - tau * (np.log(m1) + log_m2 + np.log(m3))
 
     w = V.grid.weights
-    # the constraint fields that gradcheck verifies (masked off the support)
-    g_field = fgr.gamma_gradient(V, params, res).values - tau * (
-        fgr.lambda_gradient(V, res.bound_state).values / m1
-        + w_coef * fgr.wronskian_gradient(V, wr).values
+    # the constraint fields that gradcheck verifies
+    g_field = fgr.gamma_gradient(V, params, res) - tau * (
+        fgr.lambda_gradient(res.bound_state) / m1 + w_coef * fgr.wronskian_gradient(wr)
     )
     grad = w * g_field + (tau / m3) * h1_gradient(V)
     grad = np.where(V.support_mask, grad, 0.0)
     return BarrierEval(
         value=float(value),
         gradient=grad,
-        gamma=res.gamma,
         margins=(float(m1), float(m2), float(m3)),
         wronskian_variance=wr.variance,
         result=res,
@@ -273,7 +273,7 @@ def optimize(
     for stage, tau in enumerate(schedule):
         # Gamma does not depend on tau, so a stage that ends on the
         # Gamma-negligible rule needs no evaluation at its own tau
-        if cur_tau != tau and cur.gamma >= TAU_ADVANCE_FACTOR * tau:
+        if cur_tau != tau and cur.result.gamma >= TAU_ADVANCE_FACTOR * tau:
             cur, cur_tau = barrier_objective(V, params, tau), tau
         history: list[tuple[np.ndarray, np.ndarray]] = []
         stage_status = "gradient tolerance reached"
@@ -281,7 +281,7 @@ def optimize(
         stage_tol = GRAD_TOL if final_stage else max(GRAD_TOL, STAGE_GRAD_FACTOR * tau)
         stage_it = 0
         while True:
-            if cur.gamma < TAU_ADVANCE_FACTOR * tau:
+            if cur.result.gamma < TAU_ADVANCE_FACTOR * tau:
                 stage_status = "gamma negligible against tau"
                 break
             gnorm = float(np.max(np.abs(cur.gradient)))
@@ -328,7 +328,7 @@ def optimize(
             it += 1
             stage_it += 1
             rows.append((
-                it, tau, cur.gamma, cur.value, float(np.max(np.abs(cur.gradient))), step,
+                it, tau, cur.result.gamma, cur.value, float(np.max(np.abs(cur.gradient))), step,
                 *cur.margins, cur.wronskian_variance,
             ))
         if budget_hit:

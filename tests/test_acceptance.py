@@ -126,16 +126,16 @@ def test_criterion_1_gradient_correctness(design_grid):
         fields = {
             "gamma": (fgr.gamma_gradient(V, params, res), lambda W: fgr.gamma(W, params).gamma),
             "lambda": (
-                fgr.lambda_gradient(V, res.bound_state),
+                fgr.lambda_gradient(res.bound_state),
                 lambda W: fgr.gamma(W, params).bound_state.lam,
             ),
-            "k": (fgr.k_gradient(V, params, res), lambda W: fgr.gamma(W, params).k_res),
-            "wronskian": (fgr.wronskian_gradient(V, wr), lambda W: wronskian_at_zero(W).w0),
+            "k": (fgr.k_gradient(res), lambda W: fgr.gamma(W, params).k_res),
+            "wronskian": (fgr.wronskian_gradient(wr), lambda W: wronskian_at_zero(W).w0),
         }
         for _ in range(10):
             w = smooth_direction(design_grid, params.a, rng)
             for gfield, functional in fields.values():
-                an = gfield.pair(w)
+                an = float(trapz(design_grid, gfield * w))
                 rel = np.inf
                 # tuned step: small responses from far-off bumps need a
                 # smaller step (curvature) or a larger one (noise floor)

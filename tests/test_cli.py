@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pdp import config, fgr, kernels, optimizer
+from pdp import config, fgr, kernels, optimizer, timedomain
 from pdp.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, Emitter, _fmt, _write_csv, build_parser, main
 from pdp.errors import ConfigError
 from pdp.grid import DesignParams, Grid
@@ -152,6 +152,16 @@ class TestConfig:
         assert config.override(cfg, {"simulator": {"seed": 7.0}})["simulator"]["seed"] == 7
         with pytest.raises(ConfigError, match="simulator.seed must be an integer"):
             config.override(cfg, {"simulator": {"seed": "7"}})
+
+    def test_unreadable_config_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert main(["evaluate", "--config", str(path)]) == EXIT_CONFIG
+        assert f"cannot read config {path}" in capsys.readouterr().err
+
+    def test_config_that_is_no_object_exit_code(self, tmp_path, capsys):
+        path = write_config(tmp_path, "list.json", [{"design": {"mu": 2.0}}])
+        assert main(["evaluate", "--config", path]) == EXIT_CONFIG
+        assert f"config {path} must be a JSON object" in capsys.readouterr().err
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -331,6 +341,32 @@ class TestEvaluate:
         assert main([command, "--config", cfgp, "--out", out]) == 3
         assert "lattice cutoff" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["evaluate", "optimize"])
+    def test_grid_too_coarse_for_the_transmission_table(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # transmission.csv reaches k = 4.0, which a grid carries while
+        # k < 2/h: n = 81 on [-20, 20] gives 2/h = 4, n = 82 gives 4.05.
+        # With --out the grid is checked before any solve
+        solves, gamma = [], fgr.gamma
+        monkeypatch.setattr(fgr, "gamma", lambda *args: solves.append(args) or gamma(*args))
+        grid = {"x_min": -20.0, "x_max": 20.0}
+        coarse = write_config(tmp_path, "coarse.json", {**SMALL_OPT, "grid": {**grid, "n": 81}})
+        out = tmp_path / "coarse"
+        assert main([command, "--config", coarse, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: grid [-20.0, 20.0] with n = 81" in err
+        assert "k = 4.0" in err and err.endswith("k < 2/h = 4\n") and "Traceback" not in err
+        assert not out.exists() and solves == []
+        # without --out nothing reads k = 4.0
+        assert main([command, "--config", coarse]) == 0
+        fine = write_config(tmp_path, "fine.json", {**SMALL_OPT, "grid": {**grid, "n": 82}})
+        out = tmp_path / "fine"
+        assert main([command, "--config", fine, "--out", str(out)]) == 0
+        written = set(os.listdir(out))
+        assert {"V_opt.csv", "psi.csv", "transmission.csv", "manifest.json"} <= written
+        assert len((out / "transmission.csv").read_text().splitlines()) == 41
+
     def test_bad_config_exit_code(self, tmp_path):
         path = write_config(tmp_path, "bad.json", {"nonsense": {}})
         assert main(["evaluate", "--config", path]) == 4
@@ -373,6 +409,21 @@ class TestPotentialFile:
         err = capsys.readouterr().err
         assert f"potential file {vpath} has no data rows" in err
         assert "Warning" not in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [(None, "cannot read potential file"),
+         ("x,V\n-1,a\n1,0\n", "is not (x,V) CSV"),
+         ("x\n-1\n1\n", "needs x and V columns")],
+        ids=["unreadable", "non_numeric", "one_column"],
+    )
+    def test_unusable_file_is_config_error(self, tmp_path, capsys, text, message):
+        vpath = tmp_path / "well.csv"
+        if text is not None:
+            vpath.write_text(text)
+        assert main(["evaluate", "--potential", str(vpath)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and str(vpath) in err
 
     @pytest.mark.parametrize("command", ["evaluate", "simulate"])
     def test_decreasing_x_is_config_error(self, tmp_path, capsys, command):
@@ -595,6 +646,25 @@ class TestSimulateAndFilter:
         assert rows[0] == "t,projection_sq,norm"
         assert len(rows) > 10
         assert "projection_sq:" in capsys.readouterr().out
+
+    def test_non_positive_projection_leaves_the_rate_nan(self, tmp_path, capsys, monkeypatch):
+        # a projection that reaches 0 on the fit window has no log-linear
+        # fit: the run prints no rate and the manifest holds null
+        propagate = timedomain.propagate
+
+        def vanishing(*args):
+            result = propagate(*args)
+            result.projection_sq[result.times >= 1.0] = 0.0
+            return result
+
+        monkeypatch.setattr(timedomain, "propagate", vanishing)
+        cfgp = write_config(tmp_path, "sim.json", SMALL_SIM)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith("projection_sq:") and printed.endswith(" -> 0\n")
+        headline = json.loads((out / "manifest.json").read_text())["headline"]
+        assert headline["fitted_rate"] is None
 
     def test_filter(self, tmp_path, capsys):
         cfgp = write_config(tmp_path, "sim.json", SMALL_SIM)

@@ -1,4 +1,5 @@
 """Barrier objective, L-BFGS direction, and descent-loop tests."""
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -93,13 +94,13 @@ class TestBarrierObjective:
         ev = barrier_objective(V, params, tau)
         m1, m2, m3 = ev.margins
         assert ev.value == pytest.approx(
-            ev.gamma - tau * (np.log(m1) + np.log(m2) + np.log(m3))
+            ev.result.gamma - tau * (np.log(m1) + np.log(m2) + np.log(m3))
         )
         assert all(m > 0 for m in ev.margins)
 
     def test_value_approaches_gamma_as_tau_vanishes(self, V, params):
         ev = barrier_objective(V, params, 1e-14)
-        assert ev.value == pytest.approx(ev.gamma, rel=1e-6)
+        assert ev.value == pytest.approx(ev.result.gamma, rel=1e-6)
 
     def test_nodal_gradient_finite_difference(self, grid, V, params):
         tau = 1e-2
@@ -128,9 +129,8 @@ class TestBarrierObjective:
         assert abs(w0) > 1e100
         m1, m2, m3 = ev.margins
         assert m2 == np.inf
-        assert ev.value == pytest.approx(
-            ev.gamma - tau * (np.log(m1) + 2.0 * np.log(abs(w0)) + np.log(m3)), rel=1e-14
-        )
+        log_m = np.log(m1) + 2.0 * np.log(abs(w0)) + np.log(m3)
+        assert ev.value == pytest.approx(ev.result.gamma - tau * log_m, rel=1e-14)
         # a bump over the well, where the Wronskian term dominates the
         # gradient and the walls' under-resolved march does not enter
         w = np.where(V.support_mask, np.exp(-((grid.x / 2.0) ** 2)), 0.0)
@@ -323,6 +323,19 @@ class TestOptimize:
         assert out.status == "line-search failure"
         assert out.iterations == 0
         np.testing.assert_array_equal(out.V_opt.values, V0.values)
+
+    def test_zero_gradient_ends_on_the_gradient_tolerance(self, V, params, monkeypatch):
+        # a point whose gradient is zero is stationary: every stage ends on
+        # its gradient test before a step, the last one on GRAD_TOL
+        def flat(V, params, tau):
+            ev = barrier_objective(V, params, tau)
+            return dataclasses.replace(ev, gradient=np.zeros_like(ev.gradient))
+
+        monkeypatch.setattr(optimizer, "barrier_objective", flat)
+        out = optimize(V, params, OptOptions())
+        assert out.status == "gradient tolerance reached"
+        assert out.iterations == 0
+        np.testing.assert_array_equal(out.V_opt.values, V.values)
 
     def test_ascent_direction_is_replaced_by_steepest_descent(self, V, params, monkeypatch):
         # a direction d with d.g >= 0 is replaced by -g: a run whose L-BFGS

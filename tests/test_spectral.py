@@ -641,6 +641,14 @@ class TestTransmissionRecurrence:
         with pytest.raises(SolverFailure):
             transmission(V, np.array([0.5, 1.0]))
 
+    def test_overflowing_march_is_solver_failure(self, grid):
+        # h^2 |V| = 4e196, about 2^652, on every row of |x| <= 2: a block
+        # that holds two such rows grows the marched state by 2^1304, past
+        # the float range (under 2^128 per row the blocks keep it finite)
+        V = PotentialField(grid, np.where(np.abs(grid.x) <= 2.0, 1e200, 0.0), 12.0)
+        with pytest.raises(SolverFailure, match="overflowed at k=1.0"):
+            transmission(V, 1.0)
+
     def test_unresolvable_k_raises(self, grid):
         V = sech_well(1.5, 1.5, 12.0, grid)
         k_max = 2.0 / grid.h  # k h / 2 = 1

@@ -13,7 +13,8 @@ read, because the syntax does not tell the type of the object read from.
 
 Every private function, class and module-level constant of a pdp module
 must be referenced by name somewhere in src/pdp or tests/ besides its own
-definition, so that a simplification leaves no dead code behind.
+definition, and every parameter of a function or lambda in src/pdp must be
+read in its body, so that a simplification leaves no dead code behind.
 """
 import ast
 import dataclasses
@@ -200,6 +201,44 @@ def test_every_private_name_is_referenced():
         if not any(name in names for stmt, names in reads if stmt is not node)
     ]
     assert unused == []
+
+
+def _unread_parameters(tree: ast.Module, module: str) -> list[str]:
+    """module:line name.parameter of each parameter that its function's body never loads."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            sub.id
+            for stmt in body
+            for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        out += [f"{module}:{node.lineno} {name}.{p.arg}" for p in params if p.arg not in read]
+    return out
+
+
+def test_every_parameter_is_read():
+    # a parameter that its body never reads is an argument every caller
+    # passes for nothing
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        unread += _unread_parameters(ast.parse(path.read_text(), str(path)), path.stem)
+    assert unread == []
+
+
+def test_unread_parameter_rule_sees_functions_and_lambdas():
+    tree = ast.parse(
+        "def f(V, bs):\n    return bs.psi\n"
+        "def g(x, *args, y, **kw):\n    return lambda z: x + y + len(args) + len(kw)\n"
+        "def h(grid):\n    def inner():\n        return grid\n    return inner\n"
+    )
+    assert _unread_parameters(tree, "m") == ["m:1 f.V", "m:4 <lambda>.z"]
 
 
 def test_blas_and_lapack_are_reached_only_through_kernels():
