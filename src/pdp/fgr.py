@@ -206,11 +206,16 @@ def k_gradient(res: FgrResult) -> np.ndarray:
 def wronskian_gradient(wr: WronskianResult) -> np.ndarray:
     """Riesz field of the zero-energy Wronskian: eta_+ eta_-.
 
-    wr is the Wronskian of V, as spectral.wronskian_at_zero gives it.
-    Variation-of-parameters on eta'' = V eta: perturbing V by w changes the
-    constant Wronskian W = eta_+ eta_-' - eta_+' eta_- of the two half-bound
-    solutions (eta_+ normalized at the right end, eta_- at the left) by
-    +integral w eta_+ eta_- dx.
+    wr is the Wronskian of V, as spectral.wronskian_at_zero gives it: the
+    Casoratian W of the two half-bound solutions of H_V's 3-point
+    recurrence (eta_+ normalized at the right end, eta_- at the left).  By
+    discrete variation of parameters (summation by parts of the stencil
+    against eta_+ on one side of a cell and eta_- on the other),
+    perturbing V by w changes W by sum_j h eta_+_j eta_-_j w_j over the
+    inner nodes, exactly to first order.  So eta_+ eta_- is the exact
+    Riesz field of the discrete W under the trapezoid pairing, not an
+    O(h^2) approximation of it; only the two end nodes, which the
+    recurrence does not read and which lie off every support, differ.
     """
     return wr.eta_plus * wr.eta_minus
 

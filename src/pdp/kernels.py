@@ -15,13 +15,12 @@ same for a mirror-symmetric matrix of odd order from its even half: the
 even block gives the eigenpair, and the odd block completes the count,
 with one LDL^T pivot sweep (?pttrf, _positive_definite) when it has no
 negative eigenvalue and a Sturm count when it has.  march_half_bound
-writes the zero-energy trapezoid march as one lower-banded triangular
-system and solves it with one BLAS ?tbsv call; the band's entries that
-do not depend on V are copied from a template kept per (n, h).
-_support_march runs pdp.spectral's support recurrence for a batch of
-wavenumbers: per k, one BLAS ?tbsv call per block of rows, with the
-state renormalized by a power of two at each block end.  The blocks are
-cut by a growth bound that depends on V and the batch's largest k, and
+marches the zero-energy 3-point recurrence of H_V in difference form,
+as one unit-lower banded triangular system solved by one BLAS ?tbsv
+call; every entry but h^2 V is -1.  _support_march runs pdp.spectral's
+support recurrence for a batch of wavenumbers: per k, one BLAS ?tbsv
+call per block of rows, with the state renormalized by a power of two
+at each block end.  The blocks are cut by a growth bound that depends on V and the batch's largest k, and
 the end state's bits do not depend on the cuts.  A
 tridiagonal solve with a matrix of its own ends in _gtsv_solve, a thin
 LAPACK ?gtsv call that assumes finite input.  The
@@ -258,62 +257,44 @@ def _lowest_eigenpair_by_parity(d, e):
     return count, lam, v
 
 
-@lru_cache(maxsize=4)
-def _march_band(n, h):
-    """The entries of march_half_bound's band that do not depend on V, read-only.
-
-    Every D column holds (1, -h, -1, 0); the eta column of node 0 starts
-    with (1, 0), and that of node n-1 ends in two entries outside the
-    matrix, never read.  The other eta entries are 0 here.
-    """
-    cols = np.zeros((n, 2, 4))
-    cols[0, 0, :2] = (1.0, 0.0)  # rows 0 and 1 read eta_0 = y[0], D_0 = y[1]
-    cols[:, 1] = (1.0, -h, -1.0, 0.0)
-    cols.setflags(write=False)
-    return cols
-
-
 def march_half_bound(v, h, from_right):
-    """March the zero-energy solution eta'' = V eta across the grid.
+    """March the zero-energy solution -eta'' + V eta = 0 across the grid.
 
-    Trapezoidal (Crank-Nicolson) one-step scheme on the first-order system
-    (eta, D = eta'), with the potential averaged over the step,
-    vbar_i = (v_i + v_{i+1})/2, so the one-step map has unit determinant
-    and the discrete Wronskian of two solutions is conserved exactly.
-    Initial data eta=1, eta'=0 at the starting end, where the potential
-    vanishes.  Returns (eta, deta) at every node.
+    The 3-point stencil of H_V at energy 0, -eta_{j-1} + (2 + h^2 v_j)
+    eta_j - eta_{j+1} = 0 on every inner node, in difference form
+    (d_j = eta_{j+1} - eta_j), as pdp.spectral's support recurrence is
+    marched:
 
-    With c_i = 1 - (h^2/4) vbar_i, one step is the pair of rows
+        d_j = d_{j-1} + h^2 v_j eta_j,    eta_{j+1} = eta_j + d_j,
 
-        c_i eta_{i+1} - (2 - c_i) eta_i - h D_i = 0,
-        D_{i+1} - D_i - (h/2) vbar_i (eta_i + eta_{i+1}) = 0,
+    from eta_0 = 1, d_0 = 0 at the starting end, where the potential
+    vanishes (the end node's own v is not read).  Returns eta on the n
+    nodes and eta' = d/h on the n-1 cells between them.  The Casoratian
+    of two solutions, (a_j b_{j+1} - a_{j+1} b_j)/h, is the same on every
+    cell in exact arithmetic.
 
-    (the implicit step with D_{i+1} eliminated from its eta row), so the
-    whole march is one lower-triangular system with 3 subdiagonals in the
-    interleaved unknowns (eta_0, D_0, eta_1, D_1, ...), solved by one BLAS
-    ?tbsv call.  The march from the right is the march from the left over
-    the reversed potential, with D negated.  A march that overflows gives
-    non-finite values and no floating-point warning.
+    The whole march is one unit-lower triangular system with 2
+    subdiagonals in the interleaved unknowns (eta_0, d_0, eta_1, d_1, ...,
+    eta_{n-1}), solved by one BLAS ?tbsv call; apart from -h^2 v_j its
+    entries are all -1.  The march from the right is the march from the
+    left over the reversed potential, with eta' negated.  A march that
+    overflows gives non-finite values and no floating-point warning.
     """
     v = np.asarray(v, dtype=float)
     if from_right:
         v = v[::-1]
     n = v.shape[0]
-    hv = 0.5 * h * (0.5 * (v[:-1] + v[1:]))  # (h/2) vbar_i
-    c = 1.0 - 0.5 * h * hv
-    # column j of the band holds A[j, j], A[j+1, j], A[j+2, j], A[j+3, j];
-    # cols[i, 0] is the column of eta_i, cols[i, 1] the column of D_i.  The
-    # entries that do not depend on V are copied from one kept template
-    cols = _march_band(n, h).copy()
-    eta_cols = cols[:, 0]
-    eta_cols[1:, 0] = c
-    np.negative(hv, out=eta_cols[1:, 1])
-    np.subtract(c, 2.0, out=eta_cols[:-1, 2])
-    np.negative(hv, out=eta_cols[:-1, 3])
-    y = np.zeros(2 * n)
-    y[0] = 1.0  # eta_0 = 1, D_0 = 0
-    y = _dtbsv(3, cols.reshape(2 * n, 4).T, y, lower=1, overwrite_x=1)
-    eta, deta = y.reshape(n, 2).T
+    # column c of the band (column-major, as BLAS reads it) holds A[c, c]
+    # (unit, not read), A[c+1, c] and A[c+2, c]: the eta_j column couples
+    # d_j (-h^2 v_j) and eta_{j+1} (-1), the d_j column eta_{j+1} and
+    # d_{j+1} (-1 both)
+    band = np.full((2 * n - 1, 3), -1.0).T
+    np.multiply(-h * h, v, out=band[1, ::2])
+    band[1, 0] = 0.0  # d_0 = 0: node 0's row is not marched
+    y = np.zeros(2 * n - 1)
+    y[0] = 1.0
+    y = _dtbsv(2, band, y, lower=1, diag=1, overwrite_x=1)
+    eta, deta = y[::2], y[1::2] / h
     if from_right:
         return eta[::-1], -deta[::-1]
     return eta, deta

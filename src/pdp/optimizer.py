@@ -154,10 +154,11 @@ def barrier_objective(V: PotentialField, params: DesignParams, tau: float) -> Ba
 
     tau is the weight of the log-barrier terms, params the constraints.
 
-    The Gamma and constraint gradients are continuous Riesz fields on
-    every node, so the nodal gradient applies the trapezoid weights; the H1
-    term is an exact discrete quadratic form and contributes its own nodal
-    gradient.  The sum is then zeroed off the support [-a, a].
+    The Gamma and constraint gradients are Riesz fields on every node (the
+    Wronskian's is exact for its discrete W), so the nodal gradient applies
+    the trapezoid weights; the H1 term is an exact discrete quadratic form
+    and contributes its own nodal gradient.  The sum is then zeroed off the
+    support [-a, a].
     """
     res = fgr.gamma(V, params)  # raises NoBoundState / ResonanceBelowCutoff
     if res.bound_state.count_negative_eigenvalues != 1:
@@ -176,14 +177,14 @@ def barrier_objective(V: PotentialField, params: DesignParams, tau: float) -> Ba
         raise InfeasiblePoint(
             f"constraint margins (lam+mu={m1:.3g}, W0={wr.w0:.3g}, b^2-H1={m3:.3g})"
         )
-    # the W margin is handled in log space: W0 grows like exp(integral
-    # sqrt(V_+)) and its square can overflow for tall barriers
+    # m2 is the margin that evaluate prints (inf once |W0| passes about
+    # 1.3e154); past 1e100 its log and coefficient are taken in log space,
+    # as W0 grows like exp(integral sqrt(V_+)) and its square can overflow
+    m2 = aw * aw - params.delta
     if aw > 1e100:
-        m2 = np.inf
         log_m2 = 2.0 * np.log(aw)
         w_coef = 2.0 / wr.w0  # 2 W0 / (W0^2 - delta), asymptotically
     else:
-        m2 = aw * aw - params.delta
         log_m2 = np.log(m2)
         w_coef = 2.0 * wr.w0 / m2
     value = res.gamma - tau * (np.log(m1) + log_m2 + np.log(m3))
@@ -298,8 +299,10 @@ def optimize(
                 d = _symmetrize(d)
             slope = float(d @ cur.gradient)
             if slope >= 0.0:
-                d = -cur.gradient
-                slope = -float(cur.gradient @ cur.gradient)
+                # steepest descent, mirrored too: the gradient of a mirrored
+                # V is mirrored only to rounding
+                d = -(_symmetrize(cur.gradient) if opts.symmetric else cur.gradient)
+                slope = float(d @ cur.gradient)
             step = 1.0
             accepted = None
             # in symmetric mode V, d and the support mask (Grid.x is exactly

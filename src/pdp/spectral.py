@@ -235,11 +235,12 @@ class ScatteringState:
 class WronskianResult:
     """Zero-energy Wronskian of the half-bound states eta_+- and diagnostics.
 
-    w0 is the spatial mean of eta_+ eta_-' - eta_+' eta_-, variance the
-    spread over nodes relative to 1 + w0^2 (the Wronskian is analytically
-    constant, and can be exponentially large for potentials with tall
-    positive parts); valid is False when the relative variance exceeds the
-    tolerance supplied by the caller.
+    eta_+- are the nodal values of the half-bound states.  w0 is the mean
+    over the n-1 cells of eta_+ eta_-' - eta_+' eta_-, variance its spread
+    over cells relative to 1 + w0^2 (the 3-point recurrence keeps it the
+    same on every cell up to rounding, and it can be exponentially large
+    for potentials with tall positive parts); valid is False when the
+    relative variance exceeds the tolerance supplied by the caller.
     """
 
     w0: float
@@ -489,9 +490,13 @@ def wronskian_at_zero(V: PotentialField, tol: float = 1e-8) -> WronskianResult:
     """Zero-energy Wronskian W_V(0) of the half-bound states.
 
     eta_+ is marched in from the right end (eta=1, eta'=0 there, where V
-    vanishes), eta_- from the left, both with the trapezoidal one-step
-    scheme (kernels.march_half_bound).  The Wronskian is formed at every
-    node and averaged; the variance over nodes is the discretization
+    vanishes), eta_- from the left, both by H_V's own 3-point recurrence
+    (kernels.march_half_bound), the one that gives lambda, k, e_+- and
+    t(k).  The Wronskian is formed on every cell j between nodes j and
+    j+1, with eta' the cell's difference quotient: eta_+ eta_-' - eta_+'
+    eta_- there is the Casoratian (eta_+_j eta_-_{j+1} - eta_+_{j+1}
+    eta_-_j)/h, which the recurrence conserves in exact arithmetic.  W is
+    averaged over cells; the variance over cells is the rounding
     self-check.
     """
     v = np.asarray(V.values, dtype=float)
@@ -501,7 +506,7 @@ def wronskian_at_zero(V: PotentialField, tol: float = 1e-8) -> WronskianResult:
     with np.errstate(over="ignore", invalid="ignore"):
         eta_p, deta_p = kernels.march_half_bound(v, h, True)
         eta_m, deta_m = kernels.march_half_bound(v, h, False)
-        W = eta_p * deta_m - deta_p * eta_m
+        W = eta_p[:-1] * deta_m - deta_p * eta_m[:-1]
         if not np.all(np.isfinite(W)):
             return WronskianResult(
                 w0=np.nan, variance=np.inf, eta_plus=eta_p, eta_minus=eta_m, valid=False

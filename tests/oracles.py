@@ -10,9 +10,9 @@ the residuals of the package's discrete solves by applying the 3-point
 stencil of H_V directly, not through any solver.
 lattice_barrier_transmission is the closed form of the 3-point model
 itself for a flat barrier, so it checks the package's t(k) to rounding
-rather than to O(h^2).  march_half_bound_loop is the package's trapezoid
-march of eta'' = V eta written as a plain loop, one node per step; it
-checks the banded solve of the same scheme to rounding.
+rather than to O(h^2).  march_half_bound_loop is the package's
+zero-energy 3-point recurrence of H_V written as a plain loop, one node
+per step; it checks the banded solve of the same recurrence to rounding.
 square_well samples the square well onto a package grid, with the mean
 value on nodes that land on a jump.  scattering_k_derivative
 differentiates the package's assembled outgoing system in k (forward
@@ -152,38 +152,25 @@ def wronskian_shooting(v_func, a, breakpoints=(), rtol=1e-12):
 
 
 def march_half_bound_loop(v, h, from_right):
-    """March the zero-energy solution eta'' = V eta across the grid.
+    """March the zero-energy solution -eta'' + V eta = 0 across the grid.
 
-    Trapezoidal (Crank-Nicolson) one-step scheme on the first-order system
-    (eta, eta'), with the potential averaged over the step so the one-step
-    map has unit determinant and the discrete Wronskian of two solutions is
-    conserved exactly.  Initial data eta=1, eta'=0 at the starting end,
-    where the potential vanishes.  Returns (eta, deta) at every node.
+    H_V's 3-point recurrence in difference form, one node per step:
+    d_j = d_{j-1} + h^2 v_j eta_j and eta_{j+1} = eta_j + d_j, from
+    eta = 1, d = 0 at the starting end, where the potential vanishes.
+    Returns eta at every node and eta' = d/h on every cell, both in the
+    direction of x.
     """
     n = v.shape[0]
+    vm = v[::-1] if from_right else v
     eta = np.empty(n)
-    deta = np.empty(n)
+    d = np.empty(n - 1)
+    eta[0], eta[1], d[0] = 1.0, 1.0, 0.0
+    for j in range(1, n - 1):
+        d[j] = d[j - 1] + h * h * vm[j] * eta[j]
+        eta[j + 1] = eta[j] + d[j]
     if from_right:
-        idx = range(n - 1, 0, -1)
-        start = n - 1
-        step = -1
-    else:
-        idx = range(0, n - 1)
-        start = 0
-        step = 1
-    eta[start] = 1.0
-    deta[start] = 0.0
-    hh = 0.5 * h * step
-    for j in idx:
-        jn = j + step
-        # (I - hh*Fbar) y_{jn} = (I + hh*Fbar) y_j, Fbar = [[0,1],[vbar,0]]
-        vbar = 0.5 * (v[j] + v[jn])
-        r0 = eta[j] + hh * deta[j]
-        r1 = deta[j] + hh * vbar * eta[j]
-        det = 1.0 - hh * hh * vbar
-        eta[jn] = (r0 + hh * r1) / det
-        deta[jn] = (hh * vbar * r0 + r1) / det
-    return eta, deta
+        return eta[::-1], -d[::-1] / h
+    return eta, d / h
 
 
 def pt_ground_state(x):

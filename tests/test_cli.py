@@ -153,6 +153,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="simulator.seed must be an integer"):
             config.override(cfg, {"simulator": {"seed": "7"}})
 
+    @pytest.mark.parametrize("init", [{"A": 0.0}, {"B": -1.0}], ids=["A", "B"])
+    def test_non_positive_sech_well_exit_code(self, tmp_path, capsys, init):
+        path = write_config(tmp_path, "init.json", {"init": init})
+        assert main(["evaluate", "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: bad init section: A and B must be positive" in err
+
     def test_unreadable_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "missing.json"
         assert main(["evaluate", "--config", str(path)]) == EXIT_CONFIG
@@ -245,7 +252,7 @@ class TestEvaluate:
         assert calls == marches
 
     def test_overflowing_wronskian_margin_is_inf(self, tmp_path, capsys):
-        # walls of 1000 on 4 < |x| <= 12 around a -2 well give W0 ~ 6e230,
+        # walls of 1000 on 4 < |x| <= 12 around a -2 well give W0 ~ 2e219,
         # whose square overflows: the margin is inf, not an OverflowError.
         # stdout prints it as inf; the strict-JSON manifest writes null
         x = config.builders.grid(config.DEFAULTS).x
@@ -260,6 +267,26 @@ class TestEvaluate:
         headline = json.loads(text, parse_constant=no_constant)["headline"]
         assert 1e154 < headline["w0"] < np.inf
         assert headline["margin_wronskian"] is None
+
+    def test_margins_are_those_of_the_barrier(self, tmp_path, capsys):
+        # the headline well with walls 1000 exp(-((|x| - 8)/1.5)^2) has
+        # |W0| above 1e100, where the barrier takes log m2 in log space;
+        # evaluate prints the same three margins that the barrier reports
+        cfgp = write_config(tmp_path, "walls.json", {"design": {"b": 1e4}})
+        cfg = config.load_config(cfgp)
+        grid = config.builders.grid(cfg)
+        x = grid.x
+        V = config.builders.initial_potential(cfg, grid)
+        v = V.values + 1000.0 * np.exp(-(((np.abs(x) - 8.0) / 1.5) ** 2))
+        vpath = tmp_path / "walls.csv"
+        _write_csv(str(vpath), {"x": x, "V": v})
+        assert main(["evaluate", "--config", cfgp, "--potential", str(vpath)]) == 0
+        printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        params = config.builders.design(cfg, grid)
+        ev = optimizer.barrier_objective(V.with_values(v), params, 1e-2)
+        names = ("margin_resonance", "margin_wronskian", "margin_h1")
+        assert abs(float(printed["w0"])) > 1e100
+        assert tuple(float(printed[name]) for name in names) == ev.margins
 
     def test_manifest_is_strict_json(self, tmp_path, capsys):
         # walls of 4000 make the Wronskian march invalid: w0 and its margin

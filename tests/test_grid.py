@@ -106,6 +106,11 @@ class TestPotentialField:
             with pytest.raises(ValueError, match="strictly inside"):
                 build()
 
+    def test_values_must_match_the_grid(self):
+        g = make_grid(-10, 10, 201)
+        with pytest.raises(ValueError, match="values length does not match grid"):
+            PotentialField(g, np.zeros(g.n - 1), 5.0)
+
     def test_values_read_only(self):
         g = make_grid(-10, 10, 201)
         V = PotentialField(g, np.zeros(g.n), 5.0)
@@ -124,6 +129,12 @@ class TestPotentialField:
         V = sech_well(1.5, 1.5, 12.0, g)
         assert np.array_equal(V.values, V.values[::-1])
         assert V.values.min() == pytest.approx(-1.5)
+
+    @pytest.mark.parametrize("A, B", [(0.0, 1.5), (1.5, -1.0)], ids=["A", "B"])
+    def test_sech_well_needs_positive_depth_and_rate(self, A, B):
+        g = make_grid(-20, 20, 2001)
+        with pytest.raises(ValueError, match="A and B must be positive"):
+            sech_well(A, B, 12.0, g)
 
     def test_square_well_mean_value_at_jump(self):
         g = make_grid(-20, 20, 2001)

@@ -316,20 +316,19 @@ class TestMarchHalfBound:
     @pytest.mark.parametrize("v0, h, n", [(4.0, 0.01, 501), (2.25, 0.05, 301), (100.0, 0.02, 201)])
     @pytest.mark.parametrize("from_right", [False, True], ids=["left", "right"])
     def test_flat_wall_is_a_sum_of_two_powers(self, v0, h, n, from_right):
-        # on V = v0 the one-step map has eigenvalues l+- = (1 +- s)/(1 -+ s),
-        # s = (h/2) sqrt(v0), with eigenvectors (1, +-sqrt(v0)); from (1, 0)
-        # eta_j = (l+^j + l-^j)/2 and eta'_j = sqrt(v0) (l+^j - l-^j)/2
-        # exactly, evaluated here with 40 significant digits
-        root = np.sqrt(v0)
-        assert root * root == v0
+        # on V = v0 the 3-point recurrence has the roots l and 1/l of
+        # l + 1/l = 2 + x, x = h^2 v0 (the march's own coefficient); from
+        # eta_0 = eta_1 = 1, eta_j = (l^j + l^(1-j))/(1 + l) and the cell
+        # quotient eta'_j = (l - 1)(l^j - l^-j)/((1 + l) h) exactly,
+        # evaluated here with 40 significant digits
         with localcontext() as ctx:
             ctx.prec = 40
-            s = Decimal(h) / 2 * Decimal(root)
-            lp, lm = (1 + s) / (1 - s), (1 - s) / (1 + s)
-            pp = [lp**j for j in range(n)]
-            pm = [lm**j for j in range(n)]
-            eta_exact = np.array([float((a + b) / 2) for a, b in zip(pp, pm)])
-            deta_exact = np.array([float(Decimal(root) * (a - b) / 2) for a, b in zip(pp, pm)])
+            x = Decimal(h * h * v0)
+            lam = 1 + x / 2 + (x * (4 + x)).sqrt() / 2
+            pw = [lam**j for j in range(n)]
+            eta_exact = np.array([float((p + lam / p) / (1 + lam)) for p in pw])
+            c = (lam - 1) / ((1 + lam) * Decimal(h))
+            deta_exact = np.array([float(c * (p - 1 / p)) for p in pw[:-1]])
         eta, deta = kernels.march_half_bound(np.full(n, v0), h, from_right)
         if from_right:
             # x runs the other way from the right end: eta' changes sign
@@ -341,8 +340,8 @@ class TestMarchHalfBound:
     @pytest.mark.parametrize("n", [2001, 3001])
     @pytest.mark.parametrize("from_right", [False, True], ids=["left", "right"])
     def test_matches_the_loop_on_the_sech_start(self, n, from_right):
-        # the banded solve and the node-by-node loop are the same scheme
-        # with the operations in another order
+        # the banded solve and the node-by-node loop are the same
+        # recurrence, with the operations in BLAS's order
         grid = make_grid(-20.0, 20.0, n)
         v = sech_well(1.5, 1.5, 12.0, grid).values
         got = kernels.march_half_bound(v, grid.h, from_right)

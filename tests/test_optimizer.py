@@ -120,15 +120,16 @@ class TestBarrierObjective:
         assert np.all(ev.gradient[~V.support_mask] == 0.0)
 
     def test_wronskian_beyond_1e100_takes_its_margin_in_log_space(self, grid):
-        # walls of height 1000 make |W0| about 4e105, whose square overflows:
-        # the margin reads inf and the barrier takes 2 log|W0| for log m2
+        # walls of height 1000 make |W0| about 4e102: the margin is W0^2 -
+        # delta as evaluate prints it, and the barrier takes 2 log|W0| for
+        # log m2
         V, p = walled(grid, 1000.0, 1e4)
         tau = 1e-2
         ev = barrier_objective(V, p, tau)
         w0 = wronskian_at_zero(V, p.wronskian_tol).w0
         assert abs(w0) > 1e100
         m1, m2, m3 = ev.margins
-        assert m2 == np.inf
+        assert m2 == w0 * w0 - p.delta
         log_m = np.log(m1) + 2.0 * np.log(abs(w0)) + np.log(m3)
         assert ev.value == pytest.approx(ev.result.gamma - tau * log_m, rel=1e-14)
         # a bump over the well, where the Wronskian term dominates the
@@ -139,9 +140,24 @@ class TestBarrierObjective:
         fm = barrier_objective(V.with_values(V.values - eps * w), p, tau).value
         assert (fp - fm) / (2 * eps) == pytest.approx(float(ev.gradient @ w), rel=1e-4)
 
+    @pytest.mark.parametrize("centre", [8.0, -9.0])
+    def test_gradient_matches_its_difference_across_the_walls(self, grid, centre):
+        # the Wronskian field eta_+ eta_- is the exact derivative of the
+        # discrete W, so the barrier's gradient holds along a bump on a
+        # wall the grid does not resolve (h sqrt(V) about 0.6 on top)
+        V, p = walled(grid, 1000.0, 1e4)
+        tau = 1e-2
+        ev = barrier_objective(V, p, tau)
+        w = np.where(V.support_mask, np.exp(-((grid.x - centre) ** 2)), 0.0)
+        eps = 1e-4
+        fp = barrier_objective(V.with_values(V.values + eps * w), p, tau).value
+        fm = barrier_objective(V.with_values(V.values - eps * w), p, tau).value
+        assert (fp - fm) / (2 * eps) == pytest.approx(float(ev.gradient @ w), rel=1e-6)
+
     def test_overflowing_wronskian_is_infeasible(self, grid):
-        # walls of height 9000 overflow the half-bound march
-        V, p = walled(grid, 9000.0, 1e5)
+        # walls of height 20000 overflow the half-bound march (walls of
+        # 9000 leave W0 near -4e288)
+        V, p = walled(grid, 20000.0, 1e5)
         with pytest.raises(InfeasiblePoint, match="Wronskian"):
             barrier_objective(V, p, 1e-2)
 
@@ -347,6 +363,16 @@ class TestOptimize:
         ascent, descent = runs
         assert ascent.iterations == descent.iterations == 3
         assert ascent.V_opt.values.tobytes() == descent.V_opt.values.tobytes()
+
+    def test_symmetric_steepest_descent_stays_mirrored(self, V, params, monkeypatch):
+        # the fallback for an ascent direction is mirrored as the L-BFGS
+        # direction is: the gradient of a mirrored V is mirrored only to
+        # rounding, and an unmirrored step would leave the mirror subspace
+        monkeypatch.setattr(optimizer, "lbfgs_direction", lambda history, g: g.copy())
+        opts = OptOptions(max_iters=2, tau_start=1e-2, tau_min=1e-2, symmetric=True)
+        out = optimize(V, params, opts)
+        assert out.iterations == 2
+        assert out.V_opt.values.tobytes() == out.V_opt.values[::-1].tobytes()
 
     def test_infeasible_start_raises(self, grid):
         V = sech_well(1.5, 1.5, 12.0, grid)

@@ -336,6 +336,10 @@ class TestOutgoingResolvent:
         exact = 1j / (2 * k) * np.exp(1j * k * np.abs(grid.x))
         assert np.max(np.abs(u - exact)) < 1e-3
 
+    def test_forcing_of_the_wrong_length_is_rejected(self, grid, pt):
+        with pytest.raises(ValueError, match="forcing length does not match grid"):
+            outgoing_resolvent_solve(pt, 1.3, np.zeros(grid.n - 1))
+
     def test_zero_forcing(self, grid, pt):
         u = outgoing_resolvent_solve(pt, 1.3, np.zeros(grid.n))
         np.testing.assert_allclose(u, 0.0)
@@ -480,6 +484,11 @@ def walled_sech(grid):
 
 
 class TestReducedResolvent:
+    def test_forcing_of_the_wrong_length_is_rejected(self, grid, pt):
+        bs = solve_ground_state(pt)
+        with pytest.raises(ValueError, match="forcing length does not match grid"):
+            reduced_resolvent_at_eigenvalue(pt, bs, np.zeros(grid.n + 1))
+
     @pytest.mark.parametrize(
         "half, a, build",
         [

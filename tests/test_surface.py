@@ -11,6 +11,10 @@ imports (or its own module) gives it, or as an attribute of its module.
 A method, property or field counts wherever an attribute of its name is
 read, because the syntax does not tell the type of the object read from.
 
+Every pdp name that the benchmark in perfbench/ reads must exist: its
+workloads import pdp inside their methods, so a name that pdp drops
+would otherwise fail only when the benchmark runs.
+
 Every private function, class and module-level constant of a pdp module
 must be referenced by name somewhere in src/pdp or tests/ besides its own
 definition, and every parameter of a function or lambda in src/pdp must be
@@ -26,6 +30,7 @@ import pdp
 
 SRC = pathlib.Path(pdp.__file__).parent
 TESTS = pathlib.Path(__file__).parent
+BENCH = TESTS.parent / "perfbench"
 
 # public names that no pdp code calls, and why each stays
 ALLOWED = {
@@ -266,3 +271,61 @@ def test_blas_and_lapack_are_reached_only_through_kernels():
                 or name.split(".")[-1] in ("get_blas_funcs", "get_lapack_funcs")
             ]
     assert found == []
+
+
+def _pdp_imports(body) -> dict[str, str]:
+    """local name -> dotted pdp path of each `from pdp... import` in body,
+    nested definitions aside."""
+    out = {}
+    todo = list(body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pdp":
+            out.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+        todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _pdp_reads(scope, bound: dict[str, str], found: set[str]) -> None:
+    """Add to found the dotted path of each pdp name that scope imports, and
+    of each attribute it reads off one, under the imports of its enclosing
+    scopes and its own."""
+    bound = {**bound, **_pdp_imports(scope.body)}
+    found.update(bound.values())
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            _pdp_reads(node, bound, found)
+            continue
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            found.add(f"{bound[node.value.id]}.{node.attr}")
+        todo.extend(ast.iter_child_nodes(node))
+
+
+def _resolves(path: str) -> bool:
+    """Whether the dotted path names a module, or an attribute chain off one."""
+    parts = path.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_every_pdp_name_the_benchmark_reads_exists():
+    found: set[str] = set()
+    for path in sorted(BENCH.glob("*.py")):
+        _pdp_reads(ast.parse(path.read_text(), str(path)), {}, found)
+    # the scan sees names imported in methods and read off builders
+    assert {"pdp.fgr.clear_cache", "pdp.config.builders.grid"} <= found
+    assert sorted(p for p in found if not _resolves(p)) == []

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pdp import kernels
+from pdp import kernels, timedomain
 from pdp.errors import SolverFailure
 from pdp.grid import PotentialField, make_grid, sech_well
 from pdp.spectral import solve_ground_state
@@ -292,6 +292,14 @@ class TestFilterExperiment:
         a = filter_experiment(V, V, cfg, noise_amplitude=0.5, seed=7)
         b = filter_experiment(V, V, cfg, noise_amplitude=0.5, seed=7)
         np.testing.assert_array_equal(a.projection_sq, b.projection_sq)
+
+    def test_start_orthogonal_to_psi_is_rejected(self, sim_grid, V, monkeypatch):
+        # no seeded start is orthogonal to psi: a zero overlap is reached by
+        # a quadrature that returns 0
+        monkeypatch.setattr(timedomain, "trapz", lambda grid, f: 0.0)
+        cfg = cfg_for(sim_grid, epsilon=0.2, t_final=1.0)
+        with pytest.raises(ValueError, match="orthogonal to the bound state"):
+            filter_experiment(V, V, cfg, noise_amplitude=0.5, seed=7)
 
     def test_unit_initial_projection(self, sim_grid, V):
         cfg = cfg_for(sim_grid, epsilon=0.0, t_final=0.1)
