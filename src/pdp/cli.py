@@ -296,6 +296,9 @@ def cmd_optimize(args) -> int:
         "k_res": out.result.k_res,
         "iterations": out.iterations,
         "status": out.status,
+        "stages": [
+            {"tau": tau, "steps": steps, "reason": reason} for tau, steps, reason in out.stages
+        ],
         "mechanism": optimizer.classify_mechanism(out.result),
         "margins": list(out.margins),
     }

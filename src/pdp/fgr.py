@@ -21,6 +21,21 @@ FgrResult too, and gets one from gamma when given none.
 gamma makes the one complex solve of Gamma and its gradient: the outgoing
 matrix at k_res is factored once for e_+- and R(k_res)[beta psi], which
 the result keeps for gamma_gradient.
+
+When V and beta read the same reversed, bit for bit, on a centred grid of
+odd n = 2c + 1 (grid._even_half), Gamma and its gradient are solved on the
+even half of the grid, nodes 0..c.  psi and beta psi are even and e_- is
+e_+ reversed, so m_+ = m_- = m = trapz(beta psi e_even), with e_even =
+(e_+ + e_-)/2 = cos(qx) - R(k)[V cos(qx)], and Gamma = |m|^2 / 8k.  e_even
+and R(k)[beta psi] come from one two-column outgoing solve on nodes 0..c,
+and the gradient's reduced resolvent takes its even forcing on nodes 0..c
+too.  This path agrees with the full-grid one to rounding, not bitwise,
+and it prints m_+ = m_- exactly.  That removes the visible m_+ != m_- of a
+mirror-symmetric optimum, not its cause: m is still a difference of O(1)
+waves, accurate to about 1e-13 absolute.  gamma_jost_form keeps reading
+the full-grid e_+- as an independent check.  Every other input (an
+asymmetric V or beta, an off-centre grid, an even n) keeps the full-grid
+path.
 """
 from __future__ import annotations
 
@@ -31,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResonanceBelowCutoff, SolverFailure
-from .grid import BetaMode, DesignParams, PotentialField, trapz
+from .grid import BetaMode, DesignParams, PotentialField, _even_half, _even_weights, _unfold, trapz
 from .spectral import (
     BoundState,
     ScatteringState,
@@ -60,10 +75,12 @@ __all__ = [
 class FgrResult:
     """Decay rate together with the spectral data used to form it.
 
-    source_response is R(k_res)[beta psi], the outgoing response to the
-    golden-rule source, solved with e_+- for gamma_gradient; it is None in
-    a result that keeps no grid-length array, and gamma_gradient then
-    solves for it.
+    source_response is R(k_res)[beta psi] on every node, the outgoing
+    response to the golden-rule source, solved with e_+- for
+    gamma_gradient; it is None in a result that keeps no grid-length
+    array, and gamma_gradient then solves for it.  On the even half of the
+    grid (see the module docstring) it is solved with scattering.e_even on
+    nodes 0..c and mirrored, and m_plus and m_minus are the same number.
     """
 
     gamma: float
@@ -101,6 +118,15 @@ def clear_cache() -> None:
     _last = None
 
 
+def _splits_by_parity(V: PotentialField, params: DesignParams) -> bool:
+    """Whether Gamma and its gradient at V are solved on the even half of the grid.
+
+    They are when V and beta read the same reversed, bit for bit, on a
+    centred grid of odd n (grid._even_half): psi is then even as well.
+    """
+    return _even_half(V, params.beta if params.beta_mode is BetaMode.FIXED else V)
+
+
 def gamma(V: PotentialField, params: DesignParams) -> FgrResult:
     """Gamma[V] via the distorted-plane-wave form.
 
@@ -119,7 +145,9 @@ def gamma(V: PotentialField, params: DesignParams) -> FgrResult:
 
     A repeat of the last point solved, with params the same object and V
     on the same grid and support with equal values, returns that point's
-    result without solving.
+    result without solving.  A V and beta that read the same reversed on
+    a centred grid of odd n are solved on the even half of the grid (see
+    the module docstring).
     """
     global _last
     if _last is not None:
@@ -148,11 +176,21 @@ def gamma(V: PotentialField, params: DesignParams) -> FgrResult:
             f"resonance k = {k:.6g} is above the lattice cutoff 2/h = "
             f"{2.0 / V.grid.h:.6g} (h = {V.grid.h:.6g}): refine the grid"
         )
-    src = params.beta_values(V) * bs.psi
-    st, rbp = distorted_plane_waves(V, k, src)
-    m_p = complex(trapz(V.grid, src * st.e_plus))
-    m_m = complex(trapz(V.grid, src * st.e_minus))
-    rate = (abs(m_p) ** 2 + abs(m_m) ** 2) / (16.0 * k)
+    if _splits_by_parity(V, params):
+        # beta psi and e_+ + e_- = 2 e_even are even, and e_- is e_+
+        # reversed: m_+ = m_- = trapz(beta psi e_even)
+        rows = V.grid.n // 2 + 1
+        src = params.beta_values(V)[:rows] * bs.psi[:rows]
+        st, u = distorted_plane_waves(V, k, src, even=True)
+        m_p = m_m = complex(_even_weights(V.grid) @ (src * st.e_even))
+        rate = abs(m_p) ** 2 / (8.0 * k)
+        rbp = _unfold(u)
+    else:
+        src = params.beta_values(V) * bs.psi
+        st, rbp = distorted_plane_waves(V, k, src)
+        m_p = complex(trapz(V.grid, src * st.e_plus))
+        m_m = complex(trapz(V.grid, src * st.e_minus))
+        rate = (abs(m_p) ** 2 + abs(m_m) ** 2) / (16.0 * k)
     res = FgrResult(
         gamma=rate,
         k_res=k,
@@ -252,6 +290,38 @@ def _wave_k_pairings(
     return complex(out[0]), complex(out[1])
 
 
+def _even_wave_k_pairing(
+    V: PotentialField, st: ScatteringState, src: np.ndarray, rbp: np.ndarray
+) -> complex:
+    """trapz(src de_even/dk) at fixed V, from rbp = R(k)[src] on the even half.
+
+    src, rbp and st.e_even hold nodes 0..c.  As _wave_k_pairings, with the
+    even half's system (spectral.outgoing_resolvent_solve with even=True):
+    w = cos(qx), so dw = -q' x sin(qx), and one outgoing row, at node 0;
+    the mirror row at x = 0 does not depend on k.  That system is complex
+    symmetric in the orthonormal even basis, whose coordinates are
+    sqrt(W) times the node values, W = 2 on nodes j < c (each counts its
+    mirror image) and 1 on node c.  So in node values the adjoint identity
+    holds under W: sum W src A^-1 r = sum W rbp r, and since src is 0 at
+    node 0, trapz(src u) = h sum W src u.  Hence
+
+        c = h ((W (src - V rbp))^T dw - 2k (W rbp)^T phi + 2 g rbp_0 phi_0).
+    """
+    grid = V.grid
+    h, k = grid.h, st.k
+    rows = src.shape[0]
+    qp = 1.0 / math.sqrt(1.0 - (0.5 * k * h) ** 2)
+    ghost = -1j * qp * cmath.exp(1j * lattice_wavenumber(k, h) * h) / h
+    wave = st.wave[:rows]
+    phi = wave.real - st.e_even
+    dw = -qp * grid.x[:rows] * wave.imag
+    W = np.full(rows, 2.0)
+    W[-1] = 1.0
+    wr = W * rbp
+    c = (W * src - V.values[:rows] * wr) @ dw - 2.0 * k * (wr @ phi)
+    return complex(h * (c + 2.0 * ghost * rbp[0] * phi[0]))
+
+
 def gamma_gradient(
     V: PotentialField, params: DesignParams, res: FgrResult | None = None
 ) -> np.ndarray:
@@ -273,37 +343,62 @@ def gamma_gradient(
     identity, see _wave_k_pairings).  Its weight h is exact, not a
     quadrature approximation, because psi is 0 on the two end nodes, the
     only nodes whose trapezoid weight is not h.
+
+    When gamma took the even half of the grid, so does the gradient: each
+    term is even, and is formed on nodes 0..c from e_even and rbp there
+    (m_+ = m_- and e_+ + e_- = 2 e_even fold each +- sum into one term),
+    the reduced resolvent is solved for its even forcing on nodes 0..c,
+    the k-derivative pairing is _even_wave_k_pairing, and the field is
+    mirrored onto the other nodes at the end, so it reads the same
+    reversed, bit for bit.  Without a kept result, e_even and rbp come
+    from two one-column solves with the bits of gamma's two-column one.
     """
     if res is None:
         res = gamma(V, params)
     bs, st = res.bound_state, res.scattering
     psi, k = bs.psi, res.k_res
     beta = params.beta_values(V)
-    src = beta * psi
     pref = 1.0 / (8.0 * k)
-
-    # field paired against the (real) eigenvector and beta shifts
-    resp = np.real(np.conj(res.m_plus) * st.e_plus + np.conj(res.m_minus) * st.e_minus)
-
-    # d psi: psi' = -Rtilde P_c[w psi], moved onto the data by symmetry
-    g_psi = -pref * psi * reduced_resolvent_at_eigenvalue(V, bs, beta * resp)
-
-    # explicit dependence of e_+- on V: de = -R(k)[w e]
     rbp = res.source_response
-    if rbp is None:
-        rbp = outgoing_resolvent_solve(V, k, src)
-    g_wave = -pref * np.real(
-        np.conj(res.m_plus) * st.e_plus * rbp
-        + np.conj(res.m_minus) * st.e_minus * rbp
-    )
+    half = _splits_by_parity(V, params)
+    if half:
+        # every field below is even: it is formed on nodes 0..c, where
+        # m_+ = m_- = m and e_+ + e_- = 2 e_even turn each +- sum into
+        # twice its e_even term
+        rows = V.grid.n // 2 + 1
+        psi, beta = psi[:rows], beta[:rows]
+        src = beta * psi
+        rbp = outgoing_resolvent_solve(V, k, src, even=True) if rbp is None else rbp[:rows]
+        cm2 = 2.0 * np.conj(res.m_plus)
+        resp = np.real(cm2 * st.e_even)
+        g_psi = -pref * psi * reduced_resolvent_at_eigenvalue(V, bs, beta * resp, even=True)
+        g_wave = -pref * np.real(cm2 * st.e_even * rbp)
+        dk_coef = pref * np.real(cm2 * _even_wave_k_pairing(V, st, src, rbp))
+    else:
+        src = beta * psi
 
-    # k shift: prefactor 1/16k and the k-dependence of the waves
-    c_p, c_m = _wave_k_pairings(V, st, src, rbp)
-    dk_coef = pref * np.real(np.conj(res.m_plus) * c_p + np.conj(res.m_minus) * c_m)
+        # field paired against the (real) eigenvector and beta shifts
+        resp = np.real(np.conj(res.m_plus) * st.e_plus + np.conj(res.m_minus) * st.e_minus)
+
+        # d psi: psi' = -Rtilde P_c[w psi], moved onto the data by symmetry
+        g_psi = -pref * psi * reduced_resolvent_at_eigenvalue(V, bs, beta * resp)
+
+        # explicit dependence of e_+- on V: de = -R(k)[w e]
+        if rbp is None:
+            rbp = outgoing_resolvent_solve(V, k, src)
+        g_wave = -pref * np.real(
+            np.conj(res.m_plus) * st.e_plus * rbp
+            + np.conj(res.m_minus) * st.e_minus * rbp
+        )
+
+        # k shift: the k-dependence of the waves
+        c_p, c_m = _wave_k_pairings(V, st, src, rbp)
+        dk_coef = pref * np.real(np.conj(res.m_plus) * c_p + np.conj(res.m_minus) * c_m)
+    # k shift: the prefactor 1/16k
     dk_coef -= res.gamma / k
     g_k = dk_coef * psi * psi / (2.0 * k)
 
     g = g_psi + g_wave + g_k
     if params.beta_mode is BetaMode.EQUALS_V:
         g = g + pref * psi * resp
-    return g
+    return _unfold(g) if half else g

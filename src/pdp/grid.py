@@ -136,6 +136,42 @@ class PotentialField:
         return PotentialField(self.grid, v, self.support_halfwidth)
 
 
+def _even_half(V: PotentialField, *others) -> bool:
+    """Whether a problem on V splits by parity onto the even half of the grid.
+
+    True when the grid is centred (x exactly odd) with an odd number of
+    nodes n = 2c + 1, and V and each of others read the same reversed, bit
+    for bit; others are fields (their kept mirrored is read) or arrays.
+    Such a problem commutes with the reversal of the nodes, and its even
+    part lives on nodes 0..c, node c at x = 0 (Cantoni & Butler, Linear
+    Algebra Appl. 13 (1976) 275).
+    """
+    grid = V.grid
+    return (
+        grid.n % 2 == 1 and grid.centred and V.mirrored
+        and all(a.mirrored if isinstance(a, PotentialField) else _mirrored(a) for a in others)
+    )
+
+
+@lru_cache(maxsize=8)
+def _even_weights(grid: Grid) -> np.ndarray:
+    """Trapezoid weights of an even integrand given on nodes 0..c, read-only.
+
+    trapz(grid, _unfold(a)) is _even_weights(grid) @ a: each node j < c
+    counts for itself and its mirror image n - 1 - j.
+    """
+    c = grid.n // 2
+    w = 2.0 * grid.weights[: c + 1]
+    w[c] = grid.weights[c]
+    w.setflags(write=False)
+    return w
+
+
+def _unfold(half: np.ndarray) -> np.ndarray:
+    """The even array on all 2c + 1 nodes whose nodes 0..c hold half."""
+    return np.concatenate((half, half[-2::-1]))
+
+
 class BetaMode(enum.Enum):
     FIXED = "fixed"
     EQUALS_V = "equals_v"

@@ -113,25 +113,39 @@ class OptOptions:
 class OptResult:
     """Final potential and its evaluation.
 
-    trace holds one array per TRACE_COLUMNS name, in that order, with one
-    entry per accepted step.  status says why the run ended: "iteration
-    budget exhausted", or else why the last tau stage ended ("gradient
-    tolerance reached", "gamma negligible against tau" or "line-search
-    failure").
+    trace_rows holds one row per accepted step and one column per
+    TRACE_COLUMNS name, in that order, as floats (iter is a whole number);
+    trace gives its columns as one array per name, with iter as integers.
+    One array instead of ten keeps a kept result small (a sweep keeps one
+    per value).  stages holds one (tau, steps, reason) entry per tau
+    stage that the run entered, in order, a stage that ended before its
+    first step included: reason is why it ended ("gradient tolerance
+    reached", "gamma negligible against tau", "stage budget reached",
+    "line-search failure" or "iteration budget exhausted").  status is the
+    last stage's reason: why the run ended.
 
     result.bound_state and result.scattering are a fresh BoundState and
     ScatteringState of V_opt, and result.source_response is None: psi,
     lam, the waves and t are computed again when first read, to the same
-    bits, so a kept result holds no grid-length array but V_opt and the
-    trace.
+    bits, so a kept result holds no grid-length array but V_opt.
     """
 
     V_opt: PotentialField
-    trace: dict[str, np.ndarray]
+    trace_rows: np.ndarray
     result: fgr.FgrResult
     margins: tuple[float, float, float]
     iterations: int
-    status: str
+    stages: tuple[tuple[float, int, str], ...]
+
+    @property
+    def trace(self) -> dict[str, np.ndarray]:
+        trace = dict(zip(TRACE_COLUMNS, self.trace_rows.T))
+        trace["iter"] = trace["iter"].astype(np.int64)
+        return trace
+
+    @property
+    def status(self) -> str:
+        return self.stages[-1][2]
 
 
 def classify_mechanism(res: fgr.FgrResult) -> str:
@@ -268,6 +282,7 @@ def optimize(
     stage_cap = max(1, math.ceil(opts.max_iters / len(schedule)))
 
     rows: list[tuple] = []  # one per accepted step, in TRACE_COLUMNS order
+    stages: list[tuple[float, int, str]] = []  # one per stage entered
     it = 0
     cur_tau = opts.tau_start
     budget_hit = False
@@ -336,6 +351,8 @@ def optimize(
             ))
         if budget_hit:
             stage_status = "iteration budget exhausted"
+        stages.append((tau, stage_it, stage_status))
+        if budget_hit:
             break
     # a kept result holds no psi, no waves and no source response (a sweep
     # keeps one result per value); a reader of psi, t or e+- gets them
@@ -343,7 +360,7 @@ def optimize(
     res = cur.result
     return OptResult(
         V_opt=V,
-        trace={c: np.array([row[i] for row in rows]) for i, c in enumerate(TRACE_COLUMNS)},
+        trace_rows=np.array(rows, dtype=float).reshape(len(rows), len(TRACE_COLUMNS)),
         result=replace(
             res,
             bound_state=BoundState(V),
@@ -352,6 +369,6 @@ def optimize(
         ),
         margins=cur.margins,
         iterations=it,
-        status=stage_status,
+        stages=tuple(stages),
     )
 

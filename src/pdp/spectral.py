@@ -7,10 +7,18 @@ with Robin radiation rows, distorted plane waves, the transmission
 coefficient, the reduced resolvent at the eigenvalue, and the zero-energy
 Wronskian of the half-bound states.
 
-Mirror symmetry is decided once per field (PotentialField.mirrored, bit
-for bit) and once per grid (Grid.centred, where x is exactly odd).  The
-lattice wave of a centred grid keeps the bits of the full exponential;
-the parity ground state agrees with the full-grid one to rounding.
+Mirror symmetry is decided by one test, grid._even_half: a centred grid
+(Grid.centred, where x is exactly odd) of odd n = 2c + 1, and a V that
+reads the same reversed, bit for bit (PotentialField.mirrored, kept per
+field).  The lattice wave of a centred grid keeps the bits of the full
+exponential; the parity ground state agrees with the full-grid one to
+rounding.  The outgoing and reduced-resolvent solves take even=True for
+the even part of a mirror-symmetric problem: nodes 0..c of an even
+forcing in, nodes 0..c of the even solution out, solved on the even block
+alone (_even_block: the boundary row at node 0, a mirror row at x = 0, in
+the orthonormal even basis, so each block stays symmetric or complex
+symmetric as the full matrix is).  They agree with the full-grid solves
+to rounding, at half the rows.
 
 All boundary conditions are imposed through ghost-node elimination of a
 centered first-derivative condition, which keeps every system tridiagonal
@@ -23,7 +31,11 @@ The distorted plane waves e_+- take one complex exponential, e^{iqx}
 conjugated onto the mirror nodes), and one outgoing solve whose two
 columns are the forcings V e^{+-iqx}; a caller's own forcing can ride
 along as a third column of the same solve (distorted_plane_waves with a
-source).
+source).  For a mirror-symmetric V, e_- is e_+ reversed, and a pairing
+with an even function reads only e_even = (e_+ + e_-)/2 = cos(qx) -
+R(k)[V cos(qx)]: one column of an even solve on nodes 0..c, with a
+caller's even forcing as the second (distorted_plane_waves with
+even=True).  e_+- then stay unsolved until they are read.
 
 t(k) and r(k) are not read off the outgoing solves: a recurrence over the
 rows where V != 0 marches the transmitted wave from the right-hand side of
@@ -40,13 +52,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import kernels
 from .errors import NoBoundState, SolverFailure
-from .grid import Grid, PotentialField
+from .grid import PotentialField, _even_half
 from .kernels import _gtsv_solve, _require_finite
 
 __all__ = [
@@ -88,6 +100,35 @@ def _dirichlet_rows(V: PotentialField) -> tuple[np.ndarray, np.ndarray]:
     return d[1:-1], np.full(V.grid.n - 3, off)
 
 
+def _even_block(d: np.ndarray, off) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the even block of a mirrored stencil.
+
+    d is the diagonal on all n = 2c + 1 nodes, reading the same reversed,
+    and off the one off-diagonal value.  The even block is rows 0..c in
+    the orthonormal even basis, whose coordinates are sqrt(2) times the
+    node value on nodes j < c and the node value on node c: the mirror row
+    c at x = 0 and row c-1 couple by sqrt(2) off both ways, so the block
+    is symmetric, or complex symmetric, as the full matrix is.
+    """
+    c = d.shape[0] // 2
+    e = np.full(c, off, dtype=d.dtype)
+    e[-1] *= math.sqrt(2.0)
+    return d[: c + 1], e
+
+
+@lru_cache(maxsize=8)
+def _even_scale(rows: int) -> np.ndarray:
+    """sqrt(2) on nodes 0..rows-2 and 1 on the mirror node rows-1, read-only.
+
+    Times the node values of an even array on nodes 0..c (rows = c + 1),
+    these are its orthonormal even coordinates (_even_block).
+    """
+    s = np.full(rows, math.sqrt(2.0))
+    s[-1] = 1.0
+    s.setflags(write=False)
+    return s
+
+
 @dataclass(frozen=True)
 class BoundState:
     """Normalized ground-state eigenpair of H_V with Dirichlet rows.
@@ -115,7 +156,7 @@ class BoundState:
         grid = V.grid
         h = grid.h
         d, e = _dirichlet_rows(V)
-        if grid.n % 2 == 1 and grid.centred and V.mirrored:
+        if _even_half(V):
             count, lam, v = kernels._lowest_eigenpair_by_parity(d, e)
         else:
             count, lam, v = kernels._lowest_eigenpair(d, e)
@@ -153,9 +194,13 @@ class ScatteringState:
     exponential gives the lattice wave e^{iqx} (kept as wave, since the
     k-derivative in gamma_gradient reads it too), and one outgoing solve
     with the two-column forcing [V e^{iqx}, V e^{-iqx}] gives both
-    scattered parts (see distorted_plane_waves).  t is computed on first
-    read, from one support recurrence of V at k (see _support_recurrence),
-    or by transmission_table together with a table of t(k).
+    scattered parts (see distorted_plane_waves).  For a mirror-symmetric
+    V, e_even = (e_plus + e_minus)/2 on the even half of the grid is
+    computed by a solve of its own, on first read or by
+    distorted_plane_waves, and e_plus and e_minus stay unsolved until
+    they are read.  t is computed on first read, from one support
+    recurrence of V at k (see _support_recurrence), or by
+    transmission_table together with a table of t(k).
     A value is kept once read, and every state of the same (k, V) gives
     the same bits; a solve or recurrence failure raises SolverFailure at
     the read.  So a state whose waves are never read (as in an optimizer
@@ -213,6 +258,44 @@ class ScatteringState:
     @property
     def e_minus(self) -> np.ndarray:
         return self._waves[1]
+
+    def _even_outgoing(self, source=None):
+        """(e_even, u) on nodes 0..c from one outgoing solve on the even half.
+
+        The solve takes the forcing V cos(qx), cos(qx) being the real part
+        of the lattice wave (taken on x >= 0), and, if given, source (nodes
+        0..c of an even forcing) as a second column; u is R(k)[source] on
+        nodes 0..c, or None.  Each column has the bits of its one-column
+        solve.  e_even is formed in the solution's first column and u is
+        its second, so one array holds both.  A half-grid complex array of
+        its own, 16(c + 1) = 8n + 8 bytes, is one allocator granule larger
+        than a full-grid real one; made on every evaluation, such arrays
+        leave heap holes that the full-grid arrays cannot reuse, and a
+        process that keeps many results grows with them.
+        """
+        rows = self.V.grid.n // 2 + 1
+        cos = self.wave.real[:rows]
+        m = 1 if source is None else 2
+        f = np.empty((rows, m), dtype=np.complex128, order="F")
+        np.multiply(self.V.values[:rows], cos, out=f[:, 0])
+        if source is not None:
+            f[:, 1] = source
+        phi = outgoing_resolvent_solve(self.V, self.k, f, even=True)
+        np.subtract(cos, phi[:, 0], out=phi[:, 0])
+        return phi[:, 0], (None if source is None else phi[:, 1])
+
+    @cached_property
+    def e_even(self) -> np.ndarray:
+        """(e_+ + e_-)/2 = cos(qx) - R(k)[V cos(qx)] on nodes 0..c.
+
+        Only for a V that reads the same reversed on a centred grid of odd
+        n = 2c + 1 (grid._even_half), where e_- is e_+ reversed, so the
+        even part holds all that a pairing with an even function reads.
+        It is solved on nodes 0..c alone (outgoing_resolvent_solve with
+        even=True), and agrees with the half sum of the full-grid e_+- to
+        rounding, not bitwise.
+        """
+        return self._even_outgoing()[0]
 
     @cached_property
     def t(self) -> complex:
@@ -300,46 +383,74 @@ def lattice_wavenumber(k: float, h: float) -> float:
     return 2.0 * np.arcsin(s) / h
 
 
-def _outgoing_system(V: PotentialField, k: float):
+def _outgoing_system(V: PotentialField, k: float, even: bool = False):
     """Tridiagonal (dl, d, du) for (H_V - k^2) with outgoing radiation rows.
 
     The ghost value at each end is eliminated through the exact discrete
     outgoing relation u_ghost = e^{iqh} u_end, so a pure outgoing lattice
     wave satisfies the boundary row exactly and the matrix stays complex
-    symmetric.
+    symmetric.  With even, the system is the even block of a mirrored V
+    (_even_block): the outgoing row at node 0 and the mirror row at x = 0.
     """
     h = V.grid.h
     q = lattice_wavenumber(k, h)
     d, off = _stencil(V, k * k, np.exp(1j * q * h))
-    dl = np.full(V.grid.n - 1, off, dtype=np.complex128)
+    if even:
+        d, dl = _even_block(d, off)
+    else:
+        dl = np.full(V.grid.n - 1, off, dtype=np.complex128)
     return dl, d, dl
 
 
-def outgoing_resolvent_solve(V: PotentialField, k: float, f: np.ndarray) -> np.ndarray:
+def _require_even_half(V: PotentialField) -> int:
+    """The rows c + 1 of V's even half; ValueError unless V splits by parity."""
+    if not _even_half(V):
+        raise ValueError("an even solve needs a V that reads the same reversed "
+                         "on a centred grid of odd n")
+    return V.grid.n // 2 + 1
+
+
+def outgoing_resolvent_solve(
+    V: PotentialField, k: float, f: np.ndarray, *, even: bool = False
+) -> np.ndarray:
     """Solve (H_V - k^2) u = f with outgoing radiation rows, k real > 0.
 
     f is one forcing of length n or m of them as the columns of an (n, m)
     array; u has f's shape.  All columns are solved with one LAPACK ?gtsv
     call, and each column of u has the bits of a one-column solve.
+
+    With even=True, V must read the same reversed on a centred grid of odd
+    n = 2c + 1 (grid._even_half), f holds nodes 0..c of even forcings
+    (c + 1 rows), and u nodes 0..c of their even solutions.  They are
+    solved on nodes 0..c alone, in the orthonormal even basis
+    (_even_block, _even_scale): an outgoing row at node 0 and a mirror row
+    at x = 0, in a matrix that is complex symmetric as the full one is.  u
+    agrees with the full-grid solve to rounding, not bitwise.
     """
     if not k > 0:
         raise ValueError("outgoing solves require real k > 0")
     f = np.asarray(f, dtype=np.complex128)
-    if f.shape[0] != V.grid.n:
+    rows = _require_even_half(V) if even else V.grid.n
+    if f.shape[0] != rows:
         raise ValueError("forcing length does not match grid")
-    dl, d, du = _outgoing_system(V, k)
+    dl, d, du = _outgoing_system(V, k, even)
+    if even:  # into orthonormal even coordinates, a copy that ?gtsv may work in
+        s = _even_scale(rows)
+        f = (f.T * s).T
     try:
         _require_finite(V.values, f)  # k > 0 is resolvable, so d is finite too
-        u = _gtsv_solve(dl, d, du, f)
+        u = _gtsv_solve(dl, d, du, f, scratch=even)
     except (np.linalg.LinAlgError, ValueError) as exc:  # singular A, non-finite input
         raise SolverFailure(f"outgoing solve failed at k={k}: {exc}") from exc
+    if even:
+        np.divide(u.T, s, out=u.T)
     if not np.all(np.isfinite(u)):
         raise SolverFailure(f"outgoing solve produced non-finite values at k={k}")
     return u
 
 
 def reduced_resolvent_at_eigenvalue(
-    V: PotentialField, bs: BoundState, f: np.ndarray
+    V: PotentialField, bs: BoundState, f: np.ndarray, *, even: bool = False
 ) -> np.ndarray:
     """Solve (H_V - lambda) u = P_c f with <psi, u> = 0.
 
@@ -358,10 +469,20 @@ def reduced_resolvent_at_eigenvalue(
     their errors lie along the same near-null direction and cancel in
     z1 - s z2 (T. F. Chan, SIAM J. Numer. Anal. 21 (1984) 738); only an
     exactly zero pivot fails, and it raises SolverFailure.
+
+    With even=True, V must read the same reversed on a centred grid of odd
+    n = 2c + 1 (grid._even_half), which makes psi even; f holds nodes 0..c
+    of an even forcing and u nodes 0..c of the even solution.  They are
+    solved on nodes 0..c alone, in the orthonormal even basis
+    (_even_block, _even_scale), where the decay row sits at node 0 and the
+    mirror row at x = 0, and where the trapezoid pairing of two even
+    arrays is sum_j w_j a_j b_j over nodes 0..c of their coordinates.  u
+    agrees with the full-grid solve to rounding, not bitwise.
     """
     grid = V.grid
     f = np.asarray(f, dtype=float)
-    if f.shape[0] != grid.n:
+    rows = _require_even_half(V) if even else grid.n
+    if f.shape[0] != rows:
         raise ValueError("forcing length does not match grid")
     lam, psi = bs.lam, bs.psi
     h = grid.h
@@ -371,7 +492,12 @@ def reduced_resolvent_at_eigenvalue(
     # free lattice mode e^{-kq |x|}; ghost elimination as in _outgoing_system
     kq = np.arccosh(1.0 - lam * h * h / 2.0) / h
     d, off = _stencil(V, lam, np.exp(-kq * h))
-    dl = np.full(grid.n - 1, off)
+    if even:  # in orthonormal even coordinates
+        d, dl = _even_block(d, off)
+        s = _even_scale(rows)
+        f, psi, w = f * s, psi[:rows] * s, w[:rows]
+    else:
+        dl = np.full(grid.n - 1, off)
 
     fc = f - (w @ (psi * f)) * psi
     try:
@@ -382,6 +508,8 @@ def reduced_resolvent_at_eigenvalue(
     z1, z2 = z[:, 0], z[:, 1]
     wpsi = w * psi
     u = z1 - ((wpsi @ z1) / (wpsi @ z2)) * z2
+    if even:
+        u /= s
     if not np.all(np.isfinite(u)):
         raise SolverFailure("bordered eigenvalue solve produced non-finite values")
     return u
@@ -463,7 +591,7 @@ def transmission(V: PotentialField, k):
     return complex(t[0]) if ks.ndim == 0 else t.reshape(ks.shape)
 
 
-def distorted_plane_waves(V: PotentialField, k: float, source=None):
+def distorted_plane_waves(V: PotentialField, k: float, source=None, *, even: bool = False):
     """Distorted plane waves at wavenumber k, with t.
 
     phi_+- solves (H_V - k^2) phi = V e^{+-iqx} with outgoing rows and
@@ -476,14 +604,22 @@ def distorted_plane_waves(V: PotentialField, k: float, source=None):
     With source (length n), the same solve takes it as a third column,
     and (state, R(k)[source]) is returned; e_+- and the response each have
     the bits of their solve without the other.
+
+    With even=True, V must read the same reversed on a centred grid of odd
+    n = 2c + 1 (grid._even_half).  The state's e_even is computed here
+    instead of e_+- (which a reader then solves for on the full grid), on
+    the even half of the grid (see ScatteringState.e_even); a source then
+    holds nodes 0..c of an even forcing, and its response, on nodes 0..c
+    too, comes from the same solve.
     """
     st = ScatteringState(k=float(k), V=V)
-    if source is None:
-        st.e_plus  # computed now and kept by the state
-        return st
-    e_plus, e_minus, u = st._outgoing(source)
-    st.__dict__["_waves"] = (e_plus, e_minus)  # kept as the cached property keeps it
-    return st, u
+    # kept as the cached properties keep them
+    if even:
+        st.__dict__["e_even"], u = st._even_outgoing(source)
+    else:
+        e_plus, e_minus, u = st._outgoing(source)
+        st.__dict__["_waves"] = (e_plus, e_minus)
+    return st if source is None else (st, u)
 
 
 def wronskian_at_zero(V: PotentialField, tol: float = 1e-8) -> WronskianResult:

@@ -13,7 +13,8 @@ Crank-Nicolson with the forcing factor frozen at the step midpoint
 A run that is mirror-symmetric with an even start stays even, and is
 stepped on the even half of the grid: V, beta and sigma read the same
 reversed, bit for bit, on a centred grid (Grid.centred) with an odd
-number of nodes n = 2c + 1, and phi(0) reads the same reversed too.  The
+number of nodes n = 2c + 1, and phi(0) reads the same reversed too (the
+parity test grid._even_half, which the ground state and Gamma share).  The
 half problem is nodes 0..c in the orthonormal even basis of
 kernels._lowest_eigenpair_by_parity: u_j = sqrt(2) phi_j for j < c and
 u_c = phi_c, with sqrt(2) times the off-diagonal coupling rows c-1 and c.
@@ -31,8 +32,8 @@ import numpy as np
 
 from . import kernels
 from .errors import SolverFailure
-from .grid import Grid, PotentialField, _mirrored, interpolate_potential, make_grid, trapz
-from .spectral import _stencil, solve_ground_state
+from .grid import Grid, PotentialField, _even_half, interpolate_potential, make_grid, trapz
+from .spectral import _even_block, _even_scale, _stencil, solve_ground_state
 
 __all__ = [
     "Absorber",
@@ -149,20 +150,15 @@ def propagate(
         max(np.searchsorted(grid.x, grid.x_min + width, side="left"), 1),
         min(np.searchsorted(grid.x, grid.x_max - width, side="right"), grid.n - 1),
     )
-    if (
-        grid.n % 2 == 1 and grid.centred and V.mirrored and beta.mirrored
-        and _mirrored(sigma) and _mirrored(phi)
-    ):
+    if _even_half(V, beta, sigma, phi):
         # even coordinates u of nodes 0..c; psi is even too, so <psi, phi>
         # = sum over j < c of (sqrt(2) w psi)_j u_j, plus w_c psi_c u_c
         c = grid.n // 2
-        scale = np.full(c + 1, math.sqrt(2.0))
-        scale[c] = 1.0
+        scale = _even_scale(c + 1)
         phi = phi[: c + 1] * scale
         w_psi = w_psi[: c + 1] * scale
-        diag_h, sigma, beta_v = diag_h[: c + 1], sigma[: c + 1], beta_v[: c + 1]
-        off = np.full(c, off)
-        off[-1] *= math.sqrt(2.0)
+        diag_h, off = _even_block(diag_h, off)
+        sigma, beta_v = sigma[: c + 1], beta_v[: c + 1]
         # x is exactly odd, so the interior is mirrored and holds x = 0;
         # |u_j|^2 = 2 |phi_j|^2 for j < c counts both mirror nodes
         interior = slice(interior.start, c + 1)

@@ -579,6 +579,19 @@ class TestOptimize:
         assert 1 <= len(trace) - 1 <= 5
         assert "gamma:" in capsys.readouterr().out
 
+    def test_headline_manifest_lists_every_tau_stage(self, tmp_path):
+        # the default config is the headline: its first stage takes all 10
+        # steps, and the six after it end before their first step
+        out = str(tmp_path / "opt")
+        assert main(["optimize", "--symmetric", "--out", out]) == 0
+        head = json.loads(open(os.path.join(out, "manifest.json")).read())["headline"]
+        stages = head["stages"]
+        assert len(stages) == 7
+        assert [st["steps"] for st in stages] == [10, 0, 0, 0, 0, 0, 0]
+        assert all(st["reason"] == "gamma negligible against tau" for st in stages)
+        assert stages[0]["tau"] == 1e-2 and stages[-1]["tau"] == pytest.approx(1e-8)
+        assert head["status"] == stages[-1]["reason"] and head["iterations"] == 10
+
 
 class TestSweep:
     def test_summary_rows(self, tmp_path):

@@ -354,25 +354,37 @@ class TestWaveKPairings:
         assert dl is du and np.iscomplexobj(d)
 
 
+def complex_solve_shapes(V, params, monkeypatch):
+    """The right-hand-side shape of each complex solve of gamma and its gradient."""
+    calls = []
+    gtsv = spectral._gtsv_solve
+
+    def counted(dl, d, du, b, **kwargs):
+        if np.iscomplexobj(d) or np.iscomplexobj(b):
+            calls.append(np.shape(b))
+        return gtsv(dl, d, du, b, **kwargs)
+
+    monkeypatch.setattr(spectral, "_gtsv_solve", counted)
+    fgr.clear_cache()
+    res = fgr.gamma(V, params)
+    fgr.gamma_gradient(V, params, res)
+    return calls
+
+
 class TestGammaGradient:
     def test_one_complex_solve_per_evaluation(self, V, params_fixed, monkeypatch):
-        # e_+- and R(k)[beta psi] take one three-column solve in gamma, and
-        # the gradient none; the k-derivative of the waves takes none
-        # either (see _wave_k_pairings).  The other solve is real: the
-        # reduced resolvent
-        calls = []
-        gtsv = spectral._gtsv_solve
+        # V and beta read the same reversed: e_even and R(k)[beta psi] take
+        # one two-column solve on nodes 0..c in gamma, and the gradient
+        # none; the k-derivative of the waves takes none either (see
+        # _even_wave_k_pairing).  The other solve is real: the reduced
+        # resolvent
+        assert complex_solve_shapes(V, params_fixed, monkeypatch) == [(V.grid.n // 2 + 1, 2)]
 
-        def counted(dl, d, du, b, **kwargs):
-            if np.iscomplexobj(d) or np.iscomplexobj(b):
-                calls.append(np.shape(b))
-            return gtsv(dl, d, du, b, **kwargs)
-
-        monkeypatch.setattr(spectral, "_gtsv_solve", counted)
-        fgr.clear_cache()
-        res = fgr.gamma(V, params_fixed)
-        fgr.gamma_gradient(V, params_fixed, res)
-        assert calls == [(V.grid.n, 3)]
+    def test_one_full_grid_complex_solve_without_symmetry(self, grid, params_fixed, monkeypatch):
+        # e_+- and R(k)[beta psi] take one three-column solve in gamma (see
+        # _wave_k_pairings for the k-derivative)
+        W = walled_sech(grid)
+        assert complex_solve_shapes(W, params_fixed, monkeypatch) == [(grid.n, 3)]
 
     @pytest.mark.parametrize("build", ["sech", "walled"])
     def test_same_bits_without_the_kept_response(self, grid, V, params_fixed, build):

@@ -222,6 +222,19 @@ class TestOptimize:
         np.testing.assert_array_equal(out.V_opt.values, V.values)
         assert out.status == "gamma negligible against tau"
 
+    def test_every_stage_entered_is_recorded(self, V, params):
+        # a budget of 3 steps over 7 stages: one step per stage until the
+        # budget ends the fourth stage before its step
+        out = optimize(V, params, OptOptions(max_iters=3))
+        taus = [tau for tau, _, _ in out.stages]
+        assert taus == pytest.approx([1e-2, 1e-3, 1e-4, 1e-5], rel=1e-12)
+        assert [steps for _, steps, _ in out.stages] == [1, 1, 1, 0]
+        assert [reason for _, _, reason in out.stages] == ["stage budget reached"] * 3 + [
+            "iteration budget exhausted"
+        ]
+        assert out.status == "iteration budget exhausted" and out.iterations == 3
+        assert list(out.trace["tau"]) == taus[:3]
+
     def test_negligible_gamma_skips_stage_evaluations(self, V, params, monkeypatch):
         # Gamma does not depend on tau: once it is negligible against
         # tau_min, no stage re-evaluates the barrier at its own tau, and the
