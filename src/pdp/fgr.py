@@ -19,29 +19,42 @@ WronskianResult and k_gradient an FgrResult; gamma_gradient takes an
 FgrResult too, and gets one from gamma when given none.
 
 gamma makes the one complex solve of Gamma and its gradient: the outgoing
-matrix at k_res is factored once for e_+- and R(k_res)[beta psi], which
-the result keeps for gamma_gradient.
+matrix at k_res is factored once for the distorted plane waves and
+R(k_res)[beta psi], which the result keeps for gamma_gradient.
 
-When V and beta read the same reversed, bit for bit, on a centred grid of
-odd n = 2c + 1 (grid._even_half), Gamma and its gradient are solved on the
-even half of the grid, nodes 0..c.  psi and beta psi are even and e_- is
-e_+ reversed, so m_+ = m_- = m = trapz(beta psi e_even), with e_even =
-(e_+ + e_-)/2 = cos(qx) - R(k)[V cos(qx)], and Gamma = |m|^2 / 8k.  e_even
-and R(k)[beta psi] come from one two-column outgoing solve on nodes 0..c,
-and the gradient's reduced resolvent takes its even forcing on nodes 0..c
-too.  This path agrees with the full-grid one to rounding, not bitwise,
-and it prints m_+ = m_- exactly.  That removes the visible m_+ != m_- of a
-mirror-symmetric optimum, not its cause: m is still a difference of O(1)
-waves, accurate to about 1e-13 absolute.  gamma_jost_form keeps reading
-the full-grid e_+- as an independent check.  Every other input (an
-asymmetric V or beta, an off-centre grid, an even n) keeps the full-grid
-path.
+Gamma and its gradient are each assembled once, over the waves on the
+solved nodes.  When V and beta read the same reversed, bit for bit, on a
+centred grid of odd n = 2c + 1 (grid._even_half, asked by
+_splits_by_parity), the solved nodes are the even half of the grid, 0..c:
+psi and beta psi are even and e_- is e_+ reversed, so the one wave e_even
+= (e_+ + e_-)/2 = cos(qx) - R(k)[V cos(qx)] holds all that a pairing with
+beta psi reads.  Then m_+ = m_- = m = trapz(beta psi e_even), each +- sum
+of the gradient is twice its e_even term, and each field is mirrored onto
+nodes c+1..n-1 at the end.  Every other input (an asymmetric V or beta,
+an off-centre grid, an even n) is solved on all n nodes.  The assembly
+reads the two only through their data:
+
+    rows             n                       c + 1
+    waves            (e_+, e_-)              (e_even,)
+    coefficients     conj(m_+), conj(m_-)    2 conj(m)
+    mirror weights   W = 1                   W = (2, ..., 2, 1)
+    outgoing rows    {0, n - 1}              {0}
+
+and adds the terms of each sum left to right over the waves, so on the
+even half Gamma = 2|m|^2/16k = |m|^2/8k exactly.  The even half agrees
+with the full grid to rounding, not bitwise, and prints m_+ = m_-
+exactly.  That removes the visible m_+ != m_- of a mirror-symmetric
+optimum, not its cause: m is still a difference of O(1) waves, accurate
+to about 1e-13 absolute.  gamma_jost_form keeps reading the full-grid
+e_+- as an independent check.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -76,7 +89,7 @@ class FgrResult:
     """Decay rate together with the spectral data used to form it.
 
     source_response is R(k_res)[beta psi] on every node, the outgoing
-    response to the golden-rule source, solved with e_+- for
+    response to the golden-rule source, solved with the waves for
     gamma_gradient; it is None in a result that keeps no grid-length
     array, and gamma_gradient then solves for it.  On the even half of the
     grid (see the module docstring) it is solved with scattering.e_even on
@@ -176,21 +189,15 @@ def gamma(V: PotentialField, params: DesignParams) -> FgrResult:
             f"resonance k = {k:.6g} is above the lattice cutoff 2/h = "
             f"{2.0 / V.grid.h:.6g} (h = {V.grid.h:.6g}): refine the grid"
         )
-    if _splits_by_parity(V, params):
-        # beta psi and e_+ + e_- = 2 e_even are even, and e_- is e_+
-        # reversed: m_+ = m_- = trapz(beta psi e_even)
-        rows = V.grid.n // 2 + 1
-        src = params.beta_values(V)[:rows] * bs.psi[:rows]
-        st, u = distorted_plane_waves(V, k, src, even=True)
-        m_p = m_m = complex(_even_weights(V.grid) @ (src * st.e_even))
-        rate = abs(m_p) ** 2 / (8.0 * k)
-        rbp = _unfold(u)
-    else:
-        src = params.beta_values(V) * bs.psi
-        st, rbp = distorted_plane_waves(V, k, src)
-        m_p = complex(trapz(V.grid, src * st.e_plus))
-        m_m = complex(trapz(V.grid, src * st.e_minus))
-        rate = (abs(m_p) ** 2 + abs(m_m) ** 2) / (16.0 * k)
+    half = _splits_by_parity(V, params)
+    rows = V.grid.n // 2 + 1 if half else V.grid.n
+    src = params.beta_values(V)[:rows] * bs.psi[:rows]
+    st, u = distorted_plane_waves(V, k, src, even=half)
+    weights = _even_weights(V.grid) if half else V.grid.weights
+    m = [complex(weights @ (src * e)) for e in _solved_waves(st, half)]
+    m_p, m_m = m[0], m[-1]
+    rate = (abs(m_p) ** 2 + abs(m_m) ** 2) / (16.0 * k)
+    rbp = _unfold(u) if half else u
     res = FgrResult(
         gamma=rate,
         k_res=k,
@@ -258,68 +265,66 @@ def wronskian_gradient(wr: WronskianResult) -> np.ndarray:
     return wr.eta_plus * wr.eta_minus
 
 
+def _solved_waves(st: ScatteringState, half: bool) -> tuple[np.ndarray, ...]:
+    """The distorted plane waves on the solved nodes: (e_+, e_-), or (e_even,) on nodes 0..c."""
+    return (st.e_even,) if half else (st.e_plus, st.e_minus)
+
+
+def _sum(terms):
+    """The terms added left to right, from the first (no 0 + in front)."""
+    return reduce(add, terms)
+
+
 def _wave_k_pairings(
-    V: PotentialField, st: ScatteringState, src: np.ndarray, rbp: np.ndarray
-) -> tuple[complex, complex]:
-    """c_+- = trapz(src de_+-/dk) at fixed V, from rbp = R(k)[src].
+    V: PotentialField, st: ScatteringState, src: np.ndarray, rbp: np.ndarray, half: bool
+) -> tuple[complex, ...]:
+    """trapz(src de/dk) at fixed V per wave e of _solved_waves(st, half), rbp = R(k)[src].
 
-    With w = e^{+-iqx}, e = w - phi and A phi = V w (A = H_V - k^2 with
-    outgoing rows, see spectral._outgoing_system), differentiating the
-    assembled system gives de/dk = dw - A^-1 r with r = V dw - (dA/dk) phi;
-    dA/dk is -2k on the diagonal plus g = -i q' e^{iqh}/h on the two end
-    rows (the k-dependence of the ghost factor), and q' = dq/dk.  The
-    solve A^-1 r is not needed: src = beta psi is 0 on the two end nodes,
-    the only ones whose trapezoid weight is not h, so trapz(src u) =
-    h src^T u exactly; and A = A^T, so src^T A^-1 r = (A^-1 src)^T r =
-    rbp^T r (reverse mode, Griewank & Walther, Evaluating Derivatives 2e
-    (2008), ch. 3).  Hence
+    src and rbp hold the solved nodes: all n, or nodes 0..c with half.
+    With w the free lattice wave of e (e^{+-iqx}, or cos(qx) on the even
+    half), e = w - phi and A phi = V w, A = H_V - k^2 with outgoing rows
+    (spectral._outgoing_system; on the even half its even block, with one
+    outgoing row, at node 0, and a mirror row at x = 0 that does not
+    depend on k).  Differentiating the assembled system gives de/dk = dw -
+    A^-1 r with r = V dw - (dA/dk) phi; dA/dk is -2k on the diagonal plus
+    g = -i q' e^{iqh}/h on each outgoing row (the k-dependence of the
+    ghost factor), and q' = dq/dk.  The solve A^-1 r is not needed.  A is
+    complex symmetric in the orthonormal coordinates of the solved nodes,
+    which are sqrt(W) times the node values, with the mirror weights W = 1
+    on the full grid and W = 2 on nodes j < c, 1 on node c, of the even
+    half (each node j < c counts its mirror image).  So in node values
+    the adjoint identity holds under W: sum W src A^-1 r = sum W rbp r
+    (reverse mode, Griewank & Walther, Evaluating Derivatives 2e (2008),
+    ch. 3).  src = beta psi is 0 on the domain's end nodes, the only
+    solved nodes whose trapezoid weight is not h W, so trapz(src u) =
+    h sum W src u exactly.  Hence, summing over the outgoing rows j,
 
-        c = h ((src - V rbp)^T dw - 2k rbp^T phi + g (rbp phi)_{ends}).
-    """
-    grid = V.grid
-    h, k = grid.h, st.k
-    qp = 1.0 / math.sqrt(1.0 - (0.5 * k * h) ** 2)
-    ghost = -1j * qp * cmath.exp(1j * lattice_wavenumber(k, h) * h) / h
-    # dw_+- = +-i q' x w_+-, and w_- is the conjugate of w_+
-    ax = (src - V.values * rbp) * grid.x
-    out = []
-    for sign, w, e in ((1j, st.wave, st.e_plus), (-1j, np.conj(st.wave), st.e_minus)):
-        phi = w - e
-        ends = rbp[0] * phi[0] + rbp[-1] * phi[-1]
-        out.append(h * (sign * qp * (ax @ w) - 2.0 * k * (rbp @ phi) + ghost * ends))
-    return complex(out[0]), complex(out[1])
-
-
-def _even_wave_k_pairing(
-    V: PotentialField, st: ScatteringState, src: np.ndarray, rbp: np.ndarray
-) -> complex:
-    """trapz(src de_even/dk) at fixed V, from rbp = R(k)[src] on the even half.
-
-    src, rbp and st.e_even hold nodes 0..c.  As _wave_k_pairings, with the
-    even half's system (spectral.outgoing_resolvent_solve with even=True):
-    w = cos(qx), so dw = -q' x sin(qx), and one outgoing row, at node 0;
-    the mirror row at x = 0 does not depend on k.  That system is complex
-    symmetric in the orthonormal even basis, whose coordinates are
-    sqrt(W) times the node values, W = 2 on nodes j < c (each counts its
-    mirror image) and 1 on node c.  So in node values the adjoint identity
-    holds under W: sum W src A^-1 r = sum W rbp r, and since src is 0 at
-    node 0, trapz(src u) = h sum W src u.  Hence
-
-        c = h ((W (src - V rbp))^T dw - 2k (W rbp)^T phi + 2 g rbp_0 phi_0).
+        c = h ((W (src - V rbp))^T dw - 2k (W rbp)^T phi + sum_j g W_j rbp_j phi_j).
     """
     grid = V.grid
     h, k = grid.h, st.k
     rows = src.shape[0]
     qp = 1.0 / math.sqrt(1.0 - (0.5 * k * h) ** 2)
     ghost = -1j * qp * cmath.exp(1j * lattice_wavenumber(k, h) * h) / h
-    wave = st.wave[:rows]
-    phi = wave.real - st.e_even
-    dw = -qp * grid.x[:rows] * wave.imag
-    W = np.full(rows, 2.0)
-    W[-1] = 1.0
+    wave, x = st.wave[:rows], grid.x[:rows]
+    if half:
+        W, ends = np.full(rows, 2.0), (0,)
+        W[-1] = 1.0
+        free = ((wave.real, -qp * x * wave.imag),)  # cos(qx) and its k-derivative
+    else:
+        W, ends = 1.0, (0, -1)
+        dw = 1j * qp * x * wave  # w_- is the conjugate of w_+, and so is its k-derivative
+        free = ((wave, dw), (np.conj(wave), np.conj(dw)))
     wr = W * rbp
-    c = (W * src - V.values[:rows] * wr) @ dw - 2.0 * k * (wr @ phi)
-    return complex(h * (c + 2.0 * ghost * rbp[0] * phi[0]))
+    a = W * src - V.values[:rows] * wr
+    out = []
+    for (w, dw), e in zip(free, _solved_waves(st, half)):
+        phi = w - e
+        c = a @ dw - 2.0 * k * (wr @ phi)
+        for j in ends:
+            c = c + ghost * wr[j] * phi[j]
+        out.append(complex(h * c))
+    return tuple(out)
 
 
 def gamma_gradient(
@@ -333,68 +338,50 @@ def gamma_gradient(
     the resonant wavenumber (prefactor and wave dephasing), and - when the
     forcing profile is the potential itself - the direct beta = V term.
 
-    Gamma and its gradient together make one complex solve, the
-    three-column outgoing solve in gamma for e_+- and rbp = R(k)[beta
-    psi] (res.source_response; solved here when res keeps none), plus one
-    real reduced-resolvent solve here.  rbp serves both the explicit wave
-    term and the k-derivative of the waves:
-    A = H_V - k^2 with outgoing rows is complex symmetric, so the pairings
-    of beta psi with de_+-/dk follow from rbp by dot products (the adjoint
-    identity, see _wave_k_pairings).  Its weight h is exact, not a
-    quadrature approximation, because psi is 0 on the two end nodes, the
-    only nodes whose trapezoid weight is not h.
-
-    When gamma took the even half of the grid, so does the gradient: each
-    term is even, and is formed on nodes 0..c from e_even and rbp there
-    (m_+ = m_- and e_+ + e_- = 2 e_even fold each +- sum into one term),
-    the reduced resolvent is solved for its even forcing on nodes 0..c,
-    the k-derivative pairing is _even_wave_k_pairing, and the field is
-    mirrored onto the other nodes at the end, so it reads the same
-    reversed, bit for bit.  Without a kept result, e_even and rbp come
-    from two one-column solves with the bits of gamma's two-column one.
+    Gamma and its gradient together make one complex solve, gamma's
+    outgoing solve for the waves and rbp = R(k)[beta psi]
+    (res.source_response; solved here when res keeps none, with the bits
+    of gamma's column), plus one real reduced-resolvent solve here, both
+    on the solved nodes (see the module docstring).  rbp serves both the
+    explicit wave term and the k-derivative of the waves: A = H_V - k^2
+    with outgoing rows is complex symmetric, so the pairings of beta psi
+    with de/dk follow from rbp by dot products (the adjoint identity, see
+    _wave_k_pairings).  On the even half every term is even and formed on
+    nodes 0..c, and the field is mirrored onto the other nodes at the
+    end, so it reads the same reversed, bit for bit.
     """
     if res is None:
         res = gamma(V, params)
     bs, st = res.bound_state, res.scattering
-    psi, k = bs.psi, res.k_res
-    beta = params.beta_values(V)
+    half = _splits_by_parity(V, params)
+    rows = V.grid.n // 2 + 1 if half else V.grid.n
+    psi, k = bs.psi[:rows], res.k_res
+    beta = params.beta_values(V)[:rows]
+    src = beta * psi
     pref = 1.0 / (8.0 * k)
     rbp = res.source_response
-    half = _splits_by_parity(V, params)
+    rbp = outgoing_resolvent_solve(V, k, src, even=half) if rbp is None else rbp[:rows]
+    waves = _solved_waves(st, half)
+    # on the even half m_+ = m_- = m and e_+ + e_- = 2 e_even turn each
+    # +- sum into twice its e_even term
     if half:
-        # every field below is even: it is formed on nodes 0..c, where
-        # m_+ = m_- = m and e_+ + e_- = 2 e_even turn each +- sum into
-        # twice its e_even term
-        rows = V.grid.n // 2 + 1
-        psi, beta = psi[:rows], beta[:rows]
-        src = beta * psi
-        rbp = outgoing_resolvent_solve(V, k, src, even=True) if rbp is None else rbp[:rows]
-        cm2 = 2.0 * np.conj(res.m_plus)
-        resp = np.real(cm2 * st.e_even)
-        g_psi = -pref * psi * reduced_resolvent_at_eigenvalue(V, bs, beta * resp, even=True)
-        g_wave = -pref * np.real(cm2 * st.e_even * rbp)
-        dk_coef = pref * np.real(cm2 * _even_wave_k_pairing(V, st, src, rbp))
+        coefs = (2.0 * np.conj(res.m_plus),)
     else:
-        src = beta * psi
+        coefs = (np.conj(res.m_plus), np.conj(res.m_minus))
 
-        # field paired against the (real) eigenvector and beta shifts
-        resp = np.real(np.conj(res.m_plus) * st.e_plus + np.conj(res.m_minus) * st.e_minus)
+    # field paired against the (real) eigenvector and beta shifts
+    terms = [c * e for c, e in zip(coefs, waves)]
+    resp = np.real(_sum(terms))
 
-        # d psi: psi' = -Rtilde P_c[w psi], moved onto the data by symmetry
-        g_psi = -pref * psi * reduced_resolvent_at_eigenvalue(V, bs, beta * resp)
+    # d psi: psi' = -Rtilde P_c[w psi], moved onto the data by symmetry
+    g_psi = -pref * psi * reduced_resolvent_at_eigenvalue(V, bs, beta * resp, even=half)
 
-        # explicit dependence of e_+- on V: de = -R(k)[w e]
-        if rbp is None:
-            rbp = outgoing_resolvent_solve(V, k, src)
-        g_wave = -pref * np.real(
-            np.conj(res.m_plus) * st.e_plus * rbp
-            + np.conj(res.m_minus) * st.e_minus * rbp
-        )
+    # explicit dependence of the waves on V: de = -R(k)[w e]
+    g_wave = -pref * np.real(_sum([t * rbp for t in terms]))
 
-        # k shift: the k-dependence of the waves
-        c_p, c_m = _wave_k_pairings(V, st, src, rbp)
-        dk_coef = pref * np.real(np.conj(res.m_plus) * c_p + np.conj(res.m_minus) * c_m)
-    # k shift: the prefactor 1/16k
+    # k shift: the k-dependence of the waves, then the prefactor 1/16k
+    c_k = _wave_k_pairings(V, st, src, rbp, half)
+    dk_coef = pref * np.real(_sum([c * ck for c, ck in zip(coefs, c_k)]))
     dk_coef -= res.gamma / k
     g_k = dk_coef * psi * psi / (2.0 * k)
 

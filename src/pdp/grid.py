@@ -183,7 +183,9 @@ class DesignParams:
 
     a: support halfwidth; b: H1 bound; mu: forcing frequency; delta:
     Wronskian relaxation margin; beta: fixed forcing profile (ignored when
-    beta_mode is EQUALS_V).
+    beta_mode is EQUALS_V); wronskian_tol: the largest relative variance
+    of a valid Wronskian.  a, b, mu, delta and wronskian_tol must be
+    positive (a NaN is not).
     """
 
     a: float
@@ -195,8 +197,11 @@ class DesignParams:
     wronskian_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0 or self.mu <= 0 or self.delta <= 0:
+        # written as not x > 0, so that a NaN is rejected too
+        if not (self.a > 0 and self.b > 0 and self.mu > 0 and self.delta > 0):
             raise ValueError("a, b, mu, delta must all be positive")
+        if not self.wronskian_tol > 0:
+            raise ValueError(f"wronskian_tol must be positive, got {self.wronskian_tol!r}")
         if self.beta_mode is BetaMode.FIXED and self.beta is None:
             raise ValueError("fixed beta_mode requires a beta profile")
 

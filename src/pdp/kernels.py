@@ -14,10 +14,12 @@ and the eigenvalue to rounding.  _lowest_eigenpair_by_parity does the
 same for a mirror-symmetric matrix of odd order from its even half: the
 even block gives the eigenpair, and the odd block completes the count,
 with one LDL^T pivot sweep (?pttrf, _positive_definite) when it has no
-negative eigenvalue and a Sturm count when it has.  march_half_bound
-marches the zero-energy 3-point recurrence of H_V in difference form,
-as one unit-lower banded triangular system solved by one BLAS ?tbsv
-call; every entry but h^2 V is -1.  _support_march runs pdp.spectral's
+negative eigenvalue and a Sturm count when it has.  _even_block builds
+that even block, in the orthonormal even coordinates of _even_scale, for
+the eigensolve, for pdp.spectral's even solves and for pdp.timedomain's
+even run alike.  march_half_bound marches the zero-energy 3-point
+recurrence of H_V in difference form, as one unit-lower banded
+triangular system solved by one BLAS ?tbsv call; every entry but h^2 V is -1.  _support_march runs pdp.spectral's
 support recurrence for a batch of wavenumbers: per k, one BLAS ?tbsv
 call per block of rows, with the state renormalized by a power of two
 at each block end.  The blocks are cut by a growth bound that depends on V and the batch's largest k, and
@@ -211,15 +213,45 @@ def _positive_definite(d, e) -> bool:
     return _pttrf(d, e)[2] == 0
 
 
+def _even_block(d, off):
+    """Diagonal and off-diagonal of the even block of a mirrored tridiagonal matrix.
+
+    d is the diagonal on all n = 2c + 1 rows, reading the same reversed,
+    and off the off-diagonal: one value, or its first c values (of n - 1
+    that read the same reversed).  The even block is rows 0..c in the orthonormal even
+    basis, whose coordinates are sqrt(2) times the node value on nodes
+    j < c and the node value on node c (_even_scale): the mirror row c at
+    x = 0 and row c-1 couple by sqrt(2) off both ways, so the block is
+    symmetric, or complex symmetric, as the full matrix is.
+    """
+    c = d.shape[0] // 2
+    e = np.full(c, off, dtype=d.dtype)
+    e[-1] *= math.sqrt(2.0)
+    return d[: c + 1], e
+
+
+@lru_cache(maxsize=8)
+def _even_scale(rows):
+    """sqrt(2) on nodes 0..rows-2 and 1 on the mirror node rows-1, read-only.
+
+    Times the node values of an even array on nodes 0..c (rows = c + 1),
+    these are its orthonormal even coordinates (_even_block).
+    """
+    s = np.full(rows, math.sqrt(2.0))
+    s[-1] = 1.0
+    s.setflags(write=False)
+    return s
+
+
 def _lowest_eigenpair_by_parity(d, e):
     """_lowest_eigenpair of a mirror-symmetric matrix of odd order.
 
     d (length n = 2c + 1 >= 3) and e must read the same reversed.  Such a
     matrix commutes with the reversal J, so it splits into an even block
     (v = Jv) and an odd one (v = -Jv; Cantoni & Butler, Linear Algebra
-    Appl. 13 (1976) 275).  The even block is rows 0..c with v_c shared by
-    both halves; scaling v_c by 1/sqrt(2) makes it symmetric, with sqrt(2)
-    e_{c-1} coupling rows c-1 and c.  The odd block is rows 0..c-1 with
+    Appl. 13 (1976) 275).  The even block (_even_block) is rows 0..c with
+    v_c shared by both halves; scaling v_c by 1/sqrt(2) makes it symmetric,
+    with sqrt(2) e_{c-1} coupling rows c-1 and c.  The odd block is rows 0..c-1 with
     v_c = 0, the leading c x c block of d and e.  With e nonzero, the
     lowest eigenvalue is simple, so Jv = +-v, and its eigenvector has no
     zero entry (up to the signs of e it is a Perron vector), so it is not
@@ -243,9 +275,7 @@ def _lowest_eigenpair_by_parity(d, e):
     vl = gl - 2.1 * n * np.finfo(float).eps * max(abs(gl), abs(gu))
     if vl >= 0.0:
         return 0, None, None
-    e_even = e[:c].copy()
-    e_even[-1] *= math.sqrt(2.0)
-    count, lam, u = _lowest_eigenpair(d[: c + 1], e_even, vl)
+    count, lam, u = _lowest_eigenpair(*_even_block(d, e[:c]), vl)
     if count == 0:
         return 0, None, None
     if not _positive_definite(d[:c], e[: c - 1]):

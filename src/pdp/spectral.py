@@ -15,10 +15,11 @@ exponential; the parity ground state agrees with the full-grid one to
 rounding.  The outgoing and reduced-resolvent solves take even=True for
 the even part of a mirror-symmetric problem: nodes 0..c of an even
 forcing in, nodes 0..c of the even solution out, solved on the even block
-alone (_even_block: the boundary row at node 0, a mirror row at x = 0, in
-the orthonormal even basis, so each block stays symmetric or complex
-symmetric as the full matrix is).  They agree with the full-grid solves
-to rounding, at half the rows.
+alone (kernels._even_block, the one builder of it that the eigensolve and
+pdp.timedomain use too: the boundary row at node 0, a mirror row at x =
+0, in the orthonormal even basis, so each block stays symmetric or
+complex symmetric as the full matrix is).  They agree with the full-grid
+solves to rounding, at half the rows.
 
 All boundary conditions are imposed through ghost-node elimination of a
 centered first-derivative condition, which keeps every system tridiagonal
@@ -26,16 +27,17 @@ and the whole scheme O(h^2).  The outgoing matrix H_V - k^2 is complex
 symmetric (not Hermitian), so the transpose of its solve is the same
 solve; gamma_gradient relies on that for the k-derivative of e_+-.
 
-The distorted plane waves e_+- take one complex exponential, e^{iqx}
-(e^{-iqx} is its conjugate; on a centred grid it is taken on x >= 0 and
-conjugated onto the mirror nodes), and one outgoing solve whose two
-columns are the forcings V e^{+-iqx}; a caller's own forcing can ride
-along as a third column of the same solve (distorted_plane_waves with a
-source).  For a mirror-symmetric V, e_- is e_+ reversed, and a pairing
-with an even function reads only e_even = (e_+ + e_-)/2 = cos(qx) -
-R(k)[V cos(qx)]: one column of an even solve on nodes 0..c, with a
-caller's even forcing as the second (distorted_plane_waves with
-even=True).  e_+- then stay unsolved until they are read.
+The distorted plane waves take one complex exponential, e^{iqx} (e^{-iqx}
+is its conjugate; on a centred grid it is taken on x >= 0 and conjugated
+onto the mirror nodes), and one outgoing solve on the solved nodes
+(ScatteringState._outgoing): on the full grid its columns are the
+forcings V e^{+-iqx}, for e_+-; for a mirror-symmetric V, where e_- is
+e_+ reversed and a pairing with an even function reads only e_even =
+(e_+ + e_-)/2 = cos(qx) - R(k)[V cos(qx)], it is one column, V cos(qx),
+of an even solve on nodes 0..c (distorted_plane_waves with even=True),
+and e_+- stay unsolved until they are read.  A caller's own forcing can
+ride along as the last column of the same solve (distorted_plane_waves
+with a source).
 
 t(k) and r(k) are not read off the outgoing solves: a recurrence over the
 rows where V != 0 marches the transmitted wave from the right-hand side of
@@ -52,14 +54,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from . import kernels
 from .errors import NoBoundState, SolverFailure
 from .grid import PotentialField, _even_half
-from .kernels import _gtsv_solve, _require_finite
+from .kernels import _even_block, _even_scale, _gtsv_solve, _require_finite
 
 __all__ = [
     "BoundState",
@@ -98,35 +100,6 @@ def _dirichlet_rows(V: PotentialField) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of H_V on the interior nodes (Dirichlet rows)."""
     d, off = _stencil(V)
     return d[1:-1], np.full(V.grid.n - 3, off)
-
-
-def _even_block(d: np.ndarray, off) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the even block of a mirrored stencil.
-
-    d is the diagonal on all n = 2c + 1 nodes, reading the same reversed,
-    and off the one off-diagonal value.  The even block is rows 0..c in
-    the orthonormal even basis, whose coordinates are sqrt(2) times the
-    node value on nodes j < c and the node value on node c: the mirror row
-    c at x = 0 and row c-1 couple by sqrt(2) off both ways, so the block
-    is symmetric, or complex symmetric, as the full matrix is.
-    """
-    c = d.shape[0] // 2
-    e = np.full(c, off, dtype=d.dtype)
-    e[-1] *= math.sqrt(2.0)
-    return d[: c + 1], e
-
-
-@lru_cache(maxsize=8)
-def _even_scale(rows: int) -> np.ndarray:
-    """sqrt(2) on nodes 0..rows-2 and 1 on the mirror node rows-1, read-only.
-
-    Times the node values of an even array on nodes 0..c (rows = c + 1),
-    these are its orthonormal even coordinates (_even_block).
-    """
-    s = np.full(rows, math.sqrt(2.0))
-    s[-1] = 1.0
-    s.setflags(write=False)
-    return s
 
 
 @dataclass(frozen=True)
@@ -190,15 +163,14 @@ class ScatteringState:
     """Distorted plane waves e_{V+-}(x,k) and the transmission coefficient.
 
     A state holds only k and V and computes nothing when it is built.
-    e_plus and e_minus are computed together on first read: one complex
-    exponential gives the lattice wave e^{iqx} (kept as wave, since the
-    k-derivative in gamma_gradient reads it too), and one outgoing solve
-    with the two-column forcing [V e^{iqx}, V e^{-iqx}] gives both
-    scattered parts (see distorted_plane_waves).  For a mirror-symmetric
-    V, e_even = (e_plus + e_minus)/2 on the even half of the grid is
-    computed by a solve of its own, on first read or by
-    distorted_plane_waves, and e_plus and e_minus stay unsolved until
-    they are read.  t is computed on first read, from one support
+    One complex exponential gives the lattice wave e^{iqx} (kept as wave,
+    since the k-derivative in gamma_gradient reads it too), and each set
+    of waves on the solved nodes comes from one outgoing solve of its own
+    (_outgoing), on first read or by distorted_plane_waves: e_plus and
+    e_minus together on the full grid, from the forcings V e^{+-iqx}, and,
+    for a mirror-symmetric V, e_even = (e_plus + e_minus)/2 on the even
+    half of the grid, from V cos(qx).  Each wave is a column of its
+    solve's output.  t is computed on first read, from one support
     recurrence of V at k (see _support_recurrence), or by
     transmission_table together with a table of t(k).
     A value is kept once read, and every state of the same (k, V) gives
@@ -228,28 +200,41 @@ class ScatteringState:
         np.conjugate(wave[: n - c - 1 : -1], out=wave[:c])
         return wave
 
-    def _outgoing(self, source=None):
-        """(e_+, e_-, u) from one outgoing solve; u is R(k)[source] or None.
+    def _outgoing(self, even: bool, source=None):
+        """(waves, u): the distorted plane waves on the solved nodes, from one outgoing solve.
 
-        The solve takes the forcings V e^{iqx} and V e^{-iqx} (its
-        conjugate, V being real) and, if given, source as a third column;
-        each column has the bits of its one-column solve.
+        On the full grid the waves are (e_+, e_-), from the forcings V
+        e^{iqx} and V e^{-iqx}; with even, on nodes 0..c, they are
+        (e_even,), from the forcing V cos(qx), cos(qx) being the real part
+        of the lattice wave.  source, if given, rides as the last column
+        of the same solve (nodes 0..c of an even forcing with even), and u
+        is R(k)[source], or None.  Each column has the bits of its
+        one-column solve.  Every wave is formed in its column of the
+        solution, u is the last, and one array holds them all.  A
+        half-grid complex array of its own, 16(c + 1) = 8n + 8 bytes, is
+        one allocator granule larger than a full-grid real one; made on
+        every evaluation, such arrays leave heap holes that the full-grid
+        arrays cannot reuse, and a process that keeps many results grows
+        with them.
         """
-        wave = self.wave
-        m = 2 if source is None else 3
-        f = np.empty((self.V.grid.n, m), dtype=np.complex128, order="F")
-        np.multiply(self.V.values, wave, out=f[:, 0])
-        np.conjugate(f[:, 0], out=f[:, 1])
+        V = self.V
+        rows = V.grid.n // 2 + 1 if even else V.grid.n
+        wave = self.wave[:rows]
+        free = (wave.real,) if even else (wave, np.conj(wave))
+        f = np.empty((rows, len(free) + (source is not None)), dtype=np.complex128, order="F")
+        for j, w in enumerate(free):
+            np.multiply(V.values[:rows], w, out=f[:, j])
         if source is not None:
-            f[:, 2] = source
-        phi = outgoing_resolvent_solve(self.V, self.k, f)
-        u = None if source is None else phi[:, 2].copy()  # not a view that keeps phi
-        return wave - phi[:, 0], np.conj(wave) - phi[:, 1], u
+            f[:, -1] = source
+        phi = outgoing_resolvent_solve(V, self.k, f, even=even)
+        for j, w in enumerate(free):
+            np.subtract(w, phi[:, j], out=phi[:, j])
+        waves = tuple(phi[:, j] for j in range(len(free)))
+        return waves, (None if source is None else phi[:, -1])
 
     @cached_property
     def _waves(self) -> tuple[np.ndarray, np.ndarray]:
-        e_plus, e_minus, _ = self._outgoing()
-        return e_plus, e_minus
+        return self._outgoing(False)[0]
 
     @property
     def e_plus(self) -> np.ndarray:
@@ -258,31 +243,6 @@ class ScatteringState:
     @property
     def e_minus(self) -> np.ndarray:
         return self._waves[1]
-
-    def _even_outgoing(self, source=None):
-        """(e_even, u) on nodes 0..c from one outgoing solve on the even half.
-
-        The solve takes the forcing V cos(qx), cos(qx) being the real part
-        of the lattice wave (taken on x >= 0), and, if given, source (nodes
-        0..c of an even forcing) as a second column; u is R(k)[source] on
-        nodes 0..c, or None.  Each column has the bits of its one-column
-        solve.  e_even is formed in the solution's first column and u is
-        its second, so one array holds both.  A half-grid complex array of
-        its own, 16(c + 1) = 8n + 8 bytes, is one allocator granule larger
-        than a full-grid real one; made on every evaluation, such arrays
-        leave heap holes that the full-grid arrays cannot reuse, and a
-        process that keeps many results grows with them.
-        """
-        rows = self.V.grid.n // 2 + 1
-        cos = self.wave.real[:rows]
-        m = 1 if source is None else 2
-        f = np.empty((rows, m), dtype=np.complex128, order="F")
-        np.multiply(self.V.values[:rows], cos, out=f[:, 0])
-        if source is not None:
-            f[:, 1] = source
-        phi = outgoing_resolvent_solve(self.V, self.k, f, even=True)
-        np.subtract(cos, phi[:, 0], out=phi[:, 0])
-        return phi[:, 0], (None if source is None else phi[:, 1])
 
     @cached_property
     def e_even(self) -> np.ndarray:
@@ -295,7 +255,7 @@ class ScatteringState:
         even=True), and agrees with the half sum of the full-grid e_+- to
         rounding, not bitwise.
         """
-        return self._even_outgoing()[0]
+        return self._outgoing(True)[0][0]
 
     @cached_property
     def t(self) -> complex:
@@ -390,7 +350,7 @@ def _outgoing_system(V: PotentialField, k: float, even: bool = False):
     outgoing relation u_ghost = e^{iqh} u_end, so a pure outgoing lattice
     wave satisfies the boundary row exactly and the matrix stays complex
     symmetric.  With even, the system is the even block of a mirrored V
-    (_even_block): the outgoing row at node 0 and the mirror row at x = 0.
+    (kernels._even_block): the outgoing row at node 0 and the mirror row at x = 0.
     """
     h = V.grid.h
     q = lattice_wavenumber(k, h)
@@ -423,7 +383,7 @@ def outgoing_resolvent_solve(
     n = 2c + 1 (grid._even_half), f holds nodes 0..c of even forcings
     (c + 1 rows), and u nodes 0..c of their even solutions.  They are
     solved on nodes 0..c alone, in the orthonormal even basis
-    (_even_block, _even_scale): an outgoing row at node 0 and a mirror row
+    (kernels._even_block, _even_scale): an outgoing row at node 0 and a mirror row
     at x = 0, in a matrix that is complex symmetric as the full one is.  u
     agrees with the full-grid solve to rounding, not bitwise.
     """
@@ -474,7 +434,7 @@ def reduced_resolvent_at_eigenvalue(
     n = 2c + 1 (grid._even_half), which makes psi even; f holds nodes 0..c
     of an even forcing and u nodes 0..c of the even solution.  They are
     solved on nodes 0..c alone, in the orthonormal even basis
-    (_even_block, _even_scale), where the decay row sits at node 0 and the
+    (kernels._even_block, _even_scale), where the decay row sits at node 0 and the
     mirror row at x = 0, and where the trapezoid pairing of two even
     arrays is sum_j w_j a_j b_j over nodes 0..c of their coordinates.  u
     agrees with the full-grid solve to rounding, not bitwise.
@@ -603,7 +563,8 @@ def distorted_plane_waves(V: PotentialField, k: float, source=None, *, even: boo
 
     With source (length n), the same solve takes it as a third column,
     and (state, R(k)[source]) is returned; e_+- and the response each have
-    the bits of their solve without the other.
+    the bits of their solve without the other, and all three are columns
+    of one array.
 
     With even=True, V must read the same reversed on a centred grid of odd
     n = 2c + 1 (grid._even_half).  The state's e_even is computed here
@@ -613,12 +574,12 @@ def distorted_plane_waves(V: PotentialField, k: float, source=None, *, even: boo
     too, comes from the same solve.
     """
     st = ScatteringState(k=float(k), V=V)
+    waves, u = st._outgoing(even, source)
     # kept as the cached properties keep them
     if even:
-        st.__dict__["e_even"], u = st._even_outgoing(source)
+        st.__dict__["e_even"] = waves[0]
     else:
-        e_plus, e_minus, u = st._outgoing(source)
-        st.__dict__["_waves"] = (e_plus, e_minus)
+        st.__dict__["_waves"] = waves
     return st if source is None else (st, u)
 
 

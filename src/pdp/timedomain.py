@@ -16,8 +16,8 @@ reversed, bit for bit, on a centred grid (Grid.centred) with an odd
 number of nodes n = 2c + 1, and phi(0) reads the same reversed too (the
 parity test grid._even_half, which the ground state and Gamma share).  The
 half problem is nodes 0..c in the orthonormal even basis of
-kernels._lowest_eigenpair_by_parity: u_j = sqrt(2) phi_j for j < c and
-u_c = phi_c, with sqrt(2) times the off-diagonal coupling rows c-1 and c.
+kernels._even_block: u_j = sqrt(2) phi_j for j < c and u_c = phi_c, with
+sqrt(2) times the off-diagonal coupling rows c-1 and c.
 Its CN matrix is complex symmetric with Hermitian part >= I, as the full
 one is.  It agrees with the full-grid run to rounding, not bitwise.  Every
 other run (an asymmetric V, beta or start, an off-centre grid, an even n)
@@ -33,7 +33,8 @@ import numpy as np
 from . import kernels
 from .errors import SolverFailure
 from .grid import Grid, PotentialField, _even_half, interpolate_potential, make_grid, trapz
-from .spectral import _even_block, _even_scale, _stencil, solve_ground_state
+from .kernels import _even_block, _even_scale
+from .spectral import _stencil, solve_ground_state
 
 __all__ = [
     "Absorber",

@@ -160,6 +160,16 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "config error: bad init section: A and B must be positive" in err
 
+    @pytest.mark.parametrize("command", ["evaluate", "optimize"])
+    @pytest.mark.parametrize("tol", [-1.0, 0.0], ids=["negative", "zero"])
+    def test_non_positive_wronskian_tol_exit_code(self, tmp_path, capsys, command, tol):
+        # a negative tolerance used to reach the optimizer, which then
+        # rejected a feasible start for its Wronskian variance (exit 2)
+        path = write_config(tmp_path, "tol.json", {"design": {"wronskian_tol": tol}})
+        assert main([command, "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: bad design section: wronskian_tol must be positive" in err
+
     def test_unreadable_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "missing.json"
         assert main(["evaluate", "--config", str(path)]) == EXIT_CONFIG

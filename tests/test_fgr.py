@@ -317,7 +317,9 @@ def gaussian_well(grid):
 class TestWaveKPairings:
     # fgr._wave_k_pairings gives c_+- = trapz(beta psi de_+-/dk) from the
     # gradient's one outgoing solve, by adjointness; the oracle solves the
-    # two tangent systems of the same discrete model
+    # two tangent systems of the same discrete model.  Every well here and
+    # its beta read the same reversed, so the even half's one pairing,
+    # trapz(beta psi de_even/dk), is checked against (c_+ + c_-)/2 too
     @pytest.mark.parametrize(
         "n, a, build",
         [
@@ -331,7 +333,8 @@ class TestWaveKPairings:
     def test_matches_tangent_solves(self, n, a, build, mode):
         # at n = 3001 both paths are up to 5e-12 from a 40-digit evaluation
         # of the same float64 inputs, and from a tangent solve by banded LU;
-        # with each other they agree to 2.4e-13 at most here
+        # with each other they agree to 2.4e-13 at most here.  The even
+        # half's pairing is within 5e-12 of the oracle on the sech wells
         g = make_grid(-20.0, 20.0, n)
         W = build(g)
         if mode == "equals_v":
@@ -342,11 +345,16 @@ class TestWaveKPairings:
         res = fgr.gamma(W, p)
         src = p.beta_values(W) * res.bound_state.psi
         rbp = spectral.outgoing_resolvent_solve(W, res.k_res, src)
-        c = fgr._wave_k_pairings(W, res.scattering, src, rbp)
+        c = fgr._wave_k_pairings(W, res.scattering, src, rbp, False)
         a_p, a_m = oracles.scattering_k_derivative(W, res.scattering)
-        for c_adj, a_orc in zip(c, (a_p, a_m)):
-            c_orc = complex(trapz(g, src * a_orc))
-            assert abs(c_adj - c_orc) <= 1e-12 * abs(c_orc)
+        c_orc = [complex(trapz(g, src * a_orc)) for a_orc in (a_p, a_m)]
+        for c_adj, c_o in zip(c, c_orc):
+            assert abs(c_adj - c_o) <= 1e-12 * abs(c_o)
+        rows = n // 2 + 1
+        rbp = spectral.outgoing_resolvent_solve(W, res.k_res, src[:rows], even=True)
+        (c_even,) = fgr._wave_k_pairings(W, res.scattering, src[:rows], rbp, True)
+        c_o = 0.5 * (c_orc[0] + c_orc[1])
+        assert abs(c_even - c_o) <= 1e-11 * abs(c_o)
 
     def test_outgoing_matrix_is_complex_symmetric(self, V):
         # the adjoint identity uses A^T = A: one array is both off-diagonals
@@ -376,7 +384,7 @@ class TestGammaGradient:
         # V and beta read the same reversed: e_even and R(k)[beta psi] take
         # one two-column solve on nodes 0..c in gamma, and the gradient
         # none; the k-derivative of the waves takes none either (see
-        # _even_wave_k_pairing).  The other solve is real: the reduced
+        # _wave_k_pairings).  The other solve is real: the reduced
         # resolvent
         assert complex_solve_shapes(V, params_fixed, monkeypatch) == [(V.grid.n // 2 + 1, 2)]
 

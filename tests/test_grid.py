@@ -160,6 +160,15 @@ class TestDesignParams:
         with pytest.raises(ValueError):
             DesignParams(a=-1, b=1e3, mu=2, delta=1e-4, beta=beta)
 
+    @pytest.mark.parametrize("key", ["a", "b", "mu", "delta", "wronskian_tol"])
+    def test_nan_is_rejected(self, key):
+        # nan <= 0 is False, so a check written as x <= 0 let a NaN through
+        g = make_grid(-20, 20, 401)
+        beta = PotentialField(g, np.zeros(g.n), 12.0)
+        bounds = {"a": 12.0, "b": 1e3, "mu": 2.0, "delta": 1e-4, key: float("nan")}
+        with pytest.raises(ValueError, match="positive"):
+            DesignParams(**bounds, beta=beta)
+
 
 class TestH1Norm:
     def test_zero_potential(self):
