@@ -18,15 +18,17 @@ import functools
 import json
 import math
 import os
+import platform
 import sys
 import warnings
 
 import numpy as np
+import scipy
 
-from . import __version__, fgr, optimizer, timedomain
+from . import __version__, fgr, kernels, optimizer, timedomain
 from .config import builders, load_config, merge, override
 from .errors import ConfigError, PdpError, SolverFailure
-from .grid import Grid, PotentialField, h1_norm_sq, interpolate_potential, trapz
+from .grid import Grid, PotentialField, _mirrored, _odd, h1_norm_sq, interpolate_potential, trapz
 from .spectral import solve_ground_state, wronskian_at_zero
 
 EXIT_OK = 0
@@ -66,12 +68,46 @@ def _float_cells(values: list) -> list[str]:
     return cells
 
 
+def _negated(cells: list[str]) -> list[str]:
+    """The %.17g cells of the negated floats, from the cells themselves.
+
+    %.17g depends only on a float's bits, and negation flips the sign bit
+    alone, so each cell gains or loses its leading "-"; a NaN of either
+    sign is written "nan".
+    """
+    return [s[1:] if s[0] == "-" else s if s == "nan" else "-" + s for s in cells]
+
+
+def _array_cells(a: np.ndarray) -> list[str]:
+    """%.17g strings of a float64 array, from half the nodes where it has a mirror.
+
+    With n = 2c + 1 nodes, a column that reads the same reversed, bit for
+    bit (grid._mirrored, as a mirror-symmetric V or psi does), is formatted
+    on nodes 0..c and the reversed cells fill nodes c+1..n-1.  An odd one,
+    whose node n-1-j is node j negated bit for bit for every j < c (grid._odd,
+    as the centred grid's x), is formatted on nodes c..n-1 and nodes 0..c-1
+    take the reversed cells negated (_negated).  Every other array is
+    formatted node by node.  The cells are those of _float_cells either way.
+    """
+    n = a.shape[0]
+    if n % 2 and a.dtype == np.float64:
+        c = n // 2
+        if _mirrored(a):
+            half = _float_cells(a[: c + 1].tolist())
+            return half + half[-2::-1]
+        if _odd(a):
+            half = _float_cells(a[c:].tolist())
+            return _negated(half[:0:-1]) + half
+    return _float_cells(a.tolist())
+
+
 def _csv_cells(name: str, values, memo: dict | None = None) -> list[str]:
     """The cells of one CSV column as strings, formatted as _fmt does.
 
     A column of floats takes %.17g (format(v, ".17g")); a column of ints or
     strings takes str(v), with string cells quoted by _quote.  A float
-    array is classified by its dtype, without a pass over its cells.
+    array is classified by its dtype, without a pass over its cells, and
+    formatted by _array_cells: on half the grid when it is mirrored or odd.
 
     memo maps id(array) to (array, cells).  Given one, a float array that
     owns its data and is read-only, so cannot change between two files, is
@@ -82,10 +118,10 @@ def _csv_cells(name: str, values, memo: dict | None = None) -> list[str]:
         if values.dtype.kind != "f":
             return list(map(str, values.tolist()))
         if memo is None or values.flags.writeable or not values.flags.owndata:
-            return _float_cells(values.tolist())
+            return _array_cells(values)
         hit = memo.get(id(values))
         if hit is None:
-            hit = memo[id(values)] = (values, _float_cells(values.tolist()))
+            hit = memo[id(values)] = (values, _array_cells(values))
         return hit[1]
     values = list(values)
     floats = sum(isinstance(v, (float, np.floating)) for v in values)
@@ -135,8 +171,13 @@ def _write_json(path: str, obj: dict) -> None:
 class Emitter:
     """Writes one command's artifacts and collects their names for the manifest.
 
-    Read-only float columns (such as Grid.x, shared by V_opt.csv and
-    psi.csv) are formatted once per Emitter; see _csv_cells.
+    A command builds its Emitter before its first solve, so an out_dir
+    that cannot be a directory (a file of that name, say) is a ConfigError
+    that names --out, raised before any work.  Read-only float columns
+    (such as Grid.x, shared by V_opt.csv and psi.csv) are formatted once
+    per Emitter, and a mirrored or odd float array of odd length on half
+    its nodes; see _csv_cells.  Every manifest records the runtime: the
+    Python, NumPy and SciPy versions and kernels.BACKEND.
     """
 
     def __init__(self, out_dir: str | None):
@@ -144,7 +185,12 @@ class Emitter:
         self.outputs: list[str] = []
         self._cells: dict = {}
         if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
+            try:
+                os.makedirs(out_dir, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(
+                    f"--out {out_dir}: cannot make the output directory: {exc}"
+                ) from exc
 
     def csv(self, name: str, columns: dict) -> None:
         """Write columns ({header: values}) to out_dir/name."""
@@ -163,6 +209,12 @@ class Emitter:
             "generated": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "outputs": sorted(self.outputs),
             "headline": headline,
+            "runtime": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "backend": kernels.BACKEND,
+            },
         }
         _write_json(os.path.join(self.out_dir, "manifest.json"), doc)
 
@@ -241,6 +293,7 @@ def cmd_evaluate(args) -> int:
         _check_table_grid(grid)
     params = builders.design(cfg, grid)
     V = _resolve_potential(cfg, grid, args.potential)
+    em = Emitter(args.out)
     res = fgr.gamma(V, params)
     wr = wronskian_at_zero(V, params.wronskian_tol)
     table = _transmission_table(res) if args.out else None
@@ -258,7 +311,6 @@ def cmd_evaluate(args) -> int:
     )
     for key in sorted(diag):
         print(f"{key} = {_fmt(diag[key])}")
-    em = Emitter(args.out)
     if args.out:
         _emit_potential_artifacts(em, V, res, table)
         em.manifest("evaluate", cfg, diag)
@@ -286,6 +338,7 @@ def cmd_optimize(args) -> int:
     params = builders.design(cfg, grid)
     opts = builders.opt_options(cfg)
     V0 = _resolve_potential(cfg, grid, args.potential)
+    em = Emitter(args.out)
     gamma_init = fgr.gamma(V0, params).gamma
     out = optimizer.optimize(V0, params, opts)
     table = _transmission_table(out.result) if args.out else None
@@ -306,7 +359,6 @@ def cmd_optimize(args) -> int:
         f"gamma: {_fmt(gamma_init)} -> {_fmt(out.result.gamma)} "
         f"in {out.iterations} iterations ({out.status})"
     )
-    em = Emitter(args.out)
     if args.out:
         em.csv("trace.csv", out.trace)
         _emit_potential_artifacts(em, out.V_opt, out.result, table)
@@ -319,6 +371,7 @@ def cmd_sweep(args) -> int:
     vary, values = builders.sweep(cfg)
     grid = builders.grid(cfg)
     opts = builders.opt_options(cfg)
+    em = Emitter(args.out)
     labels, gamma_init, outs, errors = [], [], [], []
     for v in values:
         sub = merge(cfg, {"design": {vary: v}})
@@ -341,7 +394,6 @@ def cmd_sweep(args) -> int:
             + ("failed: " + error if error else _fmt(out.result.gamma))
         )
     if args.out:
-        em = Emitter(args.out)
         em.csv(
             "summary.csv",
             {
@@ -402,6 +454,7 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     sim, V, beta = _sim_inputs(cfg, args)
     window = builders.fit_window(cfg)
+    em = Emitter(args.out)
     psi = solve_ground_state(V).psi
     result = timedomain.propagate(V, beta, psi.astype(np.complex128), sim)
     samples = np.count_nonzero(result.in_window(window))
@@ -418,7 +471,7 @@ def cmd_simulate(args) -> int:
         f"projection_sq: {_fmt(result.projection_sq[0])} -> {_fmt(result.projection_sq[-1])}"
         + ("" if np.isnan(result.fitted_rate) else f", fitted rate {_fmt(result.fitted_rate)}")
     )
-    _emit_sim(Emitter(args.out), cfg, "simulate", result)  # writes nothing without --out
+    _emit_sim(em, cfg, "simulate", result)  # writes nothing without --out
     return EXIT_OK
 
 
@@ -426,10 +479,11 @@ def cmd_filter(args) -> int:
     cfg = override(load_config(args.config), {"simulator": _given(seed=args.seed)})
     sim, V, beta = _sim_inputs(cfg, args)
     amp, seed = builders.noise(cfg)
+    em = Emitter(args.out)
     result = timedomain.filter_experiment(V, beta, sim, amp, seed)
     retained = result.projection_sq[-1] / result.projection_sq[0]
     print(f"projection retained: {_fmt(retained)}")
-    _emit_sim(Emitter(args.out), cfg, "filter", result)
+    _emit_sim(em, cfg, "filter", result)
     return EXIT_OK
 
 
@@ -440,6 +494,7 @@ def cmd_gradcheck(args) -> int:
     seed, n_dir, eps = builders.gradcheck(cfg)
     rng = np.random.default_rng(seed)
     V = builders.initial_potential(cfg, grid)
+    em = Emitter(args.out)
     x = grid.x
     a = params.a
 
@@ -474,7 +529,6 @@ def cmd_gradcheck(args) -> int:
         failed |= not ok
         print(f"{'PASS' if ok else 'FAIL'} {name}: max relative error {worst[name]:.3e}")
     if args.out:
-        em = Emitter(args.out)
         em.manifest("gradcheck", cfg, {"max_relative_errors": worst, "passed": not failed})
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 

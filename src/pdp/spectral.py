@@ -2,10 +2,10 @@
 
 Ground state (Dirichlet eigensolve, from the even half of the grid when V
 is mirror-symmetric), whether H_V has an eigenvalue at or below a given
-energy (one LDL^T pivot sweep, no eigensolve), outgoing resolvent solves
-with Robin radiation rows, distorted plane waves, the transmission
-coefficient, the reduced resolvent at the eigenvalue, and the zero-energy
-Wronskian of the half-bound states.
+energy (a Gershgorin bound, else one LDL^T pivot sweep, no eigensolve),
+outgoing resolvent solves with Robin radiation rows, distorted plane
+waves, the transmission coefficient, the reduced resolvent at the
+eigenvalue, and the zero-energy Wronskian of the half-bound states.
 
 Mirror symmetry is decided by one test, grid._even_half: a centred grid
 (Grid.centred, where x is exactly odd) of odd n = 2c + 1, and a V that
@@ -317,15 +317,28 @@ def solve_ground_state(V: PotentialField) -> BoundState:
 def has_eigenvalue_at_or_below(V: PotentialField, energy: float) -> bool:
     """Whether H_V with Dirichlet rows has an eigenvalue <= energy.
 
-    Decided without an eigensolve: H_V - energy is positive definite
-    exactly when it has no such eigenvalue, and one LDL^T pivot sweep of
-    its interior rows tells which (kernels._positive_definite).  The
-    answer is solve_ground_state(V).lam <= energy, up to rounding of an
-    eigenvalue at energy.  A NaN or inf in V raises ValueError, as the
-    eigensolve does.
+    Decided without an eigensolve, in up to three steps.  A NaN or inf in
+    V raises ValueError first, as the eigensolve does.  Every eigenvalue
+    is at least the smallest V on the interior nodes (Gershgorin: each
+    row's diagonal 2/h^2 + V_j less its off-diagonal sum 2/h^2), so a
+    minimum above energy by more than a few ulps of 2/h^2 + |energy|,
+    which covers the rounding of the rows, answers False at once; the
+    sweep below would find every pivot above 1/h^2 there.  Otherwise
+    H_V - energy is positive definite exactly when it has no such
+    eigenvalue, and one LDL^T pivot sweep of its interior rows tells which
+    (kernels._positive_definite): of the even block alone
+    (kernels._even_block) when V splits by parity (grid._even_half),
+    since its lowest eigenvalue is H_V's.  The answer is
+    solve_ground_state(V).lam <= energy, up to rounding of an eigenvalue
+    at energy.
     """
+    _require_finite(V.values)
+    margin = 4.0 * np.finfo(float).eps * (2.0 / V.grid.h**2 + abs(energy))
+    if float(V.values[1:-1].min()) - energy > margin:
+        return False
     d, e = _dirichlet_rows(V)
-    _require_finite(d)
+    if _even_half(V):
+        d, e = _even_block(d, e[: d.shape[0] // 2])
     return not kernels._positive_definite(d - energy, e)
 
 

@@ -2,15 +2,17 @@
 import csv
 import json
 import os
+import platform
 import warnings
 
 import numpy as np
 import pytest
+import scipy
 
-from pdp import config, fgr, kernels, optimizer, timedomain
+from pdp import cli, config, fgr, kernels, optimizer, timedomain
 from pdp.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, Emitter, _fmt, _write_csv, build_parser, main
 from pdp.errors import ConfigError
-from pdp.grid import DesignParams, Grid
+from pdp.grid import DesignParams, Grid, make_grid
 from pdp.spectral import distorted_plane_waves, solve_ground_state
 
 
@@ -46,6 +48,26 @@ SMALL_SIM = {
         "fit_window": [0.5, 2.0],
     },
 }
+
+# one short run of each command: the flags after its name, and its config
+SMALL_RUNS = {
+    "evaluate": ([], {}),
+    "optimize": (["--symmetric"], SMALL_OPT),
+    "sweep": (
+        ["--vary", "mu", "--values", "2.0,2.5"],
+        {"optimizer": {"max_iters": 2, "tau_start": 1e-2, "tau_min": 1e-2}},
+    ),
+    "simulate": ([], SMALL_SIM),
+    "filter": (["--seed", "3"], SMALL_SIM),
+    "gradcheck": ([], {"gradcheck": {"n_directions": 2}}),
+}
+
+
+def small_run(tmp_path, command, out):
+    """The argv of command's short run (SMALL_RUNS), writing to out."""
+    flags, overrides = SMALL_RUNS[command]
+    cfgp = write_config(tmp_path, f"{command}.json", overrides)
+    return [command, "--config", cfgp, "--out", str(out), *flags]
 
 
 class TestConfig:
@@ -576,6 +598,97 @@ class TestCsvWriter:
             with pytest.raises(ValueError):
                 _write_csv(str(tmp_path / "r.csv"), columns)
 
+    # a float array of odd length n = 2c + 1 that reads the same reversed
+    # is formatted on nodes 0..c, an odd one on nodes c..n-1; each file
+    # must still be the per-cell oracle's
+    def formatted(self, tmp_path, monkeypatch, a):
+        """The lengths of the lists _write_csv formats for the column a."""
+        lengths, float_cells = [], cli._float_cells
+        monkeypatch.setattr(cli, "_float_cells", lambda v: lengths.append(len(v)) or float_cells(v))
+        path = tmp_path / "h.csv"
+        _write_csv(str(path), {"a": a})
+        assert path.read_bytes() == self.per_cell(["a"], zip(a)).encode()
+        return lengths
+
+    @staticmethod
+    def mirrored(c, seed=5):
+        """A column of 2c + 1 floats over many decades that reads the same reversed."""
+        rng = np.random.default_rng(seed)
+        half = rng.standard_normal(c + 1) * 10.0 ** rng.integers(-300, 300, c + 1)
+        return np.concatenate((half, half[-2::-1]))
+
+    def test_mirrored_column_is_formatted_on_half_the_nodes(self, tmp_path, monkeypatch):
+        a = self.mirrored(500)
+        a[[3, -4]] = np.inf
+        a[[7, -8]] = np.nan
+        assert self.formatted(tmp_path, monkeypatch, a) == [501]
+
+    def test_column_off_its_mirror_by_one_ulp_is_formatted_in_full(self, tmp_path, monkeypatch):
+        a = self.mirrored(500)
+        a[-1] = np.nextafter(a[-1], np.inf)
+        assert self.formatted(tmp_path, monkeypatch, a) == [1001]
+
+    def test_signed_zeros_at_a_mirror_pair_are_formatted_in_full(self, tmp_path, monkeypatch):
+        a = self.mirrored(500)
+        a[10], a[-11] = 0.0, -0.0
+        assert self.formatted(tmp_path, monkeypatch, a) == [1001]
+
+    @pytest.mark.parametrize("n", [2001, 5])
+    def test_centred_grid_x_is_formatted_on_half_the_nodes(self, tmp_path, monkeypatch, n):
+        x = make_grid(-20.0, 20.0, n).x
+        assert self.formatted(tmp_path, monkeypatch, x) == [n // 2 + 1]
+
+    def test_odd_column_with_infinities_zeros_and_nans(self, tmp_path, monkeypatch):
+        # the pairs are (nan, nan with its sign bit flipped), (-inf, inf),
+        # (-0.0, 0.0), (0.0, -0.0) and (1e-300, -1e-300), about a middle 0.0;
+        # %.17g writes either NaN as "nan"
+        half = np.array([np.nan, -np.inf, -0.0, 0.0, 1e-300])
+        flipped = (half.view(np.uint64) ^ np.uint64(1 << 63)).view(np.float64)
+        a = np.concatenate((half, [0.0], flipped[::-1]))
+        assert self.formatted(tmp_path, monkeypatch, a) == [6]
+        assert b"-nan" not in (tmp_path / "h.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "a, lengths",
+        [(np.array([1.5, -2.0, -2.0, 1.5]), [4]), (np.array([0.25]), [1])],
+        ids=["even_length", "one_row"],
+    )
+    def test_short_mirrored_columns(self, tmp_path, monkeypatch, a, lengths):
+        assert self.formatted(tmp_path, monkeypatch, a) == lengths
+
+    def test_half_grid_formatting_writes_the_same_files(self, tmp_path, monkeypatch, capsys):
+        # evaluate, a symmetric optimize and a sweep, with the half-grid
+        # paths and without them: every file and every stdout line alike
+        def run(root):
+            runs = {}
+            for command in ("evaluate", "optimize", "sweep"):
+                assert main(small_run(tmp_path, command, root / command)) == 0
+                runs[command] = capsys.readouterr().out
+            for path in sorted(root.rglob("*.csv")):
+                runs[str(path.relative_to(root))] = path.read_bytes()
+            return runs
+
+        taken = []
+
+        def spy(test):
+            def recorded(a):
+                result = test(a)
+                if result:
+                    taken.append((test.__name__, a.size))
+                return result
+            return recorded
+
+        monkeypatch.setattr(cli, "_mirrored", spy(cli._mirrored))
+        monkeypatch.setattr(cli, "_odd", spy(cli._odd))
+        half = run(tmp_path / "half")
+        # x is odd, once per command; evaluate's V and psi, optimize's V_opt
+        # and psi and the sweep's two V_opt are mirrored
+        assert taken.count(("_odd", 2001)) == 3 and taken.count(("_mirrored", 2001)) == 6
+        monkeypatch.setattr(cli, "_mirrored", lambda a: False)
+        monkeypatch.setattr(cli, "_odd", lambda a: False)
+        full = run(tmp_path / "full")
+        assert len(half) == 3 + 3 + 4 + 3 and half == full
+
 
 class TestOptimize:
     def test_short_run_writes_trace(self, tmp_path, capsys):
@@ -851,3 +964,44 @@ class TestGradcheck:
         cfgp = write_config(tmp_path, "gc.json", {"gradcheck": {"fd_step": step}})
         assert main(["gradcheck", "--config", cfgp]) == EXIT_CONFIG
         assert "gradcheck.fd_step" in capsys.readouterr().err
+
+
+class TestEveryCommand:
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_a_file"])
+    def test_out_that_cannot_be_a_directory_exits_4_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, command, under
+    ):
+        # the directory is made as the command starts: before, each command
+        # did all its work first and then ended in FileExistsError (or
+        # NotADirectoryError) with a traceback and exit 1
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the command solved before making its --out directory")
+
+        for module, name in (
+            (fgr, "gamma"), (cli, "solve_ground_state"),
+            (timedomain, "propagate"), (timedomain, "filter_experiment"),
+        ):
+            monkeypatch.setattr(module, name, unreachable)
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        out = taken / "out" if under else taken
+        assert main(small_run(tmp_path, command, out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --out {out}: cannot make the output directory")
+        assert "Traceback" not in err
+        assert taken.read_text() == "a file\n"
+
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+    def test_manifest_records_the_runtime(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main(small_run(tmp_path, command, out)) == 0
+        man = json.loads((out / "manifest.json").read_text(), parse_constant=no_constant)
+        assert man["runtime"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "backend": kernels.BACKEND,
+        }
+        assert all(isinstance(v, str) and v for v in man["runtime"].values())
+        assert man["command"] == command

@@ -324,6 +324,48 @@ class TestEigenvalueAtOrBelow:
             solve_ground_state(V)
         assert str(sweep.value) == str(solve.value)
 
+    @staticmethod
+    def swept_rows(monkeypatch):
+        """The row counts of every pivot sweep from now on."""
+        rows, sweep = [], kernels._positive_definite
+        monkeypatch.setattr(
+            kernels, "_positive_definite", lambda d, e: rows.append(d.size) or sweep(d, e)
+        )
+        return rows
+
+    @staticmethod
+    def full_sweep(V, energy):
+        """The answer of one pivot sweep of all n - 2 interior rows."""
+        d, e = spectral._dirichlet_rows(V)
+        return not kernels._positive_definite(d - energy, e)
+
+    def test_no_sweep_below_the_smallest_potential(self, grid, monkeypatch):
+        # every eigenvalue is at least min V (Gershgorin), so an energy
+        # below it needs no sweep; at min V itself the sweep decides
+        rows = self.swept_rows(monkeypatch)
+        for V in (sech_well(1.5, 1.5, 12.0, grid), walled_sech(grid)):
+            low = float(V.values.min())
+            expected = self.full_sweep(V, low)
+            rows.clear()
+            for energy in (low - 1.0, low - 1e-9):
+                assert not spectral.has_eigenvalue_at_or_below(V, energy)
+            assert rows == []
+            assert spectral.has_eigenvalue_at_or_below(V, low) == expected
+            assert len(rows) == 1
+
+    def test_mirrored_potential_sweeps_the_even_block(self, grid, monkeypatch):
+        # the even block's lowest eigenvalue is H_V's: nodes 1..c are swept
+        for V in (sech_well(1.5, 1.5, 12.0, grid), double_well(grid)):
+            assert V.mirrored
+            lam = solve_ground_state(V).lam
+            gaps = (-0.3, -1e-3, -1e-6, 1e-6, 1e-3, 0.3)
+            expected = [gap > 0.0 for gap in gaps]
+            assert [self.full_sweep(V, lam + gap) for gap in gaps] == expected
+            rows = self.swept_rows(monkeypatch)
+            assert [spectral.has_eigenvalue_at_or_below(V, lam + gap) for gap in gaps] == expected
+            assert len(rows) >= 5 and set(rows) == {grid.n // 2}
+            monkeypatch.undo()
+
 
 class TestOutgoingResolvent:
     def test_free_green_function(self, grid):
