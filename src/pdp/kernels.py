@@ -34,14 +34,18 @@ Its off-diagonal is a scalar or one value per row pair: pdp.timedomain
 steps a mirror-symmetric run from an even start on the even half of the
 grid, with sqrt(2) times the coupling of the last two rows, and that
 half matrix is complex symmetric with Hermitian part >= I, as the full
-one is.  A changes between steps only on the rows the forcing reaches,
-so the fixed outer blocks are factored once per call, without pivoting:
-the Hermitian part of A is at least I, which gives every pivot a real
-part of at least 1.  Each step solves them with two unit-triangular BLAS
-?tbsv sweeps and a multiply by the reciprocal pivots, with no complex
-division, and the small forced block, corrected by their Schur
-complement, with _gtsv_solve.  Its steps
-therefore agree with a full ?gtsv solve up to rounding, not bitwise.
+one is.  A changes between steps only on the forced block, the rows the
+forcing reaches, and a step is one block elimination toward it.  Once
+per call the fixed outer blocks are factored without pivoting, the left
+one top-down and the right one bottom-up, each with the forced block's
+row next to it, which folds the block's fixed Schur term into that
+corner of the forced block's diagonal: the Hermitian part of A is at
+least I, which gives every pivot a real part of at least 1.  Each step
+sweeps every outer block in toward the forced block with one
+unit-triangular BLAS ?tbsv and a multiply by its reciprocal pivots (no
+complex division), solves the forced block with _gtsv_solve, and sweeps
+back out with one more ?tbsv per outer block.  Its steps therefore agree
+with a full ?gtsv solve up to rounding, not bitwise.
 No kernel calls another public kernel, so wrapping the module attributes
 (as a tracer does) gives one span per outside call: one
 kernels.cn_step_loop span covers a whole run of steps.
@@ -69,7 +73,7 @@ def _gtsv(dtype):
 _stebz, _stein, _pttrf = get_lapack_funcs(("stebz", "stein", "pttrf"), dtype=np.float64)
 _dtbsv = get_blas_funcs(("tbsv",), dtype=np.float64)[0]
 # the CN matrix is always complex
-_ztbsv, _zaxpy = get_blas_funcs(("tbsv", "axpy"), dtype=np.complex128)
+_ztbsv = get_blas_funcs(("tbsv",), dtype=np.complex128)[0]
 
 
 def _gtsv_solve(dl, d, du, b, *, scratch=False):
@@ -80,9 +84,9 @@ def _gtsv_solve(dl, d, du, b, *, scratch=False):
     input (see _require_finite).  The arguments are copied and passed to
     LAPACK ?gtsv (Gaussian elimination with partial pivoting), and the
     solution is a new array.  With scratch=True, d and b are not copied
-    when ?gtsv can work in them: their contents are then lost, and the
-    solution may be b itself.  An exactly singular matrix raises
-    numpy.linalg.LinAlgError.
+    when ?gtsv can work in them (contiguous, of the solve's dtype): their
+    contents are then lost, and the solution is b itself.  An exactly
+    singular matrix raises numpy.linalg.LinAlgError.
     """
     gtsv = _gtsv(np.result_type(dl, d, du, b, np.float64))
     _, _, _, x, info = gtsv(dl, d, du, b, overwrite_d=scratch, overwrite_b=scratch)
@@ -216,18 +220,18 @@ def _positive_definite(d, e) -> bool:
 def _even_block(d, off):
     """Diagonal and off-diagonal of the even block of a mirrored tridiagonal matrix.
 
-    d is the diagonal on all n = 2c + 1 rows, reading the same reversed,
-    and off the off-diagonal: one value, or its first c values (of n - 1
-    that read the same reversed).  The even block is rows 0..c in the orthonormal even
+    The matrix has n = 2c + 1 rows and reads the same reversed; d is its
+    diagonal on rows 0..c, and off its off-diagonal: one value, or its
+    first c values.  The even block is rows 0..c in the orthonormal even
     basis, whose coordinates are sqrt(2) times the node value on nodes
     j < c and the node value on node c (_even_scale): the mirror row c at
     x = 0 and row c-1 couple by sqrt(2) off both ways, so the block is
-    symmetric, or complex symmetric, as the full matrix is.
+    symmetric, or complex symmetric, as the full matrix is.  d is returned
+    as it is, with the block's off-diagonal.
     """
-    c = d.shape[0] // 2
-    e = np.full(c, off, dtype=d.dtype)
+    e = np.full(d.shape[0] - 1, off, dtype=d.dtype)
     e[-1] *= math.sqrt(2.0)
-    return d[: c + 1], e
+    return d, e
 
 
 @lru_cache(maxsize=8)
@@ -275,7 +279,7 @@ def _lowest_eigenpair_by_parity(d, e):
     vl = gl - 2.1 * n * np.finfo(float).eps * max(abs(gl), abs(gu))
     if vl >= 0.0:
         return 0, None, None
-    count, lam, u = _lowest_eigenpair(*_even_block(d, e[:c]), vl)
+    count, lam, u = _lowest_eigenpair(*_even_block(d[: c + 1], e[:c]), vl)
     if count == 0:
         return 0, None, None
     if not _positive_definite(d[:c], e[: c - 1]):
@@ -450,6 +454,19 @@ def _factor_unpivoted(e, d):
     return np.array(m, dtype=np.complex128), np.array(p, dtype=np.complex128)
 
 
+def _sweep_bands(m):
+    """?tbsv band storage of the unit-lower and unit-upper bidiagonal matrices with m off the diagonal.
+
+    Fortran order, as BLAS reads it: the lower one holds m below its
+    (unread) unit diagonal, the upper one m above it.
+    """
+    lower = np.ones((2, m.shape[0] + 1), dtype=np.complex128, order="F")
+    lower[1, :-1] = m
+    upper = np.ones_like(lower)
+    upper[0, 1:] = m
+    return lower, upper
+
+
 def cn_step_loop(off, diag_h, sigma, beta, eps, mu, dt, t0, nsteps, phi, *, record=None):
     """Advance the forced Schrodinger equation by nsteps Crank-Nicolson steps.
 
@@ -463,27 +480,31 @@ def cn_step_loop(off, diag_h, sigma, beta, eps, mu, dt, t0, nsteps, phi, *, reco
     With A = I + X, X = (i dt/2)(H - i sigma + forcing), the CN map is
     A^-1 (I - X) = 2 A^-1 - I, so each step solves A chi = 2 phi and sets
     phi to chi - phi; no right-hand side (I - X) phi is formed.  The
-    Hermitian part of A is I + (dt/2) sigma >= I.  Every Schur complement
-    of A keeps that bound, so the blocks below are nonsingular and LU
-    without pivoting exists with every pivot p of real part >= 1 (and
-    |1/p| <= 1).
+    Hermitian part of A is I + (dt/2) sigma >= I, whatever the forcing.
+    Every Schur complement of A keeps that bound, so the blocks below are
+    nonsingular and LU without pivoting exists with every pivot p of real
+    part >= 1 (and |1/p| <= 1).
 
     Between steps A changes only on the diagonal of the forced block C =
     rows lo:hi (_forced_block); the outer blocks L = rows :lo and R =
-    rows hi: are fixed.  Once per call, L and R are factored without
-    pivoting (_factor_unpivoted) as one matrix that has the identity on
-    C's rows, the reciprocal pivots are formed, the responses u of L and
-    R to their couplings with C are solved for, and the two fixed Schur
-    corrections are folded into C's corner diagonal entries.  Each step
-    then solves L and R by one unit-lower BLAS ?tbsv sweep, a multiply by
-    the reciprocal pivots and one unit-upper ?tbsv sweep, with no complex
-    division; moves their coupling into C's corner right-hand sides;
-    solves the small corrected system on C with _gtsv_solve; and sets
-    phi_L = y_L - chi[lo] u_L - phi_L and phi_R = y_R - chi[hi-1] u_R -
-    phi_R.  The result agrees with solving (I + X) phi_new = (I - X) phi
-    by one full ?gtsv per step up to rounding, not bitwise.  When beta
-    reaches both grid ends there is no outer block, and the step is one
-    ?gtsv solve of the whole system.
+    rows hi: are fixed.  The step is one block elimination toward C.
+    Once per call, L is factored top-down and R bottom-up, each without
+    pivoting (_factor_unpivoted) and together with the row of C next to
+    it, so that the last pivot of each factorization is C's corner
+    diagonal less the block's fixed Schur term b^2/p (b the coupling, p
+    the block's pivot next to C); the forcing-free diagonal of C and
+    hb = (i dt/2) eps beta on C are formed too.  Each step forms C's
+    diagonal as that fixed part plus cos(mu t_mid) hb; sweeps each outer
+    block in toward C by one unit-triangular BLAS ?tbsv, whose last row
+    is the block's update of C's corner right-hand side, and multiplies
+    the block's rows by its reciprocal pivots (no complex division);
+    solves C with _gtsv_solve; sweeps each outer block back out by one
+    unit-triangular ?tbsv from C's solved corner; and sets phi = chi -
+    phi by one subtraction over all rows.  The sweeps and the solve work
+    in place in contiguous views of one buffer.  The result agrees with
+    solving (I + X) phi_new = (I - X) phi by one full ?gtsv per step up
+    to rounding, not bitwise.  When beta reaches both grid ends there is
+    no outer block, and the step is one ?gtsv solve of the whole system.
 
     The operands are checked once per call (a NaN or inf raises
     ValueError); the steps then reuse one set of buffers.  If given,
@@ -496,76 +517,39 @@ def cn_step_loop(off, diag_h, sigma, beta, eps, mu, dt, t0, nsteps, phi, *, reco
     half = 0.5j * dt
     hoff = half * np.broadcast_to(off, n - 1)  # the off-diagonal of A
     lo, hi = _forced_block(beta)
-    beta_c = beta[lo:hi]
-    base_c = diag_h[lo:hi] - 1j * sigma[lo:hi]
-    hdl_c = hoff[lo : hi - 1]
-    # A's diagonal on C is one_c + half * (base_c + forcing), one_c being
-    # 1 less the Schur corrections at C's two corners
-    one_c = np.ones(hi - lo, dtype=np.complex128)
-    has_left, has_right = lo > 0, hi < n
-    outer = has_left or has_right
-    if outer:
-        # L and R as one matrix, decoupled from C by identity rows
-        odl = hoff.copy()
-        odl[max(lo - 1, 0) : hi] = 0.0
-        od = 1.0 + half * (diag_h - 1j * sigma)
-        od[lo:hi] = 1.0
-        m, p = _factor_unpivoted(odl, od)
-        rp = 1.0 / p
-        # ?tbsv band storage (Fortran order, as BLAS reads it) of the
-        # unit-lower L, m below the diagonal, and of the unit-upper
-        # D^-1 U, m above it; the unit diagonals are not read
-        lower = np.ones((2, n), dtype=np.complex128, order="F")
-        lower[1, :-1] = m
-        upper = np.ones((2, n), dtype=np.complex128, order="F")
-        upper[0, 1:] = m
-
-        def solve_outer(b):
-            b = _ztbsv(1, lower, b, lower=1, diag=1, overwrite_x=1)
-            np.multiply(b, rp, out=b)
-            return _ztbsv(1, upper, b, diag=1, overwrite_x=1)
-
-        # u on L is A_L^-1 times L's column of couplings to C (hoff_l in
-        # its last row), on R likewise (hoff_r in R's first row)
-        hoff_l = complex(hoff[lo - 1]) if has_left else 0j
-        hoff_r = complex(hoff[hi - 1]) if has_right else 0j
-        u = np.zeros(n, dtype=np.complex128)
-        if has_left:
-            u[lo - 1] = hoff_l
-        if has_right:
-            u[hi] = hoff_r
-        u = solve_outer(u)
-        if has_left:
-            one_c[0] -= hoff_l * u[lo - 1]
-        if has_right:
-            one_c[-1] -= hoff_r * u[hi]
-    forcing = np.empty(hi - lo)
-    a_c = np.empty(hi - lo, dtype=np.complex128)
+    a0 = 1.0 + half * (diag_h - 1j * sigma)  # A's diagonal without the forcing
     y = np.empty(n, dtype=np.complex128)
+    # per outer block: its rows with C's corner row and its own rows, as
+    # views of y, its reciprocal pivots, and the (band, lower) of its in
+    # and out sweeps
+    blocks = []
+    if lo > 0:  # L and C's first row, top-down
+        m, p = _factor_unpivoted(hoff[:lo], a0[: lo + 1])
+        a0[lo] = p[-1]
+        lower, upper = _sweep_bands(m)
+        blocks.append((y[: lo + 1], y[:lo], 1.0 / p[:-1], (lower, 1), (upper, 0)))
+    if hi < n:  # R and C's last row, bottom-up
+        m, p = _factor_unpivoted(hoff[hi - 1 :][::-1], a0[hi - 1 :][::-1])
+        a0[hi - 1] = p[-1]
+        lower, upper = _sweep_bands(m[::-1])
+        blocks.append((y[hi - 1 :], y[hi:], 1.0 / p[-2::-1], (upper, 0), (lower, 1)))
+    a0_c = a0[lo:hi]
+    hb = (half * eps) * beta[lo:hi]
+    hdl_c = hoff[lo : hi - 1]
+    a_c = np.empty(hi - lo, dtype=np.complex128)
+    y_c = y[lo:hi]
     t = t0
     for i in range(nsteps):
-        c = np.cos(mu * (t + 0.5 * dt))
-        np.multiply(eps * c, beta_c, out=forcing)
-        np.add(base_c, forcing, out=a_c)
-        np.multiply(half, a_c, out=a_c)
-        np.add(one_c, a_c, out=a_c)
+        np.multiply(hb, math.cos(mu * (t + 0.5 * dt)), out=a_c)
+        np.add(a_c, a0_c, out=a_c)
         np.multiply(2.0, phi, out=y)
-        if outer:
-            y = solve_outer(y)  # y_L, y_R; C's rows kept
-            if has_left:
-                y[lo] -= hoff_l * y[lo - 1]
-            if has_right:
-                y[hi - 1] -= hoff_r * y[hi]
-        x_c = _gtsv_solve(hdl_c, a_c, hdl_c, y[lo:hi], scratch=True)  # chi_C
-        # chi_L = y_L - chi[lo] u_L and chi_R = y_R - chi[hi-1] u_R, in y;
-        # then phi = chi - phi
-        if has_left:
-            y = _zaxpy(u, y, n=lo, a=-x_c[0])
-            np.subtract(y[:lo], phi[:lo], out=phi[:lo])
-        if has_right:
-            y = _zaxpy(u, y, n=n - hi, offx=hi, offy=hi, a=-x_c[-1])
-            np.subtract(y[hi:], phi[hi:], out=phi[hi:])
-        np.subtract(x_c, phi[lo:hi], out=phi[lo:hi])
+        for rows, own, rp, (band, low), _ in blocks:
+            _ztbsv(1, band, rows, lower=low, diag=1, overwrite_x=1)
+            np.multiply(own, rp, out=own)
+        _gtsv_solve(hdl_c, a_c, hdl_c, y_c, scratch=True)  # chi_C, in y_c
+        for rows, _, _, _, (band, low) in blocks:
+            _ztbsv(1, band, rows, lower=low, diag=1, overwrite_x=1)
+        np.subtract(y, phi, out=phi)
         t += dt
         if record is not None:
             record(i, t)

@@ -77,22 +77,28 @@ __all__ = [
 ]
 
 
-def _stencil(V: PotentialField, shift: float = 0.0, ghost: complex | None = None):
-    """Diagonal (on every node) and off-diagonal of the 3-point H_V - shift.
+def _stencil(V: PotentialField, shift: float = 0.0, ghost: complex | None = None,
+             *, even: bool = False):
+    """Diagonal and off-diagonal of the 3-point H_V - shift.
 
-    The diagonal is 2/h^2 + V - shift and the off-diagonal -1/h^2.  With
-    ghost, both end rows eliminate a ghost node u_ghost = ghost * u_end, so
-    their diagonal is (2 - ghost)/h^2 + V - shift, complex when ghost is.
+    The diagonal is 2/h^2 + V - shift on every node and the off-diagonal
+    -1/h^2.  With ghost, both end rows eliminate a ghost node u_ghost =
+    ghost * u_end, so their diagonal is (2 - ghost)/h^2 + V - shift,
+    complex when ghost is.  With even, the diagonal is built on nodes 0..c
+    of a grid of n = 2c + 1 nodes only, the rows of the even block
+    (kernels._even_block), with the same expression per entry; node 0 is
+    then its one end row.
     """
     h = V.grid.h
-    d = 2.0 / h**2 + V.values
+    v = V.values[: V.grid.n // 2 + 1] if even else V.values
+    d = 2.0 / h**2 + v
     if shift:
         d -= shift
     if ghost is not None:
         if isinstance(ghost, complex):
             d = d.astype(np.complex128)
-        for j in (0, -1):
-            d[j] = (2.0 - ghost) / h**2 + V.values[j] - shift
+        for j in (0,) if even else (0, -1):
+            d[j] = (2.0 - ghost) / h**2 + v[j] - shift
     return d, -1.0 / h**2
 
 
@@ -336,9 +342,11 @@ def has_eigenvalue_at_or_below(V: PotentialField, energy: float) -> bool:
     margin = 4.0 * np.finfo(float).eps * (2.0 / V.grid.h**2 + abs(energy))
     if float(V.values[1:-1].min()) - energy > margin:
         return False
-    d, e = _dirichlet_rows(V)
-    if _even_half(V):
-        d, e = _even_block(d, e[: d.shape[0] // 2])
+    if _even_half(V):  # the even block of the interior rows: nodes 1..c
+        d, off = _stencil(V, even=True)
+        d, e = _even_block(d[1:], off)
+    else:
+        d, e = _dirichlet_rows(V)
     return not kernels._positive_definite(d - energy, e)
 
 
@@ -367,7 +375,7 @@ def _outgoing_system(V: PotentialField, k: float, even: bool = False):
     """
     h = V.grid.h
     q = lattice_wavenumber(k, h)
-    d, off = _stencil(V, k * k, np.exp(1j * q * h))
+    d, off = _stencil(V, k * k, np.exp(1j * q * h), even=even)
     if even:
         d, dl = _even_block(d, off)
     else:
@@ -464,7 +472,7 @@ def reduced_resolvent_at_eigenvalue(
     # discrete decay rate: 2(cosh(kq h) - 1)/h^2 = -lam, exact for the
     # free lattice mode e^{-kq |x|}; ghost elimination as in _outgoing_system
     kq = np.arccosh(1.0 - lam * h * h / 2.0) / h
-    d, off = _stencil(V, lam, np.exp(-kq * h))
+    d, off = _stencil(V, lam, np.exp(-kq * h), even=even)
     if even:  # in orthonormal even coordinates
         d, dl = _even_block(d, off)
         s = _even_scale(rows)

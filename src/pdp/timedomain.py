@@ -66,7 +66,12 @@ class Absorber:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Forcing, integration horizon and absorbing layer for one run."""
+    """Forcing, integration horizon and absorbing layer for one run.
+
+    nsteps, the number of time steps, is ceil(t_final / dt_max).  A count
+    that is not finite, or for which numpy cannot size the run's three
+    float64 series of nsteps + 1 samples, raises ValueError here.
+    """
 
     epsilon: float
     mu: float
@@ -74,12 +79,20 @@ class SimConfig:
     dt_max: float = 0.05
     absorber: Absorber = Absorber()
     domain: Grid = field(default_factory=lambda: make_grid(-60.0, 60.0, 3001))
+    nsteps: int = field(init=False)
 
     def __post_init__(self):
         if self.t_final <= 0 or self.dt_max <= 0:
             raise ValueError("t_final and dt_max must be positive")
         if not 0 < self.absorber.width < 0.5 * (self.domain.x_max - self.domain.x_min):
             raise ValueError("absorber layers must fit inside the domain")
+        steps = self.t_final / self.dt_max
+        # numpy sizes an array only while its byte count fits in intp
+        if not math.isfinite(steps) or 8 * (math.ceil(steps) + 1) > np.iinfo(np.intp).max:
+            raise ValueError(
+                f"t_final / dt_max gives {steps:.6g} time steps, too many to record"
+            )
+        object.__setattr__(self, "nsteps", math.ceil(steps))
 
 
 @dataclass
@@ -158,14 +171,14 @@ def propagate(
         scale = _even_scale(c + 1)
         phi = phi[: c + 1] * scale
         w_psi = w_psi[: c + 1] * scale
-        diag_h, off = _even_block(diag_h, off)
+        diag_h, off = _even_block(diag_h[: c + 1], off)
         sigma, beta_v = sigma[: c + 1], beta_v[: c + 1]
         # x is exactly odd, so the interior is mirrored and holds x = 0;
         # |u_j|^2 = 2 |phi_j|^2 for j < c counts both mirror nodes
         interior = slice(interior.start, c + 1)
     w_psi = w_psi.astype(np.complex128)
 
-    nsteps = int(np.ceil(cfg.t_final / cfg.dt_max))
+    nsteps = cfg.nsteps
     dt = cfg.t_final / nsteps
     times = np.empty(nsteps + 1)
     proj = np.empty(nsteps + 1)

@@ -852,6 +852,32 @@ class TestSimulateAndFilter:
         assert "a = 12.0" in err
 
     @pytest.mark.parametrize("command", ["simulate", "filter"])
+    @pytest.mark.parametrize(
+        "simulator",
+        [{"dt_max": 1e-300}, {"t_final": 1e308, "dt_max": 1e-10}],
+        ids=["too_many_steps", "infinite_steps"],
+    )
+    def test_step_count_numpy_cannot_size_exits_4_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, command, simulator
+    ):
+        # these used to solve the ground state and then end in numpy's
+        # ValueError (4e301 steps) or an OverflowError (an infinite count)
+        # with exit 1, the code of a failed gradient check
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the command solved before checking its step count")
+
+        for module, name in (
+            (fgr, "gamma"), (cli, "solve_ground_state"),
+            (timedomain, "propagate"), (timedomain, "filter_experiment"),
+        ):
+            monkeypatch.setattr(module, name, unreachable)
+        cfgp = write_config(tmp_path, "sim.json", {"simulator": simulator})
+        assert main([command, "--config", cfgp]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad simulator section: t_final / dt_max")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "filter"])
     def test_invalid_beta_mode_exit_code(self, tmp_path, capsys, command):
         # beta is taken from the design parameters, as evaluate takes it,
         # so an unknown mode is a config error here too, not the indicator

@@ -416,8 +416,32 @@ class TestCnStepLoop:
             t = t_next
         return fields, t
 
-    def test_one_call_equals_single_steps_and_plain_expression(self):
+    def _layout(self, name):
+        """Operands whose forced block leaves both outer blocks, the left or the right one."""
         off, diag_h, sigma, beta, phi0 = self._operands()
+        n = len(phi0)
+        x = 0.1 * (np.arange(n) - n // 2)
+        if name == "left_only":
+            # the even half as pdp.timedomain steps it: rows 0..c, sqrt(2)
+            # times the coupling of the last pair, the forced block at the centre
+            c = n // 2
+            off_rows = np.full(c, off)
+            off_rows[-1] *= np.sqrt(2.0)
+            return off_rows, diag_h[: c + 1], sigma[: c + 1], beta[: c + 1], phi0[: c + 1]
+        if name == "right_only":
+            beta = (x <= -7.0).astype(float)
+        return off, diag_h, sigma, beta, phi0
+
+    @pytest.mark.parametrize(
+        "layout, outer",
+        [("both_blocks", (True, True)), ("left_only", (True, False)),
+         ("right_only", (False, True))],
+        ids=["both_blocks", "left_only", "right_only"],
+    )
+    def test_one_call_equals_single_steps_and_plain_expression(self, layout, outer):
+        off, diag_h, sigma, beta, phi0 = self._layout(layout)
+        lo, hi = kernels._forced_block(beta)
+        assert (lo > 0, hi < len(phi0)) == outer
         nsteps = 40
         single, t_single = self._single_steps_against_plain(
             off, diag_h, sigma, beta, phi0, nsteps
@@ -519,7 +543,8 @@ class TestCnStepLoop:
         n, h = len(phi0), 0.1
         x = h * (np.arange(n) - n // 2)
         diag_h = diag_h + np.where((np.abs(x) > 4.0) & (np.abs(x) < 5.0), -1.5 / h**2, 0.0)
-        # the outer matrix of cn_step_loop: identity rows on the forced block
+        # the outer blocks of cn_step_loop, decoupled here by identity rows on
+        # the forced block
         lo, hi = kernels._forced_block(beta)
         half = 0.5j * self.DT
         odl = np.full(n - 1, half * off, dtype=np.complex128)

@@ -273,6 +273,52 @@ def test_blas_and_lapack_are_reached_only_through_kernels():
     assert found == []
 
 
+def _fetched_routines(tree: ast.Module) -> list[str]:
+    """Names that an assignment in tree binds from get_blas_funcs or get_lapack_funcs.
+
+    Each target name of an assignment whose value calls either counts,
+    tuple unpackings included.
+    """
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(sub, ast.Call)
+            and getattr(sub.func, "id", getattr(sub.func, "attr", None))
+            in ("get_blas_funcs", "get_lapack_funcs")
+            for sub in ast.walk(node.value)
+        ):
+            out += [n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return out
+
+
+def test_fetched_routine_rule_sees_unpackings_and_subscripts():
+    tree = ast.parse(
+        "a, b = get_lapack_funcs(('x', 'y'))\n"
+        "c = scipy.linalg.get_blas_funcs(('z',))[0]\n"
+        "d = len(e)\n"
+    )
+    assert _fetched_routines(tree) == ["a", "b", "c"]
+
+
+def test_every_routine_kernels_fetches_is_read():
+    # a BLAS or LAPACK routine that pdp.kernels fetches but no code calls
+    # is a dead fetch; the private-name rule does not see the names of a
+    # tuple unpacking
+    read = {
+        name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for name in (
+            [node.id] if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            else [node.attr] if isinstance(node, ast.Attribute)
+            else []
+        )
+    }
+    fetched = _fetched_routines(ast.parse((SRC / "kernels.py").read_text()))
+    assert fetched
+    assert sorted(set(fetched) - read) == []
+
+
 def _pdp_imports(body) -> dict[str, str]:
     """local name -> dotted pdp path of each `from pdp... import` in body,
     nested definitions aside."""

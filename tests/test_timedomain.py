@@ -50,6 +50,18 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             cfg_for(sim_grid, absorber=Absorber(width=15.0, strength=-40.0))
 
+    def test_step_count(self, sim_grid):
+        assert cfg_for(sim_grid, t_final=5.0, dt_max=0.05).nsteps == 100
+        assert cfg_for(sim_grid, t_final=5.0, dt_max=0.3).nsteps == 17
+
+    @pytest.mark.parametrize(
+        "t_final, dt_max", [(40.0, 1e-300), (1e308, 1e-10)], ids=["too_many", "infinite"]
+    )
+    def test_step_count_numpy_cannot_size_raises_value_error(self, sim_grid, t_final, dt_max):
+        # 4e301 steps, and an infinite count; each raised only in propagate
+        with pytest.raises(ValueError, match="too many to record"):
+            cfg_for(sim_grid, t_final=t_final, dt_max=dt_max)
+
 
 class TestAbsorberProfile:
     def test_zero_in_interior_and_full_at_walls(self, sim_grid):
