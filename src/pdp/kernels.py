@@ -2,7 +2,18 @@
 
 ``BACKEND`` names the implementation and is recorded with benchmark runs.
 Every BLAS and LAPACK routine that pdp calls is fetched here, once; other
-modules reach them only through this one.
+modules reach them only through this one.  They are the seven f2py
+routines dgtsv, zgtsv, dstebz, dstein, dpttrf, dtbsv and ztbsv, bound
+straight off scipy's compiled scipy.linalg._flapack and _fblas modules.
+_linalg_extension loads those two from scipy's linalg directory and
+registers them in sys.modules under their own names, so that
+scipy/linalg/__init__.py never runs: that package init imports some 300
+modules pdp does not use (numpy.f2py and numpy.testing among them), which
+took most of the start-up time of a pdp command.  `import scipy` stays,
+for the path to scipy's bundled OpenBLAS that its init sets up on some
+platforms.  The routines are the very objects that
+scipy.linalg.get_lapack_funcs and get_blas_funcs return, and a later
+`import scipy.linalg` reuses the registered modules.
 
 _lowest_eigenpair gives the ground state of a symmetric tridiagonal
 matrix and the number of its negative eigenvalues.  A coarse LAPACK
@@ -50,11 +61,15 @@ No kernel calls another public kernel, so wrapping the module attributes
 (as a tracer does) gives one span per outside call: one
 kernels.cn_step_loop span covers a whole run of steps.
 """
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
+import scipy
 
 __all__ = [
     "march_half_bound",
@@ -64,16 +79,48 @@ __all__ = [
 BACKEND = "python"
 
 
-@lru_cache(maxsize=None)
-def _gtsv(dtype):
-    """LAPACK ?gtsv for one dtype (dgtsv or zgtsv)."""
-    return get_lapack_funcs(("gtsv",), dtype=dtype)[0]
+# where scipy keeps its compiled linalg modules; `import scipy` above has
+# set up the path to its bundled OpenBLAS
+_LINALG_DIR = os.path.join(os.path.dirname(scipy.__file__), "linalg")
 
 
-_stebz, _stein, _pttrf = get_lapack_funcs(("stebz", "stein", "pttrf"), dtype=np.float64)
-_dtbsv = get_blas_funcs(("tbsv",), dtype=np.float64)[0]
+def _linalg_extension(name):
+    """The compiled module scipy.linalg.<name>, loaded without scipy.linalg's init.
+
+    A module already in sys.modules under that name is reused; otherwise
+    the extension file in _LINALG_DIR is loaded and registered there, so a
+    later `import scipy.linalg` finds this very module.  When the file is
+    not there, the module is imported the ordinary way.
+    """
+    fullname = f"scipy.linalg.{name}"
+    if fullname not in sys.modules:
+        finder = importlib.machinery.FileFinder(
+            _LINALG_DIR,
+            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+        )
+        spec = finder.find_spec(fullname)
+        if spec is None:
+            return importlib.import_module(fullname)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[fullname] = module
+    return sys.modules[fullname]
+
+
+_flapack = _linalg_extension("_flapack")
+_fblas = _linalg_extension("_fblas")
+_dgtsv, _zgtsv = _flapack.dgtsv, _flapack.zgtsv
+_stebz, _stein, _pttrf = _flapack.dstebz, _flapack.dstein, _flapack.dpttrf
+_dtbsv = _fblas.dtbsv
 # the CN matrix is always complex
-_ztbsv = get_blas_funcs(("tbsv",), dtype=np.complex128)[0]
+_ztbsv = _fblas.ztbsv
+
+
+def _gtsv(dtype):
+    """LAPACK ?gtsv for one numpy dtype: zgtsv for a complex one, dgtsv
+    otherwise, as scipy.linalg.get_lapack_funcs picks for float64 and
+    complex128."""
+    return _zgtsv if dtype.kind == "c" else _dgtsv
 
 
 def _gtsv_solve(dl, d, du, b, *, scratch=False):

@@ -1,9 +1,13 @@
 """Kernel correctness against library oracles and conservation laws."""
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal, lapack, solve_banded
+import scipy.linalg
+from scipy.linalg import eigh_tridiagonal, get_blas_funcs, get_lapack_funcs, lapack, solve_banded
 
 import oracles
 from pdp import kernels
@@ -34,6 +38,65 @@ def _banded_oracle(dl, d, du, b):
     ab[1] = d
     ab[2, :-1] = dl
     return solve_banded((1, 1), ab, b)
+
+
+class TestLinalgRoutines:
+    # pdp.kernels binds its BLAS and LAPACK routines off scipy's compiled
+    # modules without scipy.linalg's package init; they must be the very
+    # objects that scipy.linalg hands out, so every solve keeps its bits
+
+    def test_routines_are_the_ones_scipy_linalg_returns(self):
+        f64, c128 = np.dtype(np.float64), np.dtype(np.complex128)
+        assert kernels._gtsv(f64) is get_lapack_funcs(("gtsv",), dtype=f64)[0]
+        assert kernels._gtsv(c128) is get_lapack_funcs(("gtsv",), dtype=c128)[0]
+        stebz, stein, pttrf = get_lapack_funcs(("stebz", "stein", "pttrf"), dtype=f64)
+        assert kernels._stebz is stebz
+        assert kernels._stein is stein
+        assert kernels._pttrf is pttrf
+        assert kernels._dtbsv is get_blas_funcs(("tbsv",), dtype=f64)[0]
+        assert kernels._ztbsv is get_blas_funcs(("tbsv",), dtype=c128)[0]
+
+    def test_loaded_modules_are_the_ones_scipy_linalg_uses(self):
+        assert kernels._linalg_extension("_flapack") is kernels._flapack
+        assert sys.modules["scipy.linalg._flapack"] is kernels._flapack
+        assert sys.modules["scipy.linalg._fblas"] is kernels._fblas
+        assert scipy.linalg.lapack._flapack is kernels._flapack
+        assert scipy.linalg.blas._fblas is kernels._fblas
+
+    def test_extension_not_in_the_scanned_directory_is_imported(self, monkeypatch, tmp_path):
+        # scipy.linalg is imported at the top of this module, so the
+        # ordinary import finds the extension through the package; the
+        # module it registers is put back afterwards
+        monkeypatch.setattr(kernels, "_LINALG_DIR", str(tmp_path))
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(scipy.linalg, "_flapack", None, raising=False)
+        flapack = kernels._linalg_extension("_flapack")
+        assert flapack is not kernels._flapack
+        assert flapack is sys.modules["scipy.linalg._flapack"]
+        for name in ("dgtsv", "zgtsv", "dstebz", "dstein", "dpttrf"):
+            assert getattr(flapack, name) is getattr(kernels._flapack, name)
+
+    def test_importing_pdp_skips_scipy_linalg_init(self):
+        # a fresh interpreter: the CLI pulls in every pdp module
+        code = (
+            "import sys\n"
+            "import pdp.cli\n"
+            "from pdp import kernels\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "assert 'numpy.f2py' not in sys.modules\n"
+            "import scipy.linalg\n"
+            "assert scipy.linalg.get_lapack_funcs(('stebz',), dtype=float)[0] is kernels._stebz\n"
+        )
+        src = os.path.dirname(os.path.dirname(kernels.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestTrisolve:

@@ -246,38 +246,72 @@ def test_unread_parameter_rule_sees_functions_and_lambdas():
     assert _unread_parameters(tree, "m") == ["m:1 f.V", "m:4 <lambda>.z"]
 
 
+# what only pdp.kernels may name: scipy.linalg, its fetch functions, the
+# compiled modules that kernels loads and the loader it uses
+_LINALG_NAMES = (
+    "get_blas_funcs", "get_lapack_funcs", "_flapack", "_fblas",
+    "_linalg_extension", "FileFinder", "ExtensionFileLoader",
+)
+
+
+def _linalg_references(tree: ast.Module, module: str) -> list[str]:
+    """module:line name of each import or name in tree that reaches BLAS or LAPACK."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [ast.unparse(node)]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        found += [
+            f"{module}:{node.lineno} {name}"
+            for name in names
+            if name.startswith("scipy.linalg") or name.split(".")[-1] in _LINALG_NAMES
+        ]
+    return found
+
+
 def test_blas_and_lapack_are_reached_only_through_kernels():
     # pdp.kernels fetches every BLAS and LAPACK routine that pdp calls, so
     # that a second copy of a routine, or a backend change, has one place
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.stem == "kernels":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [f"{node.module}.{alias.name}" for alias in node.names]
-            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                names = [f"{node.value.id}.{node.attr}"]
-            elif isinstance(node, ast.Name):
-                names = [node.id]
-            else:
-                continue
-            found += [
-                f"{path.stem}:{node.lineno} {name}"
-                for name in names
-                if name.startswith("scipy.linalg")
-                or name.split(".")[-1] in ("get_blas_funcs", "get_lapack_funcs")
-            ]
+        if path.stem != "kernels":
+            found += _linalg_references(ast.parse(path.read_text(), str(path)), path.stem)
     assert found == []
 
 
-def _fetched_routines(tree: ast.Module) -> list[str]:
-    """Names that an assignment in tree binds from get_blas_funcs or get_lapack_funcs.
+def test_linalg_rule_sees_fetches_extension_modules_and_the_loader():
+    tree = ast.parse(
+        "from scipy.linalg import lapack\n"
+        "f = get_lapack_funcs(('gtsv',))\n"
+        "g = kernels._flapack.dgtsv\n"
+        "h = importlib.machinery.FileFinder(d)\n"
+        "from importlib.machinery import ExtensionFileLoader\n"
+        "m = kernels._linalg_extension('_fblas')\n"
+        "n = np.linalg.norm(x)\n"
+    )
+    assert sorted(_linalg_references(tree, "m")) == [
+        "m:1 scipy.linalg.lapack",
+        "m:2 get_lapack_funcs",
+        "m:3 kernels._flapack",
+        "m:4 importlib.machinery.FileFinder",
+        "m:5 importlib.machinery.ExtensionFileLoader",
+        "m:6 kernels._linalg_extension",
+    ]
 
-    Each target name of an assignment whose value calls either counts,
-    tuple unpackings included.
+
+def _fetched_routines(tree: ast.Module) -> list[str]:
+    """Names that an assignment in tree binds from a BLAS or LAPACK routine.
+
+    Each target name of an assignment whose value calls get_blas_funcs or
+    get_lapack_funcs, or reads an attribute of the compiled module _flapack
+    or _fblas, counts, tuple unpackings included.
     """
     out = []
     for node in ast.walk(tree):
@@ -285,6 +319,8 @@ def _fetched_routines(tree: ast.Module) -> list[str]:
             isinstance(sub, ast.Call)
             and getattr(sub.func, "id", getattr(sub.func, "attr", None))
             in ("get_blas_funcs", "get_lapack_funcs")
+            or isinstance(sub, ast.Attribute)
+            and getattr(sub.value, "id", getattr(sub.value, "attr", None)) in ("_flapack", "_fblas")
             for sub in ast.walk(node.value)
         ):
             out += [n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
@@ -296,8 +332,11 @@ def test_fetched_routine_rule_sees_unpackings_and_subscripts():
         "a, b = get_lapack_funcs(('x', 'y'))\n"
         "c = scipy.linalg.get_blas_funcs(('z',))[0]\n"
         "d = len(e)\n"
+        "f, g = _flapack.dgtsv, scipy.linalg._fblas.dtbsv\n"
+        "h = _fblas\n"
+        "_flapack = _linalg_extension('_flapack')\n"
     )
-    assert _fetched_routines(tree) == ["a", "b", "c"]
+    assert _fetched_routines(tree) == ["a", "b", "c", "f", "g"]
 
 
 def test_every_routine_kernels_fetches_is_read():
