@@ -556,7 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--potential", help="starting potential CSV (default: config init)")
     p.add_argument("--symmetric", action="store_const", const=True,
-                   help="optimize in the symmetric subspace")
+                   help="start from the mirror average of the start potential "
+                        "(needs a centred grid with odd n)")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("sweep", help="independent optimize runs over a parameter")

@@ -205,12 +205,16 @@ class builders:
     def opt_options(cfg: dict) -> OptOptions:
         with _section("optimizer"):
             opts = OptOptions(**cfg["optimizer"])  # the section's keys are its fields
-        # the symmetric descent mirrors V about the middle node, which is
-        # x = 0 only on a grid centred there
+        # the symmetric descent starts from the mirror average about x = 0
+        # and stays mirrored on the even half of the grid, nodes 0..c
         if opts.symmetric and not (grid := builders.grid(cfg)).centred:
             raise ConfigError(
                 "optimizer.symmetric needs a grid centred at 0 (x_min = -x_max), "
                 f"got the off-centre grid [{grid.x_min}, {grid.x_max}]"
+            )
+        if opts.symmetric and grid.n % 2 == 0:
+            raise ConfigError(
+                f"optimizer.symmetric needs an odd number of grid nodes, got n = {grid.n}"
             )
         return opts
 

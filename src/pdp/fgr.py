@@ -37,13 +37,14 @@ reads the two only through their data:
     rows             n                       c + 1
     waves            (e_+, e_-)              (e_even,)
     coefficients     conj(m_+), conj(m_-)    2 conj(m)
-    mirror weights   W = 1                   W = (2, ..., 2, 1)
+    mirror weights   W = 1                   kernels._mirror_weights
     outgoing rows    {0, n - 1}              {0}
 
-and adds the terms of each sum left to right over the waves, so on the
-even half Gamma = 2|m|^2/16k = |m|^2/8k exactly.  The even half agrees
-with the full grid to rounding, not bitwise, and prints m_+ = m_-
-exactly.  That removes the visible m_+ != m_- of a mirror-symmetric
+(kernels._mirror_weights is W = (2, ..., 2, 1): each node j < c counts
+its mirror image) and adds the terms of each sum left to right over the
+waves, so on the even half Gamma = 2|m|^2/16k = |m|^2/8k exactly.  The
+even half agrees with the full grid to rounding, not bitwise, and prints
+m_+ = m_- exactly.  That removes the visible m_+ != m_- of a mirror-symmetric
 optimum, not its cause: m is still a difference of O(1) waves, accurate
 to about 1e-13 absolute.  gamma_jost_form keeps reading the full-grid
 e_+- as an independent check.
@@ -59,7 +60,8 @@ from operator import add
 import numpy as np
 
 from .errors import ResonanceBelowCutoff, SolverFailure
-from .grid import BetaMode, DesignParams, PotentialField, _even_half, _even_weights, _unfold, trapz
+from .grid import BetaMode, DesignParams, PotentialField, _even_half, _unfold, trapz
+from .kernels import _mirror_weights
 from .spectral import (
     BoundState,
     ScatteringState,
@@ -136,6 +138,8 @@ def _splits_by_parity(V: PotentialField, params: DesignParams) -> bool:
 
     They are when V and beta read the same reversed, bit for bit, on a
     centred grid of odd n (grid._even_half): psi is then even as well.
+    The spectral solves read this from the rows of the forcings built
+    here, and the optimizer's symmetric mode requires it of its start.
     """
     return _even_half(V, params.beta if params.beta_mode is BetaMode.FIXED else V)
 
@@ -192,8 +196,8 @@ def gamma(V: PotentialField, params: DesignParams) -> FgrResult:
     half = _splits_by_parity(V, params)
     rows = V.grid.n // 2 + 1 if half else V.grid.n
     src = params.beta_values(V)[:rows] * bs.psi[:rows]
-    st, u = distorted_plane_waves(V, k, src, even=half)
-    weights = _even_weights(V.grid) if half else V.grid.weights
+    st, u = distorted_plane_waves(V, k, src)  # on nodes 0..c when src has c + 1 rows
+    weights = _mirror_weights(rows) * V.grid.weights[:rows] if half else V.grid.weights
     m = [complex(weights @ (src * e)) for e in _solved_waves(st, half)]
     m_p, m_m = m[0], m[-1]
     rate = (abs(m_p) ** 2 + abs(m_m) ** 2) / (16.0 * k)
@@ -291,11 +295,10 @@ def _wave_k_pairings(
     ghost factor), and q' = dq/dk.  The solve A^-1 r is not needed.  A is
     complex symmetric in the orthonormal coordinates of the solved nodes,
     which are sqrt(W) times the node values, with the mirror weights W = 1
-    on the full grid and W = 2 on nodes j < c, 1 on node c, of the even
-    half (each node j < c counts its mirror image).  So in node values
-    the adjoint identity holds under W: sum W src A^-1 r = sum W rbp r
-    (reverse mode, Griewank & Walther, Evaluating Derivatives 2e (2008),
-    ch. 3).  src = beta psi is 0 on the domain's end nodes, the only
+    on the full grid and kernels._mirror_weights on the even half.  So in
+    node values the adjoint identity holds under W: sum W src A^-1 r =
+    sum W rbp r (reverse mode, Griewank & Walther, Evaluating Derivatives
+    2e (2008), ch. 3).  src = beta psi is 0 on the domain's end nodes, the only
     solved nodes whose trapezoid weight is not h W, so trapz(src u) =
     h sum W src u exactly.  Hence, summing over the outgoing rows j,
 
@@ -308,8 +311,7 @@ def _wave_k_pairings(
     ghost = -1j * qp * cmath.exp(1j * lattice_wavenumber(k, h) * h) / h
     wave, x = st.wave[:rows], grid.x[:rows]
     if half:
-        W, ends = np.full(rows, 2.0), (0,)
-        W[-1] = 1.0
+        W, ends = _mirror_weights(rows), (0,)
         free = ((wave.real, -qp * x * wave.imag),)  # cos(qx) and its k-derivative
     else:
         W, ends = 1.0, (0, -1)
@@ -360,7 +362,7 @@ def gamma_gradient(
     src = beta * psi
     pref = 1.0 / (8.0 * k)
     rbp = res.source_response
-    rbp = outgoing_resolvent_solve(V, k, src, even=half) if rbp is None else rbp[:rows]
+    rbp = outgoing_resolvent_solve(V, k, src) if rbp is None else rbp[:rows]
     waves = _solved_waves(st, half)
     # on the even half m_+ = m_- = m and e_+ + e_- = 2 e_even turn each
     # +- sum into twice its e_even term
@@ -374,7 +376,7 @@ def gamma_gradient(
     resp = np.real(_sum(terms))
 
     # d psi: psi' = -Rtilde P_c[w psi], moved onto the data by symmetry
-    g_psi = -pref * psi * reduced_resolvent_at_eigenvalue(V, bs, beta * resp, even=half)
+    g_psi = -pref * psi * reduced_resolvent_at_eigenvalue(V, bs, beta * resp)
 
     # explicit dependence of the waves on V: de = -R(k)[w e]
     g_wave = -pref * np.real(_sum([t * rbp for t in terms]))

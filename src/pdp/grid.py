@@ -168,20 +168,6 @@ def _even_half(V: PotentialField, *others) -> bool:
     )
 
 
-@lru_cache(maxsize=8)
-def _even_weights(grid: Grid) -> np.ndarray:
-    """Trapezoid weights of an even integrand given on nodes 0..c, read-only.
-
-    trapz(grid, _unfold(a)) is _even_weights(grid) @ a: each node j < c
-    counts for itself and its mirror image n - 1 - j.
-    """
-    c = grid.n // 2
-    w = 2.0 * grid.weights[: c + 1]
-    w[c] = grid.weights[c]
-    w.setflags(write=False)
-    return w
-
-
 def _unfold(half: np.ndarray) -> np.ndarray:
     """The even array on all 2c + 1 nodes whose nodes 0..c hold half."""
     return np.concatenate((half, half[-2::-1]))
@@ -221,8 +207,11 @@ class DesignParams:
             raise ValueError("fixed beta_mode requires a beta profile")
 
     def beta_values(self, V: PotentialField) -> np.ndarray:
+        """beta on V's nodes; a fixed profile on another grid raises ValueError."""
         if self.beta_mode is BetaMode.EQUALS_V:
             return np.asarray(V.values)
+        if self.beta.grid != V.grid:
+            raise ValueError(f"beta is sampled on {self.beta.grid}, V on {V.grid}")
         return np.asarray(self.beta.values)
 
 

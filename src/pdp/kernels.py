@@ -28,7 +28,8 @@ with one LDL^T pivot sweep (?pttrf, _positive_definite) when it has no
 negative eigenvalue and a Sturm count when it has.  _even_block builds
 that even block, in the orthonormal even coordinates of _even_scale, for
 the eigensolve, for pdp.spectral's even solves and for pdp.timedomain's
-even run alike.  march_half_bound marches the zero-energy 3-point
+even run alike, and _mirror_weights the one W = (2, ..., 2, 1) of its
+nodes.  march_half_bound marches the zero-energy 3-point
 recurrence of H_V in difference form, as one unit-lower banded
 triangular system solved by one BLAS ?tbsv call; every entry but h^2 V is -1.  _support_march runs pdp.spectral's
 support recurrence for a batch of wavenumbers: per k, one BLAS ?tbsv
@@ -282,14 +283,23 @@ def _even_block(d, off):
 
 
 @lru_cache(maxsize=8)
-def _even_scale(rows):
-    """sqrt(2) on nodes 0..rows-2 and 1 on the mirror node rows-1, read-only.
+def _mirror_weights(rows):
+    """The mirror weights W = (2, ..., 2, 1) of nodes 0..rows-1, read-only.
 
-    Times the node values of an even array on nodes 0..c (rows = c + 1),
-    these are its orthonormal even coordinates (_even_block).
+    A sum over all 2c + 1 nodes of even arrays is their sum over nodes
+    0..c (rows = c + 1) weighted by W: each node j < c counts its mirror.
     """
-    s = np.full(rows, math.sqrt(2.0))
-    s[-1] = 1.0
+    W = np.full(rows, 2.0)
+    W[-1] = 1.0
+    W.setflags(write=False)
+    return W
+
+
+@lru_cache(maxsize=8)
+def _even_scale(rows):
+    """sqrt(_mirror_weights(rows)), read-only: times the node values of an
+    even array on nodes 0..c, its orthonormal even coordinates (_even_block)."""
+    s = np.sqrt(_mirror_weights(rows))
     s.setflags(write=False)
     return s
 

@@ -92,7 +92,10 @@ class OptOptions:
     """Optimizer settings; defaults chosen for n ~ 2000 node grids.
 
     tau falls by TAU_FACTOR per stage from tau_start to tau_min > 0, and
-    the max_iters steps are shared by all stages.
+    the max_iters steps are shared by all stages.  symmetric starts from
+    the mirror average (V + V reversed)/2 of the start, which with beta
+    must split by parity (fgr._splits_by_parity): the descent then stays
+    mirrored, bit for bit, with no projection (see optimize).
     """
 
     tau_start: float = 1e-2
@@ -244,10 +247,6 @@ def lbfgs_direction(history: list[tuple[np.ndarray, np.ndarray]], g: np.ndarray)
     return q
 
 
-def _symmetrize(v: np.ndarray) -> np.ndarray:
-    return 0.5 * (v + v[::-1])
-
-
 def optimize(
     V_init: PotentialField,
     params: DesignParams,
@@ -264,12 +263,15 @@ def optimize(
     barrier, and the barrier bound already puts the Gamma of its minimizer
     within m * tau_min (m = 3 constraints) of the constrained minimum, so
     further steps only chase the -tau log terms towards ever taller walls.
-    The shared iteration budget opts.max_iters spans all stages.
+    The shared iteration budget opts.max_iters spans all stages.  A
+    symmetric start and beta that do not split by parity raise ValueError.
     """
-    v = np.asarray(V_init.values).copy()
+    v = V_init.values
     if opts.symmetric:
-        v = _symmetrize(v)
+        v = 0.5 * (v + v[::-1])
     V = V_init.with_values(v)
+    if opts.symmetric and not fgr._splits_by_parity(V, params):
+        raise ValueError("symmetric mode needs a centred grid of odd n and a mirrored beta")
 
     try:
         cur = barrier_objective(V, params, opts.tau_start)
@@ -309,19 +311,16 @@ def optimize(
             if it >= opts.max_iters:
                 budget_hit = True
                 break
+            # a V and beta that split by parity have a gradient that reads
+            # the same reversed, bit for bit, and so do d, the support mask
+            # (Grid.x is exactly odd) and every trial V + step * d
             d = lbfgs_direction(history, cur.gradient)
-            if opts.symmetric:
-                d = _symmetrize(d)
             slope = float(d @ cur.gradient)
             if slope >= 0.0:
-                # steepest descent, mirrored too: the gradient of a mirrored
-                # V is mirrored only to rounding
-                d = -(_symmetrize(cur.gradient) if opts.symmetric else cur.gradient)
+                d = -cur.gradient
                 slope = float(d @ cur.gradient)
             step = 1.0
             accepted = None
-            # in symmetric mode V, d and the support mask (Grid.x is exactly
-            # odd) are exactly symmetric, so every trial V + step * d is too
             for _ in range(MAX_BACKTRACKS):
                 try:
                     trial = V.with_values(V.values + step * d)

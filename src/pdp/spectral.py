@@ -12,14 +12,16 @@ Mirror symmetry is decided by one test, grid._even_half: a centred grid
 reads the same reversed, bit for bit (PotentialField.mirrored, kept per
 field).  The lattice wave of a centred grid keeps the bits of the full
 exponential; the parity ground state agrees with the full-grid one to
-rounding.  The outgoing and reduced-resolvent solves take even=True for
-the even part of a mirror-symmetric problem: nodes 0..c of an even
-forcing in, nodes 0..c of the even solution out, solved on the even block
-alone (kernels._even_block, the one builder of it that the eigensolve and
-pdp.timedomain use too: the boundary row at node 0, a mirror row at x =
-0, in the orthonormal even basis, so each block stays symmetric or
-complex symmetric as the full matrix is).  They agree with the full-grid
-solves to rounding, at half the rows.
+rounding.  The outgoing and reduced-resolvent solves read which problem
+they solve from their forcing's row count (_on_even_half): n rows are the
+full grid, and c + 1 rows are nodes 0..c of an even forcing, for a V
+that splits by parity, and give nodes 0..c of the even solution.  These
+are solved on the even block alone (kernels._even_block, the one
+builder of it that the eigensolve and pdp.timedomain use too: the
+boundary row at node 0, a mirror row at x = 0, in the orthonormal even
+basis of kernels._even_scale, so each block stays symmetric or complex
+symmetric as the full matrix is).  They agree with the full-grid solves
+to rounding, not bitwise, at half the rows.
 
 All boundary conditions are imposed through ghost-node elimination of a
 centered first-derivative condition, which keeps every system tridiagonal
@@ -34,10 +36,10 @@ onto the mirror nodes), and one outgoing solve on the solved nodes
 forcings V e^{+-iqx}, for e_+-; for a mirror-symmetric V, where e_- is
 e_+ reversed and a pairing with an even function reads only e_even =
 (e_+ + e_-)/2 = cos(qx) - R(k)[V cos(qx)], it is one column, V cos(qx),
-of an even solve on nodes 0..c (distorted_plane_waves with even=True),
-and e_+- stay unsolved until they are read.  A caller's own forcing can
-ride along as the last column of the same solve (distorted_plane_waves
-with a source).
+of an even solve on nodes 0..c (distorted_plane_waves with a source of
+c + 1 rows), and e_+- stay unsolved until they are read.  A caller's own
+forcing rides along as the last column of the same solve
+(distorted_plane_waves with a source).
 
 t(k) and r(k) are not read off the outgoing solves: a recurrence over the
 rows where V != 0 marches the transmitted wave from the right-hand side of
@@ -78,26 +80,26 @@ __all__ = [
 
 
 def _stencil(V: PotentialField, shift: float = 0.0, ghost: complex | None = None,
-             *, even: bool = False):
+             rows: int | None = None):
     """Diagonal and off-diagonal of the 3-point H_V - shift.
 
-    The diagonal is 2/h^2 + V - shift on every node and the off-diagonal
-    -1/h^2.  With ghost, both end rows eliminate a ghost node u_ghost =
-    ghost * u_end, so their diagonal is (2 - ghost)/h^2 + V - shift,
-    complex when ghost is.  With even, the diagonal is built on nodes 0..c
-    of a grid of n = 2c + 1 nodes only, the rows of the even block
+    The diagonal is 2/h^2 + V - shift on nodes 0..rows-1 (every node when
+    rows is None) and the off-diagonal -1/h^2.  With ghost, each end row
+    of the grid among them eliminates a ghost node u_ghost = ghost *
+    u_end, so its diagonal is (2 - ghost)/h^2 + V - shift, complex when
+    ghost is.  rows = c + 1 gives the rows of the even block
     (kernels._even_block), with the same expression per entry; node 0 is
     then its one end row.
     """
     h = V.grid.h
-    v = V.values[: V.grid.n // 2 + 1] if even else V.values
+    v = V.values[:rows]
     d = 2.0 / h**2 + v
     if shift:
         d -= shift
     if ghost is not None:
         if isinstance(ghost, complex):
             d = d.astype(np.complex128)
-        for j in (0,) if even else (0, -1):
+        for j in (0, -1) if v.shape[0] == V.grid.n else (0,):
             d[j] = (2.0 - ghost) / h**2 + v[j] - shift
     return d, -1.0 / h**2
 
@@ -232,7 +234,7 @@ class ScatteringState:
             np.multiply(V.values[:rows], w, out=f[:, j])
         if source is not None:
             f[:, -1] = source
-        phi = outgoing_resolvent_solve(V, self.k, f, even=even)
+        phi = outgoing_resolvent_solve(V, self.k, f)
         for j, w in enumerate(free):
             np.subtract(w, phi[:, j], out=phi[:, j])
         waves = tuple(phi[:, j] for j in range(len(free)))
@@ -257,9 +259,8 @@ class ScatteringState:
         Only for a V that reads the same reversed on a centred grid of odd
         n = 2c + 1 (grid._even_half), where e_- is e_+ reversed, so the
         even part holds all that a pairing with an even function reads.
-        It is solved on nodes 0..c alone (outgoing_resolvent_solve with
-        even=True), and agrees with the half sum of the full-grid e_+- to
-        rounding, not bitwise.
+        It is solved on nodes 0..c alone, and agrees with the half sum of
+        the full-grid e_+- to rounding, not bitwise.
         """
         return self._outgoing(True)[0][0]
 
@@ -343,7 +344,7 @@ def has_eigenvalue_at_or_below(V: PotentialField, energy: float) -> bool:
     if float(V.values[1:-1].min()) - energy > margin:
         return False
     if _even_half(V):  # the even block of the interior rows: nodes 1..c
-        d, off = _stencil(V, even=True)
+        d, off = _stencil(V, rows=V.grid.n // 2 + 1)
         d, e = _even_block(d[1:], off)
     else:
         d, e = _dirichlet_rows(V)
@@ -364,59 +365,58 @@ def lattice_wavenumber(k: float, h: float) -> float:
     return 2.0 * np.arcsin(s) / h
 
 
-def _outgoing_system(V: PotentialField, k: float, even: bool = False):
+def _outgoing_system(V: PotentialField, k: float, rows: int | None = None):
     """Tridiagonal (dl, d, du) for (H_V - k^2) with outgoing radiation rows.
 
     The ghost value at each end is eliminated through the exact discrete
     outgoing relation u_ghost = e^{iqh} u_end, so a pure outgoing lattice
     wave satisfies the boundary row exactly and the matrix stays complex
-    symmetric.  With even, the system is the even block of a mirrored V
-    (kernels._even_block): the outgoing row at node 0 and the mirror row at x = 0.
+    symmetric.  With rows = c + 1, the system is the even block of a
+    mirrored V (kernels._even_block): the outgoing row at node 0 and the
+    mirror row at x = 0.
     """
     h = V.grid.h
     q = lattice_wavenumber(k, h)
-    d, off = _stencil(V, k * k, np.exp(1j * q * h), even=even)
-    if even:
+    d, off = _stencil(V, k * k, np.exp(1j * q * h), rows)
+    if d.shape[0] < V.grid.n:
         d, dl = _even_block(d, off)
     else:
         dl = np.full(V.grid.n - 1, off, dtype=np.complex128)
     return dl, d, dl
 
 
-def _require_even_half(V: PotentialField) -> int:
-    """The rows c + 1 of V's even half; ValueError unless V splits by parity."""
+def _on_even_half(V: PotentialField, f: np.ndarray) -> bool:
+    """Whether the forcing f is on V's even half (c + 1 rows) rather than the full grid (n).
+
+    Any other row count, or c + 1 rows for a V that does not split by
+    parity (grid._even_half), raises ValueError.
+    """
+    n = V.grid.n
+    if f.shape[0] == n:
+        return False
+    if f.shape[0] != n // 2 + 1:
+        raise ValueError("forcing length does not match grid")
     if not _even_half(V):
         raise ValueError("an even solve needs a V that reads the same reversed "
                          "on a centred grid of odd n")
-    return V.grid.n // 2 + 1
+    return True
 
 
-def outgoing_resolvent_solve(
-    V: PotentialField, k: float, f: np.ndarray, *, even: bool = False
-) -> np.ndarray:
+def outgoing_resolvent_solve(V: PotentialField, k: float, f: np.ndarray) -> np.ndarray:
     """Solve (H_V - k^2) u = f with outgoing radiation rows, k real > 0.
 
-    f is one forcing of length n or m of them as the columns of an (n, m)
-    array; u has f's shape.  All columns are solved with one LAPACK ?gtsv
-    call, and each column of u has the bits of a one-column solve.
-
-    With even=True, V must read the same reversed on a centred grid of odd
-    n = 2c + 1 (grid._even_half), f holds nodes 0..c of even forcings
-    (c + 1 rows), and u nodes 0..c of their even solutions.  They are
-    solved on nodes 0..c alone, in the orthonormal even basis
-    (kernels._even_block, _even_scale): an outgoing row at node 0 and a mirror row
-    at x = 0, in a matrix that is complex symmetric as the full one is.  u
-    agrees with the full-grid solve to rounding, not bitwise.
+    f is one forcing or m of them as the columns of a (rows, m) array,
+    with rows n on the full grid or c + 1 on the even half (see the module
+    docstring); u has f's shape.  All columns are solved with one LAPACK
+    ?gtsv call, and each column of u has the bits of a one-column solve.
     """
     if not k > 0:
         raise ValueError("outgoing solves require real k > 0")
     f = np.asarray(f, dtype=np.complex128)
-    rows = _require_even_half(V) if even else V.grid.n
-    if f.shape[0] != rows:
-        raise ValueError("forcing length does not match grid")
-    dl, d, du = _outgoing_system(V, k, even)
+    even = _on_even_half(V, f)
+    dl, d, du = _outgoing_system(V, k, f.shape[0])
     if even:  # into orthonormal even coordinates, a copy that ?gtsv may work in
-        s = _even_scale(rows)
+        s = _even_scale(f.shape[0])
         f = (f.T * s).T
     try:
         _require_finite(V.values, f)  # k > 0 is resolvable, so d is finite too
@@ -430,9 +430,7 @@ def outgoing_resolvent_solve(
     return u
 
 
-def reduced_resolvent_at_eigenvalue(
-    V: PotentialField, bs: BoundState, f: np.ndarray, *, even: bool = False
-) -> np.ndarray:
+def reduced_resolvent_at_eigenvalue(V: PotentialField, bs: BoundState, f: np.ndarray) -> np.ndarray:
     """Solve (H_V - lambda) u = P_c f with <psi, u> = 0.
 
     P_c f = f - <psi,f> psi.  At the domain ends the solution obeys the
@@ -451,20 +449,15 @@ def reduced_resolvent_at_eigenvalue(
     z1 - s z2 (T. F. Chan, SIAM J. Numer. Anal. 21 (1984) 738); only an
     exactly zero pivot fails, and it raises SolverFailure.
 
-    With even=True, V must read the same reversed on a centred grid of odd
-    n = 2c + 1 (grid._even_half), which makes psi even; f holds nodes 0..c
-    of an even forcing and u nodes 0..c of the even solution.  They are
-    solved on nodes 0..c alone, in the orthonormal even basis
-    (kernels._even_block, _even_scale), where the decay row sits at node 0 and the
-    mirror row at x = 0, and where the trapezoid pairing of two even
-    arrays is sum_j w_j a_j b_j over nodes 0..c of their coordinates.  u
-    agrees with the full-grid solve to rounding, not bitwise.
+    f and u have n rows on the full grid, or c + 1 on the even half (see
+    the module docstring), where psi is even, the decay row sits at node
+    0, and the trapezoid pairing of two even arrays is sum_j w_j a_j b_j
+    over nodes 0..c of their orthonormal even coordinates.
     """
     grid = V.grid
     f = np.asarray(f, dtype=float)
-    rows = _require_even_half(V) if even else grid.n
-    if f.shape[0] != rows:
-        raise ValueError("forcing length does not match grid")
+    even = _on_even_half(V, f)
+    rows = f.shape[0]
     lam, psi = bs.lam, bs.psi
     h = grid.h
     w = grid.weights
@@ -472,7 +465,7 @@ def reduced_resolvent_at_eigenvalue(
     # discrete decay rate: 2(cosh(kq h) - 1)/h^2 = -lam, exact for the
     # free lattice mode e^{-kq |x|}; ghost elimination as in _outgoing_system
     kq = np.arccosh(1.0 - lam * h * h / 2.0) / h
-    d, off = _stencil(V, lam, np.exp(-kq * h), even=even)
+    d, off = _stencil(V, lam, np.exp(-kq * h), rows)
     if even:  # in orthonormal even coordinates
         d, dl = _even_block(d, off)
         s = _even_scale(rows)
@@ -572,7 +565,7 @@ def transmission(V: PotentialField, k):
     return complex(t[0]) if ks.ndim == 0 else t.reshape(ks.shape)
 
 
-def distorted_plane_waves(V: PotentialField, k: float, source=None, *, even: bool = False):
+def distorted_plane_waves(V: PotentialField, k: float, source=None):
     """Distorted plane waves at wavenumber k, with t.
 
     phi_+- solves (H_V - k^2) phi = V e^{+-iqx} with outgoing rows and
@@ -582,19 +575,19 @@ def distorted_plane_waves(V: PotentialField, k: float, source=None, *, even: boo
     exterior of e_+, whose transmitted tail is a difference of nearly
     equal numbers; it runs when t is first read.
 
-    With source (length n), the same solve takes it as a third column,
+    With a source of n rows, the same solve takes it as a third column,
     and (state, R(k)[source]) is returned; e_+- and the response each have
     the bits of their solve without the other, and all three are columns
     of one array.
 
-    With even=True, V must read the same reversed on a centred grid of odd
-    n = 2c + 1 (grid._even_half).  The state's e_even is computed here
-    instead of e_+- (which a reader then solves for on the full grid), on
-    the even half of the grid (see ScatteringState.e_even); a source then
-    holds nodes 0..c of an even forcing, and its response, on nodes 0..c
-    too, comes from the same solve.
+    A source of c + 1 rows is on the even half (see the module
+    docstring): the state's e_even is then computed here instead of e_+-
+    (which a reader then solves for on the full grid), and the response,
+    on nodes 0..c too, comes from the same solve.  A call without a
+    source solves on the full grid.
     """
     st = ScatteringState(k=float(k), V=V)
+    even = source is not None and _on_even_half(V, np.asarray(source))
     waves, u = st._outgoing(even, source)
     # kept as the cached properties keep them
     if even:

@@ -152,14 +152,26 @@ class TestConfig:
         ],
         ids=["flag", "config_entry"],
     )
-    def test_symmetric_mode_needs_a_centred_grid(self, tmp_path, capsys, argv, overrides):
-        # the symmetric descent mirrors V about the middle node, here
-        # x = 5: the sech start would become two wells and the run would
-        # end in a misleading InfeasibleStart
-        grid = {"grid": {"x_min": -20.0, "x_max": 30.0, "n": 2501}}
-        path = write_config(tmp_path, "offcentre.json", config.merge(grid, overrides))
-        assert main(["optimize", "--config", path] + argv) == EXIT_CONFIG
-        assert "off-centre grid [-20.0, 30.0]" in capsys.readouterr().err
+    def test_symmetric_mode_needs_a_centred_grid(self, tmp_path, capsys, monkeypatch,
+                                                 argv, overrides):
+        # the symmetric descent starts from the mirror average about x = 0.
+        # Off centre the middle node is x = 5: the sech start would become
+        # two wells and the run would end in a misleading InfeasibleStart.
+        # With even n no node lies at x = 0 and the grid has no even half
+        # to keep the descent mirrored.  Both are refused before any solve.
+        def no_solve(*args):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(fgr, "gamma", no_solve)
+        for grid, message in (
+            ({"x_min": -20.0, "x_max": 30.0, "n": 2501}, "off-centre grid [-20.0, 30.0]"),
+            ({"x_min": -20.0, "x_max": 20.0, "n": 2000}, "n = 2000"),
+        ):
+            cfg = config.merge({"grid": grid}, overrides)
+            path = write_config(tmp_path, "grid.json", cfg)
+            assert main(["optimize", "--config", path] + argv) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "optimizer.symmetric" in err and message in err
 
     def test_values_take_the_type_of_their_default(self, tmp_path):
         path = write_config(

@@ -14,8 +14,8 @@ import pytest
 from test_acceptance import design_for, random_symmetric_potentials
 from pdp import fgr, kernels, spectral
 from pdp.cli import main
-from pdp.grid import PotentialField, make_grid, sech_well, trapz
-from pdp.optimizer import barrier_objective
+from pdp.grid import BetaMode, PotentialField, make_grid, sech_well, trapz
+from pdp.optimizer import OptOptions, barrier_objective, optimize
 
 
 @pytest.fixture(scope="module")
@@ -78,19 +78,19 @@ def test_jost_form_agrees_on_criterion_4_wells(design_grid):
         assert abs(fgr.gamma_jost_form(V, params) - g) <= 1e-10 * g
 
 
-def even_solves(monkeypatch):
-    """The even flags of every outgoing and reduced-resolvent solve."""
-    flags = []
+def solved_rows(monkeypatch):
+    """The forcing's row count of every outgoing and reduced-resolvent solve."""
+    rows = []
     for name in ("outgoing_resolvent_solve", "reduced_resolvent_at_eigenvalue"):
         solve = getattr(spectral, name)
 
-        def spy(*args, even=False, _solve=solve):
-            flags.append(even)
-            return _solve(*args, even=even)
+        def spy(V, arg, f, _solve=solve):
+            rows.append(np.shape(f)[0])
+            return _solve(V, arg, f)
 
         monkeypatch.setattr(spectral, name, spy)
         monkeypatch.setattr(fgr, name, spy)
-    return flags
+    return rows
 
 
 @pytest.mark.parametrize("case", ["one-ulp", "beta"])
@@ -107,9 +107,9 @@ def test_asymmetric_inputs_take_the_full_grid_path(design_grid, case, monkeypatc
         beta = np.where((design_grid.x >= -2.0) & (design_grid.x <= 2.1), 1.0, 0.0)
         params = dataclasses.replace(params, beta=PotentialField(design_grid, beta, 12.0))
     assert V.mirrored == (case == "beta") and params.beta.mirrored == (case == "one-ulp")
-    flags = even_solves(monkeypatch)
+    rows = solved_rows(monkeypatch)
     res, _ = evaluate(V, params)
-    assert flags == [False, False]
+    assert rows == [design_grid.n, design_grid.n]
     src = params.beta_values(V) * res.bound_state.psi
     st, rbp = spectral.distorted_plane_waves(V, res.k_res, src)
     m_p = complex(trapz(design_grid, src * st.e_plus))
@@ -145,3 +145,51 @@ def test_evaluate_prints_equal_matrix_elements(capsys):
         line.split(" = ") for line in capsys.readouterr().out.splitlines() if " = " in line
     )
     assert lines["m_plus_sq"] == lines["m_minus_sq"]
+
+
+# Symmetric mode keeps a mirrored descent mirrored with no projection: a V
+# and beta that split by parity give a barrier gradient that reads the
+# same reversed, bit for bit, because Gamma's gradient is solved on the even
+# half and mirrored, and psi^2, eta_+ eta_- and the H1 gradient of a
+# mirrored V are mirrored too.  These guard that invariant.
+
+
+@pytest.mark.parametrize("mode", ["fixed", "equals_v"])
+def test_barrier_gradient_is_mirrored_bit_for_bit(design_grid, mode):
+    params = design_for(design_grid, a=12.0, mu=2.0)
+    wells = random_symmetric_potentials(design_grid, params, np.random.default_rng(102), 20)
+    if mode == "equals_v":
+        params = dataclasses.replace(params, beta_mode=BetaMode.EQUALS_V, beta=None)
+    for V in [sech_well(1.5, 1.5, 12.0, design_grid)] + wells:
+        fgr.clear_cache()
+        g = barrier_objective(V, params, 1e-2).gradient
+        assert g.tobytes() == g[::-1].tobytes()
+
+
+def test_symmetric_and_plain_headline_runs_are_the_same_run(design_grid):
+    # the mirror average of the mirrored sech start is the start itself,
+    # and every step after it stays mirrored
+    params = design_for(design_grid, a=12.0, mu=2.0)
+    V0 = sech_well(1.5, 1.5, 12.0, design_grid)
+    runs = []
+    for symmetric in (True, False):
+        fgr.clear_cache()
+        runs.append(optimize(V0, params, OptOptions(symmetric=symmetric)))
+    sym, plain = runs
+    assert sym.iterations == plain.iterations > 0
+    assert sym.V_opt.values.tobytes() == plain.V_opt.values.tobytes()
+    assert sym.trace_rows.tobytes() == plain.trace_rows.tobytes()
+
+
+def test_even_n_gradient_is_not_mirrored():
+    # an even-n grid has no even half: the mirrored sech start's gradient is
+    # solved on the full grid and is mirrored only to rounding, which is why
+    # symmetric mode needs odd n
+    grid = make_grid(-20, 20, 2000)
+    V = sech_well(1.5, 1.5, 12.0, grid)
+    params = design_for(grid, a=12.0, mu=2.0)
+    assert V.mirrored and params.beta.mirrored
+    fgr.clear_cache()
+    g = barrier_objective(V, params, 1e-2).gradient
+    assert g.tobytes() != g[::-1].tobytes()
+    np.testing.assert_allclose(g, g[::-1], rtol=0, atol=1e-12 * np.max(np.abs(g)))

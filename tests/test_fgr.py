@@ -351,7 +351,7 @@ class TestWaveKPairings:
         for c_adj, c_o in zip(c, c_orc):
             assert abs(c_adj - c_o) <= 1e-12 * abs(c_o)
         rows = n // 2 + 1
-        rbp = spectral.outgoing_resolvent_solve(W, res.k_res, src[:rows], even=True)
+        rbp = spectral.outgoing_resolvent_solve(W, res.k_res, src[:rows])
         (c_even,) = fgr._wave_k_pairings(W, res.scattering, src[:rows], rbp, True)
         c_o = 0.5 * (c_orc[0] + c_orc[1])
         assert abs(c_even - c_o) <= 1e-11 * abs(c_o)

@@ -1,4 +1,6 @@
 """Grid, potential container, and H1 norm tests."""
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from pdp.grid import (
     sech_well,
     trapz,
 )
+from pdp import fgr
 from pdp.spectral import solve_ground_state
 
 
@@ -153,6 +156,28 @@ class TestDesignParams:
         V = sech_well(1.0, 1.0, 12.0, g)
         p = DesignParams(a=12, b=1e3, mu=2, delta=1e-4, beta_mode=BetaMode.EQUALS_V)
         assert np.array_equal(p.beta_values(V), V.values)
+
+    @pytest.mark.parametrize("domain, n", [((-30.0, 30.0), 2001), ((-20.0, 20.0), 1001)],
+                             ids=["wider_domain", "even_half_rows"])
+    def test_fixed_beta_on_another_grid_is_refused(self, domain, n):
+        # the nodes of such a beta are not V's: Gamma used to come out
+        # 0.0305 (a wider domain) or 7.6e-8 (c + 1 rows) at the headline
+        # start, where it is 0.00626
+        g = make_grid(-20, 20, 2001)
+        other = make_grid(*domain, n)
+        beta = PotentialField(other, np.where(np.abs(other.x) <= 2.0, 1.0, 0.0), 12.0)
+        p = DesignParams(a=12, b=1e3, mu=2, delta=1e-4, beta=beta)
+        V = sech_well(1.5, 1.5, 12.0, g)
+        with pytest.raises(ValueError, match=rf"beta is sampled on {re.escape(repr(other))}, "
+                                              rf"V on {re.escape(repr(g))}"):
+            p.beta_values(V)
+        fgr.clear_cache()
+        with pytest.raises(ValueError, match="beta is sampled on"):
+            fgr.gamma(V, p)
+        own = PotentialField(g, np.where(np.abs(g.x) <= 2.0, 1.0, 0.0), 12.0)
+        res = fgr.gamma(V, DesignParams(a=12, b=1e3, mu=2, delta=1e-4, beta=own))
+        with pytest.raises(ValueError, match="beta is sampled on"):
+            fgr.gamma_gradient(V, p, res)
 
     def test_positivity_validation(self):
         g = make_grid(-20, 20, 401)

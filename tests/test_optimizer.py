@@ -206,7 +206,24 @@ class TestOptimize:
     def test_symmetric_mode_keeps_symmetry(self, grid, V, params):
         opts = OptOptions(max_iters=5, tau_start=1e-2, tau_min=1e-2, symmetric=True)
         out = optimize(V, params, opts)
-        np.testing.assert_allclose(out.V_opt.values, out.V_opt.values[::-1], atol=1e-14)
+        assert out.V_opt.values.tobytes() == out.V_opt.values[::-1].tobytes()
+
+    @pytest.mark.parametrize("case", ["even_n", "asymmetric_beta"])
+    def test_symmetric_mode_needs_a_start_and_beta_that_split_by_parity(self, case, monkeypatch):
+        # an even-n grid has no even half, and an asymmetric beta gives an
+        # unmirrored gradient: neither keeps a mirrored descent mirrored,
+        # and the run is refused before its first solve
+        grid = make_grid(-20, 20, 2000 if case == "even_n" else 2001)
+        hi = 2.0 if case == "even_n" else 2.1
+        beta = PotentialField(grid, np.where((grid.x >= -2.0) & (grid.x <= hi), 1.0, 0.0), 12.0)
+        p = DesignParams(a=12.0, b=1e3, mu=2.0, delta=1e-4, beta=beta)
+
+        def no_solve(*args):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(optimizer, "barrier_objective", no_solve)
+        with pytest.raises(ValueError, match="symmetric mode needs"):
+            optimize(sech_well(1.5, 1.5, 12.0, grid), p, OptOptions(symmetric=True))
 
     def test_negligible_gamma_at_tau_min_ends_run(self, V, params):
         # a single stage at tau_min whose gamma is already below
@@ -378,9 +395,9 @@ class TestOptimize:
         assert ascent.V_opt.values.tobytes() == descent.V_opt.values.tobytes()
 
     def test_symmetric_steepest_descent_stays_mirrored(self, V, params, monkeypatch):
-        # the fallback for an ascent direction is mirrored as the L-BFGS
-        # direction is: the gradient of a mirrored V is mirrored only to
-        # rounding, and an unmirrored step would leave the mirror subspace
+        # the fallback for an ascent direction, -g, is mirrored as the
+        # L-BFGS direction is: V and beta split by parity, so the gradient
+        # is solved on the even half and reads the same reversed, bit for bit
         monkeypatch.setattr(optimizer, "lbfgs_direction", lambda history, g: g.copy())
         opts = OptOptions(max_iters=2, tau_start=1e-2, tau_min=1e-2, symmetric=True)
         out = optimize(V, params, opts)

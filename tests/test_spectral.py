@@ -382,6 +382,27 @@ class TestOutgoingResolvent:
         with pytest.raises(ValueError, match="forcing length does not match grid"):
             outgoing_resolvent_solve(pt, 1.3, np.zeros(grid.n - 1))
 
+    def test_forcing_rows_pick_the_grid(self, grid, pt):
+        # n rows are the full grid; c + 1 rows are the even half, which
+        # only a V that splits by parity has, and a call without a source
+        # solves on the full grid
+        rows = grid.n // 2 + 1
+        f = pt.values[:rows] + 0j
+        assert outgoing_resolvent_solve(pt, 1.3, f).shape == (rows,)
+        st, u = distorted_plane_waves(pt, 1.3, f)
+        assert "e_even" in vars(st) and "_waves" not in vars(st) and u.shape == (rows,)
+        st = distorted_plane_waves(pt, 1.3)
+        assert "_waves" in vars(st) and "e_even" not in vars(st)
+        V = walled_sech(grid)
+        bs = solve_ground_state(V)
+        for solve in (
+            lambda f: outgoing_resolvent_solve(V, 1.3, f),
+            lambda f: reduced_resolvent_at_eigenvalue(V, bs, f),
+            lambda f: distorted_plane_waves(V, 1.3, f),
+        ):
+            with pytest.raises(ValueError, match="an even solve needs a V that reads the same"):
+                solve(np.zeros(rows))
+
     def test_zero_forcing(self, grid, pt):
         u = outgoing_resolvent_solve(pt, 1.3, np.zeros(grid.n))
         np.testing.assert_allclose(u, 0.0)
