@@ -16,11 +16,14 @@ to the support [-a, a], its design space, and applies the quadrature
 weights.  Each gradient takes the solved state of V that it
 differentiates: lambda_gradient a BoundState, wronskian_gradient a
 WronskianResult and k_gradient an FgrResult; gamma_gradient takes an
-FgrResult too, and gets one from gamma when given none.
+FgrResult too, and gets one from gamma when given none, or one that keeps
+no waves.
 
 gamma makes the one complex solve of Gamma and its gradient: the outgoing
 matrix at k_res is factored once for the distorted plane waves and
-R(k_res)[beta psi], which the result keeps for gamma_gradient.
+R(k_res)[beta psi] (spectral.distorted_plane_waves with beta psi as the
+source), and the result keeps both, as columns of that solve's array, for
+gamma_gradient.
 
 Gamma and its gradient are each assembled once, over the waves on the
 solved nodes.  When V and beta read the same reversed, bit for bit, on a
@@ -46,8 +49,8 @@ waves, so on the even half Gamma = 2|m|^2/16k = |m|^2/8k exactly.  The
 even half agrees with the full grid to rounding, not bitwise, and prints
 m_+ = m_- exactly.  That removes the visible m_+ != m_- of a mirror-symmetric
 optimum, not its cause: m is still a difference of O(1) waves, accurate
-to about 1e-13 absolute.  gamma_jost_form keeps reading the full-grid
-e_+- as an independent check.
+to about 1e-13 absolute.  gamma_jost_form solves for the full-grid e_+-
+as an independent check.
 """
 from __future__ import annotations
 
@@ -69,7 +72,6 @@ from .spectral import (
     distorted_plane_waves,
     has_eigenvalue_at_or_below,
     lattice_wavenumber,
-    outgoing_resolvent_solve,
     reduced_resolvent_at_eigenvalue,
     solve_ground_state,
 )
@@ -90,12 +92,15 @@ __all__ = [
 class FgrResult:
     """Decay rate together with the spectral data used to form it.
 
+    waves are the distorted plane waves at k_res on the solved nodes, as
+    spectral.distorted_plane_waves gives them: (e_+, e_-) on every node,
+    or (e_even,) on nodes 0..c on the even half of the grid (see the
+    module docstring), where m_plus and m_minus are the same number.
     source_response is R(k_res)[beta psi] on every node, the outgoing
-    response to the golden-rule source, solved with the waves for
-    gamma_gradient; it is None in a result that keeps no grid-length
-    array, and gamma_gradient then solves for it.  On the even half of the
-    grid (see the module docstring) it is solved with scattering.e_even on
-    nodes 0..c and mirrored, and m_plus and m_minus are the same number.
+    response to the golden-rule source, solved with the waves (on the
+    even half on nodes 0..c, and mirrored).  Both are None in a result
+    that keeps no grid-length array, and gamma_gradient then calls gamma
+    again.
     """
 
     gamma: float
@@ -104,6 +109,7 @@ class FgrResult:
     m_minus: complex
     bound_state: BoundState
     scattering: ScatteringState
+    waves: tuple[np.ndarray, ...] | None = None
     source_response: np.ndarray | None = None
 
     def diagnostics(self) -> dict:
@@ -121,8 +127,9 @@ class FgrResult:
 # The last point gamma solved, as (V, params, result).  It serves the
 # repeats of the last point that still occur: the optimizer's
 # re-evaluation of its current point at each new tau stage, the start Gamma
-# that pdp optimize prints before optimizing from the same potential, and
-# gamma_gradient called without a result, and gamma_jost_form.
+# that pdp optimize prints before optimizing from the same potential,
+# gamma_gradient called without a result or with one that keeps no waves,
+# and gamma_jost_form.
 # It stays only while benchmark workloads call clear_cache.
 _last: tuple[PotentialField, DesignParams, FgrResult] | None = None
 
@@ -196,9 +203,10 @@ def gamma(V: PotentialField, params: DesignParams) -> FgrResult:
     half = _splits_by_parity(V, params)
     rows = V.grid.n // 2 + 1 if half else V.grid.n
     src = params.beta_values(V)[:rows] * bs.psi[:rows]
-    st, u = distorted_plane_waves(V, k, src)  # on nodes 0..c when src has c + 1 rows
+    st = ScatteringState(k, V)
+    waves, u = distorted_plane_waves(st, src)  # on nodes 0..c when src has c + 1 rows
     weights = _mirror_weights(rows) * V.grid.weights[:rows] if half else V.grid.weights
-    m = [complex(weights @ (src * e)) for e in _solved_waves(st, half)]
+    m = [complex(weights @ (src * e)) for e in waves]
     m_p, m_m = m[0], m[-1]
     rate = (abs(m_p) ** 2 + abs(m_m) ** 2) / (16.0 * k)
     rbp = _unfold(u) if half else u
@@ -209,6 +217,7 @@ def gamma(V: PotentialField, params: DesignParams) -> FgrResult:
         m_minus=m_m,
         bound_state=bs,
         scattering=st,
+        waves=waves,
         source_response=rbp,
     )
     _last = (V, params, res)
@@ -219,7 +228,8 @@ def gamma_jost_form(V: PotentialField, params: DesignParams) -> float:
     """Gamma[V] via the Jost-normalized waves f_{+-} = e_{+-}/t.
 
     Algebraically identical to gamma; kept as an independent assembly path
-    for cross-checking the transmission normalization.  When t(k_res)
+    for cross-checking the transmission normalization, which solves for the
+    full-grid e_+- itself, whichever nodes gamma solved on.  When t(k_res)
     underflows to 0 (an opaque potential) f_{+-} is not representable and
     SolverFailure is raised.
     """
@@ -230,8 +240,9 @@ def gamma_jost_form(V: PotentialField, params: DesignParams) -> float:
             f"t underflows to 0 at k = {res.k_res}: e/t is not representable"
         )
     src = params.beta_values(V) * res.bound_state.psi
-    f_p = st.e_plus / st.t
-    f_m = st.e_minus / st.t
+    (e_p, e_m), _ = distorted_plane_waves(st)
+    f_p = e_p / st.t
+    f_m = e_m / st.t
     s = abs(trapz(V.grid, src * f_p)) ** 2 + abs(trapz(V.grid, src * f_m)) ** 2
     return abs(st.t) ** 2 * s / (16.0 * res.k_res)
 
@@ -269,36 +280,34 @@ def wronskian_gradient(wr: WronskianResult) -> np.ndarray:
     return wr.eta_plus * wr.eta_minus
 
 
-def _solved_waves(st: ScatteringState, half: bool) -> tuple[np.ndarray, ...]:
-    """The distorted plane waves on the solved nodes: (e_+, e_-), or (e_even,) on nodes 0..c."""
-    return (st.e_even,) if half else (st.e_plus, st.e_minus)
-
-
 def _sum(terms):
     """The terms added left to right, from the first (no 0 + in front)."""
     return reduce(add, terms)
 
 
 def _wave_k_pairings(
-    V: PotentialField, st: ScatteringState, src: np.ndarray, rbp: np.ndarray, half: bool
+    V: PotentialField, st: ScatteringState, waves: tuple[np.ndarray, ...],
+    src: np.ndarray, rbp: np.ndarray,
 ) -> tuple[complex, ...]:
-    """trapz(src de/dk) at fixed V per wave e of _solved_waves(st, half), rbp = R(k)[src].
+    """trapz(src de/dk) at fixed V per wave e of waves, rbp = R(k)[src].
 
-    src and rbp hold the solved nodes: all n, or nodes 0..c with half.
+    waves, src and rbp hold the solved nodes, as an FgrResult's waves do:
+    (e_+, e_-) on all n, or (e_even,) on nodes 0..c of the even half.
     With w the free lattice wave of e (e^{+-iqx}, or cos(qx) on the even
     half), e = w - phi and A phi = V w, A = H_V - k^2 with outgoing rows
-    (spectral._outgoing_system; on the even half its even block, with one
-    outgoing row, at node 0, and a mirror row at x = 0 that does not
-    depend on k).  Differentiating the assembled system gives de/dk = dw -
-    A^-1 r with r = V dw - (dA/dk) phi; dA/dk is -2k on the diagonal plus
-    g = -i q' e^{iqh}/h on each outgoing row (the k-dependence of the
-    ghost factor), and q' = dq/dk.  The solve A^-1 r is not needed.  A is
-    complex symmetric in the orthonormal coordinates of the solved nodes,
-    which are sqrt(W) times the node values, with the mirror weights W = 1
-    on the full grid and kernels._mirror_weights on the even half.  So in
-    node values the adjoint identity holds under W: sum W src A^-1 r =
-    sum W rbp r (reverse mode, Griewank & Walther, Evaluating Derivatives
-    2e (2008), ch. 3).  src = beta psi is 0 on the domain's end nodes, the only
+    (spectral._robin_system with the ghost factor e^{iqh}; on the even
+    half its even block, with one outgoing row, at node 0, and a mirror
+    row at x = 0 that does not depend on k).  Differentiating the
+    assembled system gives de/dk = dw - A^-1 r with r = V dw - (dA/dk)
+    phi; dA/dk is -2k on the diagonal plus g = -i q' e^{iqh}/h on each
+    outgoing row (the k-dependence of the ghost factor), and q' = dq/dk.
+    The solve A^-1 r is not needed.  A is complex symmetric in the
+    orthonormal coordinates of the solved nodes, which are sqrt(W) times
+    the node values, with the mirror weights W = 1 on the full grid and
+    kernels._mirror_weights on the even half.  So in node values the
+    adjoint identity holds under W: sum W src A^-1 r = sum W rbp r
+    (reverse mode, Griewank & Walther, Evaluating Derivatives 2e (2008),
+    ch. 3).  src = beta psi is 0 on the domain's end nodes, the only
     solved nodes whose trapezoid weight is not h W, so trapz(src u) =
     h sum W src u exactly.  Hence, summing over the outgoing rows j,
 
@@ -310,7 +319,7 @@ def _wave_k_pairings(
     qp = 1.0 / math.sqrt(1.0 - (0.5 * k * h) ** 2)
     ghost = -1j * qp * cmath.exp(1j * lattice_wavenumber(k, h) * h) / h
     wave, x = st.wave[:rows], grid.x[:rows]
-    if half:
+    if rows < grid.n:
         W, ends = _mirror_weights(rows), (0,)
         free = ((wave.real, -qp * x * wave.imag),)  # cos(qx) and its k-derivative
     else:
@@ -320,7 +329,7 @@ def _wave_k_pairings(
     wr = W * rbp
     a = W * src - V.values[:rows] * wr
     out = []
-    for (w, dw), e in zip(free, _solved_waves(st, half)):
+    for (w, dw), e in zip(free, waves):
         phi = w - e
         c = a @ dw - 2.0 * k * (wr @ phi)
         for j in ends:
@@ -341,29 +350,28 @@ def gamma_gradient(
     forcing profile is the potential itself - the direct beta = V term.
 
     Gamma and its gradient together make one complex solve, gamma's
-    outgoing solve for the waves and rbp = R(k)[beta psi]
-    (res.source_response; solved here when res keeps none, with the bits
-    of gamma's column), plus one real reduced-resolvent solve here, both
-    on the solved nodes (see the module docstring).  rbp serves both the
-    explicit wave term and the k-derivative of the waves: A = H_V - k^2
-    with outgoing rows is complex symmetric, so the pairings of beta psi
-    with de/dk follow from rbp by dot products (the adjoint identity, see
-    _wave_k_pairings).  On the even half every term is even and formed on
-    nodes 0..c, and the field is mirrored onto the other nodes at the
-    end, so it reads the same reversed, bit for bit.
+    outgoing solve for the waves and rbp = R(k)[beta psi] (res.waves and
+    res.source_response; a result that keeps neither, as an optimizer's,
+    is formed again by gamma, to the same bits), plus one real
+    reduced-resolvent solve here, both on the solved nodes (see the
+    module docstring).  rbp serves both the explicit wave term and the
+    k-derivative of the waves: A = H_V - k^2 with outgoing rows is
+    complex symmetric, so the pairings of beta psi with de/dk follow from
+    rbp by dot products (the adjoint identity, see _wave_k_pairings).  On
+    the even half every term is even and formed on nodes 0..c, and the
+    field is mirrored onto the other nodes at the end, so it reads the
+    same reversed, bit for bit.
     """
-    if res is None:
+    if res is None or res.waves is None:
         res = gamma(V, params)
-    bs, st = res.bound_state, res.scattering
-    half = _splits_by_parity(V, params)
-    rows = V.grid.n // 2 + 1 if half else V.grid.n
+    bs, waves = res.bound_state, res.waves
+    rows = waves[0].shape[0]
+    half = rows < V.grid.n
     psi, k = bs.psi[:rows], res.k_res
     beta = params.beta_values(V)[:rows]
     src = beta * psi
     pref = 1.0 / (8.0 * k)
-    rbp = res.source_response
-    rbp = outgoing_resolvent_solve(V, k, src) if rbp is None else rbp[:rows]
-    waves = _solved_waves(st, half)
+    rbp = res.source_response[:rows]
     # on the even half m_+ = m_- = m and e_+ + e_- = 2 e_even turn each
     # +- sum into twice its e_even term
     if half:
@@ -382,7 +390,7 @@ def gamma_gradient(
     g_wave = -pref * np.real(_sum([t * rbp for t in terms]))
 
     # k shift: the k-dependence of the waves, then the prefactor 1/16k
-    c_k = _wave_k_pairings(V, st, src, rbp, half)
+    c_k = _wave_k_pairings(V, res.scattering, waves, src, rbp)
     dk_coef = pref * np.real(_sum([c * ck for c, ck in zip(coefs, c_k)]))
     dk_coef -= res.gamma / k
     g_k = dk_coef * psi * psi / (2.0 * k)

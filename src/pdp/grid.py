@@ -66,10 +66,15 @@ def make_grid(x_min: float, x_max: float, n: int) -> Grid:
 
     Fewer nodes leave H_V at most one interior (Dirichlet) row, which has
     no off-diagonal and, for a mirror-symmetric V, no even and odd block
-    for the ground-state solve to split it into.
+    for the ground-state solve to split it into.  An n for which numpy
+    cannot size the 8n bytes of x is refused here, not at the first read
+    of x.
     """
     if n < 4:
         raise ValueError(f"need at least 4 nodes, got n={n}")
+    # numpy sizes an array only while its byte count fits in intp
+    if 8 * n > np.iinfo(np.intp).max:
+        raise ValueError(f"n={n} is too many nodes: numpy cannot size a float64 array of n")
     if not x_max > x_min:
         raise ValueError(f"need x_max > x_min, got [{x_min}, {x_max}]")
     return Grid(float(x_min), float(x_max), int(n))

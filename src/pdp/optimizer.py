@@ -108,6 +108,11 @@ class OptOptions:
             raise ValueError(f"tau_start must be finite and positive, got {self.tau_start}")
         if not 0.0 < self.tau_min:
             raise ValueError(f"tau_min must be positive, got {self.tau_min}")
+        # tau only falls, so a tau_min above tau_start is never reached
+        if self.tau_min > self.tau_start:
+            raise ValueError(
+                f"tau_min = {self.tau_min} must not exceed tau_start = {self.tau_start}"
+            )
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be non-negative, got {self.max_iters}")
 
@@ -128,17 +133,22 @@ class OptResult:
     last stage's reason: why the run ended.
 
     result.bound_state and result.scattering are a fresh BoundState and
-    ScatteringState of V_opt, and result.source_response is None: psi,
-    lam, the waves and t are computed again when first read, to the same
-    bits, so a kept result holds no grid-length array but V_opt.
+    ScatteringState of V_opt, and result.waves and result.source_response
+    are None: psi, lam and t are computed again when first read, to the
+    same bits, and fgr.gamma_gradient forms the waves again with gamma, so
+    a kept result holds no grid-length array but V_opt.
     """
 
     V_opt: PotentialField
     trace_rows: np.ndarray
     result: fgr.FgrResult
     margins: tuple[float, float, float]
-    iterations: int
     stages: tuple[tuple[float, int, str], ...]
+
+    @property
+    def iterations(self) -> int:
+        """The number of accepted steps, one trace row each."""
+        return len(self.trace_rows)
 
     @property
     def trace(self) -> dict[str, np.ndarray]:
@@ -285,7 +295,6 @@ def optimize(
 
     rows: list[tuple] = []  # one per accepted step, in TRACE_COLUMNS order
     stages: list[tuple[float, int, str]] = []  # one per stage entered
-    it = 0
     cur_tau = opts.tau_start
     budget_hit = False
     for stage, tau in enumerate(schedule):
@@ -308,7 +317,7 @@ def optimize(
             if not final_stage and stage_it >= stage_cap:
                 stage_status = "stage budget reached"
                 break
-            if it >= opts.max_iters:
+            if len(rows) >= opts.max_iters:
                 budget_hit = True
                 break
             # a V and beta that split by parity have a gradient that reads
@@ -342,11 +351,10 @@ def optimize(
             if len(history) > MEMORY:
                 history.pop(0)
             V, cur = trial, ev
-            it += 1
             stage_it += 1
             rows.append((
-                it, tau, cur.result.gamma, cur.value, float(np.max(np.abs(cur.gradient))), step,
-                *cur.margins, cur.wronskian_variance,
+                len(rows) + 1, tau, cur.result.gamma, cur.value,
+                float(np.max(np.abs(cur.gradient))), step, *cur.margins, cur.wronskian_variance,
             ))
         if budget_hit:
             stage_status = "iteration budget exhausted"
@@ -354,8 +362,8 @@ def optimize(
         if budget_hit:
             break
     # a kept result holds no psi, no waves and no source response (a sweep
-    # keeps one result per value); a reader of psi, t or e+- gets them
-    # recomputed, to the same bits
+    # keeps one result per value); a reader of psi or t, or the gradient,
+    # gets them recomputed, to the same bits
     res = cur.result
     return OptResult(
         V_opt=V,
@@ -364,10 +372,10 @@ def optimize(
             res,
             bound_state=BoundState(V),
             scattering=ScatteringState(res.k_res, V),
+            waves=None,
             source_response=None,
         ),
         margins=cur.margins,
-        iterations=it,
         stages=tuple(stages),
     )
 

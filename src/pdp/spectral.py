@@ -29,17 +29,17 @@ and the whole scheme O(h^2).  The outgoing matrix H_V - k^2 is complex
 symmetric (not Hermitian), so the transpose of its solve is the same
 solve; gamma_gradient relies on that for the k-derivative of e_+-.
 
-The distorted plane waves take one complex exponential, e^{iqx} (e^{-iqx}
-is its conjugate; on a centred grid it is taken on x >= 0 and conjugated
-onto the mirror nodes), and one outgoing solve on the solved nodes
-(ScatteringState._outgoing): on the full grid its columns are the
-forcings V e^{+-iqx}, for e_+-; for a mirror-symmetric V, where e_- is
-e_+ reversed and a pairing with an even function reads only e_even =
-(e_+ + e_-)/2 = cos(qx) - R(k)[V cos(qx)], it is one column, V cos(qx),
-of an even solve on nodes 0..c (distorted_plane_waves with a source of
-c + 1 rows), and e_+- stay unsolved until they are read.  A caller's own
-forcing rides along as the last column of the same solve
-(distorted_plane_waves with a source).
+The distorted plane waves are the columns of one outgoing solve
+(distorted_plane_waves), formed from the lattice wave e^{iqx} that
+ScatteringState keeps (e^{-iqx} is its conjugate; on a centred grid it is
+taken on x >= 0 and conjugated onto the mirror nodes): on the full grid
+the columns are the forcings V e^{+-iqx}, for e_+-; for a
+mirror-symmetric V, where e_- is e_+ reversed and a pairing with an even
+function reads only e_even = (e_+ + e_-)/2 = cos(qx) - R(k)[V cos(qx)],
+it is one column, V cos(qx), of an even solve on nodes 0..c.  A caller's
+own forcing rides along as the last column of the same solve, and its
+row count picks the grid.  The waves are returned, not kept: a state
+holds no wave that it would have to solve for again.
 
 t(k) and r(k) are not read off the outgoing solves: a recurrence over the
 rows where V != 0 marches the transmitted wave from the right-hand side of
@@ -168,22 +168,17 @@ class BoundState:
 
 @dataclass(frozen=True)
 class ScatteringState:
-    """Distorted plane waves e_{V+-}(x,k) and the transmission coefficient.
+    """The lattice wave and the transmission coefficient of V at wavenumber k.
 
     A state holds only k and V and computes nothing when it is built.
-    One complex exponential gives the lattice wave e^{iqx} (kept as wave,
-    since the k-derivative in gamma_gradient reads it too), and each set
-    of waves on the solved nodes comes from one outgoing solve of its own
-    (_outgoing), on first read or by distorted_plane_waves: e_plus and
-    e_minus together on the full grid, from the forcings V e^{+-iqx}, and,
-    for a mirror-symmetric V, e_even = (e_plus + e_minus)/2 on the even
-    half of the grid, from V cos(qx).  Each wave is a column of its
-    solve's output.  t is computed on first read, from one support
-    recurrence of V at k (see _support_recurrence), or by
-    transmission_table together with a table of t(k).
-    A value is kept once read, and every state of the same (k, V) gives
-    the same bits; a solve or recurrence failure raises SolverFailure at
-    the read.  So a state whose waves are never read (as in an optimizer
+    wave, the free lattice wave e^{iqx} from one complex exponential, is
+    computed on first read (distorted_plane_waves forms the waves from it,
+    and the k-derivative in gamma_gradient reads it too).  t is computed
+    on first read, from one support recurrence of V at k (see
+    _support_recurrence), or by transmission_table together with a table
+    of t(k).  A value is kept once read, and every state of the same
+    (k, V) gives the same bits; a recurrence failure raises SolverFailure
+    at the read.  So a state whose wave is never read (as in an optimizer
     result) holds no grid-length array.
     """
 
@@ -207,62 +202,6 @@ class ScatteringState:
         np.exp(1j * q * grid.x[c:], out=wave[c:])
         np.conjugate(wave[: n - c - 1 : -1], out=wave[:c])
         return wave
-
-    def _outgoing(self, even: bool, source=None):
-        """(waves, u): the distorted plane waves on the solved nodes, from one outgoing solve.
-
-        On the full grid the waves are (e_+, e_-), from the forcings V
-        e^{iqx} and V e^{-iqx}; with even, on nodes 0..c, they are
-        (e_even,), from the forcing V cos(qx), cos(qx) being the real part
-        of the lattice wave.  source, if given, rides as the last column
-        of the same solve (nodes 0..c of an even forcing with even), and u
-        is R(k)[source], or None.  Each column has the bits of its
-        one-column solve.  Every wave is formed in its column of the
-        solution, u is the last, and one array holds them all.  A
-        half-grid complex array of its own, 16(c + 1) = 8n + 8 bytes, is
-        one allocator granule larger than a full-grid real one; made on
-        every evaluation, such arrays leave heap holes that the full-grid
-        arrays cannot reuse, and a process that keeps many results grows
-        with them.
-        """
-        V = self.V
-        rows = V.grid.n // 2 + 1 if even else V.grid.n
-        wave = self.wave[:rows]
-        free = (wave.real,) if even else (wave, np.conj(wave))
-        f = np.empty((rows, len(free) + (source is not None)), dtype=np.complex128, order="F")
-        for j, w in enumerate(free):
-            np.multiply(V.values[:rows], w, out=f[:, j])
-        if source is not None:
-            f[:, -1] = source
-        phi = outgoing_resolvent_solve(V, self.k, f)
-        for j, w in enumerate(free):
-            np.subtract(w, phi[:, j], out=phi[:, j])
-        waves = tuple(phi[:, j] for j in range(len(free)))
-        return waves, (None if source is None else phi[:, -1])
-
-    @cached_property
-    def _waves(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._outgoing(False)[0]
-
-    @property
-    def e_plus(self) -> np.ndarray:
-        return self._waves[0]
-
-    @property
-    def e_minus(self) -> np.ndarray:
-        return self._waves[1]
-
-    @cached_property
-    def e_even(self) -> np.ndarray:
-        """(e_+ + e_-)/2 = cos(qx) - R(k)[V cos(qx)] on nodes 0..c.
-
-        Only for a V that reads the same reversed on a centred grid of odd
-        n = 2c + 1 (grid._even_half), where e_- is e_+ reversed, so the
-        even part holds all that a pairing with an even function reads.
-        It is solved on nodes 0..c alone, and agrees with the half sum of
-        the full-grid e_+- to rounding, not bitwise.
-        """
-        return self._outgoing(True)[0][0]
 
     @cached_property
     def t(self) -> complex:
@@ -365,23 +304,23 @@ def lattice_wavenumber(k: float, h: float) -> float:
     return 2.0 * np.arcsin(s) / h
 
 
-def _outgoing_system(V: PotentialField, k: float, rows: int | None = None):
-    """Tridiagonal (dl, d, du) for (H_V - k^2) with outgoing radiation rows.
+def _robin_system(V: PotentialField, shift: float, ghost: complex, rows: int | None = None):
+    """Tridiagonal (dl, d, du) for H_V - shift with Robin rows at the domain ends.
 
-    The ghost value at each end is eliminated through the exact discrete
-    outgoing relation u_ghost = e^{iqh} u_end, so a pure outgoing lattice
-    wave satisfies the boundary row exactly and the matrix stays complex
-    symmetric.  With rows = c + 1, the system is the even block of a
-    mirrored V (kernels._even_block): the outgoing row at node 0 and the
-    mirror row at x = 0.
+    The ghost value at each end is eliminated through u_ghost = ghost *
+    u_end (see _stencil): the outgoing solve's exact discrete outgoing
+    relation ghost = e^{iqh}, which a pure outgoing lattice wave satisfies
+    exactly, or the reduced resolvent's decay ghost = e^{-kappa h}.  One
+    array is both off-diagonals, so the matrix stays symmetric, or complex
+    symmetric when ghost is complex.  With rows = c + 1, the system is the
+    even block of a mirrored V (kernels._even_block): the Robin row at
+    node 0 and the mirror row at x = 0.
     """
-    h = V.grid.h
-    q = lattice_wavenumber(k, h)
-    d, off = _stencil(V, k * k, np.exp(1j * q * h), rows)
+    d, off = _stencil(V, shift, ghost, rows)
     if d.shape[0] < V.grid.n:
         d, dl = _even_block(d, off)
     else:
-        dl = np.full(V.grid.n - 1, off, dtype=np.complex128)
+        dl = np.full(V.grid.n - 1, off, dtype=d.dtype)
     return dl, d, dl
 
 
@@ -414,7 +353,9 @@ def outgoing_resolvent_solve(V: PotentialField, k: float, f: np.ndarray) -> np.n
         raise ValueError("outgoing solves require real k > 0")
     f = np.asarray(f, dtype=np.complex128)
     even = _on_even_half(V, f)
-    dl, d, du = _outgoing_system(V, k, f.shape[0])
+    h = V.grid.h
+    q = lattice_wavenumber(k, h)
+    dl, d, du = _robin_system(V, k * k, np.exp(1j * q * h), f.shape[0])
     if even:  # into orthonormal even coordinates, a copy that ?gtsv may work in
         s = _even_scale(f.shape[0])
         f = (f.T * s).T
@@ -463,20 +404,17 @@ def reduced_resolvent_at_eigenvalue(V: PotentialField, bs: BoundState, f: np.nda
     w = grid.weights
 
     # discrete decay rate: 2(cosh(kq h) - 1)/h^2 = -lam, exact for the
-    # free lattice mode e^{-kq |x|}; ghost elimination as in _outgoing_system
+    # free lattice mode e^{-kq |x|}
     kq = np.arccosh(1.0 - lam * h * h / 2.0) / h
-    d, off = _stencil(V, lam, np.exp(-kq * h), rows)
+    dl, d, du = _robin_system(V, lam, np.exp(-kq * h), rows)
     if even:  # in orthonormal even coordinates
-        d, dl = _even_block(d, off)
         s = _even_scale(rows)
         f, psi, w = f * s, psi[:rows] * s, w[:rows]
-    else:
-        dl = np.full(grid.n - 1, off)
 
     fc = f - (w @ (psi * f)) * psi
     try:
         _require_finite(d, fc, psi)
-        z = _gtsv_solve(dl, d, dl, np.column_stack((fc, psi)))
+        z = _gtsv_solve(dl, d, du, np.column_stack((fc, psi)))
     except (np.linalg.LinAlgError, ValueError) as exc:  # singular A, non-finite input
         raise SolverFailure(f"bordered eigenvalue solve failed: {exc}") from exc
     z1, z2 = z[:, 0], z[:, 1]
@@ -546,7 +484,7 @@ def _support_recurrence(V: PotentialField, ks: np.ndarray):
 
 
 def transmission(V: PotentialField, k):
-    """Transmission coefficient t(k), as in distorted_plane_waves(V, k).t.
+    """Transmission coefficient t(k), as in ScatteringState(k, V).t.
 
     k is a scalar (a complex is returned) or a 1-D array (an array).  t is
     read off one recurrence over the support (see _support_recurrence),
@@ -565,36 +503,44 @@ def transmission(V: PotentialField, k):
     return complex(t[0]) if ks.ndim == 0 else t.reshape(ks.shape)
 
 
-def distorted_plane_waves(V: PotentialField, k: float, source=None):
-    """Distorted plane waves at wavenumber k, with t.
+def distorted_plane_waves(st: ScatteringState, source=None):
+    """(waves, response): the distorted plane waves of st.V at st.k, from one outgoing solve.
 
     phi_+- solves (H_V - k^2) phi = V e^{+-iqx} with outgoing rows and
-    e_+- = e^{+-iqx} - phi_+-; both are computed here, from one
-    exponential and one outgoing solve with two right-hand sides.  t comes
-    from the support recurrence that transmission uses, not from the
-    exterior of e_+, whose transmitted tail is a difference of nearly
-    equal numbers; it runs when t is first read.
-
-    With a source of n rows, the same solve takes it as a third column,
-    and (state, R(k)[source]) is returned; e_+- and the response each have
-    the bits of their solve without the other, and all three are columns
-    of one array.
+    e_+- = e^{+-iqx} - phi_+-, and waves is (e_+, e_-) on all n nodes,
+    from one solve with two right-hand sides.  A source, if given, rides
+    as the last column of the same solve, and response is R(k)[source],
+    or None without one.  Each column has the bits of its one-column
+    solve.
 
     A source of c + 1 rows is on the even half (see the module
-    docstring): the state's e_even is then computed here instead of e_+-
-    (which a reader then solves for on the full grid), and the response,
-    on nodes 0..c too, comes from the same solve.  A call without a
-    source solves on the full grid.
+    docstring): waves is then (e_even,) on nodes 0..c, e_even = (e_+ +
+    e_-)/2 = cos(qx) - R(k)[V cos(qx)], from the forcing V cos(qx), cos(qx)
+    being the real part of the lattice wave, and the response is on nodes
+    0..c too.  e_even agrees with the half sum of the full-grid e_+- to
+    rounding, not bitwise.  outgoing_resolvent_solve checks the rows.
+
+    Every wave is formed in its column of the solution, the response is
+    the last, and one array holds them all.  A half-grid complex array of
+    its own, 16(c + 1) = 8n + 8 bytes, is one allocator granule larger
+    than a full-grid real one; made on every evaluation, such arrays leave
+    heap holes that the full-grid arrays cannot reuse, and a process that
+    keeps many results grows with them.
     """
-    st = ScatteringState(k=float(k), V=V)
-    even = source is not None and _on_even_half(V, np.asarray(source))
-    waves, u = st._outgoing(even, source)
-    # kept as the cached properties keep them
-    if even:
-        st.__dict__["e_even"] = waves[0]
-    else:
-        st.__dict__["_waves"] = waves
-    return st if source is None else (st, u)
+    V = st.V
+    rows = V.grid.n if source is None else len(source)
+    wave = st.wave[:rows]
+    free = (wave, np.conj(wave)) if rows == V.grid.n else (wave.real,)
+    f = np.empty((rows, len(free) + (source is not None)), dtype=np.complex128, order="F")
+    for j, w in enumerate(free):
+        np.multiply(V.values[:rows], w, out=f[:, j])
+    if source is not None:
+        f[:, -1] = source
+    phi = outgoing_resolvent_solve(V, st.k, f)
+    for j, w in enumerate(free):
+        np.subtract(w, phi[:, j], out=phi[:, j])
+    waves = tuple(phi[:, j] for j in range(len(free)))
+    return waves, (None if source is None else phi[:, -1])
 
 
 def wronskian_at_zero(V: PotentialField, tol: float = 1e-8) -> WronskianResult:

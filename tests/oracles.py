@@ -25,7 +25,7 @@ from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
 from pdp.grid import PotentialField
-from pdp.spectral import _outgoing_system, lattice_wavenumber
+from pdp.spectral import _robin_system, lattice_wavenumber
 
 
 def square_well(depth, halfwidth, a, grid):
@@ -195,24 +195,25 @@ def hamiltonian_apply(V, u):
     return out + V.values * u
 
 
-def scattering_k_derivative(V, st):
+def scattering_k_derivative(V, k, waves):
     """d e_{V+-}/dk at fixed V, by differentiating the discrete system.
 
-    st is the package's distorted plane waves of V at st.k.  Both the
+    waves are the package's full-grid distorted plane waves (e_+, e_-) of
+    V at k, as spectral.distorted_plane_waves gives them.  Both the
     forcing phases and the radiation rows depend on k through the lattice
     wavenumber q(k); the assembled tridiagonal system A phi = V w (with
     e = w - phi, w = e^{+-iqx}) is differentiated, and the two tangent
     systems A dphi = V dw - (dA/dk) phi are solved (forward mode).
     """
     grid = V.grid
-    h, x, k = grid.h, grid.x, st.k
+    h, x = grid.h, grid.x
     q = lattice_wavenumber(k, h)
     qp = 1.0 / np.sqrt(1.0 - (0.5 * k * h) ** 2)  # dq/dk
     wave_p = np.exp(1j * q * x)
     wave_m = np.conj(wave_p)
     dwave_p = 1j * x * qp * wave_p
     dwave_m = -1j * x * qp * wave_m
-    dl, d, du = _outgoing_system(V, k)
+    dl, d, du = _robin_system(V, k * k, np.exp(1j * q * h))
     # dA/dk: -2k on the diagonal, plus the ghost factor at the end rows
     dd = np.full(grid.n, -2.0 * k, dtype=np.complex128)
     ghost = -1j * qp * np.exp(1j * q * h) / h
@@ -222,6 +223,7 @@ def scattering_k_derivative(V, st):
     ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
     vk = np.asarray(V.values)
     out = []
-    for phi, dwave in ((wave_p - st.e_plus, dwave_p), (wave_m - st.e_minus, dwave_m)):
+    e_p, e_m = waves
+    for phi, dwave in ((wave_p - e_p, dwave_p), (wave_m - e_m, dwave_m)):
         out.append(dwave - solve_banded((1, 1), ab, vk * dwave - dd * phi))
     return out[0], out[1]

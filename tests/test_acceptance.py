@@ -26,7 +26,7 @@ from pdp.grid import (
 )
 from pdp.optimizer import OptOptions, classify_mechanism, optimize
 from pdp.spectral import (
-    distorted_plane_waves,
+    ScatteringState,
     solve_ground_state,
     transmission,
     wronskian_at_zero,
@@ -174,7 +174,7 @@ def test_criterion_2_unitarity_and_transmission_bound(design_grid):
         V = PotentialField(design_grid, v, a)
         int_abs_v = float(trapz(design_grid, np.abs(v)))
         for k in rng.uniform(0.2, 3.0, size=20):
-            st = distorted_plane_waves(V, float(k))
+            st = ScatteringState(float(k), V)
             r = spectral._support_recurrence(V, np.array([float(k)]))[1][0]
             defect = abs(abs(r) ** 2 + abs(st.t) ** 2 - 1.0)
             worst_unitarity = max(worst_unitarity, defect)
@@ -197,7 +197,7 @@ def test_criterion_3_poschl_teller(design_grid):
     V = PotentialField(design_grid, vals, 15.0)
     lam = solve_ground_state(V).lam
     lam_err = abs(lam + 1.0)
-    t_errs = [abs(abs(distorted_plane_waves(V, k).t) - 1.0) for k in (0.5, 1.0, 2.0)]
+    t_errs = [abs(abs(ScatteringState(k, V).t) - 1.0) for k in (0.5, 1.0, 2.0)]
     elapsed = time.perf_counter() - t0
     ok = lam_err < 5e-4 and max(t_errs) < 1e-3 and elapsed < 60
     report(

@@ -13,7 +13,7 @@ from pdp import cli, config, fgr, kernels, optimizer, timedomain
 from pdp.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, Emitter, _fmt, _write_csv, build_parser, main
 from pdp.errors import ConfigError
 from pdp.grid import DesignParams, Grid, make_grid
-from pdp.spectral import distorted_plane_waves, solve_ground_state
+from pdp.spectral import ScatteringState, solve_ground_state
 
 
 def write_config(tmp_path, name, overrides):
@@ -266,7 +266,7 @@ class TestEvaluate:
         ks = np.linspace(0.1, 4.0, 40)
         assert len(rows) == 1 + len(ks)
         for row, k in zip(rows[1:], ks):
-            t = distorted_plane_waves(V, float(k)).t
+            t = ScatteringState(float(k), V).t
             assert row == ",".join(_fmt(v) for v in (k, abs(t) ** 2, t.real, t.imag))
 
     @pytest.mark.parametrize(
@@ -938,6 +938,12 @@ def test_bad_value_is_a_config_error_naming_the_key(tmp_path, capsys, command, o
         ("optimize", [], {"optimizer": {"symmetric": "false"}}, "optimizer.symmetric"),
         ("evaluate", [], {"grid": {"n": 2001.9}}, "grid.n"),
         ("evaluate", [], {"grid": {"n": 3}}, "grid section: need at least 4 nodes, got n=3"),
+        # 8n bytes of x pass intp; before, the first read of x failed in
+        # the design section with numpy's "array is too big"
+        ("evaluate", [], {"grid": {"n": 1 << 62}}, f"bad grid section: n={1 << 62} "),
+        # tau only falls: this ran one stage at tau = 1e-8 with exit 0
+        ("optimize", [], {"optimizer": {"tau_start": 1e-8, "tau_min": 1e-2, "max_iters": 3}},
+         "bad optimizer section: tau_min = 0.01 must not exceed tau_start = 1e-08"),
         ("evaluate", [], {"design": {"mu": float("nan")}}, "design.mu"),
         ("evaluate", [], {"init": {"A": True}}, "init.A"),
         ("evaluate", [], {"design": {"mu": "2"}}, "design.mu"),
@@ -951,6 +957,7 @@ def test_bad_value_is_a_config_error_naming_the_key(tmp_path, capsys, command, o
     ids=[
         "decreasing_fit_window", "negative_seed_flag", "negative_beta_halfwidth",
         "negative_max_iters", "unknown_vary", "string_bool", "fractional_int", "three_nodes",
+        "grid_numpy_cannot_size", "tau_range_upward",
         "nan", "bool_as_number", "numeric_string", "scalar_section", "fit_window_after_the_run",
         "fit_window_of_one_sample", "negative_absorber_strength",
     ],

@@ -344,21 +344,22 @@ class TestWaveKPairings:
             p = DesignParams(a=a, b=1e3, mu=2.0, delta=1e-4, beta=beta)
         res = fgr.gamma(W, p)
         src = p.beta_values(W) * res.bound_state.psi
-        rbp = spectral.outgoing_resolvent_solve(W, res.k_res, src)
-        c = fgr._wave_k_pairings(W, res.scattering, src, rbp, False)
-        a_p, a_m = oracles.scattering_k_derivative(W, res.scattering)
+        waves, rbp = spectral.distorted_plane_waves(res.scattering, src)
+        c = fgr._wave_k_pairings(W, res.scattering, waves, src, rbp)
+        a_p, a_m = oracles.scattering_k_derivative(W, res.k_res, waves)
         c_orc = [complex(trapz(g, src * a_orc)) for a_orc in (a_p, a_m)]
         for c_adj, c_o in zip(c, c_orc):
             assert abs(c_adj - c_o) <= 1e-12 * abs(c_o)
         rows = n // 2 + 1
         rbp = spectral.outgoing_resolvent_solve(W, res.k_res, src[:rows])
-        (c_even,) = fgr._wave_k_pairings(W, res.scattering, src[:rows], rbp, True)
+        (c_even,) = fgr._wave_k_pairings(W, res.scattering, res.waves, src[:rows], rbp)
         c_o = 0.5 * (c_orc[0] + c_orc[1])
         assert abs(c_even - c_o) <= 1e-11 * abs(c_o)
 
     def test_outgoing_matrix_is_complex_symmetric(self, V):
         # the adjoint identity uses A^T = A: one array is both off-diagonals
-        dl, d, du = spectral._outgoing_system(V, 1.1)
+        q = spectral.lattice_wavenumber(1.1, V.grid.h)
+        dl, d, du = spectral._robin_system(V, 1.1 * 1.1, np.exp(1j * q * V.grid.h))
         assert dl is du and np.iscomplexobj(d)
 
 
@@ -396,19 +397,19 @@ class TestGammaGradient:
 
     @pytest.mark.parametrize("build", ["sech", "walled"])
     def test_same_bits_without_the_kept_response(self, grid, V, params_fixed, build):
-        # an optimizer result keeps no R(k)[beta psi]; the gradient then
-        # solves for it, and each column of gamma's solve has the bits of
-        # its one-column solve
+        # an optimizer result keeps no waves and no R(k)[beta psi]; the
+        # gradient then has gamma solve for them again, to the same bits
         from pdp.optimizer import OptOptions, optimize
 
         W = V if build == "sech" else walled_sech(grid)
         fgr.clear_cache()
         out = optimize(W, params_fixed, OptOptions(max_iters=1, tau_start=1e-2, tau_min=1e-2))
-        assert out.result.source_response is None
+        assert out.result.waves is None and out.result.source_response is None
         fgr.clear_cache()
         res = fgr.gamma(out.V_opt, params_fixed)
-        assert res.source_response is not None
+        assert res.waves is not None and res.source_response is not None
         kept = fgr.gamma_gradient(out.V_opt, params_fixed, res)
+        fgr.clear_cache()  # so that the gradient's gamma call solves
         solved = fgr.gamma_gradient(out.V_opt, params_fixed, out.result)
         assert kept.tobytes() == solved.tobytes()
 

@@ -68,6 +68,9 @@ class TestGrid:
                 make_grid(-1, 1, n)
         with pytest.raises(ValueError):
             make_grid(1, -1, 100)
+        # numpy cannot size the 8n bytes of x; refused before x is read
+        with pytest.raises(ValueError, match=f"n={1 << 62} is too many nodes"):
+            make_grid(-1, 1, 1 << 62)
 
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("well", [(-2.0, -3.0, -2.0), (-1.0, -3.0, -2.0)],

@@ -15,7 +15,12 @@ from pdp.optimizer import (
     lbfgs_direction,
     optimize,
 )
-from pdp.spectral import distorted_plane_waves, solve_ground_state, wronskian_at_zero
+from pdp.spectral import (
+    ScatteringState,
+    distorted_plane_waves,
+    solve_ground_state,
+    wronskian_at_zero,
+)
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +230,12 @@ class TestOptimize:
         with pytest.raises(ValueError, match="symmetric mode needs"):
             optimize(sech_well(1.5, 1.5, 12.0, grid), p, OptOptions(symmetric=True))
 
+    def test_tau_range_that_runs_upward_is_refused(self):
+        # tau only falls, so tau_min above tau_start would never be reached
+        with pytest.raises(ValueError, match="tau_min = 0.01 must not exceed tau_start"):
+            OptOptions(tau_start=1e-8, tau_min=1e-2)
+        assert OptOptions(tau_start=1e-2, tau_min=1e-2).tau_min == 1e-2
+
     def test_negligible_gamma_at_tau_min_ends_run(self, V, params):
         # a single stage at tau_min whose gamma is already below
         # TAU_ADVANCE_FACTOR * tau is pure barrier: the run takes no step
@@ -289,22 +300,28 @@ class TestOptimize:
         assert bs.count_negative_eigenvalues == fresh.count_negative_eigenvalues == 1
 
     def test_result_keeps_no_waves(self, grid, V, params):
-        # a kept result holds only scalars, V_opt and the ground state; its
-        # waves are computed again, to the same bits, when first read
+        # a kept result holds only scalars, V_opt and the ground state: no
+        # waves and no source response.  Its state solves for the waves,
+        # and a fresh gamma for Gamma and m+-, to the same bits
         from pdp import fgr
 
         out = optimize(V, params, OptOptions(max_iters=5, tau_start=1e-2, tau_min=1e-2))
+        assert out.result.waves is None and out.result.source_response is None
         st = out.result.scattering
         assert not [
             name for name, val in vars(st).items()
             if isinstance(val, np.ndarray) and val.size >= grid.n
         ]
-        fresh = distorted_plane_waves(out.V_opt, out.result.k_res)
-        assert st.e_plus.tobytes() == fresh.e_plus.tobytes()
-        assert st.e_minus.tobytes() == fresh.e_minus.tobytes()
+        fresh = ScatteringState(out.result.k_res, out.V_opt)
+        (e_p, e_m), _ = distorted_plane_waves(st)
+        (fresh_p, fresh_m), _ = distorted_plane_waves(fresh)
+        assert (e_p.tobytes(), e_m.tobytes()) == (fresh_p.tobytes(), fresh_m.tobytes())
         assert st.t == fresh.t
+        fgr.clear_cache()
         full = fgr.gamma(out.V_opt, params)
-        assert full.gamma == out.result.gamma
+        assert (full.gamma, full.m_plus, full.m_minus) == (
+            out.result.gamma, out.result.m_plus, out.result.m_minus
+        )
         assert classify_mechanism(out.result) == classify_mechanism(full)
 
     def test_result_holds_no_grid_length_array(self, grid, V, params):

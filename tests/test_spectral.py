@@ -10,6 +10,7 @@ from pdp.errors import NoBoundState, SolverFailure
 from pdp.grid import PotentialField, make_grid, sech_well, trapz
 from pdp import kernels, spectral
 from pdp.spectral import (
+    ScatteringState,
     distorted_plane_waves,
     lattice_wavenumber,
     outgoing_resolvent_solve,
@@ -18,6 +19,11 @@ from pdp.spectral import (
     transmission,
     wronskian_at_zero,
 )
+
+
+def full_waves(V, k):
+    """(e_+, e_-) of V at k on the full grid, from one outgoing solve."""
+    return distorted_plane_waves(ScatteringState(k, V))[0]
 
 
 def reflection(V, k):
@@ -389,16 +395,18 @@ class TestOutgoingResolvent:
         rows = grid.n // 2 + 1
         f = pt.values[:rows] + 0j
         assert outgoing_resolvent_solve(pt, 1.3, f).shape == (rows,)
-        st, u = distorted_plane_waves(pt, 1.3, f)
-        assert "e_even" in vars(st) and "_waves" not in vars(st) and u.shape == (rows,)
-        st = distorted_plane_waves(pt, 1.3)
-        assert "_waves" in vars(st) and "e_even" not in vars(st)
+        st = ScatteringState(1.3, pt)
+        waves, u = distorted_plane_waves(st, f)
+        assert [e.shape for e in waves] == [(rows,)] and u.shape == (rows,)
+        waves, u = distorted_plane_waves(st)
+        assert [e.shape for e in waves] == [(grid.n,), (grid.n,)] and u is None
+        assert list(vars(st)) == ["k", "V", "wave"]  # no wave of either solve is kept
         V = walled_sech(grid)
         bs = solve_ground_state(V)
         for solve in (
             lambda f: outgoing_resolvent_solve(V, 1.3, f),
             lambda f: reduced_resolvent_at_eigenvalue(V, bs, f),
-            lambda f: distorted_plane_waves(V, 1.3, f),
+            lambda f: distorted_plane_waves(ScatteringState(1.3, V), f),
         ):
             with pytest.raises(ValueError, match="an even solve needs a V that reads the same"):
                 solve(np.zeros(rows))
@@ -446,14 +454,14 @@ class TestOutgoingResolvent:
 class TestDistortedPlaneWaves:
     def test_free_case(self, grid):
         V = PotentialField(grid, np.zeros(grid.n), 15.0)
-        st = distorted_plane_waves(V, 1.2)
+        e_p, _ = full_waves(V, 1.2)
         q = lattice_wavenumber(1.2, grid.h)
-        np.testing.assert_allclose(st.e_plus, np.exp(1j * q * grid.x), atol=1e-10)
-        assert st.t == pytest.approx(1.0, abs=1e-10)
+        np.testing.assert_allclose(e_p, np.exp(1j * q * grid.x), atol=1e-10)
+        assert ScatteringState(1.2, V).t == pytest.approx(1.0, abs=1e-10)
         assert abs(reflection(V, 1.2)) < 1e-10
 
     def test_poschl_teller_reflectionless(self, pt):
-        st = distorted_plane_waves(pt, 1.0)
+        st = ScatteringState(1.0, pt)
         assert abs(st.t) == pytest.approx(1.0, abs=1e-3)
         assert abs(reflection(pt, 1.0)) < 1e-3
 
@@ -461,7 +469,7 @@ class TestDistortedPlaneWaves:
         V0, w = 1.3, 2.0
         V = square_well(V0, w, 15.0, grid)
         for k in (0.4, 1.1, 2.3):
-            st = distorted_plane_waves(V, k)
+            st = ScatteringState(k, V)
             t_exact = oracles.square_well_transmission(V0, w, k)
             assert abs(st.t - t_exact) < 2e-3
             assert abs(abs(reflection(V, k)) ** 2 + abs(st.t) ** 2 - 1.0) < 1e-10
@@ -478,15 +486,15 @@ class TestDistortedPlaneWaves:
             return -0.8 * np.exp(-((x - 1.0) ** 2) / 3.0) if abs(x) <= 10 else 0.0
 
         for k in (0.6, 1.4):
-            st = distorted_plane_waves(V, k)
+            st = ScatteringState(k, V)
             t_o, r_o = oracles.scattering_amplitudes(v_func, 10.0, k)
             assert abs(st.t - t_o) < 2e-3
             assert abs(reflection(V, k) - r_o) < 2e-3
 
     def test_symmetry_relation(self, pt):
         # for symmetric V: e_-(x) = e_+(-x)
-        st = distorted_plane_waves(pt, 0.9)
-        assert np.max(np.abs(st.e_minus - st.e_plus[::-1])) < 1e-9
+        e_p, e_m = full_waves(pt, 0.9)
+        assert np.max(np.abs(e_m - e_p[::-1])) < 1e-9
 
     @pytest.mark.parametrize("wall", [0.0, 40.0], ids=["sech", "walled"])
     def test_two_column_solve_equals_one_column_solves(self, grid, wall):
@@ -495,9 +503,10 @@ class TestDistortedPlaneWaves:
         vals = sech_well(1.5, 1.5, 12.0, grid).values
         V = PotentialField(grid, vals + np.where((grid.x > 6.0) & (grid.x < 7.0), wall, 0.0), 12.0)
         k = 1.1
-        st = distorted_plane_waves(V, k)
+        st = ScatteringState(k, V)
+        (e_p, e_m), _ = distorted_plane_waves(st)
         q = lattice_wavenumber(k, grid.h)
-        for phase, e in ((1j, st.e_plus), (-1j, st.e_minus)):
+        for phase, e in ((1j, e_p), (-1j, e_m)):
             w = np.exp(phase * q * grid.x)
             one = w - outgoing_resolvent_solve(V, k, V.values * w)
             assert e.tobytes() == one.tobytes()
@@ -512,10 +521,10 @@ class TestDistortedPlaneWaves:
         V = PotentialField(grid, vals + np.where((grid.x > 6.0) & (grid.x < 7.0), wall, 0.0), 12.0)
         k = 1.1
         src = np.where(np.abs(grid.x) <= 2.0, 1.0, 0.0) * solve_ground_state(V).psi
-        st, u = distorted_plane_waves(V, k, src)
-        plain = distorted_plane_waves(V, k)
-        assert st.e_plus.tobytes() == plain.e_plus.tobytes()
-        assert st.e_minus.tobytes() == plain.e_minus.tobytes()
+        (e_p, e_m), u = distorted_plane_waves(ScatteringState(k, V), src)
+        plain_p, plain_m = full_waves(V, k)
+        assert e_p.tobytes() == plain_p.tobytes()
+        assert e_m.tobytes() == plain_m.tobytes()
         assert u.tobytes() == outgoing_resolvent_solve(V, k, src).tobytes()
 
 
@@ -603,13 +612,11 @@ class TestScatteringKDerivative:
         vals = np.where(np.abs(grid.x) <= 10, -0.9 * np.exp(-grid.x**2 / 4), 0.0)
         V = PotentialField(grid, vals, 10.0)
         k = 1.2
-        st = distorted_plane_waves(V, k)
-        a_p, a_m = oracles.scattering_k_derivative(V, st)
+        a_p, a_m = oracles.scattering_k_derivative(V, k, full_waves(V, k))
         dk = 1e-6
-        stp = distorted_plane_waves(V, k + dk)
-        stm = distorted_plane_waves(V, k - dk)
-        fd_p = (stp.e_plus - stm.e_plus) / (2 * dk)
-        fd_m = (stp.e_minus - stm.e_minus) / (2 * dk)
+        (ep_p, ep_m), (em_p, em_m) = full_waves(V, k + dk), full_waves(V, k - dk)
+        fd_p = (ep_p - em_p) / (2 * dk)
+        fd_m = (ep_m - em_m) / (2 * dk)
         scale = np.max(np.abs(fd_p))
         assert np.max(np.abs(a_p - fd_p)) < 1e-4 * scale
         assert np.max(np.abs(a_m - fd_m)) < 1e-4 * scale
@@ -625,11 +632,11 @@ class TestTransmissionSweep:
         # the k values of the transmission.csv table
         V = build(grid)
         for k in np.linspace(0.1, 4.0, 40):
-            assert transmission(V, float(k)) == distorted_plane_waves(V, float(k)).t
+            assert transmission(V, float(k)) == ScatteringState(float(k), V).t
 
     def test_free_all_ones(self, grid):
         V = PotentialField(grid, np.zeros(grid.n), 15.0)
-        tsq = [abs(distorted_plane_waves(V, k).t) ** 2 for k in (0.5, 1.0, 2.0)]
+        tsq = [abs(ScatteringState(k, V).t) ** 2 for k in (0.5, 1.0, 2.0)]
         np.testing.assert_allclose(tsq, 1.0, atol=1e-10)
 
     def test_lower_bound_random_potentials(self, grid):
@@ -646,7 +653,7 @@ class TestTransmissionSweep:
             int_abs_v = trapz(grid, np.abs(V.values))
             for k in (0.3, 0.8, 1.5, 2.5):
                 bound = np.exp(-min(1.0 / k, 2 * a) * int_abs_v)
-                st = distorted_plane_waves(V, k)
+                st = ScatteringState(k, V)
                 assert abs(st.t) >= bound * (1 - 1e-6)
 
     def test_bragg_dip_of_truncated_cosine(self, grid):
@@ -656,7 +663,7 @@ class TestTransmissionSweep:
         vals = np.where(np.abs(grid.x) <= 10, 0.2 * np.cos(q * grid.x), 0.0)
         V = PotentialField(grid, vals, 10.0)
         ks = np.linspace(0.6, 1.4, 81)
-        tsq = np.array([abs(distorted_plane_waves(V, float(k)).t) ** 2 for k in ks])
+        tsq = np.array([abs(ScatteringState(float(k), V).t) ** 2 for k in ks])
         k_dip = ks[np.argmin(tsq)]
         assert abs(k_dip - q / 2) < 0.1
         assert tsq.min() < 0.9
@@ -737,7 +744,8 @@ class TestTransmissionRecurrence:
         V = PotentialField(g, np.where(np.abs(g.x) <= 40.0, 100.0, 0.0), 40.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            st = distorted_plane_waves(V, 1.0)
+            st = ScatteringState(1.0, V)
+            distorted_plane_waves(st)
             t = transmission(V, np.array([0.5, 1.0, 3.0]))
             r = reflection(V, 1.0)
         assert st.t == 0.0 and np.all(t == 0.0)
@@ -748,7 +756,7 @@ class TestTransmissionRecurrence:
         V = PotentialField(grid, np.zeros(grid.n), 15.0)
         assert transmission(V, 1.3) == 1.0
         assert np.all(transmission(V, np.array([0.1, 2.0, 4.0])) == 1.0)
-        st = distorted_plane_waves(V, 0.7)
+        st = ScatteringState(0.7, V)
         assert st.t == 1.0 and reflection(V, 0.7) == 0.0
 
 
@@ -857,7 +865,7 @@ class TestSupportMarchCuts:
         monkeypatch.setattr(kernels, "_support_march", counted)
         V = walled_sech(grid)
         ks = np.linspace(0.1, 4.0, 40)
-        st = distorted_plane_waves(V, 1.15)
+        st = ScatteringState(1.15, V)
         table = st.transmission_table(ks)
         assert calls == [41]
         assert st.t == transmission(V, 1.15)

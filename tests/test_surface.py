@@ -11,8 +11,10 @@ imports (or its own module) gives it, or as an attribute of its module.
 A method, property or field counts wherever an attribute of its name is
 read, because the syntax does not tell the type of the object read from.
 
-Every pdp name that the benchmark in perfbench/ reads must exist: its
-workloads import pdp inside their methods, so a name that pdp drops
+Every pdp name that the benchmark in perfbench/ reads must exist, and
+every call that it makes of a pdp callable must bind to the callable's
+signature: its workloads import pdp inside their methods, so a name that
+pdp drops, or a changed signature that the benchmark calls positionally,
 would otherwise fail only when the benchmark runs.
 
 Every private function, class and module-level constant of a pdp module
@@ -373,26 +375,41 @@ def _pdp_imports(body) -> dict[str, str]:
     return out
 
 
-def _pdp_reads(scope, bound: dict[str, str], found: set[str]) -> None:
+def _pdp_path(node, bound: dict[str, str]) -> str | None:
+    """The dotted pdp path of an imported name, or of an attribute read off one."""
+    if isinstance(node, ast.Name):
+        return bound.get(node.id)
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in bound):
+        return f"{bound[node.value.id]}.{node.attr}"
+    return None
+
+
+def _pdp_reads(scope, bound: dict[str, str], found: set[str], calls: list) -> None:
     """Add to found the dotted path of each pdp name that scope imports, and
     of each attribute it reads off one, under the imports of its enclosing
-    scopes and its own."""
+    scopes and its own; add to calls (path, call) for each call of one."""
     bound = {**bound, **_pdp_imports(scope.body)}
     found.update(bound.values())
     todo = list(ast.iter_child_nodes(scope))
     while todo:
         node = todo.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            _pdp_reads(node, bound, found)
+            _pdp_reads(node, bound, found, calls)
             continue
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in bound):
-            found.add(f"{bound[node.value.id]}.{node.attr}")
+        if isinstance(node, ast.Attribute) and (path := _pdp_path(node, bound)):
+            found.add(path)
+        if isinstance(node, ast.Call) and (path := _pdp_path(node.func, bound)):
+            calls.append((path, node))
         todo.extend(ast.iter_child_nodes(node))
 
 
-def _resolves(path: str) -> bool:
-    """Whether the dotted path names a module, or an attribute chain off one."""
+_MISSING = object()
+
+
+def _lookup(path: str):
+    """The object that the dotted path names, a module or an attribute chain
+    off one, or _MISSING."""
     parts = path.split(".")
     for i in range(len(parts), 0, -1):
         try:
@@ -400,17 +417,74 @@ def _resolves(path: str) -> bool:
         except ImportError:
             continue
         for attr in parts[i:]:
-            if not hasattr(obj, attr):
-                return False
-            obj = getattr(obj, attr)
-        return True
-    return False
+            obj = getattr(obj, attr, _MISSING)
+            if obj is _MISSING:
+                break
+        return obj
+    return _MISSING
+
+
+def _benchmark_reads() -> tuple[set[str], list]:
+    found: set[str] = set()
+    calls: list = []
+    for path in sorted(BENCH.glob("*.py")):
+        _pdp_reads(ast.parse(path.read_text(), path.name), {}, found, calls)
+    return found, calls
 
 
 def test_every_pdp_name_the_benchmark_reads_exists():
-    found: set[str] = set()
-    for path in sorted(BENCH.glob("*.py")):
-        _pdp_reads(ast.parse(path.read_text(), str(path)), {}, found)
+    found, _ = _benchmark_reads()
     # the scan sees names imported in methods and read off builders
     assert {"pdp.fgr.clear_cache", "pdp.config.builders.grid"} <= found
-    assert sorted(p for p in found if not _resolves(p)) == []
+    assert sorted(p for p in found if _lookup(p) is _MISSING) == []
+
+
+def _unbound_calls(calls) -> list[str]:
+    """line path: error of each call whose arguments its pdp callable's
+    signature does not bind, each argument a placeholder.  A call that
+    passes *args or **kwargs is skipped, as is a path that names nothing
+    (the name rule reports it)."""
+    out = []
+    for path, call in calls:
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords
+        ):
+            continue
+        obj = _lookup(path)
+        if not callable(obj):
+            continue
+        try:
+            inspect.signature(obj).bind(*call.args, **{k.arg: k.value for k in call.keywords})
+        except TypeError as exc:
+            out.append(f"{call.lineno} {path}: {exc}")
+    return out
+
+
+def test_every_pdp_call_of_the_benchmark_binds():
+    _, calls = _benchmark_reads()
+    # the scan sees calls of imported names and of attributes off modules
+    called = {path for path, _ in calls}
+    assert {"pdp.timedomain.propagate", "pdp.spectral.wronskian_at_zero",
+            "pdp.grid.DesignParams", "pdp.config.builders.design"} <= called
+    assert _unbound_calls(calls) == []
+
+
+def test_call_rule_reports_a_call_that_does_not_bind():
+    tree = ast.parse(
+        "from pdp import spectral\n"
+        "def f(V, args, kw):\n"
+        "    from pdp.grid import make_grid\n"
+        "    spectral.wronskian_at_zero(V, 1e-8, 3)\n"
+        "    make_grid(-1.0, 1.0)\n"
+        "    make_grid(-1.0, 1.0, 5, m=2)\n"
+        "    make_grid(*args)\n"
+        "    make_grid(-1.0, 1.0, **kw)\n"
+        "    spectral.wronskian_at_zero(V, tol=1e-8)\n"
+        "    spectral.no_such_function(V)\n"
+    )
+    calls: list = []
+    _pdp_reads(tree, {}, set(), calls)
+    assert len(calls) == 7
+    assert sorted(line.split(":")[0] for line in _unbound_calls(calls)) == [
+        "4 pdp.spectral.wronskian_at_zero", "5 pdp.grid.make_grid", "6 pdp.grid.make_grid",
+    ]
