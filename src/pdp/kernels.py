@@ -40,7 +40,8 @@ tridiagonal solve with a matrix of its own ends in _gtsv_solve, a thin
 LAPACK ?gtsv call that assumes finite input.  The
 solvers in pdp.spectral check the potential and their forcing once per
 solve with _require_finite and then call _gtsv_solve.  cn_step_loop
-checks its operands once per call.  It writes the Crank-Nicolson map as
+checks its operands once per call and calls zgtsv itself, with no
+wrapper or dtype dispatch per step.  It writes the Crank-Nicolson map as
 2 A^-1 - I, so a step is one solve with A and no right-hand-side product.
 Its off-diagonal is a scalar or one value per row pair: pdp.timedomain
 steps a mirror-symmetric run from an even start on the even half of the
@@ -53,11 +54,14 @@ one top-down and the right one bottom-up, each with the forced block's
 row next to it, which folds the block's fixed Schur term into that
 corner of the forced block's diagonal: the Hermitian part of A is at
 least I, which gives every pivot a real part of at least 1.  Each step
-sweeps every outer block in toward the forced block with one
-unit-triangular BLAS ?tbsv and a multiply by its reciprocal pivots (no
-complex division), solves the forced block with _gtsv_solve, and sweeps
-back out with one more ?tbsv per outer block.  Its steps therefore agree
-with a full ?gtsv solve up to rounding, not bitwise.
+scales the right-hand side by r (2/p on the outer rows, p their pivots,
+2 on the forced block) in one pass, sweeps every outer block in toward
+the forced block with one unit-triangular BLAS ?tbsv of the
+pivot-scaled factor (_sweep_bands), so that no pass multiplies by
+reciprocal pivots, solves the forced block in place with one ?gtsv call
+on buffers made once per call, sweeps back out with one more ?tbsv per
+outer block, and subtracts.  Its steps therefore agree with a full ?gtsv
+solve up to rounding, not bitwise.
 No kernel calls another public kernel, so wrapping the module attributes
 (as a tracer does) gives one span per outside call: one
 kernels.cn_step_loop span covers a whole run of steps.
@@ -138,11 +142,18 @@ def _gtsv_solve(dl, d, du, b, *, scratch=False):
     """
     gtsv = _gtsv(np.result_type(dl, d, du, b, np.float64))
     _, _, _, x, info = gtsv(dl, d, du, b, overwrite_d=scratch, overwrite_b=scratch)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of ?gtsv")
+    if info:
+        raise _gtsv_error(info)
     return x
+
+
+def _gtsv_error(info):
+    """The exception for a nonzero ?gtsv info: numpy.linalg.LinAlgError for
+    an exactly singular matrix (info > 0), ValueError for an illegal
+    argument (info < 0)."""
+    if info > 0:
+        return np.linalg.LinAlgError("singular matrix")
+    return ValueError(f"illegal value in argument {-info} of ?gtsv")
 
 
 def _require_finite(*arrays) -> None:
@@ -511,17 +522,39 @@ def _factor_unpivoted(e, d):
     return np.array(m, dtype=np.complex128), np.array(p, dtype=np.complex128)
 
 
-def _sweep_bands(m):
-    """?tbsv band storage of the unit-lower and unit-upper bidiagonal matrices with m off the diagonal.
+def _sweep_bands(e, m, p, bottom_up):
+    """Right-hand-side scale and ?tbsv sweeps of one outer block of cn_step_loop.
 
-    Fortran order, as BLAS reads it: the lower one holds m below its
-    (unread) unit diagonal, the upper one m above it.
+    e, m and p are the block's couplings, multipliers and pivots in the
+    order _factor_unpivoted took and gave them, with the forced block's
+    corner row last: the block's part of A is L D U, with L unit-lower
+    (m below its diagonal), U unit-upper (m above it) and D = diag(p).
+    The in-sweep must give D^-1 L^-1 (2 phi) on the block's own rows and
+    L^-1 (2 phi) on the corner row, whose pivot belongs to C's solve.
+    With D' = D but for a 1 on the corner row, D'^-1 L^-1 = Lh^-1 D'^-1
+    for the unit-lower Lh = D'^-1 L D', whose row i couples to row i-1 by
+    e[i-1] / p[i] on the own rows and by the plain e on the corner row
+    (m[i-1] p[i-1] = e[i-1]).  So the step scales its right-hand side by
+    r = 2/p on the own rows, sweeps in with Lh and sweeps out with U.
+
+    Returns (r, sweep_in, sweep_out): r on the own rows, and each sweep
+    as (band, lower), its ?tbsv band storage in Fortran order and whether
+    it is lower triangular.  With bottom_up, the block was factored from
+    the grid's end up: r, Lh and U are then given in row order, their
+    mirror images, so that Lh is upper and U lower.
     """
-    lower = np.ones((2, m.shape[0] + 1), dtype=np.complex128, order="F")
-    lower[1, :-1] = m
+    lh = e.astype(np.complex128)
+    lh[:-1] /= p[1:-1]
+    r = 2.0 / p[:-1]
+    lower = np.ones((2, p.shape[0]), dtype=np.complex128, order="F")
+    lower[1, :-1] = lh
     upper = np.ones_like(lower)
     upper[0, 1:] = m
-    return lower, upper
+    if bottom_up:
+        # the reversal of a lower band is the upper band of the reversed rows
+        return (r[::-1], (np.asfortranarray(lower[::-1, ::-1]), 0),
+                (np.asfortranarray(upper[::-1, ::-1]), 1))
+    return r, (lower, 1), (upper, 0)
 
 
 def cn_step_loop(off, diag_h, sigma, beta, eps, mu, dt, t0, nsteps, phi, *, record=None):
@@ -550,18 +583,24 @@ def cn_step_loop(off, diag_h, sigma, beta, eps, mu, dt, t0, nsteps, phi, *, reco
     it, so that the last pivot of each factorization is C's corner
     diagonal less the block's fixed Schur term b^2/p (b the coupling, p
     the block's pivot next to C); the forcing-free diagonal of C and
-    hb = (i dt/2) eps beta on C are formed too.  Each step forms C's
-    diagonal as that fixed part plus cos(mu t_mid) hb; sweeps each outer
-    block in toward C by one unit-triangular BLAS ?tbsv, whose last row
-    is the block's update of C's corner right-hand side, and multiplies
-    the block's rows by its reciprocal pivots (no complex division);
-    solves C with _gtsv_solve; sweeps each outer block back out by one
-    unit-triangular ?tbsv from C's solved corner; and sets phi = chi -
-    phi by one subtraction over all rows.  The sweeps and the solve work
-    in place in contiguous views of one buffer.  The result agrees with
-    solving (I + X) phi_new = (I - X) phi by one full ?gtsv per step up
-    to rounding, not bitwise.  When beta reaches both grid ends there is
-    no outer block, and the step is one ?gtsv solve of the whole system.
+    hb = (i dt/2) eps beta on C are formed too, and so are each outer
+    block's sweeps and the right-hand-side scale r (_sweep_bands): 2/p on
+    the outer rows and 2 on C.  A step then forms C's diagonal as that
+    fixed part plus cos(mu t_mid) hb; scales the right-hand side, y = r
+    phi, in one pass over all rows; sweeps each outer block in toward C
+    by one unit-triangular BLAS ?tbsv with the pivot-scaled factor Lh,
+    whose last row is the block's update of C's corner right-hand side,
+    so that no pass multiplies by reciprocal pivots; solves C by one
+    LAPACK ?gtsv in place, on buffers made once per call (its two
+    couplings, which ?gtsv overwrites, are refreshed by one copy); sweeps
+    each outer block back out by one unit-triangular ?tbsv from C's
+    solved corner; and sets phi = chi - phi by one subtraction over all
+    rows.  The sweeps and the solve work in contiguous views of y, and
+    the routines are called with positional arguments, which f2py parses
+    faster than keywords.  The result agrees with solving (I + X) phi_new
+    = (I - X) phi by one full ?gtsv per step up to rounding, not bitwise.
+    When beta reaches both grid ends there is no outer block, and the
+    step is one ?gtsv solve of the whole system.
 
     The operands are checked once per call (a NaN or inf raises
     ValueError); the steps then reuse one set of buffers.  If given,
@@ -575,37 +614,47 @@ def cn_step_loop(off, diag_h, sigma, beta, eps, mu, dt, t0, nsteps, phi, *, reco
     hoff = half * np.broadcast_to(off, n - 1)  # the off-diagonal of A
     lo, hi = _forced_block(beta)
     a0 = 1.0 + half * (diag_h - 1j * sigma)  # A's diagonal without the forcing
+    r = np.full(n, 2.0, dtype=np.complex128)
     y = np.empty(n, dtype=np.complex128)
-    # per outer block: its rows with C's corner row and its own rows, as
-    # views of y, its reciprocal pivots, and the (band, lower) of its in
-    # and out sweeps
+    # per outer block: its rows with C's corner row, as a view of y, and
+    # the (band, lower) of its in and out sweeps
     blocks = []
     if lo > 0:  # L and C's first row, top-down
-        m, p = _factor_unpivoted(hoff[:lo], a0[: lo + 1])
+        e = hoff[:lo]
+        m, p = _factor_unpivoted(e, a0[: lo + 1])
         a0[lo] = p[-1]
-        lower, upper = _sweep_bands(m)
-        blocks.append((y[: lo + 1], y[:lo], 1.0 / p[:-1], (lower, 1), (upper, 0)))
+        r[:lo], sweep_in, sweep_out = _sweep_bands(e, m, p, False)
+        blocks.append((y[: lo + 1], *sweep_in, *sweep_out))
     if hi < n:  # R and C's last row, bottom-up
-        m, p = _factor_unpivoted(hoff[hi - 1 :][::-1], a0[hi - 1 :][::-1])
+        e = hoff[hi - 1 :][::-1]
+        m, p = _factor_unpivoted(e, a0[hi - 1 :][::-1])
         a0[hi - 1] = p[-1]
-        lower, upper = _sweep_bands(m[::-1])
-        blocks.append((y[hi - 1 :], y[hi:], 1.0 / p[-2::-1], (upper, 0), (lower, 1)))
+        r[hi:], sweep_in, sweep_out = _sweep_bands(e, m, p, True)
+        blocks.append((y[hi - 1 :], *sweep_in, *sweep_out))
     a0_c = a0[lo:hi]
     hb = (half * eps) * beta[lo:hi]
-    hdl_c = hoff[lo : hi - 1]
+    hoff_c = hoff[lo : hi - 1]
+    # C's sub- and superdiagonal, which ?gtsv overwrites
+    off_c = np.empty((2, hi - lo - 1), dtype=np.complex128)
+    dl_c, du_c = off_c
     a_c = np.empty(hi - lo, dtype=np.complex128)
     y_c = y[lo:hi]
     t = t0
+    # positional arguments, which f2py parses faster than keywords:
+    # ztbsv(k, a, x, incx, offx, lower, trans, diag, overwrite_x) and
+    # zgtsv(dl, d, du, b, overwrite_dl, overwrite_d, overwrite_du, overwrite_b)
     for i in range(nsteps):
         np.multiply(hb, math.cos(mu * (t + 0.5 * dt)), out=a_c)
         np.add(a_c, a0_c, out=a_c)
-        np.multiply(2.0, phi, out=y)
-        for rows, own, rp, (band, low), _ in blocks:
-            _ztbsv(1, band, rows, lower=low, diag=1, overwrite_x=1)
-            np.multiply(own, rp, out=own)
-        _gtsv_solve(hdl_c, a_c, hdl_c, y_c, scratch=True)  # chi_C, in y_c
-        for rows, _, _, _, (band, low) in blocks:
-            _ztbsv(1, band, rows, lower=low, diag=1, overwrite_x=1)
+        off_c[...] = hoff_c
+        np.multiply(r, phi, out=y)
+        for rows, band, low, _, _ in blocks:
+            _ztbsv(1, band, rows, 1, 0, low, 0, 1, 1)
+        info = _zgtsv(dl_c, a_c, du_c, y_c, 1, 1, 1, 1)[-1]  # chi_C, in y_c
+        if info:
+            raise _gtsv_error(info)
+        for rows, _, _, band, low in blocks:
+            _ztbsv(1, band, rows, 1, 0, low, 0, 1, 1)
         np.subtract(y, phi, out=phi)
         t += dt
         if record is not None:

@@ -518,7 +518,8 @@ def distorted_plane_waves(st: ScatteringState, source=None):
     e_-)/2 = cos(qx) - R(k)[V cos(qx)], from the forcing V cos(qx), cos(qx)
     being the real part of the lattice wave, and the response is on nodes
     0..c too.  e_even agrees with the half sum of the full-grid e_+- to
-    rounding, not bitwise.  outgoing_resolvent_solve checks the rows.
+    rounding, not bitwise.  Any other row count raises ValueError
+    (_on_even_half) before a column is formed.
 
     Every wave is formed in its column of the solution, the response is
     the last, and one array holds them all.  A half-grid complex array of
@@ -528,9 +529,10 @@ def distorted_plane_waves(st: ScatteringState, source=None):
     keeps many results grows with them.
     """
     V = st.V
-    rows = V.grid.n if source is None else len(source)
+    even = source is not None and _on_even_half(V, np.asarray(source))
+    rows = V.grid.n // 2 + 1 if even else V.grid.n
     wave = st.wave[:rows]
-    free = (wave, np.conj(wave)) if rows == V.grid.n else (wave.real,)
+    free = (wave.real,) if even else (wave, np.conj(wave))
     f = np.empty((rows, len(free) + (source is not None)), dtype=np.complex128, order="F")
     for j, w in enumerate(free):
         np.multiply(V.values[:rows], w, out=f[:, j])

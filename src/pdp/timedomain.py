@@ -143,15 +143,29 @@ def propagate(
     grid (see the module docstring), and the hook takes the projection with
     half-grid weights and the norm over the same interior nodes; the series
     then agree with a full-grid run to rounding.  Raises SolverFailure on
-    non-finite field values, phi0 included.
+    non-finite field values, phi0 included, and, before any step, when
+    the simulation grid cannot carry the wave that the forcing drives:
+    lambda + mu > 0 with k h / 2 >= 1, k = sqrt(lambda + mu), as
+    fgr.gamma refuses it on the design grid.  phi0 must be a 1-D array of
+    grid.n values (ValueError otherwise).
     """
     grid = cfg.domain
     if V.grid != grid or beta.grid != grid:
         raise ValueError("V and beta must be sampled on the simulation grid")
     phi = np.asarray(phi0, dtype=np.complex128).copy()
-    if phi.shape[0] != grid.n:
-        raise ValueError("phi0 length does not match the simulation grid")
-    psi = solve_ground_state(V).psi
+    if phi.shape != (grid.n,):
+        raise ValueError(
+            f"phi0 must be a 1-D array of the simulation grid's {grid.n} values, "
+            f"got shape {phi.shape}"
+        )
+    bs = solve_ground_state(V)
+    k = math.sqrt(max(bs.lam + cfg.mu, 0.0))  # 0: no one-photon channel
+    if 0.5 * k * grid.h >= 1.0:
+        raise SolverFailure(
+            f"resonance k = {k:.6g} is above the lattice cutoff 2/h = {2.0 / grid.h:.6g} "
+            f"of the simulation grid (h = {grid.h:.6g}, n = {grid.n}): refine the grid"
+        )
+    psi = bs.psi
     sigma = absorber_profile(cfg)
     h = grid.h
     diag_h, off = _stencil(V)

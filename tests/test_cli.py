@@ -10,7 +10,9 @@ import pytest
 import scipy
 
 from pdp import cli, config, fgr, kernels, optimizer, timedomain
-from pdp.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, Emitter, _fmt, _write_csv, build_parser, main
+from pdp.cli import (
+    EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_SOLVER, Emitter, _fmt, _write_csv, build_parser, main,
+)
 from pdp.errors import ConfigError
 from pdp.grid import DesignParams, Grid, make_grid
 from pdp.spectral import ScatteringState, solve_ground_state
@@ -888,6 +890,18 @@ class TestSimulateAndFilter:
         err = capsys.readouterr().err
         assert err.startswith("config error: bad simulator section: t_final / dt_max")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "filter"])
+    def test_grid_without_the_resonant_wave_exits_3(self, tmp_path, capsys, command):
+        # h = 4.14 gives k h / 2 = 2.86: the lattice has no state at the
+        # forcing's energy, and simulate used to print a rate of 4e-14, exit 0
+        sim = {"domain": {"x_min": -60.0, "x_max": 60.0, "n": 30}}
+        cfgp = write_config(tmp_path, "sim.json", {"simulator": sim})
+        assert main([command, "--config", cfgp]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("solver failure: resonance k = ")
+        assert "lattice cutoff 2/h = 0.483333 of the simulation grid" in captured.err
 
     @pytest.mark.parametrize("command", ["simulate", "filter"])
     def test_invalid_beta_mode_exit_code(self, tmp_path, capsys, command):

@@ -580,6 +580,82 @@ class TestCnStepLoop:
         beta = ((x >= -3.0) & (x <= 1.0)).astype(float)
         self._single_steps_against_plain(off_rows, diag_h, sigma, beta, phi0)
 
+    @pytest.mark.parametrize(
+        "layout, outer_blocks",
+        [("both_blocks", 2), ("left_only", 1), ("right_only", 1)],
+        ids=["both_blocks", "left_only", "right_only"],
+    )
+    def test_each_step_sweeps_each_outer_block_twice_and_solves_the_forced_block_once(
+        self, monkeypatch, layout, outer_blocks
+    ):
+        # the call budget of a step: one in- and one out-sweep (?tbsv) per
+        # outer block, one ?gtsv of the forced block, and no _gtsv_solve
+        calls = {"ztbsv": 0, "zgtsv": 0, "gtsv_solve": 0}
+
+        def counting(name, routine):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return routine(*args, **kwargs)
+            return wrapped
+
+        for name, attr in (("ztbsv", "_ztbsv"), ("zgtsv", "_zgtsv"),
+                           ("gtsv_solve", "_gtsv_solve")):
+            monkeypatch.setattr(kernels, attr, counting(name, getattr(kernels, attr)))
+        for nsteps in (1, 50):
+            off, diag_h, sigma, beta, phi = self._layout(layout)
+            per_step = []
+
+            def record(i, t):
+                per_step.append(dict(calls))
+                calls.update(dict.fromkeys(calls, 0))
+
+            kernels.cn_step_loop(off, diag_h, sigma, beta, self.EPS, self.MU, self.DT,
+                                 self.T0, nsteps, phi, record=record)
+            assert per_step == [{"ztbsv": 2 * outer_blocks, "zgtsv": 1, "gtsv_solve": 0}] * nsteps
+
+    @pytest.mark.parametrize("layout", ["left_only", "both_blocks"])
+    def test_long_run_stays_within_the_summed_residual_bound(self, layout):
+        # 4000 steps against the plain ones (one full ?gtsv each), with the
+        # bound derived before the run from the per-step residual bound of
+        # _single_steps_against_plain.  Both trajectories solve each step
+        # A phi' = (I - X) phi + rho with |rho|_inf <= 8 eps |(I - X) phi|_inf
+        # (checked on both), so their difference e obeys e' = A^-1 (I - X) e
+        # + A^-1 (rho - rho_plain).  The Hermitian part of X is >= 0, so
+        # |A^-1 (I - X)|_2 <= 1 and |A^-1|_2 <= 1, and |phi|_2 does not grow:
+        # each step adds at most 2 sqrt(n) 8 eps |I - X|_2 |phi0|_2, with
+        # |I - X|_2 <= |I - X|_inf for the complex symmetric I - X
+        off, diag_h, sigma, beta, phi0 = self._layout(layout)
+        n, nsteps = len(phi0), 4000
+        eps = np.finfo(float).eps
+        coupling = np.abs(np.broadcast_to(off, n - 1))
+        rows = np.abs(diag_h) + sigma + self.EPS * np.abs(beta)
+        rows[1:] += coupling
+        rows[:-1] += coupling
+        norm_b = 1.0 + 0.5 * self.DT * rows.max()
+        bound = nsteps * 2 * np.sqrt(n) * 8 * eps * norm_b * np.linalg.norm(phi0)
+
+        def residual(dl, d, rhs, p):
+            a_p = d * p
+            a_p[1:] += dl * p[:-1]
+            a_p[:-1] += dl * p[1:]
+            return np.max(np.abs(a_p - rhs))
+
+        phi = phi0.copy()
+        state = {"prev": phi0.copy(), "plain": phi0.copy(), "t": self.T0, "gap": 0.0}
+
+        def record(i, t):
+            dl, d, rhs = self._plain_system(off, diag_h, sigma, beta, state["t"], state["prev"])
+            assert residual(dl, d, rhs, phi) <= 8 * eps * np.max(np.abs(rhs))
+            dl, d, rhs = self._plain_system(off, diag_h, sigma, beta, state["t"], state["plain"])
+            plain = _banded_oracle(dl, d, dl, rhs)
+            assert residual(dl, d, rhs, plain) <= 8 * eps * np.max(np.abs(rhs))
+            state.update(prev=phi.copy(), plain=plain, t=t,
+                         gap=max(state["gap"], np.linalg.norm(phi - plain)))
+
+        kernels.cn_step_loop(off, diag_h, sigma, beta, self.EPS, self.MU, self.DT, self.T0,
+                             nsteps, phi, record=record)
+        assert state["gap"] <= bound
+
     def test_outer_blocks_are_factored_once_per_call(self, monkeypatch):
         # a per-step refactorization would make the count grow with nsteps
         calls = []

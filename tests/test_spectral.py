@@ -388,6 +388,14 @@ class TestOutgoingResolvent:
         with pytest.raises(ValueError, match="forcing length does not match grid"):
             outgoing_resolvent_solve(pt, 1.3, np.zeros(grid.n - 1))
 
+    @pytest.mark.parametrize("rows", [lambda n: n + 1, lambda n: n - 1, lambda n: 5],
+                             ids=["n+1", "n-1", "5"])
+    def test_source_of_the_wrong_length_is_rejected(self, grid, pt, rows):
+        # the rows are checked before the free columns are built from them
+        st = ScatteringState(1.3, pt)
+        with pytest.raises(ValueError, match="forcing length does not match grid"):
+            distorted_plane_waves(st, np.zeros(rows(grid.n)))
+
     def test_forcing_rows_pick_the_grid(self, grid, pt):
         # n rows are the full grid; c + 1 rows are the even half, which
         # only a V that splits by parity has, and a call without a source

@@ -161,6 +161,53 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(V, V, np.zeros(7, dtype=complex), cfg)
 
+    def test_start_that_is_not_one_dimensional_is_rejected_before_solving(
+        self, sim_grid, V, monkeypatch
+    ):
+        # a (n, 1) start used to pass a check of its first axis alone and
+        # fail in the record hook with numpy's "setting an array element
+        # with a sequence."
+        def unreachable(*args, **kwargs):
+            raise AssertionError("propagate solved before checking phi0")
+
+        monkeypatch.setattr(timedomain, "solve_ground_state", unreachable)
+        psi = np.zeros((sim_grid.n, 1), dtype=complex)
+        with pytest.raises(ValueError, match=r"1-D array .* 1501 values, got shape \(1501, 1\)"):
+            propagate(V, V, psi, cfg_for(sim_grid))
+
+    def test_grid_without_the_resonant_wave_fails_before_any_step(self, monkeypatch):
+        # h = 4.14 puts k h / 2 = 2.86 above the lattice cutoff: the grid
+        # has no state at the forcing's energy, and a run would print a rate
+        grid = make_grid(-60.0, 60.0, 30)
+        V = sech_well(1.5, 1.5, 12.0, grid)
+        lam = solve_ground_state(V).lam
+        assert 0.5 * math.sqrt(lam + 2.0) * grid.h >= 1.0
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("propagate stepped on a grid below the resonance")
+
+        monkeypatch.setattr(kernels, "cn_step_loop", unreachable)
+        psi = solve_ground_state(V).psi.astype(complex)
+        cfg = cfg_for(grid, epsilon=0.2, absorber=Absorber(width=15.0, strength=1.0))
+        with pytest.raises(SolverFailure, match="lattice cutoff .* simulation grid"):
+            propagate(V, V, psi, cfg)
+
+    def test_grid_of_criterion_7_carries_the_resonant_wave(self):
+        # the check must leave the acceptance run's grid (n = 3001 on
+        # [-60, 60], k h / 2 ~ 0.03) to step
+        grid = make_grid(-60.0, 60.0, 3001)
+        V = sech_well(1.5, 1.5, 12.0, grid)
+        psi = solve_ground_state(V).psi.astype(complex)
+        cfg = cfg_for(grid, epsilon=0.2, t_final=0.1, absorber=Absorber(width=15.0))
+        assert propagate(V, V, psi, cfg).times[-1] == pytest.approx(0.1)
+
+    def test_no_one_photon_channel_still_steps(self, sim_grid, V):
+        # lambda + mu <= 0: no wave is driven, so no cutoff applies
+        psi = solve_ground_state(V).psi.astype(complex)
+        cfg = cfg_for(sim_grid, epsilon=0.2, mu=0.0, t_final=0.1)
+        assert solve_ground_state(V).lam + cfg.mu <= 0.0
+        assert propagate(V, V, psi, cfg).times[-1] == pytest.approx(0.1)
+
 
 def _full_grid_series(V, beta, phi0, cfg):
     """projection_sq and norm of kernels.cn_step_loop on the full operands.
