@@ -454,15 +454,17 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     sim, V, beta = _sim_inputs(cfg, args)
     window = builders.fit_window(cfg)
-    em = Emitter(args.out)
-    psi = solve_ground_state(V).psi
-    result = timedomain.propagate(V, beta, psi.astype(np.complex128), sim)
-    samples = np.count_nonzero(result.in_window(window))
+    # the run's sample times are known before it runs: refuse a window
+    # that holds too few of them without stepping at all
+    samples = np.count_nonzero(timedomain._window_mask(sim.sample_times(), window))
     if samples < 2:
         raise ConfigError(
             f"simulator.fit_window {list(window)} holds {samples} of the run's samples "
             f"(t_final = {sim.t_final}), the fit needs at least two"
         )
+    em = Emitter(args.out)
+    psi = solve_ground_state(V).psi
+    result = timedomain.propagate(V, beta, psi.astype(np.complex128), sim)
     try:
         result.fitted_rate = timedomain.fit_decay_rate(result, window)
     except ValueError:

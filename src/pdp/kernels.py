@@ -2,9 +2,12 @@
 
 ``BACKEND`` names the implementation and is recorded with benchmark runs.
 Every BLAS and LAPACK routine that pdp calls is fetched here, once; other
-modules reach them only through this one.  They are the seven f2py
-routines dgtsv, zgtsv, dstebz, dstein, dpttrf, dtbsv and ztbsv, bound
-straight off scipy's compiled scipy.linalg._flapack and _fblas modules.
+modules reach them only through this one.  They are the nine f2py
+routines dgtsv, zgtsv, dstebz, dstein, dpttrf, dtbsv, ztbsv, zdotu and
+ddot, bound straight off scipy's compiled scipy.linalg._flapack and _fblas
+modules.  zdotu and ddot serve pdp.timedomain's per-step samples, the
+projection <psi, phi> and the squared interior norm; an f2py call of each
+costs half of numpy's `@` on the same operands or less, with the same bits.
 _linalg_extension loads those two from scipy's linalg directory and
 registers them in sys.modules under their own names, so that
 scipy/linalg/__init__.py never runs: that package init imports some 300
@@ -119,6 +122,9 @@ _stebz, _stein, _pttrf = _flapack.dstebz, _flapack.dstein, _flapack.dpttrf
 _dtbsv = _fblas.dtbsv
 # the CN matrix is always complex
 _ztbsv = _fblas.ztbsv
+# pdp.timedomain's per-step samples: the projection <psi, phi>, and the
+# squared interior norm as one real dot of phi's interleaved Re and Im
+_zdotu, _ddot = _fblas.zdotu, _fblas.ddot
 
 
 def _gtsv(dtype):

@@ -94,6 +94,29 @@ class SimConfig:
             )
         object.__setattr__(self, "nsteps", math.ceil(steps))
 
+    @property
+    def dt(self) -> float:
+        """The time step, t_final / nsteps (at most dt_max)."""
+        return self.t_final / self.nsteps
+
+    def sample_times(self) -> np.ndarray:
+        """The nsteps + 1 times at which a run samples its field.
+
+        0, then the running sum of dt: the very times that
+        kernels.cn_step_loop reaches by t += dt from t0 = 0, bit for bit
+        (cumsum adds in order).  The last may miss t_final by the rounding
+        of that sum: 400.0000000000567 for t_final = 400, dt = 0.05.
+        """
+        times = np.zeros(self.nsteps + 1)
+        np.cumsum(np.full(self.nsteps, self.dt), out=times[1:])
+        return times
+
+
+def _window_mask(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
+    """Mask of the times t0 <= t <= t1, window = (t0, t1)."""
+    t0, t1 = window
+    return (times >= t0) & (times <= t1)
+
 
 @dataclass
 class SimResult:
@@ -103,11 +126,6 @@ class SimResult:
     projection_sq: np.ndarray
     norm: np.ndarray
     fitted_rate: float = np.nan
-
-    def in_window(self, window: tuple[float, float]) -> np.ndarray:
-        """Mask of the samples with t0 <= t <= t1, window = (t0, t1)."""
-        t0, t1 = window
-        return (self.times >= t0) & (self.times <= t1)
 
 
 def absorber_profile(cfg: SimConfig) -> np.ndarray:
@@ -136,14 +154,22 @@ def propagate(
     projection is re-solved on that grid.  The reported norm is restricted
     to the interior, the nodes with x_min + width <= x <= x_max - width
     between the two absorbing layers.  All steps run in one
-    kernels.cn_step_loop call, whose record hook stores the series after
-    every step and checks the field through its projection.  When V, beta,
+    kernels.cn_step_loop call, which steps phi in place and calls a record
+    hook after every step.  The hook takes sample i + 1 after step i with
+    two BLAS dots on the stepped array: the projection |<psi, phi>|^2 as
+    abs(zdotu(w psi, phi)) ** 2 and the norm as sqrt(h ddot(re_im, re_im)),
+    re_im a float64 view of the interior's Re and Im parts, made once.
+    These have the bits of numpy's abs(w_psi @ phi) ** 2 and
+    sqrt(h (re_im @ re_im)) at a fraction of their call cost.  The sample
+    times are cfg.sample_times(), not stored by the hook.  When V, beta,
     absorber_profile(cfg) and phi0 each read the same reversed, bit for
     bit, on a centred grid of odd n, the steps run on the even half of the
     grid (see the module docstring), and the hook takes the projection with
     half-grid weights and the norm over the same interior nodes; the series
     then agree with a full-grid run to rounding.  Raises SolverFailure on
-    non-finite field values, phi0 included, and, before any step, when
+    non-finite field values: phi0 before any solve, and after a step the
+    first sample whose projection is not finite (its message names that
+    sample's time); and, before any step, when
     the simulation grid cannot carry the wave that the forcing drives:
     lambda + mu > 0 with k h / 2 >= 1, k = sqrt(lambda + mu), as
     fgr.gamma refuses it on the design grid.  phi0 must be a 1-D array of
@@ -158,6 +184,9 @@ def propagate(
             f"phi0 must be a 1-D array of the simulation grid's {grid.n} values, "
             f"got shape {phi.shape}"
         )
+    # checked here, as the even half's scaling below would make inf * 0
+    if not np.isfinite(phi).all():
+        raise SolverFailure("non-finite field at t=0")
     bs = solve_ground_state(V)
     k = math.sqrt(max(bs.lam + cfg.mu, 0.0))  # 0: no one-photon channel
     if 0.5 * k * grid.h >= 1.0:
@@ -193,31 +222,33 @@ def propagate(
     w_psi = w_psi.astype(np.complex128)
 
     nsteps = cfg.nsteps
-    dt = cfg.t_final / nsteps
-    times = np.empty(nsteps + 1)
     proj = np.empty(nsteps + 1)
     norm = np.empty(nsteps + 1)
+    # the kernel steps phi in place, so this view of its interior, Re and
+    # Im interleaved as in phi's memory, follows the field
+    re_im = phi[interior].view(np.float64)
+    zdotu, ddot = kernels._zdotu, kernels._ddot
 
     def record(i, t):
-        times[i] = t
+        # sample i + 1, taken after step i at time t, by two BLAS dots.
         # w psi is finite, and 0 * NaN = 0 * inf = NaN, so the projection
-        # is non-finite whenever any entry of phi is (end nodes included)
-        proj[i] = abs(w_psi @ phi) ** 2
-        if not math.isfinite(proj[i]):
+        # is non-finite whenever any entry of phi is (end nodes included);
+        # a projection too large for a float is inf
+        try:
+            p = abs(zdotu(w_psi, phi)) ** 2
+        except OverflowError:
+            p = math.inf
+        if not math.isfinite(p):
             raise SolverFailure(f"non-finite field at t={t:.4g}")
-        # Re phi and Im phi, interleaved as in phi's memory
-        re_im = phi[interior].view(np.float64)
-        norm[i] = math.sqrt(h * (re_im @ re_im))
+        proj[i + 1] = p
+        norm[i + 1] = math.sqrt(h * ddot(re_im, re_im))
 
-    # an inf in phi makes 0 * inf in the projection: SolverFailure, not a
-    # floating-point warning
-    with np.errstate(invalid="ignore"):
-        record(0, 0.0)
-        kernels.cn_step_loop(
-            off, diag_h, sigma, beta_v, cfg.epsilon, cfg.mu, dt, 0.0, nsteps, phi,
-            record=lambda i, t: record(i + 1, t),
-        )
-    return SimResult(times=times, projection_sq=proj, norm=norm)
+    record(-1, 0.0)  # sample 0, the start
+    kernels.cn_step_loop(
+        off, diag_h, sigma, beta_v, cfg.epsilon, cfg.mu, cfg.dt, 0.0, nsteps, phi,
+        record=record,
+    )
+    return SimResult(times=cfg.sample_times(), projection_sq=proj, norm=norm)
 
 
 def fit_decay_rate(result: SimResult, window: tuple[float, float]) -> float:
@@ -227,7 +258,7 @@ def fit_decay_rate(result: SimResult, window: tuple[float, float]) -> float:
     2 eps^2 Gamma (the squared modulus doubles the amplitude exponent).
     Raises on non-positive data in the window.
     """
-    sel = result.in_window(window)
+    sel = _window_mask(result.times, window)
     if np.count_nonzero(sel) < 2:
         raise ValueError("window contains fewer than two samples")
     p = result.projection_sq[sel]

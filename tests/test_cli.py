@@ -891,6 +891,25 @@ class TestSimulateAndFilter:
         assert err.startswith("config error: bad simulator section: t_final / dt_max")
         assert "Traceback" not in err
 
+    def test_fit_window_with_too_few_samples_exits_4_before_any_solve(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # [39.99, 40.0] holds only the last sample of the default run (dt =
+        # 0.05); simulate used to take all 800 steps before refusing it
+        def unreachable(*args, **kwargs):
+            raise AssertionError("simulate solved before checking its fit window")
+
+        monkeypatch.setattr(kernels, "cn_step_loop", unreachable)
+        monkeypatch.setattr(cli, "solve_ground_state", unreachable)
+        cfgp = write_config(tmp_path, "sim.json", {"simulator": {"fit_window": [39.99, 40.0]}})
+        assert main(["simulate", "--config", cfgp]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "config error: simulator.fit_window [39.99, 40.0] holds 1 of the run's samples "
+            "(t_final = 40.0), the fit needs at least two"
+        )
+
     @pytest.mark.parametrize("command", ["simulate", "filter"])
     def test_grid_without_the_resonant_wave_exits_3(self, tmp_path, capsys, command):
         # h = 4.14 gives k h / 2 = 2.86: the lattice has no state at the

@@ -1,5 +1,6 @@
 """Forced-propagation, absorber, and rate-fitting tests."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,23 @@ class TestSimConfig:
     def test_step_count(self, sim_grid):
         assert cfg_for(sim_grid, t_final=5.0, dt_max=0.05).nsteps == 100
         assert cfg_for(sim_grid, t_final=5.0, dt_max=0.3).nsteps == 17
+
+    @pytest.mark.parametrize(
+        "t_final, dt_max", [(400.0, 0.05), (37.3, 0.0511)], ids=["criterion_7", "uneven"]
+    )
+    def test_sample_times_are_the_kernels_times_bit_for_bit(self, sim_grid, t_final, dt_max):
+        # the times that cn_step_loop passes to record, from t0 = 0, on a
+        # 5-node system stepped with the config's dt and step count
+        cfg = cfg_for(sim_grid, t_final=t_final, dt_max=dt_max)
+        reached = [0.0]
+        end = kernels.cn_step_loop(
+            -1.0, np.full(5, 2.0), np.zeros(5), np.ones(5), 0.0, 2.0, cfg.dt, 0.0, cfg.nsteps,
+            np.zeros(5, dtype=complex), record=lambda i, t: reached.append(t),
+        )
+        times = cfg.sample_times()
+        assert len(times) == cfg.nsteps + 1
+        assert times.tobytes() == np.array(reached).tobytes()
+        assert times[-1] == end
 
     @pytest.mark.parametrize(
         "t_final, dt_max", [(40.0, 1e-300), (1e308, 1e-10)], ids=["too_many", "infinite"]
@@ -150,6 +168,27 @@ class TestPropagate:
         phi0[end] = bad
         with pytest.raises(SolverFailure):
             propagate(V, V, phi0, cfg)
+
+    @pytest.mark.parametrize("bad", [np.inf, 1j * np.inf], ids=["inf", "i_inf"])
+    def test_infinite_centre_node_is_solver_failure_without_warnings(self, sim_grid, V, bad):
+        # a start that is bad on the centre node alone is still mirrored:
+        # its scaling onto the even half made inf * 0, a RuntimeWarning
+        cfg = cfg_for(sim_grid, t_final=0.1)
+        phi0 = solve_ground_state(V).psi.astype(complex)
+        phi0[sim_grid.n // 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverFailure, match="non-finite field at t=0"):
+                propagate(V, V, phi0, cfg)
+
+    def test_start_whose_projection_overflows_is_solver_failure(self, sim_grid, V):
+        # |<psi, phi>|^2 = 1e400 is finite in no float
+        cfg = cfg_for(sim_grid, t_final=0.1)
+        phi0 = 1e200 * solve_ground_state(V).psi.astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverFailure, match="non-finite field at t=0"):
+                propagate(V, V, phi0, cfg)
 
     def test_grid_mismatch_rejected(self, sim_grid, V):
         other = make_grid(-20, 20, 1001)
@@ -317,6 +356,124 @@ class TestEvenHalf:
             run = lambda: propagate(W, beta, phi0, cfg)
         _, rows = _rows_stepped(monkeypatch, run)
         assert rows == [grid.n]
+
+
+class TestSamples:
+    """propagate samples its field after every step with two BLAS dots.
+
+    Each path is run from a start that takes it: the bound state steps
+    the even half of the grid, and filter's noisy start the full grid.
+    """
+
+    PATHS = ["even_half", "full_grid"]
+
+    @staticmethod
+    def _run(path, V, cfg, monkeypatch):
+        """The run of path on cfg, checked to step the rows of that path."""
+        if path == "even_half":
+            psi = solve_ground_state(V).psi.astype(complex)
+            run = lambda: propagate(V, V, psi, cfg)
+        else:
+            run = lambda: filter_experiment(V, V, cfg, noise_amplitude=0.5, seed=7)
+        out, rows = _rows_stepped(monkeypatch, run)
+        n = cfg.domain.n
+        assert rows == [n // 2 + 1 if path == "even_half" else n]
+        return out
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_series_have_the_bits_of_the_numpy_expressions(
+        self, sim_grid, V, monkeypatch, path
+    ):
+        # at every sample, the expressions that the dots replace, abs(w_psi @
+        # phi) ** 2 and sqrt(h (re_im @ re_im)), on the very operands
+        cfg = cfg_for(sim_grid, epsilon=0.2, t_final=20.0)
+        h = sim_grid.h
+        proj, norm, fields = [], [], []
+        zdotu, ddot = kernels._zdotu, kernels._ddot
+
+        def numpy_zdotu(w_psi, phi):
+            proj.append(abs(w_psi @ phi) ** 2)
+            fields.append(phi)
+            return zdotu(w_psi, phi)
+
+        def numpy_ddot(re_im, other):
+            assert other is re_im and np.shares_memory(re_im, fields[-1])
+            norm.append(math.sqrt(h * (re_im @ re_im)))
+            return ddot(re_im, other)
+
+        monkeypatch.setattr(kernels, "_zdotu", numpy_zdotu)
+        monkeypatch.setattr(kernels, "_ddot", numpy_ddot)
+        out = self._run(path, V, cfg, monkeypatch)
+        assert out.projection_sq[-1] < 0.999 * out.projection_sq[0]  # the forcing acted
+        assert all(phi is fields[0] for phi in fields)  # the field that the kernel steps
+        assert out.projection_sq.tobytes() == np.array(proj).tobytes()
+        assert out.norm.tobytes() == np.array(norm).tobytes()
+        assert out.times.tobytes() == cfg.sample_times().tobytes()
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("nsteps", [1, 50])
+    def test_each_sample_takes_one_zdotu_and_one_ddot(
+        self, sim_grid, V, monkeypatch, path, nsteps
+    ):
+        calls = {"zdotu": 0, "ddot": 0}
+        per_sample = []
+
+        def counting(name, routine):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return routine(*args, **kwargs)
+            return wrapped
+
+        def take():
+            per_sample.append(dict(calls))
+            calls.update(dict.fromkeys(calls, 0))
+
+        for name, attr in (("zdotu", "_zdotu"), ("ddot", "_ddot")):
+            monkeypatch.setattr(kernels, attr, counting(name, getattr(kernels, attr)))
+        step_loop = kernels.cn_step_loop
+
+        def counted_steps(*args, record):
+            take()  # the start's sample, taken before the first step
+
+            def counted(i, t):
+                record(i, t)
+                take()
+
+            return step_loop(*args, record=counted)
+
+        monkeypatch.setattr(kernels, "cn_step_loop", counted_steps)
+        cfg = cfg_for(sim_grid, epsilon=0.2, dt_max=0.5, t_final=0.5 * nsteps)
+        assert cfg.nsteps == nsteps
+        self._run(path, V, cfg, monkeypatch)
+        assert per_sample == [{"zdotu": 1, "ddot": 1}] * (nsteps + 1)
+        assert calls == {"zdotu": 0, "ddot": 0}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("path", PATHS)
+    def test_field_that_turns_non_finite_mid_run_is_solver_failure(
+        self, sim_grid, V, monkeypatch, path, bad
+    ):
+        # the forced block's solve in step 5 (the sixth step) leaves a bad
+        # value in the block: the sample after it, at t = 6 dt, ends the run
+        solves = 0
+        zgtsv = kernels._zgtsv
+
+        def poisoning(dl, d, du, b, *args):
+            nonlocal solves
+            out = zgtsv(dl, d, du, b, *args)
+            solves += 1
+            if solves == 6:
+                b[b.shape[0] // 2] = bad
+            return out
+
+        monkeypatch.setattr(kernels, "_zgtsv", poisoning)
+        cfg = cfg_for(sim_grid, epsilon=0.2, t_final=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverFailure) as failure:
+                self._run(path, V, cfg, monkeypatch)
+        assert str(failure.value) == f"non-finite field at t={6 * cfg.dt:.4g}"
+        assert solves == 6
 
 
 class TestFitDecayRate:
