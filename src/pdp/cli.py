@@ -101,28 +101,32 @@ def _array_cells(a: np.ndarray) -> list[str]:
     return _float_cells(a.tolist())
 
 
-def _csv_cells(name: str, values, memo: dict | None = None) -> list[str]:
+@functools.lru_cache(maxsize=8)
+def _x_cells(grid: Grid) -> tuple[str, ...]:
+    """The cells of grid.x (_array_cells), formatted once per grid per process.
+
+    Equal grids have the same x, bit for bit, so one entry serves every
+    command on that grid, as grid._support_mask does for its mask.
+    """
+    return tuple(_array_cells(grid.x))
+
+
+def _csv_cells(name: str, values) -> list[str] | tuple[str, ...]:
     """The cells of one CSV column as strings, formatted as _fmt does.
 
     A column of floats takes %.17g (format(v, ".17g")); a column of ints or
     strings takes str(v), with string cells quoted by _quote.  A float
     array is classified by its dtype, without a pass over its cells, and
     formatted by _array_cells: on half the grid when it is mirrored or odd.
-
-    memo maps id(array) to (array, cells).  Given one, a float array that
-    owns its data and is read-only, so cannot change between two files, is
-    formatted once; holding the array keeps its id from being reused while
-    the memo lives.
+    A Grid stands for its x column, whose cells are formatted once per
+    grid per process (_x_cells).
     """
+    if isinstance(values, Grid):
+        return _x_cells(values)
     if isinstance(values, np.ndarray):
         if values.dtype.kind != "f":
             return list(map(str, values.tolist()))
-        if memo is None or values.flags.writeable or not values.flags.owndata:
-            return _array_cells(values)
-        hit = memo.get(id(values))
-        if hit is None:
-            hit = memo[id(values)] = (values, _array_cells(values))
-        return hit[1]
+        return _array_cells(values)
     values = list(values)
     floats = sum(isinstance(v, (float, np.floating)) for v in values)
     if 0 < floats < len(values):
@@ -132,14 +136,14 @@ def _csv_cells(name: str, values, memo: dict | None = None) -> list[str]:
     return [str(_quote(v)) for v in values]
 
 
-def _write_csv(path: str, columns: dict, memo: dict | None = None) -> None:
+def _write_csv(path: str, columns: dict) -> None:
     """Write equal-length columns, keyed by header name, as one CSV file.
 
     Each column is formatted by _csv_cells (each float column in one
     %-operation) and the rows are joined from the cells, byte-identical to
     joining _fmt(v) cell by cell (string cells quoted by _quote first).
     """
-    cols = [_csv_cells(name, v, memo) for name, v in columns.items()]
+    cols = [_csv_cells(name, v) for name, v in columns.items()]
     if any(len(c) != len(cols[0]) for c in cols):
         raise ValueError("CSV columns differ in length")
     lines = [",".join(columns), *map(",".join, zip(*cols))]
@@ -173,17 +177,16 @@ class Emitter:
 
     A command builds its Emitter before its first solve, so an out_dir
     that cannot be a directory (a file of that name, say) is a ConfigError
-    that names --out, raised before any work.  Read-only float columns
-    (such as Grid.x, shared by V_opt.csv and psi.csv) are formatted once
-    per Emitter, and a mirrored or odd float array of odd length on half
-    its nodes; see _csv_cells.  Every manifest records the runtime: the
-    Python, NumPy and SciPy versions and kernels.BACKEND.
+    that names --out, raised before any work.  A grid's x column (given
+    as the Grid itself, as V_opt.csv and psi.csv give it) is formatted
+    once per grid per process, and a mirrored or odd float array of odd
+    length on half its nodes; see _csv_cells.  Every manifest records the
+    runtime: the Python, NumPy and SciPy versions and kernels.BACKEND.
     """
 
     def __init__(self, out_dir: str | None):
         self.out_dir = out_dir
         self.outputs: list[str] = []
-        self._cells: dict = {}
         if out_dir:
             try:
                 os.makedirs(out_dir, exist_ok=True)
@@ -196,7 +199,7 @@ class Emitter:
         """Write columns ({header: values}) to out_dir/name."""
         if self.out_dir is None:
             return
-        _write_csv(os.path.join(self.out_dir, name), columns, self._cells)
+        _write_csv(os.path.join(self.out_dir, name), columns)
         self.outputs.append(name)
 
     def manifest(self, command: str, cfg: dict, headline: dict) -> None:
@@ -280,9 +283,8 @@ def _transmission_table(res) -> dict:
 
 
 def _emit_potential_artifacts(em: Emitter, V: PotentialField, res, table: dict) -> None:
-    x = V.grid.x
-    em.csv("V_opt.csv", {"x": x, "V": V.values})
-    em.csv("psi.csv", {"x": x, "psi": res.bound_state.psi})
+    em.csv("V_opt.csv", {"x": V.grid, "V": V.values})
+    em.csv("psi.csv", {"x": V.grid, "psi": res.bound_state.psi})
     em.csv("transmission.csv", table)
 
 
@@ -411,7 +413,7 @@ def cmd_sweep(args) -> int:
         for label, out in zip(labels, outs):
             if out is not None:
                 name = f"V_opt_{label.replace('=', '_')}.csv"
-                em.csv(name, {"x": grid.x, "V": out.V_opt.values})
+                em.csv(name, {"x": grid, "V": out.V_opt.values})
         em.manifest(
             "sweep",
             cfg,

@@ -371,6 +371,11 @@ def outgoing_resolvent_solve(V: PotentialField, k: float, f: np.ndarray) -> np.n
     return u
 
 
+# the diagonal scale of the reduced resolvent's second solve, after an
+# exactly zero pivot: 4 ulps
+_PIVOT_NUDGE = 1.0 + 4.0 * np.finfo(float).eps
+
+
 def reduced_resolvent_at_eigenvalue(V: PotentialField, bs: BoundState, f: np.ndarray) -> np.ndarray:
     """Solve (H_V - lambda) u = P_c f with <psi, u> = 0.
 
@@ -387,8 +392,14 @@ def reduced_resolvent_at_eigenvalue(V: PotentialField, bs: BoundState, f: np.nda
     precision on wide domains), so z1 and z2 are huge and dominated by
     their psi components.  Both come from the same factors of A, so
     their errors lie along the same near-null direction and cancel in
-    z1 - s z2 (T. F. Chan, SIAM J. Numer. Anal. 21 (1984) 738); only an
-    exactly zero pivot fails, and it raises SolverFailure.
+    z1 - s z2 (T. F. Chan, SIAM J. Numer. Anal. 21 (1984) 738).  The
+    argument holds for any tiny pivot, and on a domain where psi falls
+    below rounding before the ends the last pivot is a small multiple of
+    an ulp of 2/h^2, which can be exactly zero.  ?gtsv then fails, and
+    the solve is made once more with A's diagonal scaled by 1 + 4 eps:
+    the pivot moves off zero and u moves by O(eps).  A matrix that is
+    singular after that raises SolverFailure.  A solve that meets no zero
+    pivot never runs the retry, so its u keeps its bits.
 
     f and u have n rows on the full grid, or c + 1 on the even half (see
     the module docstring), where psi is even, the decay row sits at node
@@ -414,7 +425,11 @@ def reduced_resolvent_at_eigenvalue(V: PotentialField, bs: BoundState, f: np.nda
     fc = f - (w @ (psi * f)) * psi
     try:
         _require_finite(d, fc, psi)
-        z = _gtsv_solve(dl, d, du, np.column_stack((fc, psi)))
+        rhs = np.column_stack((fc, psi))
+        try:
+            z = _gtsv_solve(dl, d, du, rhs)
+        except np.linalg.LinAlgError:  # an exactly zero pivot
+            z = _gtsv_solve(dl, d * _PIVOT_NUDGE, du, rhs)
     except (np.linalg.LinAlgError, ValueError) as exc:  # singular A, non-finite input
         raise SolverFailure(f"bordered eigenvalue solve failed: {exc}") from exc
     z1, z2 = z[:, 0], z[:, 1]

@@ -588,22 +588,52 @@ class TestCsvWriter:
         _write_csv(str(path), {"a": [], "b": np.array([])})
         assert path.read_bytes() == b"a,b\n"
 
-    def test_emitter_formats_only_unchanging_arrays_once(self, tmp_path):
-        # a writable array, or a read-only view of one, can change between
-        # two files: each file is formatted from its current contents
+    def test_emitter_formats_arrays_per_file_and_a_grid_as_its_x(self, tmp_path):
+        # an array, writable or a read-only view of one, can change between
+        # two files: each file is formatted from its current contents.  A
+        # Grid given as a column is written as its x
         em = Emitter(str(tmp_path))
-        a = np.array([0.1, 0.2, 0.3])
+        grid = make_grid(-1.0, 1.0, 5)
+        a = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
         view = a.view()
         view.flags.writeable = False
-        fixed = np.array([1.5, -2.5, 1e-300])
-        fixed.flags.writeable = False
-        em.csv("first.csv", {"a": a, "view": view, "fixed": fixed})
-        a[:] = [7.0, 8.0, 9.0]
-        em.csv("second.csv", {"a": a, "view": view, "fixed": fixed})
-        for name, values in (("first.csv", [0.1, 0.2, 0.3]), ("second.csv", [7.0, 8.0, 9.0])):
-            expected = fmt_rows({"a": values, "view": values, "fixed": fixed.tolist()})
+        em.csv("first.csv", {"x": grid, "a": a, "view": view})
+        a[:] = [7.0, 8.0, 9.0, 1e-300, -0.0]
+        em.csv("second.csv", {"x": grid, "a": a, "view": view})
+        for name, values in (
+            ("first.csv", [0.1, 0.2, 0.3, 0.4, 0.5]),
+            ("second.csv", [7.0, 8.0, 9.0, 1e-300, -0.0]),
+        ):
+            expected = fmt_rows({"x": grid.x.tolist(), "a": values, "view": values})
             assert (tmp_path / name).read_bytes() == expected
         assert em.outputs == ["first.csv", "second.csv"]
+
+    def test_x_is_formatted_once_per_grid_per_process(self, tmp_path, monkeypatch, capsys):
+        # two evaluate runs on one config format x once between them; a
+        # second grid gets its own cells; every file is the per-cell oracle's
+        formatted, array_cells = [], cli._array_cells
+        monkeypatch.setattr(
+            cli, "_array_cells", lambda a: formatted.append(a.copy()) or array_cells(a)
+        )
+        cli._x_cells.cache_clear()
+        grids = {"one": make_grid(-20.0, 20.0, 2001), "two": make_grid(-20.0, 20.0, 1001)}
+        runs = [("one", "a"), ("one", "b"), ("two", "c")]
+        for name, out in runs:
+            g = grids[name]
+            cfgp = write_config(
+                tmp_path, f"{name}.json", {"grid": {"x_min": g.x_min, "x_max": g.x_max, "n": g.n}}
+            )
+            assert main(["evaluate", "--config", cfgp, "--out", str(tmp_path / out)]) == 0
+        capsys.readouterr()
+        for g in grids.values():
+            assert sum(a.tobytes() == g.x.tobytes() for a in formatted) == 1
+        for name, out in runs:
+            for csv_name in ("V_opt.csv", "psi.csv"):
+                text = (tmp_path / out / csv_name).read_text()
+                header, *rows = text.splitlines()
+                cols = np.array([[float(v) for v in row.split(",")] for row in rows])
+                assert cols[:, 0].tobytes() == grids[name].x.tobytes()
+                assert text == self.per_cell(header.split(","), cols.tolist())
 
     def test_mixed_or_ragged_columns_rejected(self, tmp_path):
         with pytest.raises(TypeError):
@@ -694,12 +724,16 @@ class TestCsvWriter:
 
         monkeypatch.setattr(cli, "_mirrored", spy(cli._mirrored))
         monkeypatch.setattr(cli, "_odd", spy(cli._odd))
+        cli._x_cells.cache_clear()
         half = run(tmp_path / "half")
-        # x is odd, once per command; evaluate's V and psi, optimize's V_opt
-        # and psi and the sweep's two V_opt are mirrored
-        assert taken.count(("_odd", 2001)) == 3 and taken.count(("_mirrored", 2001)) == 6
+        # x is odd, formatted once for the three commands' one grid;
+        # evaluate's V and psi, optimize's V_opt and psi and the sweep's
+        # two V_opt are mirrored
+        assert taken.count(("_odd", 2001)) == 1 and taken.count(("_mirrored", 2001)) == 6
         monkeypatch.setattr(cli, "_mirrored", lambda a: False)
         monkeypatch.setattr(cli, "_odd", lambda a: False)
+        # else the full run would take x's half-grid cells from the cache
+        cli._x_cells.cache_clear()
         full = run(tmp_path / "full")
         assert len(half) == 3 + 3 + 4 + 3 and half == full
 

@@ -449,3 +449,78 @@ class TestGammaGradient:
     def test_symmetric_potential_gives_symmetric_field(self, V, params_equals_v):
         g = fgr.gamma_gradient(V, params_equals_v)
         np.testing.assert_allclose(g, g[::-1], atol=1e-10 * np.max(np.abs(g)))
+
+
+class TestZeroPivot:
+    """The bordered solve of a well whose last pivot is exactly zero.
+
+    On [-60, 60] with n = 3001, psi falls below rounding before the ends
+    and A = H_V - lambda is singular to machine precision; for the bump
+    pair below (mirrored, lambda = -0.6426177) ?gtsv meets an exactly zero
+    pivot, and the solve is made again with the diagonal scaled by 1 + 4 eps.
+    """
+
+    A = 8.0
+    CENTRE = 1.103823042477707
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        return make_grid(-60.0, 60.0, 3001)
+
+    @pytest.fixture(scope="class")
+    def params(self, wide):
+        beta = PotentialField(wide, np.where(np.abs(wide.x) <= 2.0, 1.0, 0.0), self.A)
+        return DesignParams(a=self.A, b=10.0, mu=4.0, delta=1e-4, beta=beta)
+
+    def bumps(self, grid):
+        """The bump pair e^-(x-c)^2 + e^-(x+c)^2 on |x| <= a, zero outside."""
+        x, c = grid.x, self.CENTRE
+        return np.where(np.abs(x) <= self.A, np.exp(-((x - c) ** 2)) + np.exp(-((x + c) ** 2)), 0.0)
+
+    def well(self, grid, amp):
+        v = sech_well(1.5, 1.5, self.A, grid).values
+        return PotentialField(grid, v + amp * self.bumps(grid), self.A)
+
+    @staticmethod
+    def real_solves(monkeypatch):
+        """The diagonals of the real (reduced-resolvent) ?gtsv solves, and whether each failed."""
+        calls, solve = [], spectral._gtsv_solve
+
+        def recorded(dl, d, du, b, **kw):
+            if np.isrealobj(d):
+                calls.append([d.copy(), True])
+            x = solve(dl, d, du, b, **kw)
+            if np.isrealobj(d):
+                calls[-1][1] = False
+            return x
+
+        monkeypatch.setattr(spectral, "_gtsv_solve", recorded)
+        return calls
+
+    def test_gradient_of_the_singular_well_matches_finite_differences(
+        self, wide, params, monkeypatch
+    ):
+        W = self.well(wide, 0.04877152519534442)
+        assert W.mirrored
+        fgr.clear_cache()
+        calls = self.real_solves(monkeypatch)
+        g = fgr.gamma_gradient(W, params)
+        monkeypatch.undo()
+        assert fgr.gamma(W, params).bound_state.lam == pytest.approx(-0.6426177, abs=1e-7)
+        # the first solve meets the zero pivot, the second has the nudged diagonal
+        assert [failed for _, failed in calls] == [True, False]
+        assert calls[1][0].tobytes() == (calls[0][0] * spectral._PIVOT_NUDGE).tobytes()
+        for w in [*bump_directions(wide, self.A, seed=22), self.bumps(wide)]:
+            fd = directional_fd(lambda U: fgr.gamma(U, params).gamma, W, w)
+            assert fd == pytest.approx(pair(wide, g, w), rel=1e-3)
+
+    def test_well_without_a_zero_pivot_makes_one_solve(self, wide, params, monkeypatch):
+        # the retry never runs, so the field keeps the bits of the one solve
+        W = self.well(wide, 0.04)
+        fgr.clear_cache()
+        calls = self.real_solves(monkeypatch)
+        g = fgr.gamma_gradient(W, params)
+        assert [failed for _, failed in calls] == [False]
+        monkeypatch.setattr(spectral, "_PIVOT_NUDGE", 2.0)
+        fgr.clear_cache()
+        assert fgr.gamma_gradient(W, params).tobytes() == g.tobytes()
