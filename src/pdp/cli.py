@@ -28,7 +28,7 @@ import scipy
 from . import __version__, fgr, kernels, optimizer, timedomain
 from .config import builders, load_config, merge, override
 from .errors import ConfigError, PdpError, SolverFailure
-from .grid import Grid, PotentialField, _mirrored, _odd, h1_norm_sq, interpolate_potential, trapz
+from .grid import Grid, PotentialField, _mirrored, h1_norm_sq, interpolate_potential, trapz
 from .spectral import solve_ground_state, wronskian_at_zero
 
 EXIT_OK = 0
@@ -68,36 +68,19 @@ def _float_cells(values: list) -> list[str]:
     return cells
 
 
-def _negated(cells: list[str]) -> list[str]:
-    """The %.17g cells of the negated floats, from the cells themselves.
-
-    %.17g depends only on a float's bits, and negation flips the sign bit
-    alone, so each cell gains or loses its leading "-"; a NaN of either
-    sign is written "nan".
-    """
-    return [s[1:] if s[0] == "-" else s if s == "nan" else "-" + s for s in cells]
-
-
 def _array_cells(a: np.ndarray) -> list[str]:
-    """%.17g strings of a float64 array, from half the nodes where it has a mirror.
+    """%.17g strings of a float64 array, from half the nodes where it is mirrored.
 
     With n = 2c + 1 nodes, a column that reads the same reversed, bit for
     bit (grid._mirrored, as a mirror-symmetric V or psi does), is formatted
-    on nodes 0..c and the reversed cells fill nodes c+1..n-1.  An odd one,
-    whose node n-1-j is node j negated bit for bit for every j < c (grid._odd,
-    as the centred grid's x), is formatted on nodes c..n-1 and nodes 0..c-1
-    take the reversed cells negated (_negated).  Every other array is
-    formatted node by node.  The cells are those of _float_cells either way.
+    on nodes 0..c and the reversed cells fill nodes c+1..n-1.  Every other
+    array is formatted node by node.  The cells are those of _float_cells
+    either way.
     """
     n = a.shape[0]
-    if n % 2 and a.dtype == np.float64:
-        c = n // 2
-        if _mirrored(a):
-            half = _float_cells(a[: c + 1].tolist())
-            return half + half[-2::-1]
-        if _odd(a):
-            half = _float_cells(a[c:].tolist())
-            return _negated(half[:0:-1]) + half
+    if n % 2 and a.dtype == np.float64 and _mirrored(a):
+        half = _float_cells(a[: n // 2 + 1].tolist())
+        return half + half[-2::-1]
     return _float_cells(a.tolist())
 
 
@@ -117,7 +100,7 @@ def _csv_cells(name: str, values) -> list[str] | tuple[str, ...]:
     A column of floats takes %.17g (format(v, ".17g")); a column of ints or
     strings takes str(v), with string cells quoted by _quote.  A float
     array is classified by its dtype, without a pass over its cells, and
-    formatted by _array_cells: on half the grid when it is mirrored or odd.
+    formatted by _array_cells: on half the grid when it is mirrored.
     A Grid stands for its x column, whose cells are formatted once per
     grid per process (_x_cells).
     """
@@ -179,8 +162,8 @@ class Emitter:
     that cannot be a directory (a file of that name, say) is a ConfigError
     that names --out, raised before any work.  A grid's x column (given
     as the Grid itself, as V_opt.csv and psi.csv give it) is formatted
-    once per grid per process, and a mirrored or odd float array of odd
-    length on half its nodes; see _csv_cells.  Every manifest records the
+    once per grid per process, and a mirrored float array of odd length
+    on half its nodes; see _csv_cells.  Every manifest records the
     runtime: the Python, NumPy and SciPy versions and kernels.BACKEND.
     """
 

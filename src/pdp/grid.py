@@ -99,21 +99,6 @@ def _mirrored(a: np.ndarray) -> bool:
     return bool(np.array_equal(b, b[::-1]))
 
 
-_SIGN_BIT = np.uint64(1 << 63)
-
-
-def _odd(a: np.ndarray) -> bool:
-    """Whether the float64 array a of odd length n = 2c + 1 is odd, bit for bit.
-
-    Odd means a[n-1-j] is -a[j] for every j < c: the same bits but the
-    sign, so 0.0 pairs with -0.0 and a NaN with its sign-flipped self.
-    The middle node a[c] is not read.  The centred grid's x is odd.
-    """
-    b = a.view(np.uint64)
-    c = b.shape[0] // 2
-    return bool(np.array_equal(b[:c], b[: c : -1] ^ _SIGN_BIT))
-
-
 @dataclass(frozen=True)
 class PotentialField:
     """Sampled potential with compact support in [-a, a].

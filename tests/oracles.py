@@ -17,8 +17,12 @@ square_well samples the square well onto a package grid, with the mean
 value on nodes that land on a jump.  scattering_k_derivative
 differentiates the package's assembled outgoing system in k (forward
 mode, two tangent solves); it checks the Gamma gradient's adjoint k-term,
-which needs no solve of its own, to rounding.
+which needs no solve of its own, to rounding.  mp_gamma solves the
+package's whole discrete problem (eigenpair, outgoing waves, Gamma) in
+mpmath at 40 digits, from plain loops, so it bounds the package's
+rounding error rather than checking float64 against float64.
 """
+import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
@@ -227,3 +231,117 @@ def scattering_k_derivative(V, k, waves):
     for phi, dwave in ((wave_p - e_p, dwave_p), (wave_m - e_m, dwave_m)):
         out.append(dwave - solve_banded((1, 1), ab, vk * dwave - dd * phi))
     return out[0], out[1]
+
+
+def _mp_sturm_count(diag, off2, sigma):
+    """Eigenvalues below sigma of the symmetric tridiagonal (diag, off), off2 = off^2.
+
+    The number of negative pivots of the LDL^T factors of the matrix less
+    sigma (Sylvester's law of inertia); a zero pivot is moved to the
+    smallest positive number of the working precision.
+    """
+    count, pivot = 0, None
+    for d in diag:
+        pivot = d - sigma if pivot is None else d - sigma - off2 / pivot
+        if pivot == 0:
+            pivot = mpmath.eps ** 2
+        count += pivot < 0
+    return count
+
+
+def _mp_tridiagonal_solve(diag, off, rhs):
+    """x with T x = rhs, T tridiagonal with diagonal diag and each off-diagonal off.
+
+    Gaussian elimination without pivoting (the Thomas algorithm), real or
+    complex, in the working precision.
+    """
+    n = len(diag)
+    piv, y = [diag[0]], [rhs[0]]
+    for j in range(1, n):
+        ratio = off / piv[j - 1]
+        piv.append(diag[j] - ratio * off)
+        y.append(rhs[j] - ratio * y[j - 1])
+    x = [None] * n
+    x[-1] = y[-1] / piv[-1]
+    for j in range(n - 2, -1, -1):
+        x[j] = (y[j] - off * x[j + 1]) / piv[j]
+    return x
+
+
+def mp_gamma(V, params, dps=40):
+    """(Gamma, lambda, m_+, m_-) of the package's discrete problem, to dps digits.
+
+    V's float64 node values, beta's (params.beta_values), h, mu and the
+    grid's ends are taken as exact inputs, and every step is made in
+    mpmath at dps digits on all n nodes, whether or not V is mirrored:
+
+    - lambda is bisected on the Sturm count of H_V's interior (Dirichlet)
+      rows, 2/h^2 + V_j on the diagonal and -1/h^2 off it, from
+      Gershgorin's lower bound min V to 0, down to a few ulps;
+    - psi is four steps of inverse iteration at lambda - 10^-(dps/2) from
+      a vector of ones, zero at the two end nodes, normalized under the
+      trapezoid rule and signed so that its peak is positive;
+    - k = sqrt(lambda + mu), q = 2 asin(k h / 2) / h, and the outgoing
+      system H_V - k^2 on all n nodes eliminates the ghost node at each
+      end as u_ghost = e^{iqh} u_end; e_+- = e^{+-iqx} - phi_+- with
+      (H_V - k^2) phi_+- = V e^{+-iqx}, on the nodes
+      x_j = (x_min + x_max)/2 + (j - (n - 1)/2) h;
+    - m_+- = sum_j w_j beta_j psi_j e_+-_j with trapezoid weights w, and
+      Gamma = (|m_+|^2 + |m_-|^2) / (16 k).
+
+    Raises ValueError when H_V has no eigenvalue below 0 or lambda + mu
+    is not positive.
+    """
+    with mpmath.workdps(dps):
+        grid = V.grid
+        n = grid.n
+        h = mpmath.mpf(grid.h)
+        v = [mpmath.mpf(x) for x in V.values.tolist()]
+        beta = [mpmath.mpf(b) for b in params.beta_values(V).tolist()]
+        off = -1 / h**2
+
+        # the ground state on the interior rows 1..n-2
+        diag = [2 / h**2 + vj for vj in v[1:-1]]
+        lo, hi = min(v[1:-1]), mpmath.mpf(0)
+        if _mp_sturm_count(diag, off**2, hi) == 0:
+            raise ValueError("H_V has no eigenvalue below 0")
+        while hi - lo > 4 * mpmath.eps * max(abs(lo), abs(hi)):
+            mid = (lo + hi) / 2
+            if _mp_sturm_count(diag, off**2, mid) >= 1:
+                hi = mid
+            else:
+                lo = mid
+        lam = (lo + hi) / 2
+        shift = lam - mpmath.mpf(10) ** (-(dps // 2))
+        shifted = [d - shift for d in diag]
+        u = [mpmath.mpf(1)] * (n - 2)
+        for _ in range(4):
+            u = _mp_tridiagonal_solve(shifted, off, u)
+            top = max(u, key=abs)
+            u = [x / top for x in u]
+        psi = [mpmath.mpf(0), *u, mpmath.mpf(0)]
+        w = [h] * n
+        w[0] = w[-1] = h / 2
+        norm = mpmath.sqrt(mpmath.fsum(wj * p * p for wj, p in zip(w, psi)))
+        psi = [p / norm for p in psi]
+
+        # the distorted plane waves at k
+        if lam + params.mu <= 0:
+            raise ValueError(f"lambda + mu = {lam + params.mu} is not positive")
+        k = mpmath.sqrt(lam + params.mu)
+        q = 2 * mpmath.asin(k * h / 2) / h
+        ghost = mpmath.expj(q * h)
+        outgoing = [2 / h**2 + vj - k**2 for vj in v]
+        for j in (0, -1):
+            outgoing[j] = (2 - ghost) / h**2 + v[j] - k**2
+        centre = (mpmath.mpf(grid.x_min) + mpmath.mpf(grid.x_max)) / 2
+        m = []
+        for sign in (1, -1):
+            wave = [mpmath.expj(sign * q * (centre + (j - mpmath.mpf(n - 1) / 2) * h))
+                    for j in range(n)]
+            phi = _mp_tridiagonal_solve(outgoing, off, [vj * e for vj, e in zip(v, wave)])
+            m.append(mpmath.fsum(
+                wj * bj * pj * (e - f) for wj, bj, pj, e, f in zip(w, beta, psi, wave, phi)
+            ))
+        rate = (abs(m[0]) ** 2 + abs(m[1]) ** 2) / (16 * k)
+        return rate, lam, m[0], m[1]

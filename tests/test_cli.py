@@ -643,8 +643,8 @@ class TestCsvWriter:
                 _write_csv(str(tmp_path / "r.csv"), columns)
 
     # a float array of odd length n = 2c + 1 that reads the same reversed
-    # is formatted on nodes 0..c, an odd one on nodes c..n-1; each file
-    # must still be the per-cell oracle's
+    # is formatted on nodes 0..c; each file must still be the per-cell
+    # oracle's
     def formatted(self, tmp_path, monkeypatch, a):
         """The lengths of the lists _write_csv formats for the column a."""
         lengths, float_cells = [], cli._float_cells
@@ -677,21 +677,6 @@ class TestCsvWriter:
         a[10], a[-11] = 0.0, -0.0
         assert self.formatted(tmp_path, monkeypatch, a) == [1001]
 
-    @pytest.mark.parametrize("n", [2001, 5])
-    def test_centred_grid_x_is_formatted_on_half_the_nodes(self, tmp_path, monkeypatch, n):
-        x = make_grid(-20.0, 20.0, n).x
-        assert self.formatted(tmp_path, monkeypatch, x) == [n // 2 + 1]
-
-    def test_odd_column_with_infinities_zeros_and_nans(self, tmp_path, monkeypatch):
-        # the pairs are (nan, nan with its sign bit flipped), (-inf, inf),
-        # (-0.0, 0.0), (0.0, -0.0) and (1e-300, -1e-300), about a middle 0.0;
-        # %.17g writes either NaN as "nan"
-        half = np.array([np.nan, -np.inf, -0.0, 0.0, 1e-300])
-        flipped = (half.view(np.uint64) ^ np.uint64(1 << 63)).view(np.float64)
-        a = np.concatenate((half, [0.0], flipped[::-1]))
-        assert self.formatted(tmp_path, monkeypatch, a) == [6]
-        assert b"-nan" not in (tmp_path / "h.csv").read_bytes()
-
     @pytest.mark.parametrize(
         "a, lengths",
         [(np.array([1.5, -2.0, -2.0, 1.5]), [4]), (np.array([0.25]), [1])],
@@ -723,17 +708,11 @@ class TestCsvWriter:
             return recorded
 
         monkeypatch.setattr(cli, "_mirrored", spy(cli._mirrored))
-        monkeypatch.setattr(cli, "_odd", spy(cli._odd))
-        cli._x_cells.cache_clear()
         half = run(tmp_path / "half")
-        # x is odd, formatted once for the three commands' one grid;
         # evaluate's V and psi, optimize's V_opt and psi and the sweep's
         # two V_opt are mirrored
-        assert taken.count(("_odd", 2001)) == 1 and taken.count(("_mirrored", 2001)) == 6
+        assert taken.count(("_mirrored", 2001)) == 6
         monkeypatch.setattr(cli, "_mirrored", lambda a: False)
-        monkeypatch.setattr(cli, "_odd", lambda a: False)
-        # else the full run would take x's half-grid cells from the cache
-        cli._x_cells.cache_clear()
         full = run(tmp_path / "full")
         assert len(half) == 3 + 3 + 4 + 3 and half == full
 

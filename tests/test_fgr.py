@@ -168,6 +168,18 @@ class TestGamma:
                     assert fgr.gamma(W, p).bound_state.lam == lam
                     assert solves == [1]
 
+    def test_cutoff_is_checked_again_after_the_eigensolve(self, V, monkeypatch):
+        # should the pivot sweep miss an eigenvalue at or below -mu, the
+        # eigensolve's lambda (-0.67888 here, mu = 0.5) is checked again
+        monkeypatch.setattr(fgr, "has_eigenvalue_at_or_below", lambda W, energy: False)
+        p = DesignParams(a=12.0, b=1e3, mu=0.5, delta=1e-4, beta_mode=BetaMode.EQUALS_V)
+        fgr.clear_cache()
+        with pytest.raises(
+            ResonanceBelowCutoff,
+            match=r"^lambda \+ mu = -0\.178881 <= 0: forced state below the continuum$",
+        ):
+            fgr.gamma(V, p)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("mirrored", [True, False])
     def test_non_finite_potential_raises_value_error(self, grid, params_fixed, bad, mirrored):
@@ -524,3 +536,47 @@ class TestZeroPivot:
         monkeypatch.setattr(spectral, "_PIVOT_NUDGE", 2.0)
         fgr.clear_cache()
         assert fgr.gamma_gradient(W, params).tobytes() == g.tobytes()
+
+
+class TestOracle:
+    """gamma against oracles.mp_gamma, the same discrete problem at 40 digits.
+
+    BOUND is the relative error allowed in Gamma, lambda and m_+-.  The
+    sech start agrees with the oracle to 7e-15 in Gamma (on this grid, as
+    in ROADMAP item 17's prototype at n = 2001); BOUND leaves a margin of
+    about 14 over that for the other wells and for another platform's
+    rounding.  The two mirrored wells are solved on the even half of the
+    grid, the asymmetric one on all n nodes; the oracle solves every well
+    on all n nodes.
+    """
+
+    BOUND = 1e-13
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return make_grid(-20.0, 20.0, 201)
+
+    @staticmethod
+    def well(grid, name):
+        x = grid.x
+        if name == "sech":
+            v = -1.5 / np.cosh(1.5 * x)
+        elif name == "mirrored_bumps":  # a sech core and a bump pair, as criterion 4 draws them
+            bumps = np.exp(-((x - 3.0) ** 2) / 2.0) + np.exp(-((x + 3.0) ** 2) / 2.0)
+            v = -1.2 / np.cosh(x) + 0.15 * bumps
+        else:
+            v = -1.5 / np.cosh(1.5 * (x - 0.7)) + 0.2 * np.exp(-((x + 3.0) ** 2) / 2.0)
+        return PotentialField(grid, np.where(np.abs(x) <= 12.0, v, 0.0), 12.0)
+
+    @pytest.mark.parametrize("name", ["sech", "mirrored_bumps", "asymmetric"])
+    def test_gamma_lambda_and_m_are_within_the_bound(self, small, name):
+        V = self.well(small, name)
+        beta = PotentialField(small, np.where(np.abs(small.x) <= 2.0, 1.0, 0.0), 12.0)
+        params = DesignParams(a=12.0, b=1e3, mu=2.0, delta=1e-4, beta=beta)
+        fgr.clear_cache()
+        res = fgr.gamma(V, params)
+        assert len(res.waves) == (2 if name == "asymmetric" else 1)
+        exact = oracles.mp_gamma(V, params, 40)
+        got = (res.gamma, res.bound_state.lam, res.m_plus, res.m_minus)
+        for g, e in zip(got, exact):
+            assert abs(g - e) <= self.BOUND * abs(e)

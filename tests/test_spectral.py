@@ -590,6 +590,39 @@ class TestReducedResolvent:
         ref = dense_bordered_solve(V, bs, f)
         assert np.max(np.abs(u - ref)) <= 1e-10 * np.max(np.abs(ref))
 
+    def test_matrix_singular_after_the_nudge_is_solver_failure(self, pt, monkeypatch):
+        # the solve and its retry with the nudged diagonal both meet a zero pivot
+        bs = solve_ground_state(pt)
+        solves = []
+
+        def singular(dl, d, du, b, **kw):
+            solves.append(d.copy())
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(spectral, "_gtsv_solve", singular)
+        with pytest.raises(
+            SolverFailure, match=r"^bordered eigenvalue solve failed: singular matrix$"
+        ):
+            reduced_resolvent_at_eigenvalue(pt, bs, bs.psi.copy())
+        assert len(solves) == 2
+        assert solves[1].tobytes() == (solves[0] * spectral._PIVOT_NUDGE).tobytes()
+
+    @pytest.mark.parametrize("rows", ["even_half", "full_grid"])
+    def test_nan_forcing_is_solver_failure_before_any_solve(self, grid, pt, rows, monkeypatch):
+        bs = solve_ground_state(pt)
+        f = np.exp(-grid.x**2)
+        f[grid.n // 2 - 3] = np.nan
+        if rows == "even_half":  # nodes 0..c
+            f = f[: grid.n // 2 + 1]
+        solves = []
+        monkeypatch.setattr(spectral, "_gtsv_solve", lambda *args, **kw: solves.append(1))
+        with pytest.raises(
+            SolverFailure,
+            match=r"^bordered eigenvalue solve failed: array must not contain infs or NaNs$",
+        ):
+            reduced_resolvent_at_eigenvalue(pt, bs, f)
+        assert solves == []
+
     def test_projection_annihilates_psi(self, pt):
         bs = solve_ground_state(pt)
         u = reduced_resolvent_at_eigenvalue(pt, bs, bs.psi.copy())
