@@ -194,7 +194,7 @@ def gamma(V: PotentialField, params: DesignParams) -> FgrResult:
         raise ResonanceBelowCutoff(
             f"lambda + mu = {ksq:.6g} <= 0: forced state below the continuum"
         )
-    k = float(np.sqrt(ksq))
+    k = math.sqrt(ksq)
     if 0.5 * k * V.grid.h >= 1.0:
         raise SolverFailure(
             f"resonance k = {k:.6g} is above the lattice cutoff 2/h = "

@@ -25,15 +25,16 @@ __all__ = [
 class Grid:
     """Uniform grid on [x_min, x_max] with n nodes.
 
-    x and weights are built on first read and kept, read-only; equality
-    and hashing compare the three fields only.
+    h, x and weights are built on first read and kept (x and weights
+    read-only), so the many reads of h in one solve cost no arithmetic;
+    equality and hashing compare the three fields only.
     """
 
     x_min: float
     x_max: float
     n: int
 
-    @property
+    @cached_property
     def h(self) -> float:
         return (self.x_max - self.x_min) / (self.n - 1)
 
@@ -107,6 +108,9 @@ class PotentialField:
     not per field.  mirrored is decided on first read and kept: whether
     the values read the same reversed, bit for bit (so -0.0 and 0.0
     differ, and a NaN equals its mirror image only with the same payload).
+    finite is decided and kept the same way: whether no value is a NaN or
+    an inf.  The solvers of pdp.spectral read it instead of scanning the
+    values on every solve; the values are read-only, so it cannot go stale.
     """
 
     grid: Grid
@@ -124,13 +128,17 @@ class PotentialField:
                 f"support [-{a}, {a}] must lie strictly inside the domain "
                 f"[{self.grid.x_min}, {self.grid.x_max}]"
             )
-        if np.any(self.values[~self.support_mask] != 0.0):
+        if self.values[~self.support_mask].any():  # a NaN counts as nonzero
             raise ValueError("potential must vanish outside [-a, a]")
         self.values.setflags(write=False)
 
     @cached_property
     def mirrored(self) -> bool:
         return _mirrored(self.values)
+
+    @cached_property
+    def finite(self) -> bool:
+        return bool(np.isfinite(self.values).all())
 
     @property
     def support_mask(self) -> np.ndarray:
@@ -227,8 +235,9 @@ def interpolate_potential(
 def _derivative(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Centered differences on interior nodes, one-sided at the endpoints."""
     h = grid.h
-    d = np.empty_like(values, dtype=float)
-    d[1:-1] = (values[2:] - values[:-2]) / (2 * h)
+    d = np.empty(values.shape[0])
+    inner = np.subtract(values[2:], values[:-2], out=d[1:-1])
+    inner /= 2 * h
     d[0] = (values[1] - values[0]) / h
     d[-1] = (values[-1] - values[-2]) / h
     return d
@@ -245,20 +254,24 @@ def h1_gradient(V: PotentialField) -> np.ndarray:
     """Exact nodal gradient of the discrete h1_norm_sq quadratic form.
 
     h1_norm_sq(V) = V^T Q V with Q = W + D^T W D (W trapezoid weights, D
-    the difference stencil above); the gradient is 2 Q V.
+    the difference stencil above); the gradient is 2 Q V.  Each term is
+    formed once and added in place, in the order of the formula.
     """
     grid = V.grid
     v = np.asarray(V.values, dtype=float)
     w = grid.weights
-    dv = _derivative(grid, v)
-    wd = w * dv
+    wd = w * _derivative(grid, v)
     h = grid.h
     # apply D^T to (w * Dv)
+    inner = wd[1:-1] / (2 * h)
+    first, last = float(wd[0]) / h, float(wd[-1]) / h
     g = np.zeros_like(v)
-    g[2:] += wd[1:-1] / (2 * h)
-    g[:-2] -= wd[1:-1] / (2 * h)
-    g[0] -= wd[0] / h
-    g[1] += wd[0] / h
-    g[-2] -= wd[-1] / h
-    g[-1] += wd[-1] / h
-    return 2.0 * (w * v + g)
+    g[2:] += inner
+    g[:-2] -= inner
+    g[0] -= first
+    g[1] += first
+    g[-2] -= last
+    g[-1] += last
+    g += w * v
+    g *= 2.0
+    return g

@@ -40,9 +40,12 @@ call per block of rows, with the state renormalized by a power of two
 at each block end.  The blocks are cut by a growth bound that depends on V and the batch's largest k, and
 the end state's bits do not depend on the cuts.  A
 tridiagonal solve with a matrix of its own ends in _gtsv_solve, a thin
-LAPACK ?gtsv call that assumes finite input.  The
-solvers in pdp.spectral check the potential and their forcing once per
-solve with _require_finite and then call _gtsv_solve.  cn_step_loop
+LAPACK ?gtsv call that assumes finite input.  The solvers in
+pdp.spectral check the potential once per potential (the flag
+PotentialField.finite, kept with the field) and their forcing once per
+solve with _require_finite, and then call _gtsv_solve.  Every call of a
+fetched routine passes its arguments positionally, which f2py parses
+faster than keywords.  cn_step_loop
 checks its operands once per call and calls zgtsv itself, with no
 wrapper or dtype dispatch per step.  It writes the Crank-Nicolson map as
 2 A^-1 - I, so a step is one solve with A and no right-hand-side product.
@@ -127,11 +130,11 @@ _ztbsv = _fblas.ztbsv
 _zdotu, _ddot = _fblas.zdotu, _fblas.ddot
 
 
-def _gtsv(dtype):
-    """LAPACK ?gtsv for one numpy dtype: zgtsv for a complex one, dgtsv
-    otherwise, as scipy.linalg.get_lapack_funcs picks for float64 and
-    complex128."""
-    return _zgtsv if dtype.kind == "c" else _dgtsv
+def _gtsv(*dtypes):
+    """LAPACK ?gtsv for operands of the numpy dtypes given: zgtsv when one
+    of them is complex, dgtsv otherwise, as scipy.linalg.get_lapack_funcs
+    picks for float64 and complex128."""
+    return _zgtsv if "c" in [t.kind for t in dtypes] else _dgtsv
 
 
 def _gtsv_solve(dl, d, du, b, *, scratch=False):
@@ -146,8 +149,9 @@ def _gtsv_solve(dl, d, du, b, *, scratch=False):
     contents are then lost, and the solution is b itself.  An exactly
     singular matrix raises numpy.linalg.LinAlgError.
     """
-    gtsv = _gtsv(np.result_type(dl, d, du, b, np.float64))
-    _, _, _, x, info = gtsv(dl, d, du, b, overwrite_d=scratch, overwrite_b=scratch)
+    gtsv = _gtsv(dl.dtype, d.dtype, du.dtype, b.dtype)
+    # gtsv(dl, d, du, b, overwrite_dl, overwrite_d, overwrite_du, overwrite_b)
+    _, _, _, x, info = gtsv(dl, d, du, b, 0, scratch, 0, scratch)
     if info:
         raise _gtsv_error(info)
     return x
@@ -246,7 +250,7 @@ def _lowest_eigenpair(d, e, vl=-np.inf):
         v = _gtsv_solve(e, d - rho, e, z)
     except np.linalg.LinAlgError:  # rho is an eigenvalue of T exactly
         return count, rho, z
-    v /= np.sqrt(v @ v)
+    v /= math.sqrt(v @ v)
     return count, _rayleigh_quotient(d, e, v), v
 
 
@@ -344,13 +348,18 @@ def _lowest_eigenpair_by_parity(d, e):
     bisection starts at a Gershgorin bound of the full matrix instead,
     min(d) - 2 max|e|, less the rounding allowance that ?stebz gives its
     own bound (2.1 n ulp times the larger end of the interval).
+
+    A NaN or inf raises ValueError from _lowest_eigenpair's check of the
+    even block, which holds every value of a mirrored d and e, so the
+    full-length pair is not scanned a second time.  Any such value makes
+    the bound -inf or NaN, which the bound test passes; it is formed in
+    Python floats, which raise no floating-point warning on the way.
     """
-    _require_finite(d, e)
     n = d.shape[0]
     c = n // 2
-    r = 2.0 * float(np.max(np.abs(e)))
-    gl, gu = float(np.min(d)) - r, float(np.max(d)) + r
-    vl = gl - 2.1 * n * np.finfo(float).eps * max(abs(gl), abs(gu))
+    r = 2.0 * float(np.abs(e).max())
+    gl, gu = float(d.min()) - r, float(d.max()) + r
+    vl = gl - 2.1 * n * sys.float_info.epsilon * max(abs(gl), abs(gu))
     if vl >= 0.0:
         return 0, None, None
     count, lam, u = _lowest_eigenpair(*_even_block(d[: c + 1], e[:c]), vl)
@@ -401,7 +410,7 @@ def march_half_bound(v, h, from_right):
     band[1, 0] = 0.0  # d_0 = 0: node 0's row is not marched
     y = np.zeros(2 * n - 1)
     y[0] = 1.0
-    y = _dtbsv(2, band, y, lower=1, diag=1, overwrite_x=1)
+    y = _dtbsv(2, band, y, 1, 0, 1, 0, 1, 1)  # lower, unit diagonal, in place
     eta, deta = y[::2], y[1::2] / h
     if from_right:
         return eta[::-1], -deta[::-1]
@@ -484,7 +493,7 @@ def _support_march(hv, hk2, d):
         for yb, band_b in blocks:
             yb[0] = ui
             yb[1] = di
-            yb = _ztbsv(2, band_b, yb, lower=1, diag=1, overwrite_x=1)
+            yb = _ztbsv(2, band_b, yb, 1, 0, 1, 0, 1, 1)  # lower, unit diagonal, in place
             di, ui = yb[-2:].tolist()
             e = math.frexp(max(abs(ui), abs(di)))[1]
             ui, di = ui * 2.0**-e, di * 2.0**-e

@@ -238,7 +238,7 @@ def lbfgs_direction(history: list[tuple[np.ndarray, np.ndarray]], g: np.ndarray)
     Pairs with non-positive curvature s.y are skipped, so the output is a
     descent direction whenever any valid pair (or none) remains.
     """
-    q = -g.copy()
+    q = -g
     if not history:
         return q
     alphas = []
@@ -293,6 +293,7 @@ def optimize(
         schedule.append(max(schedule[-1] * TAU_FACTOR, opts.tau_min))
     stage_cap = max(1, math.ceil(opts.max_iters / len(schedule)))
 
+    gnorm = None  # max |cur.gradient|, once formed
     rows: list[tuple] = []  # one per accepted step, in TRACE_COLUMNS order
     stages: list[tuple[float, int, str]] = []  # one per stage entered
     cur_tau = opts.tau_start
@@ -302,6 +303,7 @@ def optimize(
         # Gamma-negligible rule needs no evaluation at its own tau
         if cur_tau != tau and cur.result.gamma >= TAU_ADVANCE_FACTOR * tau:
             cur, cur_tau = barrier_objective(V, params, tau), tau
+            gnorm = None
         history: list[tuple[np.ndarray, np.ndarray]] = []
         stage_status = "gradient tolerance reached"
         final_stage = stage == len(schedule) - 1
@@ -311,7 +313,8 @@ def optimize(
             if cur.result.gamma < TAU_ADVANCE_FACTOR * tau:
                 stage_status = "gamma negligible against tau"
                 break
-            gnorm = float(np.max(np.abs(cur.gradient)))
+            if gnorm is None:
+                gnorm = float(np.abs(cur.gradient).max())
             if gnorm <= stage_tol:
                 break
             if not final_stage and stage_it >= stage_cap:
@@ -351,10 +354,11 @@ def optimize(
             if len(history) > MEMORY:
                 history.pop(0)
             V, cur = trial, ev
+            gnorm = float(np.abs(cur.gradient).max())
             stage_it += 1
             rows.append((
                 len(rows) + 1, tau, cur.result.gamma, cur.value,
-                float(np.max(np.abs(cur.gradient))), step, *cur.margins, cur.wronskian_variance,
+                gnorm, step, *cur.margins, cur.wronskian_variance,
             ))
         if budget_hit:
             stage_status = "iteration budget exhausted"

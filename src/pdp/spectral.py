@@ -110,6 +110,14 @@ def _dirichlet_rows(V: PotentialField) -> tuple[np.ndarray, np.ndarray]:
     return d[1:-1], np.full(V.grid.n - 3, off)
 
 
+def _require_finite_field(V: PotentialField, *arrays) -> None:
+    """_require_finite(V.values, *arrays), with V's values read off its kept
+    PotentialField.finite: they are scanned once per field, not per solve."""
+    if not V.finite:
+        _require_finite(V.values)
+    _require_finite(*arrays)
+
+
 @dataclass(frozen=True)
 class BoundState:
     """Normalized ground-state eigenpair of H_V with Dirichlet rows.
@@ -264,7 +272,9 @@ def has_eigenvalue_at_or_below(V: PotentialField, energy: float) -> bool:
     """Whether H_V with Dirichlet rows has an eigenvalue <= energy.
 
     Decided without an eigensolve, in up to three steps.  A NaN or inf in
-    V raises ValueError first, as the eigensolve does.  Every eigenvalue
+    V raises ValueError first, as the eigensolve does; it is read off V's
+    kept PotentialField.finite, so V is scanned once per field, not once
+    per call.  Every eigenvalue
     is at least the smallest V on the interior nodes (Gershgorin: each
     row's diagonal 2/h^2 + V_j less its off-diagonal sum 2/h^2), so a
     minimum above energy by more than a few ulps of 2/h^2 + |energy|,
@@ -278,7 +288,7 @@ def has_eigenvalue_at_or_below(V: PotentialField, energy: float) -> bool:
     solve_ground_state(V).lam <= energy, up to rounding of an eigenvalue
     at energy.
     """
-    _require_finite(V.values)
+    _require_finite_field(V)
     margin = 4.0 * np.finfo(float).eps * (2.0 / V.grid.h**2 + abs(energy))
     if float(V.values[1:-1].min()) - energy > margin:
         return False
@@ -348,6 +358,8 @@ def outgoing_resolvent_solve(V: PotentialField, k: float, f: np.ndarray) -> np.n
     with rows n on the full grid or c + 1 on the even half (see the module
     docstring); u has f's shape.  All columns are solved with one LAPACK
     ?gtsv call, and each column of u has the bits of a one-column solve.
+    A NaN or inf in V or f raises SolverFailure before the solve: f is
+    scanned on every call, V once per field (PotentialField.finite).
     """
     if not k > 0:
         raise ValueError("outgoing solves require real k > 0")
@@ -360,13 +372,13 @@ def outgoing_resolvent_solve(V: PotentialField, k: float, f: np.ndarray) -> np.n
         s = _even_scale(f.shape[0])
         f = (f.T * s).T
     try:
-        _require_finite(V.values, f)  # k > 0 is resolvable, so d is finite too
+        _require_finite_field(V, f)  # k > 0 is resolvable, so d is finite too
         u = _gtsv_solve(dl, d, du, f, scratch=even)
     except (np.linalg.LinAlgError, ValueError) as exc:  # singular A, non-finite input
         raise SolverFailure(f"outgoing solve failed at k={k}: {exc}") from exc
     if even:
         np.divide(u.T, s, out=u.T)
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise SolverFailure(f"outgoing solve produced non-finite values at k={k}")
     return u
 
@@ -424,7 +436,9 @@ def reduced_resolvent_at_eigenvalue(V: PotentialField, bs: BoundState, f: np.nda
 
     fc = f - (w @ (psi * f)) * psi
     try:
-        _require_finite(d, fc, psi)
+        # d and psi are finite when V is: they are formed from V and its
+        # ground state
+        _require_finite_field(V, fc)
         rhs = np.column_stack((fc, psi))
         try:
             z = _gtsv_solve(dl, d, du, rhs)
@@ -437,7 +451,7 @@ def reduced_resolvent_at_eigenvalue(V: PotentialField, bs: BoundState, f: np.nda
     u = z1 - ((wpsi @ z1) / (wpsi @ z2)) * z2
     if even:
         u /= s
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise SolverFailure("bordered eigenvalue solve produced non-finite values")
     return u
 
@@ -470,7 +484,7 @@ def _support_recurrence(V: PotentialField, ks: np.ndarray):
         raise ValueError(f"k must satisfy 0 < k < 2/h = {2.0 / h:g}")
     v = np.asarray(V.values)
     try:
-        _require_finite(v)
+        _require_finite_field(V)
     except ValueError as exc:
         raise SolverFailure(f"transmission recurrence failed: {exc}") from exc
     t = np.ones(ks.shape, dtype=np.complex128)
@@ -581,14 +595,15 @@ def wronskian_at_zero(V: PotentialField, tol: float = 1e-8) -> WronskianResult:
         eta_p, deta_p = kernels.march_half_bound(v, h, True)
         eta_m, deta_m = kernels.march_half_bound(v, h, False)
         W = eta_p[:-1] * deta_m - deta_p * eta_m[:-1]
-        if not np.all(np.isfinite(W)):
+        if not np.isfinite(W).all():
             return WronskianResult(
                 w0=np.nan, variance=np.inf, eta_plus=eta_p, eta_minus=eta_m, valid=False
             )
-        w0 = float(np.mean(W))
-        scale = np.sqrt(1.0 + w0 * w0)  # W grows exponentially with integral sqrt(V_+)
-        variance = float(np.mean(((W - w0) / scale) ** 2))
-    valid = bool(np.isfinite(variance)) and variance <= tol
+        # np.mean's pairwise sum over the same count, without its call cost
+        w0 = float(W.sum()) / W.size
+        scale = math.sqrt(1.0 + w0 * w0)  # W grows exponentially with integral sqrt(V_+)
+        variance = float((((W - w0) / scale) ** 2).sum()) / W.size
+    valid = math.isfinite(variance) and variance <= tol
     return WronskianResult(
         w0=w0, variance=variance, eta_plus=eta_p, eta_minus=eta_m, valid=valid
     )

@@ -21,6 +21,10 @@ which needs no solve of its own, to rounding.  mp_gamma solves the
 package's whole discrete problem (eigenpair, outgoing waves, Gamma) in
 mpmath at 40 digits, from plain loops, so it bounds the package's
 rounding error rather than checking float64 against float64.
+mp_derivatives differentiates that problem along a direction by central
+differences of mp_gamma at a step of 1e-20, far below float64's
+resolution, so it checks the package's gradient fields of Gamma and
+lambda against the discrete problem itself.
 """
 import mpmath
 import numpy as np
@@ -268,12 +272,14 @@ def _mp_tridiagonal_solve(diag, off, rhs):
     return x
 
 
-def mp_gamma(V, params, dps=40):
+def mp_gamma(V, params, dps=40, dv=None):
     """(Gamma, lambda, m_+, m_-) of the package's discrete problem, to dps digits.
 
     V's float64 node values, beta's (params.beta_values), h, mu and the
     grid's ends are taken as exact inputs, and every step is made in
-    mpmath at dps digits on all n nodes, whether or not V is mirrored:
+    mpmath at dps digits on all n nodes, whether or not V is mirrored.
+    dv, if given, is one number per node added to V's values at dps
+    digits, a change far below float64's resolution (mp_derivatives):
 
     - lambda is bisected on the Sturm count of H_V's interior (Dirichlet)
       rows, 2/h^2 + V_j on the diagonal and -1/h^2 off it, from
@@ -297,6 +303,8 @@ def mp_gamma(V, params, dps=40):
         n = grid.n
         h = mpmath.mpf(grid.h)
         v = [mpmath.mpf(x) for x in V.values.tolist()]
+        if dv is not None:
+            v = [vj + dj for vj, dj in zip(v, dv)]
         beta = [mpmath.mpf(b) for b in params.beta_values(V).tolist()]
         off = -1 / h**2
 
@@ -345,3 +353,20 @@ def mp_gamma(V, params, dps=40):
             ))
         rate = (abs(m[0]) ** 2 + abs(m[1]) ** 2) / (16 * k)
         return rate, lam, m[0], m[1]
+
+
+def mp_derivatives(V, params, w, dps=40, step="1e-20"):
+    """(dGamma, dlambda) of mp_gamma's discrete problem at V in the direction w.
+
+    w holds one float per node.  Each derivative is the central difference
+    (F(V + t w) - F(V - t w)) / 2t at t = step, both sides solved by
+    mp_gamma at dps digits: at t = 1e-20 and 40 digits the difference's
+    truncation, O(t^2), and its rounding, O(10^-dps / t), both stay near
+    1e-20 relative, far below float64's resolution.
+    """
+    with mpmath.workdps(dps):
+        t = mpmath.mpf(step)
+        dv = [t * mpmath.mpf(wj) for wj in np.asarray(w, dtype=float).tolist()]
+        plus = mp_gamma(V, params, dps, dv)
+        minus = mp_gamma(V, params, dps, [-d for d in dv])
+        return tuple((p - m) / (2 * t) for p, m in zip(plus[:2], minus[:2]))

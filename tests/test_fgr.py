@@ -187,9 +187,12 @@ class TestGamma:
         v[grid.n // 2 + 3] = bad
         if mirrored:
             v[grid.n // 2 - 3] = bad
+        V = PotentialField(grid, v, 12.0)
         fgr.clear_cache()
-        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-            fgr.gamma(PotentialField(grid, v, 12.0), params_fixed)
+        # the second call reads the finiteness that the first one kept on V
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+                fgr.gamma(V, params_fixed)
 
     def test_diagnostics_keys(self, V, params_equals_v):
         d = fgr.gamma(V, params_equals_v).diagnostics()
@@ -548,9 +551,23 @@ class TestOracle:
     rounding.  The two mirrored wells are solved on the even half of the
     grid, the asymmetric one on all n nodes; the oracle solves every well
     on all n nodes.
+
+    D_GAMMA_BOUND and D_LAMBDA_BOUND are the relative errors allowed in the
+    directional derivatives that the trapezoid pairing of gamma_gradient
+    and of psi^2 gives, against oracles.mp_derivatives.  Measured on the
+    three wells: dlambda agrees to 9e-17 or better, a few ulps, and the
+    bound leaves a margin of about 10.  dGamma agrees to 9.4e-12, 3.2e-11
+    and 9.7e-12.  That is not rounding: the psi term of gamma_gradient
+    solves the reduced resolvent with decaying end rows, while psi is the
+    eigenvector of the Dirichlet rows, and psi is 1.3e-8 on the nodes next
+    to the ends of this grid.  On [-30, 30] (psi 3.5e-12 there) the
+    asymmetric well agrees to 1.9e-15, on [-14, 14] (psi 1.7e-6) to 8e-8.
+    The bound leaves a margin of about 10 over the largest.
     """
 
     BOUND = 1e-13
+    D_GAMMA_BOUND = 3e-10
+    D_LAMBDA_BOUND = 1e-15
 
     @pytest.fixture(scope="class")
     def small(self):
@@ -568,11 +585,15 @@ class TestOracle:
             v = -1.5 / np.cosh(1.5 * (x - 0.7)) + 0.2 * np.exp(-((x + 3.0) ** 2) / 2.0)
         return PotentialField(grid, np.where(np.abs(x) <= 12.0, v, 0.0), 12.0)
 
+    @staticmethod
+    def params(grid):
+        beta = PotentialField(grid, np.where(np.abs(grid.x) <= 2.0, 1.0, 0.0), 12.0)
+        return DesignParams(a=12.0, b=1e3, mu=2.0, delta=1e-4, beta=beta)
+
     @pytest.mark.parametrize("name", ["sech", "mirrored_bumps", "asymmetric"])
     def test_gamma_lambda_and_m_are_within_the_bound(self, small, name):
         V = self.well(small, name)
-        beta = PotentialField(small, np.where(np.abs(small.x) <= 2.0, 1.0, 0.0), 12.0)
-        params = DesignParams(a=12.0, b=1e3, mu=2.0, delta=1e-4, beta=beta)
+        params = self.params(small)
         fgr.clear_cache()
         res = fgr.gamma(V, params)
         assert len(res.waves) == (2 if name == "asymmetric" else 1)
@@ -580,3 +601,25 @@ class TestOracle:
         got = (res.gamma, res.bound_state.lam, res.m_plus, res.m_minus)
         for g, e in zip(got, exact):
             assert abs(g - e) <= self.BOUND * abs(e)
+
+    @pytest.mark.parametrize(
+        "name, centre",
+        [("sech", 0.5), ("mirrored_bumps", 2.0), ("asymmetric", -1.0)],
+        ids=["sech", "mirrored_bumps", "asymmetric"],
+    )
+    def test_directional_derivatives_are_within_the_bound(self, small, name, centre):
+        # one smooth direction per well, a Gaussian bump off each well's
+        # centre, so that it is not mirrored either
+        V = self.well(small, name)
+        params = self.params(small)
+        x = small.x
+        w = np.where(np.abs(x) <= 12.0, np.exp(-((x - centre) ** 2) / 2.0), 0.0)
+        fgr.clear_cache()
+        res = fgr.gamma(V, params)
+        got = (
+            float(trapz(small, fgr.gamma_gradient(V, params, res) * w)),
+            float(trapz(small, fgr.lambda_gradient(res.bound_state) * w)),
+        )
+        exact = oracles.mp_derivatives(V, params, w)
+        for g, e, bound in zip(got, exact, (self.D_GAMMA_BOUND, self.D_LAMBDA_BOUND)):
+            assert abs(g - e) <= bound * abs(e)

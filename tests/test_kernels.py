@@ -101,7 +101,8 @@ class TestLinalgRoutines:
 
 class TestTrisolve:
     # the package's tridiagonal solves end in kernels._gtsv_solve, after
-    # their operands pass kernels._require_finite
+    # their forcing passes kernels._require_finite and their potential
+    # its kept PotentialField.finite
     @pytest.mark.parametrize("complex_", [True, False])
     def test_matches_scipy(self, complex_):
         rng = np.random.default_rng(0)

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from oracles import hamiltonian_apply, square_well
 from pdp.errors import NoBoundState, SolverFailure
-from pdp.grid import PotentialField, make_grid, sech_well, trapz
+from pdp.grid import PotentialField, _even_half, make_grid, sech_well, trapz
 from pdp import kernels, spectral
 from pdp.spectral import (
     ScatteringState,
@@ -45,6 +45,24 @@ def grid():
 @pytest.fixture(scope="module")
 def pt(grid):
     return pt_potential(grid)
+
+
+def non_finite_well(grid, bad, node):
+    """The a=12 sech well with bad on one node: on the centre node (node 0)
+    the field still reads the same reversed, bit for bit, and splits by
+    parity; on any other node it is solved on the full grid."""
+    v = sech_well(1.5, 1.5, 12.0, grid).values.copy()
+    v[grid.n // 2 + node] = bad
+    return PotentialField(grid, v, 12.0)
+
+
+# each non-finite value on the centre node (ids nan, inf and -inf: the
+# even-half path) and on node c + 3 (the full-grid path)
+NON_FINITE = pytest.mark.parametrize(
+    "bad, node",
+    [(bad, node) for node in (0, 3) for bad in (np.nan, np.inf, -np.inf)],
+    ids=["nan", "inf", "-inf", "nan-full_grid", "inf-full_grid", "-inf-full_grid"],
+)
 
 
 class TestHamiltonianApply:
@@ -319,16 +337,17 @@ class TestEigenvalueAtOrBelow:
         V = PotentialField(grid, np.zeros(grid.n), 15.0)
         assert not spectral.has_eigenvalue_at_or_below(V, 0.0)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_potential_raises_as_the_eigensolve(self, grid, bad):
-        v = sech_well(1.5, 1.5, 12.0, grid).values.copy()
-        v[grid.n // 2] = bad
-        V = PotentialField(grid, v, 12.0)
-        with pytest.raises(ValueError, match="infs or NaNs") as sweep:
-            spectral.has_eigenvalue_at_or_below(V, -2.0)
-        with pytest.raises(ValueError) as solve:
-            solve_ground_state(V)
-        assert str(sweep.value) == str(solve.value)
+    @NON_FINITE
+    def test_non_finite_potential_raises_as_the_eigensolve(self, grid, bad, node):
+        V = non_finite_well(grid, bad, node)
+        assert _even_half(V) == (node == 0)
+        # the second call reads the finiteness the first one kept on V
+        for _ in range(2):
+            with pytest.raises(ValueError, match="infs or NaNs") as sweep:
+                spectral.has_eigenvalue_at_or_below(V, -2.0)
+            with pytest.raises(ValueError) as solve:
+                solve_ground_state(V)
+            assert str(sweep.value) == str(solve.value)
 
     @staticmethod
     def swept_rows(monkeypatch):
@@ -440,11 +459,16 @@ class TestOutgoingResolvent:
         assert np.max(np.abs(r[1:-1])) < 1e-7 * np.max(np.abs(u)) * (2 / grid.h**2)
 
     def test_nan_in_support_is_solver_failure(self, grid):
-        vals = sech_well(1.5, 1.5, 12.0, grid).values.copy()
-        vals[grid.n // 2] = np.nan
-        V = PotentialField(grid, vals, 12.0)
-        with pytest.raises(SolverFailure):
-            outgoing_resolvent_solve(V, 1.0, np.ones(grid.n))
+        # the NaN is on the centre node, so V splits by parity and both the
+        # full grid (n rows) and the even half (c + 1) can be asked for;
+        # each is asked twice, the second time with V's finiteness kept
+        V = non_finite_well(grid, np.nan, 0)
+        for rows in (grid.n, grid.n // 2 + 1) * 2:
+            with pytest.raises(
+                SolverFailure,
+                match=r"^outgoing solve failed at k=1.0: array must not contain infs or NaNs$",
+            ):
+                outgoing_resolvent_solve(V, 1.0, np.ones(rows))
 
     def test_k_must_be_positive(self, pt):
         with pytest.raises(ValueError):
@@ -623,6 +647,25 @@ class TestReducedResolvent:
             reduced_resolvent_at_eigenvalue(pt, bs, f)
         assert solves == []
 
+    @pytest.mark.parametrize("node", [0, 3], ids=["even_half", "full_grid"])
+    def test_nan_potential_is_solver_failure_before_any_solve(self, grid, pt, node, monkeypatch):
+        # the NaN is in V, not in the forcing; pt's ground state stands in
+        # for V's, which does not exist
+        bs = solve_ground_state(pt)
+        V = non_finite_well(grid, np.nan, node)
+        f = np.exp(-grid.x**2)
+        if node == 0:  # nodes 0..c of an even forcing
+            f = f[: grid.n // 2 + 1]
+        solves = []
+        monkeypatch.setattr(spectral, "_gtsv_solve", lambda *args, **kw: solves.append(1))
+        for _ in range(2):  # the second time with V's finiteness kept
+            with pytest.raises(
+                SolverFailure,
+                match=r"^bordered eigenvalue solve failed: array must not contain infs or NaNs$",
+            ):
+                reduced_resolvent_at_eigenvalue(V, bs, f)
+        assert solves == []
+
     def test_projection_annihilates_psi(self, pt):
         bs = solve_ground_state(pt)
         u = reduced_resolvent_at_eigenvalue(pt, bs, bs.psi.copy())
@@ -753,13 +796,17 @@ class TestTransmissionRecurrence:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_potential_raises(self, grid, bad):
-        vals = sech_well(1.5, 1.5, 12.0, grid).values.copy()
-        vals[900] = bad
-        V = PotentialField(grid, vals, 12.0)
-        with pytest.raises(SolverFailure):
-            transmission(V, 1.0)
-        with pytest.raises(SolverFailure):
-            transmission(V, np.array([0.5, 1.0]))
+        # node 900, off the centre, and the centre node, where V still reads
+        # the same reversed; every call after the first reads the
+        # finiteness that the first one kept on V
+        for node in (900 - grid.n // 2, 0):
+            V = non_finite_well(grid, bad, node)
+            for k in (1.0, np.array([0.5, 1.0])) * 2:
+                with pytest.raises(
+                    SolverFailure,
+                    match=r"^transmission recurrence failed: array must not contain infs or NaNs$",
+                ):
+                    transmission(V, k)
 
     def test_overflowing_march_is_solver_failure(self, grid):
         # h^2 |V| = 4e196, about 2^652, on every row of |x| <= 2: a block

@@ -360,6 +360,98 @@ def test_every_routine_kernels_fetches_is_read():
     assert sorted(set(fetched) - read) == []
 
 
+def _names_of(node) -> list[str]:
+    """The name of a Name node, or the attribute of an Attribute node."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    return []
+
+
+def _keyword_calls(trees: dict[str, ast.Module], fetched) -> list[str]:
+    """module:line callee of each call in trees of a fetched routine that passes a keyword.
+
+    A routine is called under its fetched name, as an attribute of that
+    name (kernels._ztbsv) or through an alias: a name that an assignment
+    binds from an expression that can give a routine, or a function whose
+    return can give one (kernels._gtsv), called.  An expression can give a
+    routine when it names one, or a tuple, conditional or boolean operation
+    of such names; the aliases are gathered over every tree until no new
+    one is found.  A name counts wherever it is bound, so an alias in one
+    function makes every call of that name suspect.
+    """
+    routines, pickers = set(fetched), set()
+
+    def gives(node) -> bool:
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            return bool(set(_names_of(node)) & routines)
+        if isinstance(node, ast.Call):
+            return bool(set(_names_of(node.func)) & pickers)
+        if isinstance(node, ast.IfExp):
+            return gives(node.body) or gives(node.orelse)
+        if isinstance(node, (ast.Tuple, ast.List)):
+            return any(gives(e) for e in node.elts)
+        if isinstance(node, ast.BoolOp):
+            return any(gives(v) for v in node.values)
+        return False
+
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    while True:
+        size = len(routines) + len(pickers)
+        for node in nodes:
+            if isinstance(node, ast.Assign) and gives(node.value):
+                routines.update(n.id for t in node.targets for n in ast.walk(t)
+                                if isinstance(n, ast.Name))
+            elif isinstance(node, ast.FunctionDef) and any(
+                gives(sub.value) for sub in ast.walk(node)
+                if isinstance(sub, ast.Return) and sub.value is not None
+            ):
+                pickers.add(node.name)
+        if len(routines) + len(pickers) == size:
+            break
+    return [
+        f"{module}:{node.lineno} {ast.unparse(node.func)}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and node.keywords
+        and set(_names_of(node.func)) & routines
+    ]
+
+
+def test_fetched_routines_are_called_positionally():
+    # f2py parses keyword arguments on every call: dtbsv costs 3.8 us with
+    # keywords and 1.9 us positional, dgtsv 3.7 us and 2.9 us (2 vCPUs,
+    # Python 3.11, scipy 1.17), against whole solves of tens of us
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+    fetched = _fetched_routines(trees["kernels"])
+    assert _keyword_calls(trees, fetched) == []
+
+
+def test_positional_call_rule_sees_aliases_pickers_and_attributes():
+    tree = ast.parse(
+        "_dgtsv, _zgtsv = _flapack.dgtsv, _flapack.zgtsv\n"
+        "def _pick(kind):\n"
+        "    return _zgtsv if kind == 'c' else _dgtsv\n"
+        "def solve(a, kw):\n"
+        "    gtsv = _pick(a.dtype.kind)\n"
+        "    gtsv(a, a, a, a, overwrite_b=1)\n"
+        "    _dgtsv(a, a, a, a, 0, 1, 0, 1)\n"
+        "    one, two = kernels._zgtsv, len\n"
+        "    one(a, b=a)\n"
+        "    kernels._zgtsv(a, **kw)\n"
+        "    _pick(kind='c')\n"
+        "    x = _dgtsv(a, a, a, a)\n"
+        "    x(a, k=1)\n"
+        "    sorted(a, key=len)\n"
+    )
+    fetched = _fetched_routines(tree)
+    assert fetched == ["_dgtsv", "_zgtsv"]
+    assert _keyword_calls({"m": tree}, fetched) == [
+        "m:6 gtsv", "m:9 one", "m:10 kernels._zgtsv",
+    ]
+
+
 def _pdp_imports(body) -> dict[str, str]:
     """local name -> dotted pdp path of each `from pdp... import` in body,
     nested definitions aside."""
